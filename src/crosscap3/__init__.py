@@ -17,7 +17,7 @@ from .curve_graph import (
     tet_star,
     two_sided,
 )
-from .errors import CodomainTooSmallError, MarginError, RadiusCapError
+from .errors import BudgetError, CodomainTooSmallError, MarginError, RadiusCapError
 from .farey import (
     BASE_TRIANGLE,
     FareyPatch,

@@ -11,3 +11,7 @@ class CodomainTooSmallError(ValueError):
 
 class MarginError(ValueError):
     """Operation requires vertices farther from the boundary of the window."""
+
+
+class BudgetError(ValueError):
+    """A table would need more memory than the fixed budget allows."""

@@ -11,6 +11,11 @@ vertices): for a triple (x, y, z) and a vertex p between x and y, how far p
 is from the union of the other two intervals.  This is a consequence of
 geodesic thinness and is computable in polynomial time; the exhaustive scan
 switches to fixed-seed sampling above a configurable triple count.
+
+The hot loops are vectorized: the distance table comes from one BFS that
+advances every source at once as packed bitsets, and sampled triples are
+scored a chunk at a time.  Tables whose size would exceed
+``MAX_TABLE_BYTES`` are refused with ``BudgetError`` before allocation.
 """
 
 from __future__ import annotations
@@ -18,26 +23,34 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from math import comb
+from itertools import chain
+from math import comb, prod
 
 import numpy as np
 
 from .curve_graph import CurveGraphBall, OneSided, TwoSided
-from .errors import MarginError
-from .tet_tree import TetBall, tree_distance, tree_path
+from .errors import BudgetError, MarginError
+from .tet_tree import TetBall, tree_path
 
 TRIPLE_THRESHOLD = 10_000_000
 QUAD_THRESHOLD = 20_000_000
 DEFAULT_SAMPLE_CAP = 1_000_000
+# Largest distance table (n^2) or exhaustive-thinness table (n^3) allocated.
+# The radius-7 curve table (612 MB) and the radius-8 ball table (344 MB) are
+# refused; the radius-6 curve table (68 MB) is not.
+MAX_TABLE_BYTES = 256 << 20
+# Elements per scratch block of rows x n: one BFS level's unpacked bits, a
+# chunk of sampled triples, a block of tree-comparison rows.  It keeps the
+# scratch memory of each far below that of the n^2 table.
+BLOCK_ELEMS = 1 << 16
 
 
 class DistanceTable:
     """All-pairs distances over a fixed vertex order.
 
-    ``vertices`` fixes the canonical order, ``dist`` is a symmetric integer
-    matrix over it.  Construction is one BFS per source over an immutable
-    graph; sources are independent, so this is safe to parallelize with a
-    deterministic merge, though the implementation is sequential.
+    ``vertices`` fixes the canonical order, ``dist`` is a symmetric int16
+    matrix over it.  Construction is a single breadth-first search that
+    advances all sources at once (see ``all_pairs_distances``).
     """
 
     def __init__(self, vertices: list, index: dict, dist: np.ndarray, source):
@@ -51,6 +64,14 @@ class DistanceTable:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _check_budget(what: str, shape: tuple, dtype) -> None:
+    need = prod(shape) * np.dtype(dtype).itemsize
+    if need > MAX_TABLE_BYTES:
+        raise BudgetError(
+            f"{what} needs {need >> 20} MiB, over the {MAX_TABLE_BYTES >> 20} MiB table budget"
+        )
 
 
 def _int_adjacency(graph) -> tuple[list, list]:
@@ -67,22 +88,46 @@ def _int_adjacency(graph) -> tuple[list, list]:
 
 
 def all_pairs_distances(graph) -> DistanceTable:
-    """Exact BFS distances on a TetBall 1-skeleton or a CurveGraphBall."""
+    """Exact BFS distances on a TetBall 1-skeleton or a CurveGraphBall.
+
+    Every vertex holds a bitset over the sources, packed into uint64 words:
+    the sources first reached at the current level (the frontier).  One
+    level ORs the neighbours' frontiers over CSR adjacency, drops the
+    sources whose table entry is already set, and writes the rest into the
+    table, a block of rows at a time.
+    """
     vertices, adj = _int_adjacency(graph)
     n = len(vertices)
-    dist = np.empty((n, n), dtype=np.int16)
-    for s in range(n):
-        row = [-1] * n
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u] + 1
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = du
-                    queue.append(w)
-        dist[s] = row
+    _check_budget(f"distance table for {n} vertices", (n, n), np.int16)
+    deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    if n > 1 and not deg.all():  # reduceat cannot OR over an empty neighbourhood
+        raise ValueError("graph is not connected")
+    cols = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(deg.sum()))
+    ends = np.cumsum(deg)
+    starts = ends - deg
+    dist = np.full((n, n), -1, dtype=np.int16)
+    np.fill_diagonal(dist, 0)
+    # Bit s of a vertex's bitset is bit s % 8 of byte s // 8, so the uint8
+    # view (un)packs with bitorder="little" whatever the word byte order.
+    frontier = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    diag = np.arange(n)
+    frontier.view(np.uint8)[diag, diag >> 3] = (1 << (diag & 7)).astype(np.uint8)
+    packed = -(-n // 8)
+    rows = max(1, BLOCK_ELEMS // n)
+    for level in range(1, n):
+        new = np.empty_like(frontier)
+        for a in range(0, n, rows):
+            block = slice(a, a + rows)
+            lo, hi = starts[a], ends[block][-1]
+            np.bitwise_or.reduceat(frontier[cols[lo:hi]], starts[block] - lo, axis=0, out=new[block])
+            # The table is the seen set: keep only sources not yet reached.
+            bits = np.unpackbits(new[block].view(np.uint8), axis=1, count=n, bitorder="little")
+            bits = bits.view(bool) & (dist[block] < 0)
+            np.copyto(dist[block], level, where=bits)
+            new.view(np.uint8)[block, :packed] = np.packbits(bits, axis=1, bitorder="little")
+        if not new.any():
+            break
+        frontier = new
     if dist.min() < 0:
         raise ValueError("graph is not connected")
     return DistanceTable(vertices, {v: i for i, v in enumerate(vertices)}, dist, graph)
@@ -329,6 +374,7 @@ def thinness_report(
 
 def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple]:
     n = d.shape[0]
+    _check_budget(f"exhaustive thinness over {n} vertices", (n, n, n), np.int16)
     # point_to_interval[p, x, z] = distance from p to the interval of (x, z)
     point_to_interval = np.empty((n, n, n), dtype=np.int16)
     for x in range(n):
@@ -354,22 +400,61 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple]:
     return best, witness
 
 
+def _triple_thinness(d: np.ndarray, x: int, y: int, z: int) -> tuple[int, int]:
+    """Thinness of one triple, and the first vertex of I(x, y) attaining it."""
+    between = np.nonzero(d[x] + d[y] == d[x, y])[0]
+    union = np.nonzero((d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z]))[0]
+    vals = d[np.ix_(between, union)].min(axis=1)
+    i = int(vals.argmax())
+    return int(vals[i]), int(between[i])
+
+
+def _chunk_thinness(d: np.ndarray, xyz: np.ndarray) -> np.ndarray:
+    """Thinness of every triple (row) of ``xyz``, as ``_triple_thinness`` values.
+
+    The (b, u) pairs of all triples, b in I(x, y) and u in I(x, z) | I(y, z),
+    are laid out flat, grouped by triple and then by b; a min per b and a max
+    per triple reduce them.  Every interval holds its endpoints, so no group
+    is empty.
+    """
+    n = d.shape[0]
+    t = len(xyz)
+    x, y, z = xyz.T
+    dx, dy, dz = d[x], d[y], d[z]
+    tb, b = np.divmod(np.flatnonzero(dx + dy == d[x, y][:, None]), n)
+    side = (dx + dz == d[x, z][:, None]) | (dy + dz == d[y, z][:, None])
+    tu, u = np.divmod(np.flatnonzero(side), n)
+    n_u = np.bincount(tu, minlength=t)
+    width = n_u[tb]  # products of each b: the size of its triple's union
+    seg = np.cumsum(width) - width
+    first_u = (np.cumsum(n_u) - n_u)[tb]
+    cols = u[np.arange(width.sum()) - np.repeat(seg - first_u, width)]
+    per_b = np.minimum.reduceat(d[np.repeat(b, width), cols], seg)
+    n_b = np.bincount(tb, minlength=t)
+    return np.maximum.reduceat(per_b, np.cumsum(n_b) - n_b)
+
+
 def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tuple]:
+    """The first sampled triple, in draw order, attaining the largest thinness.
+
+    Triples are drawn one ``rng.sample`` call at a time, so the stream is
+    fixed by ``seed``, and scored in chunks of at most ``BLOCK_ELEMS // n``.
+    """
     n = d.shape[0]
     rng = random.Random(seed)
+    population = range(n)
+    chunk = max(1, BLOCK_ELEMS // n)
     best = -1
     witness = (0, 0, 0, 0)
-    for _ in range(samples):
-        x, y, z = rng.sample(range(n), 3)
-        between = np.nonzero(d[x] + d[y] == d[x, y])[0]
-        union = np.nonzero(
-            (d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z])
-        )[0]
-        vals = d[np.ix_(between, union)].min(axis=1)
-        m = int(vals.max())
-        if m > best:
-            best = m
-            witness = (x, y, z, int(between[int(vals.argmax())]))
+    for start in range(0, samples, chunk):
+        xyz = np.array([rng.sample(population, 3) for _ in range(min(chunk, samples - start))])
+        vals = _chunk_thinness(d, xyz)
+        i = int(vals.argmax())
+        if vals[i] > best:
+            best = int(vals[i])
+            witness = tuple(int(v) for v in xyz[i])
+    if best >= 0:
+        witness += (_triple_thinness(d, *witness)[1],)
     return best, witness
 
 
@@ -432,26 +517,30 @@ def tree_comparison(ball: TetBall, table: DistanceTable) -> TreeComparisonReport
     if table.source is not ball:
         raise ValueError("table was not computed over this ball")
     assign = [min(ball.support[v]) for v in ball.vertices()]
-    diff_min = diff_max = None
-    ratio_min = ratio_max = None
-    pairs = 0
-    n = ball.n_vertices
-    for u in range(n):
-        row = table.dist[u]
-        for v in range(u + 1, n):
-            pairs += 1
-            dt = tree_distance(assign[u], assign[v])
-            diff = int(row[v]) - dt
-            diff_min = diff if diff_min is None else min(diff_min, diff)
-            diff_max = diff if diff_max is None else max(diff_max, diff)
-            if dt > 0:
-                ratio = int(row[v]) / dt
-                ratio_min = ratio if ratio_min is None else min(ratio_min, ratio)
-                ratio_max = ratio if ratio_max is None else max(ratio_max, ratio)
+    n = len(assign)
+    depth = np.array([len(a) for a in assign])
+    width = int(depth.max())
+    letters = np.frombuffer(
+        "".join(a.ljust(width) for a in assign).encode(), dtype=np.uint8
+    ).reshape(n, width)
+    # found[d, t]: some pair u < v has ball distance d and tree distance t.
+    found = np.zeros((int(table.dist.max()) + 1, 2 * width + 1), dtype=bool)
+    v = np.arange(n)
+    rows = max(1, BLOCK_ELEMS // (n * max(width, 1)))
+    for a in range(0, n, rows):
+        u = v[a : a + rows]
+        agree = np.logical_and.accumulate(letters[u, None, :] == letters[None, :, :], axis=2)
+        # Padding agrees with padding, so cut the common prefix at the shorter address.
+        common = np.minimum(agree.sum(axis=2), np.minimum.outer(depth[u], depth))
+        tree = depth[u, None] + depth - 2 * common
+        upper = u[:, None] < v
+        found[table.dist[u][upper], tree[upper]] = True
+    kinds = [(int(d), int(t)) for d, t in np.argwhere(found)]
+    ratios = [d / t for d, t in kinds if t > 0]
     return TreeComparisonReport(
-        pairs=pairs,
-        diff_min=diff_min,
-        diff_max=diff_max,
-        ratio_min=ratio_min,
-        ratio_max=ratio_max,
+        pairs=n * (n - 1) // 2,
+        diff_min=min(d - t for d, t in kinds),
+        diff_max=max(d - t for d, t in kinds),
+        ratio_min=min(ratios, default=None),
+        ratio_max=max(ratios, default=None),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,20 @@ class TestHyperbolicity:
         rows = json.loads(out)
         assert all(row["ok"] for row in rows)
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "f52298eefd068ee0977be0859ad6b548468be6b4a53c361cc4d1c5e21654ae5b"),
+            ("csv", "4e2a7cd247d3be298069889b3aca5f1ee4dde424044e7c751e3d796f393eb246"),
+        ],
+    )
+    def test_golden_artifact(self, capsys, fmt, digest):
+        # Digests of the artifacts of the unvectorized implementation.
+        argv = ("hyperbolicity", "--radius", "4", "--sample-cap", "20000", "--seed", "5")
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRigidity:
     def test_level_two(self, capsys):
@@ -115,6 +130,11 @@ class TestErrors:
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_table_over_budget(self, capsys):
+        code, _, err = run(capsys, "hyperbolicity", "--radius", "8")
+        assert code == 2
+        assert err.startswith("error:") and "budget" in err
 
     def test_bad_sample_cap(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "1", "--sample-cap", "0")

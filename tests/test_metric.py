@@ -1,10 +1,13 @@
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from crosscap3.curve_graph import OneSided, TwoSided
-from crosscap3.errors import MarginError
+from crosscap3.errors import BudgetError, MarginError
 from crosscap3.metric import (
+    TreeComparisonReport,
     all_pairs_distances,
     bottleneck_triangle,
     check_bottleneck_property,
@@ -35,6 +38,24 @@ def floyd_warshall(vertices, adjacency):
     return d
 
 
+def deque_bfs_rows(vertices, adjacency):
+    # Independent distance oracle: one queue-based BFS per source, row by row.
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [[index[w] for w in adjacency[v]] for v in vertices]
+    for s in range(len(adj)):
+        row = [-1] * len(adj)
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            du = row[u] + 1
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = du
+                    queue.append(w)
+        yield row
+
+
 class TestDistances:
     def test_examples(self, dtable):
         t = dtable(2)
@@ -54,6 +75,14 @@ class TestDistances:
         for u in cg.vertices:
             for v in cg.vertices:
                 assert tc.d(u, v) == oracle[u][v]
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_agrees_with_deque_bfs(self, ball, cgraph, radius):
+        for graph in (ball(radius), cgraph(radius)):
+            t = all_pairs_distances(graph)
+            assert t.dist.dtype == np.int16
+            for s, row in enumerate(deque_bfs_rows(t.vertices, graph.adjacency)):
+                assert t.dist[s].tolist() == row
 
     def test_stability_between_radii(self, dtable, ctable):
         for n in range(3):
@@ -229,6 +258,41 @@ class TestThinness:
         assert a.triples_examined == 500
 
 
+def plain_sampled_thinness(table, samples, seed):
+    # Independent oracle: score the sampled triples one at a time.
+    n = len(table)
+    d = table.dist
+    rng = random.Random(seed)
+    best = -1
+    witness = None
+    for _ in range(samples):
+        x, y, z = rng.sample(range(n), 3)
+        between = np.nonzero(d[x] + d[y] == d[x, y])[0]
+        union = np.nonzero((d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z]))[0]
+        vals = d[np.ix_(between, union)].min(axis=1)
+        if int(vals.max()) > best:
+            best = int(vals.max())
+            witness = (x, y, z, int(between[int(vals.argmax())]))
+    return best, tuple(table.vertices[i] for i in witness)
+
+
+class TestSampledThinness:
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    @pytest.mark.parametrize("graph", ["tet", "curve"])
+    def test_matches_plain_loop(self, dtable, ctable, radius, graph):
+        # Caps 7 and 5000 are not multiples of any chunk size used here.
+        t = (dtable if graph == "tet" else ctable)(radius)
+        for seed in (0, 3, 17):
+            for cap in (1, 7, 5000):
+                rep = thinness_report(t, 3.0, triple_threshold=0, sample_cap=cap, seed=seed)
+                assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, cap, seed)
+
+    def test_exhaustive_table_over_budget(self, ctable):
+        # 650 vertices: the n^3 int16 table would take about 524 MiB.
+        with pytest.raises(BudgetError):
+            thinness_report(ctable(4), 3.0, triple_threshold=10**12)
+
+
 class TestFourPoint:
     def test_smoke_inequality(self, dtable, ctable):
         # Four-point delta never exceeds twice the interval thinness plus one.
@@ -263,6 +327,26 @@ class TestTreeComparison:
                     tree_distance(a, c) for a in b.support[u] for c in b.support[v]
                 )
                 assert t.d(u, v) <= k + 1
+
+    @pytest.mark.parametrize("radius", range(6))
+    def test_matches_pair_loop(self, ball, dtable, radius):
+        b, t = ball(radius), dtable(radius)
+        assign = [min(b.support[v]) for v in b.vertices()]
+        diffs, ratios = [], []
+        for u in range(b.n_vertices):
+            for v in range(u + 1, b.n_vertices):
+                dt = tree_distance(assign[u], assign[v])
+                diffs.append(t.d(u, v) - dt)
+                if dt > 0:
+                    ratios.append(t.d(u, v) / dt)
+        want = TreeComparisonReport(
+            pairs=len(diffs),
+            diff_min=min(diffs),
+            diff_max=max(diffs),
+            ratio_min=min(ratios, default=None),
+            ratio_max=max(ratios, default=None),
+        )
+        assert tree_comparison(b, t) == want
 
     def test_deterministic(self, ball, dtable):
         a = tree_comparison(ball(2), dtable(2))
