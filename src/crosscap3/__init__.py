@@ -52,7 +52,7 @@ from .rigidity import (
     inverse,
     pointwise_stabilizer_check,
     propagate_map,
-    rigidity_check_level,
+    rigidity_reports,
     star_union,
 )
 from .tet_tree import (

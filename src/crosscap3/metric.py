@@ -502,8 +502,8 @@ class TreeComparisonReport:
     pairs: int
     diff_min: int
     diff_max: int
-    ratio_min: float
-    ratio_max: float
+    ratio_min: float | None  # None when no pair has positive tree distance
+    ratio_max: float | None
 
 
 def tree_comparison(ball: TetBall, table: DistanceTable) -> TreeComparisonReport:

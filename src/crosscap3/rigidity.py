@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .curve_graph import CurveGraphBall, OneSided, TwoSided, two_sided
+from .curve_graph import CurveGraphBall, OneSided, TwoSided, subdivide, two_sided
 from .errors import CodomainTooSmallError
 from .tet_tree import TetBall, generate_ball, neighbor, triangle_cofaces
 
@@ -285,12 +285,14 @@ def enumerate_locally_injective(src: RigidSet, cg: CurveGraphBall) -> list[dict]
     return maps
 
 
-def element_of_map(mapping: dict, src: RigidSet, cg: CurveGraphBall) -> MappingClassElement:
-    """Read off the element whose propagation restricts to ``mapping``."""
-    slots = sorted(src.one_sided)
-    imgs = tuple(mapping[OneSided(s)].v for s in slots)
-    ball = cg.source
-    cofaces = set.intersection(*(ball.support[v] for v in imgs))
+def element_of_map(mapping: dict, cg: CurveGraphBall) -> MappingClassElement:
+    """Read off the element whose propagation restricts to ``mapping``.
+
+    The element is fixed by the images of the root slots, so this serves any
+    map whose domain contains the root tetrahedron.
+    """
+    imgs = tuple(mapping[OneSided(s)].v for s in ROOT_TET.verts)
+    cofaces = set.intersection(*(cg.source.support[v] for v in imgs))
     if len(cofaces) != 1:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
     (addr,) = cofaces
@@ -325,32 +327,39 @@ def pointwise_stabilizer_check(
     return True
 
 
-def _level_margin_count(ball: TetBall) -> int:
-    return sum(1 for a in ball.tets if len(a) <= ball.radius - 1)
+def rigidity_reports(level: int) -> list[dict]:
+    """Every rigidity check up to ``level``, in report order; exhaustive for levels <= 2.
 
-
-def rigidity_check_level(n: int, work: TetBall, cg: CurveGraphBall) -> dict:
-    """Verify level-n rigidity mechanically; exhaustive for n <= 2.
-
-    Level 1: every locally injective simplicial map of the root star into cg
-    equals the restriction of exactly one propagated element.  Level 2: each
-    level-1 map forces the images of the four adjacent tetrahedra (the
-    second coface of each image face is unique), and each completed map of
-    the level-2 star union is again a propagated element.  Levels >= 3 check
-    the forcing step itself on the shell of the work ball: the shared face
-    of each shell tetrahedron with its parent has exactly those two cofaces.
+    The work ball has radius max(level + 1, 3) and the curve graph is built
+    over radius max(level, 2).  Level 1: every locally injective simplicial
+    map of the root star into the curve graph equals the restriction of
+    exactly one propagated element.  Level 2: each level-1 map forces the
+    images of the four adjacent tetrahedra (the second coface of each image
+    face is unique), and each completed map of the level-2 star union is
+    again a propagated element.  Levels >= 3 check the forcing step itself
+    on the shell of the work ball: the shared face of each shell tetrahedron
+    with its parent has exactly those two cofaces.  The root star's maps are
+    enumerated once and extended for level 2.  Reports come in this order:
+    levels 1 and 2, forcing levels 2..level, then the pointwise stabilizers
+    of the level-1 and level-2 star unions.
     """
+    if level < 1:
+        raise ValueError(f"rigidity level must be at least 1, got {level}")
+    work = generate_ball(max(level + 1, 3))
+    cg = subdivide(generate_ball(max(level, 2)))
     ball = cg.source
-    radius = ball.radius
-    if n == 1:
-        src = star_union(1, work)
-        maps = enumerate_locally_injective(src, cg)
-        expected = 24 * len(ball.tets)
-        witnesses = _match_propagated(maps, src, cg, generate_ball(0))
-        return _level_report(1, radius, len(maps), expected, witnesses)
-    if n == 2:
-        return _check_level_two(work, cg)
-    return induction_step_report(n, work)
+    star = star_union(1, work)
+    maps = enumerate_locally_injective(star, cg)
+    witnesses = _match_propagated(maps, star, cg, generate_ball(0))
+    reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.tets), witnesses)]
+    if level >= 2:
+        reports.append(_check_level_two(maps, cg))
+    reports += [induction_step_report(k, work) for k in range(2, level + 1)]
+    for k in range(1, min(level, 2) + 1):
+        fixers = [] if pointwise_stabilizer_check(star_union(k, work), work) else ["nontrivial fixer"]
+        check = f"pointwise_stabilizer_level_{k}"
+        reports.append(_level_report(k, work.radius, len(fixers), 0, fixers, check=check))
+    return reports
 
 
 def induction_step_report(level: int, work: TetBall) -> dict:
@@ -403,7 +412,7 @@ def _match_propagated(maps, src, cg, domain) -> list:
     seen = set()
     graph = rigid_set_graph(src)
     for mapping in maps:
-        element = element_of_map(mapping, src, cg)
+        element = element_of_map(mapping, cg)
         if element in seen:
             witnesses.append({"element": str(element.dst), "error": "duplicate element"})
             continue
@@ -414,21 +423,21 @@ def _match_propagated(maps, src, cg, domain) -> list:
     return witnesses
 
 
-def _check_level_two(work: TetBall, cg: CurveGraphBall) -> dict:
+def _check_level_two(base_maps, cg: CurveGraphBall) -> dict:
     ball = cg.source
-    domain = generate_ball(1, cap=max(1, work.radius))
-    src1 = star_union(1, domain)
+    domain = generate_ball(1)
     y2 = star_union(2, domain)
     graph2 = rigid_set_graph(y2)
     adj = ball.adjacency
     completed = []
     witnesses = []
-    for base in enumerate_locally_injective(src1, cg):
-        imgs = tuple(base[OneSided(i)].v for i in range(4))
+    for base in base_maps:
+        imgs = tuple(base[OneSided(i)].v for i in ROOT_TET.verts)
         mapping = dict(base)
         dead = False
         for face in range(4):
-            fresh = domain.tets["0123"[face]][face]
+            tet = domain.tets[str(face)]
+            fresh = tet[face]
             face_imgs = [imgs[j] for j in range(4) if j != face]
             candidates = set.intersection(*(adj[v] for v in face_imgs)) - {imgs[face]}
             if not candidates:
@@ -442,9 +451,7 @@ def _check_level_two(work: TetBall, cg: CurveGraphBall) -> dict:
             mapping[OneSided(fresh)] = OneSided(new)
             for j in range(4):
                 if j != face:
-                    mapping[two_sided(fresh, domain.tets["0123"[face]][j])] = two_sided(
-                        new, imgs[j]
-                    )
+                    mapping[two_sided(fresh, tet[j])] = two_sided(new, imgs[j])
         if dead:
             continue
         simplicial, loc_inj = check_map(graph2, mapping, cg)
@@ -452,26 +459,6 @@ def _check_level_two(work: TetBall, cg: CurveGraphBall) -> dict:
             witnesses.append({"base": imgs, "error": "completed map invalid"})
             continue
         completed.append(mapping)
-    expected = 24 * _level_margin_count(ball)
-    witnesses += _match_propagated_level2(completed, y2, cg, domain)
+    expected = 24 * sum(1 for a in ball.tets if len(a) < ball.radius)
+    witnesses += _match_propagated(completed, y2, cg, domain)
     return _level_report(2, ball.radius, len(completed), expected, witnesses)
-
-
-def _match_propagated_level2(maps, y2, cg, domain) -> list:
-    witnesses = []
-    graph = rigid_set_graph(y2)
-    seen = set()
-    for mapping in maps:
-        imgs = tuple(mapping[OneSided(i)].v for i in range(4))
-        ball = cg.source
-        cofaces = set.intersection(*(ball.support[v] for v in imgs))
-        (addr,) = cofaces
-        element = MappingClassElement(OrderedTet(addr, imgs))
-        if element in seen:
-            witnesses.append({"element": str(element.dst), "error": "duplicate element"})
-            continue
-        seen.add(element)
-        pm = propagate_map(element, domain, ball)
-        if any(pm.apply_curve(cv) != mapping[cv] for cv in graph):
-            witnesses.append({"element": str(element.dst), "error": "propagation mismatch"})
-    return witnesses

@@ -36,7 +36,11 @@ RADIUS_CAP_ENV = "CROSSCAP3_RADIUS_CAP"
 def radius_cap() -> int:
     """The configured ball-radius cap (overridable via the environment)."""
     value = os.environ.get(RADIUS_CAP_ENV)
-    return int(value) if value else DEFAULT_RADIUS_CAP
+    if not value:
+        return DEFAULT_RADIUS_CAP
+    if not value.isdecimal():
+        raise RadiusCapError(f"{RADIUS_CAP_ENV} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def is_address(word: str) -> bool:

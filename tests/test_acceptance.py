@@ -21,12 +21,9 @@ from crosscap3.rigidity import (
     OrderedTet,
     compose,
     image_of_ordered_tet,
-    induction_step_report,
     inverse,
     ordered_tets,
-    pointwise_stabilizer_check,
-    rigidity_check_level,
-    star_union,
+    rigidity_reports,
 )
 from crosscap3.tet_tree import (
     ALPHABET,
@@ -141,19 +138,20 @@ def test_criterion_5_hyperbolicity(dtable, ctable):
     report(5, "hyperbolicity", not problems, "; ".join(problems or details))
 
 
-def test_criterion_6_rigidity(ball, cgraph):
+def test_criterion_6_rigidity():
     problems = []
-    lvl1 = rigidity_check_level(1, ball(3), cgraph(2))
+    reports = {r["check"]: r for r in rigidity_reports(2)}
+    lvl1 = reports["rigidity_level_1"]
     if lvl1["count_found"] != 24 * 17 or lvl1["witnesses_of_failure"]:
         problems.append(f"level1 {lvl1['count_found']}!=408")
-    lvl2 = rigidity_check_level(2, ball(3), cgraph(2))
+    lvl2 = reports["rigidity_level_2"]
     if lvl2["count_found"] != 24 * 5 or lvl2["witnesses_of_failure"]:
         problems.append(f"level2 {lvl2['count_found']}!=120")
-    if not pointwise_stabilizer_check(star_union(1, ball(3)), ball(3)):
-        problems.append("stabilizer of level-1 star not trivial")
-    if not pointwise_stabilizer_check(star_union(2, ball(3)), ball(3)):
-        problems.append("stabilizer of level-2 star not trivial")
-    forcing = induction_step_report(2, ball(3))
+    for k in (1, 2):
+        stab = reports[f"pointwise_stabilizer_level_{k}"]
+        if stab["radius"] != 3 or stab["count_found"] or stab["witnesses_of_failure"]:
+            problems.append(f"stabilizer of level-{k} star not trivial")
+    forcing = reports["induction_forcing_level_2"]
     if forcing["count_found"] != 12 or forcing["witnesses_of_failure"]:
         problems.append(f"forcing {forcing['count_found']}!=12")
     report(

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from crosscap3 import rigidity
 from crosscap3.cli import main
 
 
@@ -88,8 +89,41 @@ class TestHyperbolicity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_radius_zero(self, capsys, fmt):
+        # No pair has positive tree distance, so the ratio range is empty.
+        code, out, _ = run(capsys, "hyperbolicity", "--radius", "0", "--format", fmt)
+        assert code == 0
+        assert "ratio [none none]" in out
+
 
 class TestRigidity:
+    @pytest.mark.parametrize(
+        "level, digest",
+        [
+            ("2", "54b3b2fca381d44c1e1182eb2945df306a75bdae32843178b72991a6b8f14fcf"),
+            ("3", "6079f7a9f01646c6e4ad3f3aa18d36242f824b156e773e4f3cdfee0b0ccb7cf0"),
+        ],
+    )
+    def test_golden_artifact(self, capsys, level, digest):
+        # Digests of the artifacts of the two-enumeration implementation.
+        code, out, _ = run(capsys, "rigidity", "--level", level)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_enumerates_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_maps = rigidity.enumerate_locally_injective
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_maps(*args)
+
+        monkeypatch.setattr(rigidity, "enumerate_locally_injective", counted)
+        code, _, _ = run(capsys, "rigidity", "--level", "2")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_level_two(self, capsys):
         code, out, _ = run(capsys, "rigidity", "--level", "2")
         assert code == 0
@@ -135,6 +169,24 @@ class TestErrors:
         code, _, err = run(capsys, "hyperbolicity", "--radius", "8")
         assert code == 2
         assert err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_rigidity_level_below_one(self, capsys, level):
+        code, out, err = run(capsys, "rigidity", "--level", level)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "at least 1" in err
+
+    def test_flag_the_command_does_not_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_radius_cap_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CROSSCAP3_RADIUS_CAP", value)
+        code, _, err = run(capsys, "stats", "--radius", "1")
+        assert code == 2
+        assert err.startswith("error:") and "CROSSCAP3_RADIUS_CAP" in err
 
     def test_bad_sample_cap(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "1", "--sample-cap", "0")

@@ -17,7 +17,7 @@ from crosscap3.rigidity import (
     pointwise_stabilizer_check,
     propagate_map,
     rigid_set_graph,
-    rigidity_check_level,
+    rigidity_reports,
     star_union,
 )
 
@@ -211,7 +211,7 @@ class TestEnumeration:
         graph = rigid_set_graph(src)
         seen = set()
         for m in enumerate_locally_injective(src, cgraph(1)):
-            e = element_of_map(m, src, cgraph(1))
+            e = element_of_map(m, cgraph(1))
             assert e not in seen
             seen.add(e)
             pm = propagate_map(e, ball(0), ball(1))
@@ -251,14 +251,26 @@ class TestStabilizers:
             pointwise_stabilizer_check(star_union(2, ball(1)), ball(1))
 
 
+@pytest.fixture(scope="module")
+def reports():
+    cache = {}
+
+    def get(level):
+        if level not in cache:
+            cache[level] = {r["check"]: r for r in rigidity_reports(level)}
+        return cache[level]
+
+    return get
+
+
 class TestLevelChecks:
-    def test_level_one_report(self, ball, cgraph):
-        report = rigidity_check_level(1, ball(3), cgraph(2))
+    def test_level_one_report(self, reports):
+        report = reports(1)["rigidity_level_1"]
         assert report["count_found"] == report["count_expected"] == 24 * 17
         assert not report["witnesses_of_failure"]
 
-    def test_level_two_report(self, ball, cgraph):
-        report = rigidity_check_level(2, ball(3), cgraph(2))
+    def test_level_two_report(self, reports):
+        report = reports(2)["rigidity_level_2"]
         assert report["count_found"] == report["count_expected"] == 24 * 5
         assert not report["witnesses_of_failure"]
 
@@ -267,8 +279,8 @@ class TestLevelChecks:
         assert report["count_found"] == report["count_expected"] == 12
         assert not report["witnesses_of_failure"]
 
-    def test_higher_levels_via_induction(self, ball, cgraph):
-        report = rigidity_check_level(3, ball(3), cgraph(2))
+    def test_higher_levels_via_induction(self, reports):
+        report = reports(3)["induction_forcing_level_3"]
         assert report["count_found"] == report["count_expected"] == 36
         assert not report["witnesses_of_failure"]
 

@@ -131,6 +131,12 @@ class TestGenerateBall:
         with pytest.raises(RadiusCapError):
             generate_ball(3)
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_cap_env_rejects_invalid(self, monkeypatch, value):
+        monkeypatch.setenv("CROSSCAP3_RADIUS_CAP", value)
+        with pytest.raises(RadiusCapError, match="CROSSCAP3_RADIUS_CAP"):
+            radius_cap()
+
 
 # ---------------------------------------------------------------------------
 # Links
