@@ -37,6 +37,7 @@ from .metric import (
     bottleneck_triangle,
     check_bottleneck_property,
     check_subdivision_isometry,
+    hyperbolicity_reports,
     interval,
     thinness_report,
     tree_comparison,

@@ -28,7 +28,7 @@ def _dump_json(obj) -> str:
 
 
 def _csv(rows: list[dict]) -> str:
-    header = ["name", "radius", "examined", "worst", "witness", "bound", "ok"]
+    header = metric.HYPERBOLICITY_FIELDS
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[k]).replace(",", ";") for k in header))
@@ -56,25 +56,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# The names ``stats`` prints for the count checks, in their order.
+STATS_NAMES = ("tets", "one_sided", "d_edges", "two_sided", "curve_edges")
+
+
 def cmd_stats(args) -> int:
-    n = args.radius
-    ball = tet_tree.generate_ball(n)
-    cg = curve_graph.subdivide(ball)
-    rows = [
-        ("tets", len(ball.tets), 2 * 3**n - 1),
-        ("one_sided", ball.n_vertices, 2 * 3**n + 2),
-        ("d_edges", ball.n_edges(), 6 * 3**n),
-        ("two_sided", len(cg.two_sided()), 6 * 3**n),
-        ("curve_edges", cg.n_edges(), 12 * 3**n),
+    ball = tet_tree.generate_ball(args.radius)
+    checks = tet_tree.count_checks(ball) + curve_graph.count_checks(curve_graph.subdivide(ball))
+    lines = [
+        f"{name} {c['found']} " + ("ok" if c["ok"] else f"MISMATCH expected {c['expected']}")
+        for name, c in zip(STATS_NAMES, checks)
     ]
-    ok = True
-    lines = []
-    for name, found, expected in rows:
-        status = "ok" if found == expected else f"MISMATCH expected {expected}"
-        ok = ok and found == expected
-        lines.append(f"{name} {found} {status}")
     _write(args.out, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if all(c["ok"] for c in checks) else 1
 
 
 def run_verify(radius: int) -> dict:
@@ -100,77 +94,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hyperbolicity(args) -> int:
-    if args.sample_cap <= 0:
-        raise ValueError("--sample-cap must be positive")
-    ball = tet_tree.generate_ball(args.radius)
-    cg = curve_graph.subdivide(ball)
-    dd = metric.all_pairs_distances(ball)
-    dc = metric.all_pairs_distances(cg)
-    rows = []
-
-    for name, table, bound in (
-        ("thinness_tet_graph", dd, 1.5),
-        ("thinness_curve_graph", dc, 3.0),
-    ):
-        rep = metric.thinness_report(
-            table, bound, sample_cap=args.sample_cap, seed=args.seed
-        )
-        rows.append(
-            {
-                "name": name + ("" if rep.exhaustive else "_sampled"),
-                "radius": args.radius,
-                "examined": rep.triples_examined,
-                "worst": rep.max_value,
-                "witness": " ".join(str(v) for v in rep.witness),
-                "bound": rep.bound,
-                "ok": rep.ok,
-            }
-        )
-
-    sub = metric.check_subdivision_isometry(dd, dc)
-    rows.append(
-        {
-            "name": "subdivision_isometry",
-            "radius": args.radius,
-            "examined": sub.pairs_checked,
-            "worst": len(sub.violations),
-            "witness": str(sub.violations[:1]),
-            "bound": 0,
-            "ok": sub.ok,
-        }
-    )
-
-    if args.radius >= 2:
-        bot = metric.check_bottleneck_property(ball, dd)
-        rows.append(
-            {
-                "name": "bottleneck_property",
-                "radius": args.radius,
-                "examined": bot.pairs_checked,
-                "worst": bot.worst_margin,
-                "witness": str(bot.failures[:1]),
-                "bound": 1.5,
-                "ok": bot.ok,
-            }
-        )
-
-    tree = metric.tree_comparison(ball, dd)
-    # No pair has positive tree distance at radius 0, so the ratio range is empty.
-    ratio = "none none" if tree.ratio_min is None else f"{tree.ratio_min:.3f} {tree.ratio_max:.3f}"
-    rows.append(
-        {
-            "name": "tree_comparison",
-            "radius": args.radius,
-            "examined": tree.pairs,
-            "worst": tree.diff_max,
-            "witness": f"diff [{tree.diff_min} {tree.diff_max}] ratio [{ratio}]",
-            "bound": 1,
-            "ok": tree.diff_max <= 1,
-        }
-    )
-
-    text = _csv(rows) if args.format == "csv" else _dump_json(rows)
-    _write(args.out, text)
+    rows = metric.hyperbolicity_reports(args.radius, sample_cap=args.sample_cap, seed=args.seed)
+    _write(args.out, _csv(rows) if args.format == "csv" else _dump_json(rows))
     return 0 if all(r["ok"] for r in rows) else 1
 
 
@@ -184,7 +109,15 @@ def cmd_rigidity(args) -> int:
     return 0 if ok else 1
 
 
+# The number of arguments each farey query takes.
+FAREY_ARITY = {"adjacent": 2, "mediant": 2, "neighbors": 2, "unfold": 5, "ball": 1}
+
+
 def cmd_farey(args) -> int:
+    want = FAREY_ARITY[args.query]
+    if len(args.args) != want:
+        noun = "radius" if args.query == "ball" else "slopes"
+        raise ValueError(f"farey {args.query} takes {want} {noun}, got {len(args.args)}")
     if args.query == "ball":
         patch = farey.farey_ball(None, int(args.args[0]))
         _write(args.out, _dump_json(patch.to_json()))
@@ -243,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("stats", cmd_stats, "counts versus closed forms", radius=3)
 
     p = command("farey", cmd_farey, "slope queries: adjacent, mediant, neighbors, unfold, ball")
-    p.add_argument("query", choices=("adjacent", "mediant", "neighbors", "unfold", "ball"))
+    p.add_argument("query", choices=tuple(FAREY_ARITY))
     p.add_argument("args", nargs="+")
 
     return parser
@@ -255,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -161,29 +161,22 @@ def curve_graph_to_dot(cg: CurveGraphBall) -> str:
 # ---------------------------------------------------------------------------
 # Structural verification
 
-def structural_report(cg: CurveGraphBall) -> list[dict]:
-    """Bipartiteness, degree, and determined-vertex checks for one window."""
-    ball = cg.source
-    n = ball.radius
-    checks = []
+def count_checks(cg: CurveGraphBall) -> list[dict]:
+    """Two-sided vertex and edge counts against their closed forms in the radius."""
+    n = cg.source.radius
+    return [
+        {"name": name, "ok": found == want, "found": found, "expected": want}
+        for name, found, want in (
+            ("two_sided_count", len(cg.two_sided()), 6 * 3**n),
+            ("curve_edge_count", cg.n_edges(), 12 * 3**n),
+        )
+    ]
 
-    two_count = len(cg.two_sided())
-    checks.append(
-        {
-            "name": "two_sided_count",
-            "ok": two_count == 6 * 3**n,
-            "found": two_count,
-            "expected": 6 * 3**n,
-        }
-    )
-    checks.append(
-        {
-            "name": "curve_edge_count",
-            "ok": cg.n_edges() == 12 * 3**n,
-            "found": cg.n_edges(),
-            "expected": 12 * 3**n,
-        }
-    )
+
+def structural_report(cg: CurveGraphBall) -> list[dict]:
+    """Counts, bipartiteness, degree, and determined-vertex checks for one window."""
+    ball = cg.source
+    checks = count_checks(cg)
 
     nonbipartite = [
         cv

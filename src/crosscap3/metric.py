@@ -10,7 +10,9 @@ Thinness is measured on intervals (the union of all geodesics between two
 vertices): for a triple (x, y, z) and a vertex p between x and y, how far p
 is from the union of the other two intervals.  This is a consequence of
 geodesic thinness and is computable in polynomial time; the exhaustive scan
-switches to fixed-seed sampling above a configurable triple count.
+switches to fixed-seed sampling above a configurable triple count.  The
+paper's bounds are constants here, and ``hyperbolicity_reports`` runs every
+check on one window against them.
 
 The hot loops are vectorized: the distance table comes from one BFS that
 advances every source at once as packed bitsets, and sampled triples are
@@ -28,9 +30,15 @@ from math import comb, prod
 
 import numpy as np
 
-from .curve_graph import CurveGraphBall, OneSided, TwoSided
+from .curve_graph import CurveGraphBall, OneSided, subdivide
 from .errors import BudgetError, MarginError
-from .tet_tree import TetBall, tree_path
+from .tet_tree import TetBall, generate_ball, tree_path
+
+# The paper's bounds: interval thinness of the tetrahedron graph and of the
+# curve graph, and the distance of a bottleneck triangle from the midpoint.
+TET_THINNESS_BOUND = 1.5
+CURVE_THINNESS_BOUND = 3.0
+BOTTLENECK_BOUND = 1.5
 
 TRIPLE_THRESHOLD = 10_000_000
 QUAD_THRESHOLD = 20_000_000
@@ -133,6 +141,12 @@ def all_pairs_distances(graph) -> DistanceTable:
     return DistanceTable(vertices, {v: i for i, v in enumerate(vertices)}, dist, graph)
 
 
+def _tet_ball(table: DistanceTable) -> TetBall:
+    if not isinstance(table.source, TetBall):
+        raise ValueError("table was not computed over a tetrahedron ball")
+    return table.source
+
+
 def _interval_idx(table: DistanceTable, xi: int, yi: int) -> np.ndarray:
     d = table.dist
     return np.nonzero(d[xi] + d[yi] == d[xi, yi])[0]
@@ -201,7 +215,7 @@ def _margin_vertex(ball: TetBall, v: int) -> None:
         raise MarginError(f"vertex {v} is only supported at the ball boundary")
 
 
-def bottleneck_triangle(ball: TetBall, table: DistanceTable, x: int, y: int, p: int) -> frozenset:
+def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozenset:
     """A triangle through p separating x from y.
 
     Constructive: let q precede p on a geodesic from x to y, walk the tree
@@ -210,8 +224,7 @@ def bottleneck_triangle(ball: TetBall, table: DistanceTable, x: int, y: int, p: 
     separating triangle, and it must contain p because every vertex of it is
     adjacent to q.
     """
-    if table.source is not ball:
-        raise ValueError("table was not computed over this ball")
+    ball = _tet_ball(table)
     _margin_vertex(ball, x)
     _margin_vertex(ball, y)
     dxp, dpy, dxy = table.d(x, p), table.d(p, y), table.d(x, y)
@@ -261,10 +274,10 @@ class BottleneckReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.worst_margin <= 1.5
+        return not self.failures and self.worst_margin <= BOTTLENECK_BOUND
 
 
-def check_bottleneck_property(ball: TetBall, table: DistanceTable) -> BottleneckReport:
+def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
     """Every in-margin pair at distance >= 3 admits a near-midpoint bottleneck.
 
     For each pair, picks the lexicographically least vertex p within 1/2 of
@@ -274,6 +287,7 @@ def check_bottleneck_property(ball: TetBall, table: DistanceTable) -> Bottleneck
     confirms that deleting the closed 1-neighbourhood of the triangle and p
     still separates, whenever the endpoints survive that deletion.
     """
+    ball = _tet_ball(table)
     margin = [v for v in ball.vertices() if ball.in_margin(v)]
     failures = []
     worst = 0.0
@@ -289,7 +303,7 @@ def check_bottleneck_property(ball: TetBall, table: DistanceTable) -> Bottleneck
             xi, yi = table.index[x], table.index[y]
             between = _interval_idx(table, xi, yi)
             p = min(int(i) for i in between if table.dist[xi, i] == half)
-            delta = bottleneck_triangle(ball, table, x, y, p)
+            delta = bottleneck_triangle(table, x, y, p)
             if p not in delta:
                 failures.append({"pair": (x, y), "error": "p not in triangle"})
                 continue
@@ -339,7 +353,6 @@ class ThinnessReport:
 
 def thinness_report(
     table: DistanceTable,
-    bound: float,
     *,
     triple_threshold: int = TRIPLE_THRESHOLD,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
@@ -349,8 +362,12 @@ def thinness_report(
 
     Exhaustive over unordered triples when their number is at most
     ``triple_threshold``; otherwise samples ``sample_cap`` triples with a
-    fixed-seed generator, which is deterministic per seed.
+    fixed-seed generator, which is deterministic per seed.  The bound is
+    the paper's for the table's graph: 3/2 on a TetBall, 3 on a
+    CurveGraphBall.
     """
+    if sample_cap <= 0:
+        raise ValueError(f"sample cap must be positive, got {sample_cap}")
     n = len(table)
     d = table.dist
     total = comb(n, 3)
@@ -364,7 +381,7 @@ def thinness_report(
         exhaustive = False
     witness_v = tuple(table.vertices[i] for i in witness)
     return ThinnessReport(
-        bound=bound,
+        bound=TET_THINNESS_BOUND if isinstance(table.source, TetBall) else CURVE_THINNESS_BOUND,
         max_value=value,
         witness=witness_v,
         triples_examined=examined,
@@ -506,7 +523,7 @@ class TreeComparisonReport:
     ratio_max: float | None
 
 
-def tree_comparison(ball: TetBall, table: DistanceTable) -> TreeComparisonReport:
+def tree_comparison(table: DistanceTable) -> TreeComparisonReport:
     """Empirical comparison of ball distances with tree distances.
 
     Each vertex is assigned the lexicographically least address in its
@@ -514,8 +531,7 @@ def tree_comparison(ball: TetBall, table: DistanceTable) -> TreeComparisonReport
     of the ratio over pairs with positive tree distance.  These are window
     statistics only; no constant for the infinite complex is claimed.
     """
-    if table.source is not ball:
-        raise ValueError("table was not computed over this ball")
+    ball = _tet_ball(table)
     assign = [min(ball.support[v]) for v in ball.vertices()]
     n = len(assign)
     depth = np.array([len(a) for a in assign])
@@ -544,3 +560,43 @@ def tree_comparison(ball: TetBall, table: DistanceTable) -> TreeComparisonReport
         ratio_min=min(ratios, default=None),
         ratio_max=max(ratios, default=None),
     )
+
+
+# ---------------------------------------------------------------------------
+# The hyperbolicity suite
+
+HYPERBOLICITY_FIELDS = ("name", "radius", "examined", "worst", "witness", "bound", "ok")
+
+
+def hyperbolicity_reports(radius: int, *, sample_cap: int = DEFAULT_SAMPLE_CAP, seed: int = 0) -> list[dict]:
+    """Every hyperbolicity check on the radius-``radius`` window, one row each.
+
+    Rows have the keys ``HYPERBOLICITY_FIELDS``: thinness of the tetrahedron
+    graph and of the curve graph, the subdivision isometry, the bottleneck
+    property (radius 2 and up; below that no in-margin pair is 3 apart) and
+    the tree comparison, whose window bound is d_ball - d_tree <= 1.
+    """
+    ball = generate_ball(radius)
+    dd = all_pairs_distances(ball)
+    dc = all_pairs_distances(subdivide(ball))
+    rows = []
+    for graph, table in (("tet_graph", dd), ("curve_graph", dc)):
+        rep = thinness_report(table, sample_cap=sample_cap, seed=seed)
+        name = f"thinness_{graph}" + ("" if rep.exhaustive else "_sampled")
+        witness = " ".join(str(v) for v in rep.witness)
+        rows.append((name, rep.triples_examined, rep.max_value, witness, rep.bound, rep.ok))
+    sub = check_subdivision_isometry(dd, dc)
+    witness = str(sub.violations[:1])
+    rows.append(("subdivision_isometry", sub.pairs_checked, len(sub.violations), witness, 0, sub.ok))
+    if radius >= 2:
+        bot = check_bottleneck_property(dd)
+        witness = str(bot.failures[:1])
+        rows.append(
+            ("bottleneck_property", bot.pairs_checked, bot.worst_margin, witness, BOTTLENECK_BOUND, bot.ok)
+        )
+    tree = tree_comparison(dd)
+    # No pair has positive tree distance at radius 0, so the ratio range is empty.
+    ratio = "none none" if tree.ratio_min is None else f"{tree.ratio_min:.3f} {tree.ratio_max:.3f}"
+    witness = f"diff [{tree.diff_min} {tree.diff_max}] ratio [{ratio}]"
+    rows.append(("tree_comparison", tree.pairs, tree.diff_max, witness, 1, tree.diff_max <= 1))
+    return [dict(zip(HYPERBOLICITY_FIELDS, (name, radius, *rest))) for name, *rest in rows]

@@ -323,18 +323,23 @@ def ball_to_dot(ball: TetBall) -> str:
 # ---------------------------------------------------------------------------
 # Structural verification
 
+def count_checks(ball: TetBall) -> list[dict]:
+    """Tetrahedron, vertex and edge counts against their closed forms in the radius."""
+    n = ball.radius
+    return [
+        {"name": name, "ok": found == want, "found": found, "expected": want}
+        for name, found, want in (
+            ("tet_count", len(ball.tets), 2 * 3**n - 1),
+            ("vertex_count", ball.n_vertices, 2 * 3**n + 2),
+            ("edge_count", ball.n_edges(), 6 * 3**n),
+        )
+    ]
+
+
 def structural_report(ball: TetBall) -> list[dict]:
     """Run the structural invariant checks for one ball; one dict per check."""
     n = ball.radius
-    checks = []
-
-    expected = {
-        "tet_count": (len(ball.tets), 2 * 3**n - 1),
-        "vertex_count": (ball.n_vertices, 2 * 3**n + 2),
-        "edge_count": (ball.n_edges(), 6 * 3**n),
-    }
-    for name, (found, want) in expected.items():
-        checks.append({"name": name, "ok": found == want, "found": found, "expected": want})
+    checks = count_checks(ball)
 
     bad_addr = [a for a in ball.tets if not is_address(a) or len(a) > n]
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})

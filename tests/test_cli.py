@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from crosscap3 import rigidity
+from crosscap3 import metric, rigidity
 from crosscap3.cli import main
 
 
@@ -14,6 +14,19 @@ def run(capsys, *argv):
 
 
 class TestStats:
+    @pytest.mark.parametrize(
+        "radius, digest",
+        [
+            ("3", "96e964d7aa4b589c20e257bbfbc5990cfda9c7294093933c4f7f009cc68ecba4"),
+            ("8", "112985aed5f6bbbd2c772039a9280df8dc61e8a4b6ddb0a2d0ecfd89fd49d49d"),
+        ],
+    )
+    def test_golden_artifact(self, capsys, radius, digest):
+        # Digests of the artifacts of the CLI that wrote out the closed forms itself.
+        code, out, _ = run(capsys, "stats", "--radius", radius)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_radius_three(self, capsys):
         code, out, _ = run(capsys, "stats", "--radius", "3")
         assert code == 0
@@ -89,6 +102,28 @@ class TestHyperbolicity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--radius", "0"), "248a9e8a83378de679dc0aa699e70dd267a0ff70afac084dda7677276e2c22e2"),
+            (
+                ("--radius", "1", "--format", "csv"),
+                "d5115804cb2265e1da5773bfb5a4dfd1fdf457bad70fc0d1bff533d4d6ff3a35",
+            ),
+            (("--radius", "2"), "c85f610801314e2e9210ac2985d2b905b9ba80df6299a62f2160a74af77bc4a5"),
+            (
+                ("--radius", "3", "--seed", "9", "--format", "csv"),
+                "c8f29203cae9880aaa51103c758e876af3d5c75879d54fa45b98cb814d0ba728",
+            ),
+        ],
+    )
+    def test_golden_artifact_small_radii(self, capsys, argv, digest):
+        # Digests of the artifacts of the CLI that assembled the rows itself;
+        # radius 1 has no bottleneck row.
+        code, out, _ = run(capsys, "hyperbolicity", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_radius_zero(self, capsys, fmt):
         # No pair has positive tree distance, so the ratio range is empty.
@@ -155,6 +190,24 @@ class TestFarey:
         code, _, err = run(capsys, "farey", "mediant", "1/3", "2/3")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("adjacent", "1/2"), "farey adjacent takes 2 slopes, got 1"),
+            (("mediant", "1/2"), "farey mediant takes 2 slopes, got 1"),
+            (("neighbors", "0/1", "1/0", "1/1"), "farey neighbors takes 2 slopes, got 3"),
+            (("unfold", "0/1", "1/0", "1/1"), "farey unfold takes 5 slopes, got 3"),
+            (("ball", "1", "2"), "farey ball takes 1 radius, got 2"),
+        ],
+    )
+    def test_wrong_argument_count(self, capsys, argv, message):
+        code, out, err = run(capsys, "farey", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_negative_slope_after_double_dash(self, capsys):
+        assert run(capsys, "farey", "adjacent", "--", "1/0", "-1/1") == (0, "true\n", "")
+
 
 class TestErrors:
     def test_radius_cap(self, capsys):
@@ -190,4 +243,11 @@ class TestErrors:
 
     def test_bad_sample_cap(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "1", "--sample-cap", "0")
-        assert code == 2
+        assert code == 2 and err.startswith("error:")
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(metric, "hyperbolicity_reports", exhausted)
+        assert run(capsys, "hyperbolicity", "--radius", "1") == (2, "", "error: out of memory\n")

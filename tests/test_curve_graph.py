@@ -6,6 +6,7 @@ from crosscap3.curve_graph import (
     CurveSubgraph,
     OneSided,
     TwoSided,
+    count_checks,
     curve_graph_to_dot,
     curve_graph_to_json,
     determined_vertex,
@@ -104,6 +105,13 @@ class TestReport:
     def test_clean_at_radius_three(self, cgraph):
         report = structural_report(cgraph(3))
         assert all(c["ok"] for c in report), [c for c in report if not c["ok"]]
+
+    @pytest.mark.parametrize("radius", range(4))
+    def test_starts_with_the_count_checks(self, cgraph, radius):
+        counts = count_checks(cgraph(radius))
+        assert [c["name"] for c in counts] == ["two_sided_count", "curve_edge_count"]
+        assert all(c["ok"] for c in counts)
+        assert structural_report(cgraph(radius))[:2] == counts
 
 
 class TestSerialization:

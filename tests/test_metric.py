@@ -7,6 +7,7 @@ import pytest
 from crosscap3.curve_graph import OneSided, TwoSided
 from crosscap3.errors import BudgetError, MarginError
 from crosscap3.metric import (
+    HYPERBOLICITY_FIELDS,
     TreeComparisonReport,
     all_pairs_distances,
     bottleneck_triangle,
@@ -14,6 +15,7 @@ from crosscap3.metric import (
     check_distance_stability,
     check_subdivision_isometry,
     four_point_delta,
+    hyperbolicity_reports,
     interval,
     separates,
     thinness_report,
@@ -139,13 +141,13 @@ class TestSubdivisionIsometry:
 
 
 class TestBottleneckTriangle:
-    def test_branch_example(self, ball, dtable):
+    def test_branch_example(self, dtable):
         # Fresh vertex 8 sits at tree depth 2 on the branch through face 0;
         # both middle vertices give the shared triangle of the branch.
-        b, t = ball(3), dtable(3)
+        t = dtable(3)
         assert t.d(0, 8) == 2
         for p in (2, 3):
-            assert bottleneck_triangle(b, t, 0, 8, p) == {1, 2, 3}
+            assert bottleneck_triangle(t, 0, 8, p) == {1, 2, 3}
 
     def test_contains_p_and_separates_everywhere(self, ball, dtable):
         b, t = ball(3), dtable(3)
@@ -156,40 +158,51 @@ class TestBottleneckTriangle:
                 if t.d(x, y) < 2:
                     continue
                 for p in sorted(interval(t, x, y) - {x, y}):
-                    delta = bottleneck_triangle(b, t, x, y, p)
+                    delta = bottleneck_triangle(t, x, y, p)
                     checked += 1
                     assert p in delta
                     assert separates(b, delta, x, y)
         assert checked > 0
 
-    def test_precondition_errors(self, ball, dtable):
-        b, t = ball(3), dtable(3)
+    def test_precondition_errors(self, dtable):
+        t = dtable(3)
         with pytest.raises(ValueError):
-            bottleneck_triangle(b, t, 0, 8, 0)  # p equals an endpoint
+            bottleneck_triangle(t, 0, 8, 0)  # p equals an endpoint
         with pytest.raises(ValueError):
-            bottleneck_triangle(b, t, 0, 8, 1)  # 1 is not between 0 and 8
+            bottleneck_triangle(t, 0, 8, 1)  # 1 is not between 0 and 8
 
     def test_margin_violation(self, ball):
         b = ball(2)
         t = all_pairs_distances(b)
         with pytest.raises(MarginError):
-            bottleneck_triangle(b, t, 0, 8, 2)  # 8 only lives at the boundary
+            bottleneck_triangle(t, 0, 8, 2)  # 8 only lives at the boundary
 
     def test_separates_validates_endpoints(self, ball):
         with pytest.raises(ValueError):
             separates(ball(1), {0, 1}, 0, 4)
 
 
+def test_table_only_checks_need_a_tetrahedron_table(ctable):
+    # The ball is always the table's source, so a curve-graph table is refused.
+    t = ctable(2)
+    with pytest.raises(ValueError):
+        bottleneck_triangle(t, OneSided(0), OneSided(8), OneSided(2))
+    with pytest.raises(ValueError):
+        check_bottleneck_property(t)
+    with pytest.raises(ValueError):
+        tree_comparison(t)
+
+
 class TestBottleneckProperty:
-    def test_radius_three(self, ball, dtable):
-        report = check_bottleneck_property(ball(3), dtable(3))
+    def test_radius_three(self, dtable):
+        report = check_bottleneck_property(dtable(3))
         assert report.ok, report.failures
         assert report.pairs_checked > 0
         assert report.worst_margin <= 1.5
 
-    def test_close_pairs_skipped(self, ball, dtable):
+    def test_close_pairs_skipped(self, dtable):
         # Radius 1: every in-margin pair is at distance <= 2, all vacuous.
-        report = check_bottleneck_property(ball(1), dtable(1))
+        report = check_bottleneck_property(dtable(1))
         assert report.pairs_checked == 0
         assert report.ok
 
@@ -216,22 +229,32 @@ def brute_thinness(table):
 class TestThinness:
     def test_exhaustive_matches_brute_force(self, dtable, ctable):
         for t in (dtable(1), ctable(0)):
-            report = thinness_report(t, 100.0)
+            report = thinness_report(t)
             assert report.exhaustive
             assert report.max_value == brute_thinness(t)
 
     def test_tet_graph_bound(self, dtable):
-        report = thinness_report(dtable(2), 1.5)
+        report = thinness_report(dtable(2))
         assert report.exhaustive and report.ok
         assert report.max_value <= 1
 
     def test_curve_graph_bound(self, ctable):
-        report = thinness_report(ctable(2), 3.0)
+        report = thinness_report(ctable(2))
         assert report.exhaustive and report.ok
+
+    def test_bound_follows_the_graph(self, dtable, ctable):
+        assert thinness_report(dtable(1)).bound == 1.5
+        assert thinness_report(ctable(1)).bound == 3.0
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_sample_cap_must_be_positive(self, dtable, cap):
+        # Sampling no triples would pass the bound vacuously.
+        with pytest.raises(ValueError, match="sample cap"):
+            thinness_report(dtable(1), triple_threshold=0, sample_cap=cap)
 
     def test_witness_is_attaining(self, ctable):
         t = ctable(1)
-        report = thinness_report(t, 3.0)
+        report = thinness_report(t)
         x, y, z, p = report.witness
         side = interval(t, x, z) | interval(t, y, z)
         assert p in interval(t, x, y)
@@ -249,9 +272,9 @@ class TestThinness:
 
     def test_sampling_deterministic_and_bounded(self, dtable):
         t = dtable(2)
-        full = thinness_report(t, 1.5)
-        a = thinness_report(t, 1.5, triple_threshold=0, sample_cap=500, seed=3)
-        b = thinness_report(t, 1.5, triple_threshold=0, sample_cap=500, seed=3)
+        full = thinness_report(t)
+        a = thinness_report(t, triple_threshold=0, sample_cap=500, seed=3)
+        b = thinness_report(t, triple_threshold=0, sample_cap=500, seed=3)
         assert not a.exhaustive
         assert a.max_value == b.max_value and a.witness == b.witness
         assert a.max_value <= full.max_value
@@ -284,20 +307,20 @@ class TestSampledThinness:
         t = (dtable if graph == "tet" else ctable)(radius)
         for seed in (0, 3, 17):
             for cap in (1, 7, 5000):
-                rep = thinness_report(t, 3.0, triple_threshold=0, sample_cap=cap, seed=seed)
+                rep = thinness_report(t, triple_threshold=0, sample_cap=cap, seed=seed)
                 assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, cap, seed)
 
     def test_exhaustive_table_over_budget(self, ctable):
         # 650 vertices: the n^3 int16 table would take about 524 MiB.
         with pytest.raises(BudgetError):
-            thinness_report(ctable(4), 3.0, triple_threshold=10**12)
+            thinness_report(ctable(4), triple_threshold=10**12)
 
 
 class TestFourPoint:
     def test_smoke_inequality(self, dtable, ctable):
         # Four-point delta never exceeds twice the interval thinness plus one.
-        for t, bound in ((dtable(2), 1.5), (ctable(2), 3.0)):
-            thin = thinness_report(t, bound)
+        for t in (dtable(2), ctable(2)):
+            thin = thinness_report(t)
             assert four_point_delta(t) <= 2 * thin.max_value + 1
 
     def test_sampled_is_lower_bound(self, dtable):
@@ -313,8 +336,8 @@ class TestTreeComparison:
         for v in range(4):
             assert min(b.support[v]) == ""
 
-    def test_distance_bounded_by_tree_distance_plus_one(self, ball, dtable):
-        report = tree_comparison(ball(2), dtable(2))
+    def test_distance_bounded_by_tree_distance_plus_one(self, dtable):
+        report = tree_comparison(dtable(2))
         assert report.diff_max <= 1
         assert report.ratio_max <= 2.0
 
@@ -346,9 +369,25 @@ class TestTreeComparison:
             ratio_min=min(ratios, default=None),
             ratio_max=max(ratios, default=None),
         )
-        assert tree_comparison(b, t) == want
+        assert tree_comparison(t) == want
 
-    def test_deterministic(self, ball, dtable):
-        a = tree_comparison(ball(2), dtable(2))
-        b = tree_comparison(ball(2), dtable(2))
+    def test_deterministic(self, dtable):
+        a = tree_comparison(dtable(2))
+        b = tree_comparison(dtable(2))
         assert a == b
+
+
+class TestHyperbolicityReports:
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_rows(self, radius):
+        rows = hyperbolicity_reports(radius)
+        assert all(tuple(r) == HYPERBOLICITY_FIELDS and r["radius"] == radius and r["ok"] for r in rows)
+        # No in-margin pair is 3 apart below radius 2, so there is no bottleneck row.
+        middle = ["bottleneck_property"] if radius >= 2 else []
+        assert [r["name"] for r in rows] == [
+            "thinness_tet_graph",
+            "thinness_curve_graph",
+            "subdivision_isometry",
+            *middle,
+            "tree_comparison",
+        ]

@@ -10,6 +10,7 @@ from crosscap3.tet_tree import (
     ALPHABET,
     ball_to_dot,
     ball_to_json,
+    count_checks,
     four_cliques,
     generate_ball,
     is_address,
@@ -283,6 +284,13 @@ class TestStructuralReport:
     def test_detects_names(self, ball):
         names = {c["name"] for c in structural_report(ball(1))}
         assert {"tet_count", "four_cliques_are_tets", "supports_tree_connected"} <= names
+
+    @pytest.mark.parametrize("radius", range(4))
+    def test_starts_with_the_count_checks(self, ball, radius):
+        counts = count_checks(ball(radius))
+        assert [c["name"] for c in counts] == ["tet_count", "vertex_count", "edge_count"]
+        assert all(c["ok"] for c in counts)
+        assert structural_report(ball(radius))[:3] == counts
 
 
 class TestSerialization:
