@@ -188,7 +188,9 @@ def structural_report(cg: CurveGraphBall) -> list[dict]:
     bad_degree = [
         cv for cv in cg.two_sided() if len(cg.adjacency[cv]) != 2
     ]
-    checks.append({"name": "two_sided_degree_2", "ok": not bad_degree, "bad": bad_degree[:5]})
+    checks.append(
+        {"name": "two_sided_degree_2", "ok": not bad_degree, "bad": [_vertex_json(cv) for cv in bad_degree[:5]]}
+    )
 
     wrong_ends = [
         cv
@@ -201,7 +203,7 @@ def structural_report(cg: CurveGraphBall) -> list[dict]:
     for v, w in ball.edges():
         common = cg.adjacency[OneSided(v)] & cg.adjacency[OneSided(w)]
         if common != {TwoSided(v, w)}:
-            bad_determined.append((v, w, sorted(common, key=vertex_key)))
+            bad_determined.append([v, w, [_vertex_json(cv) for cv in sorted(common, key=vertex_key)]])
     checks.append({"name": "determined_vertex_unique", "ok": not bad_determined, "bad": bad_determined[:5]})
 
     wrong_os_degree = [

@@ -32,7 +32,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, OneSided, subdivide
 from .errors import BudgetError, MarginError
-from .tet_tree import TetBall, generate_ball, tree_path
+from .tet_tree import BLOCK_ELEMS, TetBall, generate_ball, tree_path
 
 # The paper's bounds: interval thinness of the tetrahedron graph and of the
 # curve graph, and the distance of a bottleneck triangle from the midpoint.
@@ -47,10 +47,6 @@ DEFAULT_SAMPLE_CAP = 1_000_000
 # The radius-7 curve table (612 MB) and the radius-8 ball table (344 MB) are
 # refused; the radius-6 curve table (68 MB) is not.
 MAX_TABLE_BYTES = 256 << 20
-# Elements per scratch block of rows x n: one BFS level's unpacked bits, a
-# chunk of sampled triples, a block of tree-comparison rows.  It keeps the
-# scratch memory of each far below that of the n^2 table.
-BLOCK_ELEMS = 1 << 16
 
 
 class DistanceTable:
@@ -351,6 +347,11 @@ class ThinnessReport:
         return self.max_value <= self.bound
 
 
+def _check_sample_cap(sample_cap: int) -> None:
+    if sample_cap <= 0:
+        raise ValueError(f"sample cap must be positive, got {sample_cap}")
+
+
 def thinness_report(
     table: DistanceTable,
     *,
@@ -366,8 +367,7 @@ def thinness_report(
     the paper's for the table's graph: 3/2 on a TetBall, 3 on a
     CurveGraphBall.
     """
-    if sample_cap <= 0:
-        raise ValueError(f"sample cap must be positive, got {sample_cap}")
+    _check_sample_cap(sample_cap)
     n = len(table)
     d = table.dist
     total = comb(n, 3)
@@ -575,7 +575,9 @@ def hyperbolicity_reports(radius: int, *, sample_cap: int = DEFAULT_SAMPLE_CAP, 
     graph and of the curve graph, the subdivision isometry, the bottleneck
     property (radius 2 and up; below that no in-margin pair is 3 apart) and
     the tree comparison, whose window bound is d_ball - d_tree <= 1.
+    A ``sample_cap`` below 1 is refused before any table is built.
     """
+    _check_sample_cap(sample_cap)
     ball = generate_ball(radius)
     dd = all_pairs_distances(ball)
     dc = all_pairs_distances(subdivide(ball))

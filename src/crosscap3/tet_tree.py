@@ -17,20 +17,24 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from itertools import chain
 
-from .errors import RadiusCapError
-from .farey import (
-    Slope,
-    common_neighbors,
-    farey_adjacent,
-    mat_inverse,
-    mobius_apply,
-    triangle_matrix,
-)
+import numpy as np
+
+from .errors import BudgetError, RadiusCapError
+from .farey import Slope, mat_inverse, triangle_matrix
 
 ALPHABET = "0123"
 DEFAULT_RADIUS_CAP = 8
 RADIUS_CAP_ENV = "CROSSCAP3_RADIUS_CAP"
+# Elements per scratch block of numpy work: a block of link pairs here, and
+# in ``metric`` one BFS level's unpacked bits, a chunk of sampled triples or
+# a block of tree-comparison rows.  It keeps the scratch memory of each far
+# below that of the n^2 distance table.
+BLOCK_ELEMS = 1 << 16
+# Link labels are checked for Farey adjacency in int64; below this bound the
+# products |p s - q r| of two label entries cannot overflow.
+LABEL_LIMIT = 1 << 31
 
 
 def radius_cap() -> int:
@@ -207,54 +211,71 @@ def support_connected(ball: TetBall, v: int) -> bool:
     return len(seen) == len(members)
 
 
-def link_slope_labeling(ball: TetBall, v: int, base_tri: tuple[int, int, int]) -> dict:
-    """Label the link of v by Farey slopes, realizing the link isomorphism.
+def _slope_pair(p: int, q: int) -> tuple[int, int]:
+    """The canonical integer pair of a primitive vector: q > 0, or (1, 0)."""
+    if q < 0 or (q == 0 and p < 0):
+        return -p, -q
+    return p, q
 
-    ``base_tri`` is an ordered triple of neighbours of v spanning a triangle
-    of the link; it receives (0/1, 1/0, 1/1).  The labeling is extended over
-    the whole in-ball link by matching link unfolds with Farey unfolds: the
-    tetrahedra containing v form a subtree of the address tree, two of them
-    are tree-adjacent exactly when their link triangles share an edge, and
-    crossing that edge replaces one link vertex, whose label is forced to be
-    the other common neighbour of the shared pair.
 
-    Returns a dict vertex -> Slope covering every in-ball neighbour of v.
-    Raises ValueError if base_tri is not a link triangle and RuntimeError if
-    the ball's link fails to match the Farey complex (a model violation).
+def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
+    """Label the link of v by Farey slopes, as canonical integer pairs (p, q).
+
+    ``base`` is an ordered triple of neighbours of v spanning a triangle of
+    the link; it receives (0/1, 1/0, 1/1).  The labelling is extended over
+    the tetrahedra containing v, a subtree of the address tree, breadth
+    first.  Crossing from one tetrahedron to the next keeps a pair x, y of
+    the link and replaces one vertex, whose label is forced to be the other
+    common neighbour of the pair.  For adjacent primitive labels x and y
+    those are x + y and x - y, again primitive, so no gcd is needed.
+
+    Raises ValueError if ``base`` is not a link triangle and RuntimeError if
+    the link fails to match the Farey complex; each message names the
+    tetrahedra, vertices or labels at fault.
     """
     if v not in ball.adjacency:
         raise ValueError(f"unknown vertex {v}")
-    a, b, c = base_tri
+    a, b, c = base
     if len({a, b, c}) != 3 or not {a, b, c} <= ball.adjacency[v]:
-        raise ValueError("base triangle must be 3 distinct neighbours of v")
-    base_cofaces = ball.support[v] & ball.support[a] & ball.support[b] & ball.support[c]
-    if not base_cofaces:
-        raise ValueError("base triple does not span a triangle of the link")
-    (base_addr,) = base_cofaces
-    labels = {a: Slope(0, 1), b: Slope(1, 0), c: Slope(1, 1)}
+        raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")
     members = ball.support[v]
-    seen = {base_addr}
-    queue = deque([base_addr])
+    cofaces = members & ball.support[a] & ball.support[b] & ball.support[c]
+    if len(cofaces) != 1:
+        raise ValueError(
+            f"base triple {base} of vertex {v} has cofaces {sorted(cofaces)}, not exactly one"
+        )
+    labels = {a: (0, 1), b: (1, 0), c: (1, 1)}
+    tets = ball.tets
+    seen = set(cofaces)
+    queue = deque(cofaces)
     while queue:
         addr = queue.popleft()
-        tet_here = set(ball.tets[addr])
+        here = set(tets[addr])
         for nb in _tree_neighbors_in(addr, members):
             if nb in seen:
                 continue
-            tet_there = set(ball.tets[nb])
-            shared = tet_here & tet_there
-            (dropped,) = tet_here - shared
-            (added,) = tet_there - shared
+            there = set(tets[nb])
+            dropped, added, shared = here - there, there - here, here & there
+            if len(dropped) != 1 or len(added) != 1 or len(shared) != 3:
+                raise RuntimeError(f"tetrahedra {addr!r} and {nb!r} of vertex {v} share no link triangle")
+            (d,), (e,) = dropped, added
             x, y = shared - {v}
-            options = common_neighbors(labels[x], labels[y])
-            if labels[dropped] not in options:
-                raise RuntimeError("link does not unfold like the Farey complex")
-            (new_label,) = options - {labels[dropped]}
-            if added in labels:
-                if labels[added] != new_label:
-                    raise RuntimeError("link labeling is inconsistent")
+            (p, q), (r, s) = labels[x], labels[y]
+            if abs(p * s - q * r) != 1:
+                raise RuntimeError(f"labels {p}/{q} of {x} and {r}/{s} of {y} are not Farey neighbours")
+            # Labels have q >= 0, so only x - y may need its sign fixed.
+            plus, minus = (p + r, q + s), _slope_pair(p - r, q - s)
+            if labels[d] == plus:
+                new = minus
+            elif labels[d] == minus:
+                new = plus
             else:
-                labels[added] = new_label
+                raise RuntimeError(
+                    f"link does not unfold like the Farey complex: {d} is not "
+                    f"a common neighbour of {x} and {y} in {addr!r}"
+                )
+            if labels.setdefault(e, new) != new:
+                raise RuntimeError(f"link labeling is inconsistent at {e} from {nb!r}")
             seen.add(nb)
             queue.append(nb)
     if len(seen) != len(members):
@@ -262,6 +283,21 @@ def link_slope_labeling(ball: TetBall, v: int, base_tri: tuple[int, int, int]) -
     if len(set(labels.values())) != len(labels):
         raise RuntimeError(f"link labeling of vertex {v} is not injective")
     return labels
+
+
+def link_slope_labeling(ball: TetBall, v: int, base_tri: tuple[int, int, int]) -> dict:
+    """Label the link of v by Farey slopes, realizing the link isomorphism.
+
+    ``base_tri`` is an ordered triple of neighbours of v spanning a triangle
+    of the link; it receives (0/1, 1/0, 1/1).  The labeling is extended over
+    the whole in-ball link by matching link unfolds with Farey unfolds (see
+    ``_link_labels``).
+
+    Returns a dict vertex -> Slope covering every in-ball neighbour of v.
+    Raises ValueError if base_tri is not a link triangle and RuntimeError if
+    the ball's link fails to match the Farey complex (a model violation).
+    """
+    return {u: Slope(p, q) for u, (p, q) in _link_labels(ball, v, base_tri).items()}
 
 
 def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
@@ -384,6 +420,55 @@ def structural_report(ball: TetBall) -> list[dict]:
     return checks
 
 
+def _base_triple(ball: TetBall, v: int, addr: str) -> tuple:
+    return tuple(x for x in ball.tets[addr] if x != v)
+
+
+def _mobius_mismatch(labels: dict, relabels: dict, base: tuple):
+    """The first vertex whose relabel is not the Mobius image of its label, or None.
+
+    The matrix sends the labels of ``base`` to (0/1, 1/0, 1/1), so it must
+    carry the whole first labelling onto the labelling from ``base``.
+    """
+    (a, b), (c, d) = mat_inverse(triangle_matrix(tuple(Slope(*labels[x]) for x in base)))
+    for u, (p, q) in labels.items():
+        # The image is primitive, so it equals the canonical relabel up to sign.
+        image = (a * p + b * q, c * p + d * q)
+        relabel = relabels.get(u)
+        if relabel != image and relabel != (-image[0], -image[1]):
+            return u
+    return None
+
+
+def _edge_mismatches(group: list) -> list[tuple]:
+    """Link pairs of a block of equal-degree vertices where edge and Farey adjacency differ.
+
+    ``group`` holds (v, members, labels, edge keys): the sorted link members,
+    their labels in that order and ``i * k + j`` for each link edge with
+    i < j.  Farey adjacency |ps - qr| = 1 is scored on (m, rows, k) int64
+    blocks of at most about ``BLOCK_ELEMS``; the result is one failure tuple
+    per mismatched pair, in (vertex, i, j) order.
+    """
+    m, k = len(group), len(group[0][1])
+    labels = np.array([row for _, _, row, _ in group], dtype=np.int64)
+    p, q = labels[:, :, 0], labels[:, :, 1]
+    rows = max(1, BLOCK_ELEMS // (m * k))
+    farey = []
+    for r0 in range(0, k, rows):
+        det = p[:, r0 : r0 + rows, None] * q[:, None, :] - q[:, r0 : r0 + rows, None] * p[:, None, :]
+        g, i, j = np.nonzero(np.abs(det) == 1)
+        i += r0
+        farey.append(((g * k + i) * k + j)[i < j])
+    edges = np.array([g * k * k + key for g, (*_, keys) in enumerate(group) for key in keys], dtype=np.int64)
+    out = []
+    for key in np.setxor1d(np.concatenate(farey), edges).tolist():
+        g, ij = divmod(key, k * k)
+        i, j = divmod(ij, k)
+        v, members = group[g][0], group[g][1]
+        out.append((v, 1, i, j, f"edge mismatch at ({members[i]}, {members[j]})"))
+    return out
+
+
 def link_labeling_report(ball: TetBall) -> list[dict]:
     """Check that every in-ball link labels injectively onto a Farey subcomplex.
 
@@ -391,43 +476,55 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
     triangle and verifies that link edges correspond exactly to Farey-adjacent
     label pairs (both directions), and that a relabeling from a second base
     differs by the Mobius action of the matrix determined by the base images.
+    The pair check runs on blocks of vertices of equal degree, which are
+    dropped once scored.  Failures are listed by vertex, and within a vertex
+    labelling or coverage failures first, then edge mismatches in pair
+    order, then the Mobius cross-check.
     """
-    failures = []
+    failures = []  # (vertex, kind, i, j, message)
     vertices_checked = 0
+    groups: dict = {}  # degree -> vertices awaiting the pair check
     for v in ball.vertices():
-        base_addr = min(ball.support[v])
-        base = tuple(x for x in ball.tets[base_addr] if x != v)
         try:
-            labels = link_slope_labeling(ball, v, base)
+            labels = _link_labels(ball, v, _base_triple(ball, v, min(ball.support[v])))
         except (RuntimeError, ValueError) as exc:
-            failures.append({"vertex": v, "error": str(exc)})
+            failures.append((v, 0, 0, 0, str(exc)))
             continue
         vertices_checked += 1
         nbrs = ball.adjacency[v]
-        if set(labels) != nbrs:
-            failures.append({"vertex": v, "error": "labeling does not cover the link"})
+        if labels.keys() != nbrs:
+            failures.append((v, 0, 0, 0, "labeling does not cover the link"))
             continue
+        other_base = _base_triple(ball, v, max(ball.support[v]))
+        try:
+            relabels = _link_labels(ball, v, other_base)
+        except (RuntimeError, ValueError) as exc:
+            failures.append((v, 0, 0, 0, f"relabelling from base {other_base}: {exc}"))
+        else:
+            u = _mobius_mismatch(labels, relabels, other_base)
+            if u is not None:
+                failures.append((v, 2, 0, 0, f"Mobius cross-check failed at {u}"))
         members = sorted(nbrs)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                linked = y in ball.adjacency[x]
-                if linked != farey_adjacent(labels[x], labels[y]):
-                    failures.append(
-                        {"vertex": v, "error": f"edge mismatch at ({x}, {y})"}
-                    )
-        other_addr = max(ball.support[v])
-        other_base = tuple(x for x in ball.tets[other_addr] if x != v)
-        relabels = link_slope_labeling(ball, v, other_base)
-        m = mat_inverse(triangle_matrix(tuple(labels[x] for x in other_base)))
-        for u, s in labels.items():
-            if relabels[u] != mobius_apply(m, s):
-                failures.append({"vertex": v, "error": f"Mobius cross-check failed at {u}"})
-                break
+        row = [labels[u] for u in members]
+        if max(map(abs, chain.from_iterable(row))) >= LABEL_LIMIT:
+            raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
+        k = len(members)
+        index = {u: i for i, u in enumerate(members)}
+        keys = [i * k + index[y] for i, x in enumerate(members) for y in ball.adjacency[x] & nbrs if i < index[y]]
+        group = groups.setdefault(k, [])
+        group.append((v, members, row, keys))
+        if len(group) * k * k >= BLOCK_ELEMS:
+            failures += _edge_mismatches(group)
+            group.clear()
+    for group in groups.values():
+        if group:
+            failures += _edge_mismatches(group)
+    failures.sort(key=lambda f: f[:4])
     return [
         {
             "name": "link_labelings",
             "ok": not failures,
             "vertices_checked": vertices_checked,
-            "failures": failures[:5],
+            "failures": [{"vertex": f[0], "error": f[4]} for f in failures[:5]],
         }
     ]

@@ -72,6 +72,21 @@ class TestVerify:
         assert "determined_vertex_unique" in names
         assert "link_labelings" in names
 
+    @pytest.mark.parametrize(
+        "radius, digest",
+        [
+            ("0", "8f4a07665afaba5e39e9c1c5f18f373ce781fb3bfe6156ed8500f60cf0e22130"),
+            ("2", "f699c21b5ca3ac43a2b329def2dfa141baf7af0a79f5685b616aa35bbfda4335"),
+            ("4", "9bcd091c4817d3b65a17517fea70cc5df6997d7b314859135874eaa0ff33d346"),
+            ("6", "5a16ec51790b6c9664201a0f689324ee2a67184be818c0cc8906f8cd5e7291e4"),
+        ],
+    )
+    def test_golden_artifact(self, capsys, radius, digest):
+        # Digests of the artifacts of the link labelling on Slope objects.
+        code, out, _ = run(capsys, "verify", "--radius", radius)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestHyperbolicity:
     def test_csv_rows(self, capsys):
@@ -244,6 +259,14 @@ class TestErrors:
     def test_bad_sample_cap(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "1", "--sample-cap", "0")
         assert code == 2 and err.startswith("error:")
+
+    def test_bad_sample_cap_refused_before_any_table(self, capsys, monkeypatch):
+        def unreachable(graph):
+            raise AssertionError("a distance table was built")
+
+        monkeypatch.setattr(metric, "all_pairs_distances", unreachable)
+        argv = ("hyperbolicity", "--radius", "6", "--sample-cap", "0")
+        assert run(capsys, *argv) == (2, "", "error: sample cap must be positive, got 0\n")
 
     def test_out_of_memory(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

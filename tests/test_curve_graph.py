@@ -114,6 +114,19 @@ class TestReport:
         assert structural_report(cgraph(radius))[:2] == counts
 
 
+    def test_failure_witnesses_serialize(self):
+        # A two-sided vertex with a third neighbour fails the degree and the
+        # determined-vertex checks; both witnesses name it as the pair [0, 1].
+        cg = subdivide(generate_ball(3))
+        cg.adjacency[TwoSided(0, 1)].add(OneSided(5))
+        cg.adjacency[OneSided(5)].add(TwoSided(0, 1))
+        checks = {c["name"]: c for c in json.loads(json.dumps(structural_report(cg)))}
+        degree, determined = checks["two_sided_degree_2"], checks["determined_vertex_unique"]
+        assert not degree["ok"] and not determined["ok"]
+        assert degree["bad"] == [[0, 1]]
+        assert [0, 5, [[0, 1], [0, 5]]] in determined["bad"]
+
+
 class TestSerialization:
     def test_json_schema(self, cgraph):
         data = curve_graph_to_json(cgraph(0))

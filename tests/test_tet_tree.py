@@ -4,10 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscap3.errors import RadiusCapError
-from crosscap3.farey import Slope, farey_adjacent
+from crosscap3 import tet_tree
+from crosscap3.errors import BudgetError, RadiusCapError
+from crosscap3.farey import (
+    Slope,
+    common_neighbors,
+    farey_adjacent,
+    mat_inverse,
+    mobius_apply,
+    triangle_matrix,
+)
 from crosscap3.tet_tree import (
     ALPHABET,
+    TetBall,
+    _slope_pair,
     ball_to_dot,
     ball_to_json,
     count_checks,
@@ -200,6 +210,153 @@ class TestLinkLabeling:
         (report,) = link_labeling_report(ball(3))
         assert report["ok"], report["failures"]
         assert report["vertices_checked"] == ball(3).n_vertices
+
+    def test_base_error_names_the_cofaces(self, ball):
+        with pytest.raises(ValueError, match=r"base triple \(5, 6, 7\) of vertex 0 has cofaces \[\]"):
+            link_slope_labeling(ball(1), 0, (5, 6, 7))
+
+
+def slope_loop_report(ball):
+    """The link labelling report as one loop over Slope pairs: the reference."""
+    failures = []
+    vertices_checked = 0
+    for v in ball.vertices():
+        base = tuple(x for x in ball.tets[min(ball.support[v])] if x != v)
+        try:
+            labels = link_slope_labeling(ball, v, base)
+        except (RuntimeError, ValueError) as exc:
+            failures.append({"vertex": v, "error": str(exc)})
+            continue
+        vertices_checked += 1
+        nbrs = ball.adjacency[v]
+        if set(labels) != nbrs:
+            failures.append({"vertex": v, "error": "labeling does not cover the link"})
+            continue
+        members = sorted(nbrs)
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if (y in ball.adjacency[x]) != farey_adjacent(labels[x], labels[y]):
+                    failures.append({"vertex": v, "error": f"edge mismatch at ({x}, {y})"})
+        other_base = tuple(x for x in ball.tets[max(ball.support[v])] if x != v)
+        relabels = link_slope_labeling(ball, v, other_base)
+        m = mat_inverse(triangle_matrix(tuple(labels[x] for x in other_base)))
+        for u, slope in labels.items():
+            if relabels[u] != mobius_apply(m, slope):
+                failures.append({"vertex": v, "error": f"Mobius cross-check failed at {u}"})
+                break
+    return [
+        {
+            "name": "link_labelings",
+            "ok": not failures,
+            "vertices_checked": vertices_checked,
+            "failures": failures[:5],
+        }
+    ]
+
+
+def ball_with_extra_link_edges(radius, v, count=1):
+    """A fresh ball with edges from the first link member of v to ``count`` others it misses."""
+    b = generate_ball(radius)
+    members = sorted(b.adjacency[v])
+    x = members[0]
+    for y in [u for u in members[1:] if u not in b.adjacency[x]][:count]:
+        b.adjacency[x].add(y)
+        b.adjacency[y].add(x)
+    return b
+
+
+class TestLinkLabelingReport:
+    def test_crossing_rule_matches_common_neighbors(self):
+        # Every adjacent pair in a box of slopes: x + y and x - y, with the
+        # sign fixed, are the two common neighbours and are already reduced.
+        box = {Slope.of(p, q) for p in range(-12, 13) for q in range(0, 13) if (p, q) != (0, 0)}
+        pairs = 0
+        for x in box:
+            for y in box:
+                if not farey_adjacent(x, y):
+                    continue
+                (p, q), (r, s) = (x.num, x.den), (y.num, y.den)
+                rule = {Slope(*_slope_pair(p + r, q + s)), Slope(*_slope_pair(p - r, q - s))}
+                assert rule == common_neighbors(x, y)
+                pairs += 1
+        assert pairs == 730
+
+    @pytest.mark.parametrize("radius", range(6))
+    def test_matches_slope_loop(self, ball, radius):
+        assert link_labeling_report(ball(radius)) == slope_loop_report(ball(radius))
+
+    @pytest.mark.parametrize("v, count", [(0, 1), (8, 1), (0, 3)])
+    def test_extra_edges_match_slope_loop(self, v, count):
+        b = ball_with_extra_link_edges(3, v, count)
+        (report,) = link_labeling_report(b)
+        assert not report["ok"]
+        assert [report] == slope_loop_report(b)
+        mismatches = [f for f in report["failures"] if f["vertex"] == v]
+        assert len(mismatches) == count
+        assert all(f["error"].startswith("edge mismatch") for f in mismatches)
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_block_size_does_not_change_records(self, monkeypatch, block):
+        # Block 1 scores every vertex alone, one row at a time.
+        b = ball_with_extra_link_edges(3, 0, 3)
+        want = link_labeling_report(b)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
+        assert link_labeling_report(b) == want
+
+    def test_swapped_vertices_name_the_tetrahedra(self, ball):
+        tets = dict(ball(3).tets)
+        a, c = list(tets["01"]), list(tets["32"])
+        a[1], c[2] = c[2], a[1]
+        tets["01"], tets["32"] = tuple(a), tuple(c)
+        (report,) = link_labeling_report(TetBall(3, tets))
+        assert not report["ok"]
+        assert report["failures"][:2] == [
+            {"vertex": 0, "error": "tetrahedra '32' and '321' of vertex 0 share no link triangle"},
+            {"vertex": 1, "error": "tetrahedra '32' and '320' of vertex 1 share no link triangle"},
+        ]
+
+    def test_relabelling_failure_is_a_record(self, ball, monkeypatch):
+        b = ball(2)
+        labels_of = tet_tree._link_labels
+        second = tuple(x for x in b.tets[max(b.support[7])] if x != 7)
+
+        def failing(ball_, v, base):
+            if v == 7 and base == second:
+                raise RuntimeError("broken")
+            return labels_of(ball_, v, base)
+
+        monkeypatch.setattr(tet_tree, "_link_labels", failing)
+        (report,) = link_labeling_report(b)
+        assert report["failures"] == [{"vertex": 7, "error": f"relabelling from base {second}: broken"}]
+        assert report["vertices_checked"] == b.n_vertices
+
+    def test_mobius_failure_follows_the_edge_mismatches(self, monkeypatch):
+        # Two labels swapped in the relabelling of vertex 0 break the Mobius
+        # cross-check; both implementations read the same relabelling.
+        b = ball_with_extra_link_edges(3, 0, 2)
+        labels_of = tet_tree._link_labels
+        second = tuple(x for x in b.tets[max(b.support[0])] if x != 0)
+
+        def swapped(ball_, v, base):
+            labels = labels_of(ball_, v, base)
+            if v == 0 and base == second:
+                x, y = sorted(labels)[-2:]
+                labels[x], labels[y] = labels[y], labels[x]
+            return labels
+
+        monkeypatch.setattr(tet_tree, "_link_labels", swapped)
+        (report,) = link_labeling_report(b)
+        assert [report] == slope_loop_report(b)
+        errors = [f["error"] for f in report["failures"] if f["vertex"] == 0]
+        assert [e.split(" at ")[0] for e in errors] == ["edge mismatch"] * 2 + ["Mobius cross-check failed"]
+
+    def test_label_limit_raises(self, ball, monkeypatch):
+        # The radius-1 link of vertex 0 reaches the label 2/1.
+        monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 3)
+        assert link_labeling_report(ball(1))[0]["ok"]
+        monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 2)
+        with pytest.raises(BudgetError, match="limit of the pair check"):
+            link_labeling_report(ball(1))
 
 
 # ---------------------------------------------------------------------------
