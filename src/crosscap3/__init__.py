@@ -8,15 +8,7 @@ propagation on ordered tetrahedra, and verifies structural, rigidity, and
 coarse-geometry properties exhaustively at small radius.
 """
 
-from .curve_graph import (
-    CurveGraphBall,
-    OneSided,
-    TwoSided,
-    determined_vertex,
-    subdivide,
-    tet_star,
-    two_sided,
-)
+from .curve_graph import CurveGraphBall, subdivide
 from .errors import BudgetError, CodomainTooSmallError, MarginError, RadiusCapError
 from .farey import (
     BASE_TRIANGLE,
@@ -45,7 +37,6 @@ from .metric import (
 from .rigidity import (
     MappingClassElement,
     OrderedTet,
-    RigidSet,
     compose,
     enumerate_locally_injective,
     image_of_ordered_tet,
@@ -54,7 +45,6 @@ from .rigidity import (
     pointwise_stabilizer_check,
     propagate_map,
     rigidity_reports,
-    star_union,
 )
 from .tet_tree import (
     TetBall,

@@ -6,154 +6,136 @@ exactly two neighbours, the pair of one-sided curves determining it.  It is
 therefore the subdivision of the 1-skeleton of the tetrahedron complex: one
 two-sided vertex per edge.
 
+Curve vertices are integer ids.  Id ``v < n`` is the one-sided curve of
+ball vertex ``v``; id ``n + k`` is the two-sided curve of the k-th edge of
+``source.edges()``.  Names such as ``OneSided(v=8)`` or ``b0_1`` appear only
+in serialized output.
+
 The two-holed case is a constant, not code: that curve complex consists of
 two one-sided vertices intersecting once and no edges at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .tet_tree import TetBall
 
 
-@dataclass(frozen=True, slots=True)
-class OneSided:
-    v: int
-
-
-@dataclass(frozen=True, slots=True)
-class TwoSided:
-    u: int
-    w: int
-
-    def __post_init__(self) -> None:
-        if not self.u < self.w:
-            raise ValueError(f"two-sided vertex endpoints must be ordered: {self.u}, {self.w}")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.w)
-
-
-def two_sided(a: int, b: int) -> TwoSided:
-    """The two-sided vertex determined by an unordered pair."""
-    if a == b:
-        raise ValueError("a two-sided vertex needs two distinct endpoints")
-    return TwoSided(min(a, b), max(a, b))
-
-
-def vertex_key(cv) -> tuple:
-    """Canonical sort key: one-sided by id first, then two-sided by pair."""
-    if isinstance(cv, OneSided):
-        return (0, cv.v, -1)
-    return (1, cv.u, cv.w)
-
-
 class CurveGraphBall:
-    """The subdivision of a TetBall's 1-skeleton; immutable after build."""
+    """The subdivision of a TetBall's 1-skeleton over integer ids; immutable after build.
 
-    def __init__(self, source: TetBall, adjacency: dict):
+    ``ends`` (m x 2, each row ordered) holds the endpoints of the two-sided
+    vertices, and ``indptr``/``indices`` the adjacency as CSR with sorted
+    rows.  ``vertices`` is the range of all ids.
+    """
+
+    def __init__(self, source: TetBall, ends: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
         self.source = source
-        self.adjacency = adjacency
-        self.vertices = sorted(adjacency, key=vertex_key)
+        self.ends = ends
+        self.indptr = indptr
+        self.indices = indices
+        self.n_one = source.n_vertices
+        self.vertices = range(self.n_one + len(ends))
+        self._pair_keys = ends[:, 0] * self.n_one + ends[:, 1]
 
     def __repr__(self) -> str:
         return f"CurveGraphBall(radius={self.source.radius}, vertices={len(self.vertices)})"
 
     def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return len(self.indices) // 2
 
-    def one_sided(self) -> list[OneSided]:
-        return [cv for cv in self.vertices if isinstance(cv, OneSided)]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
-    def two_sided(self) -> list[TwoSided]:
-        return [cv for cv in self.vertices if isinstance(cv, TwoSided)]
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every directed adjacency (row id, column id), in CSR order."""
+        return np.repeat(np.arange(len(self.vertices)), self.degrees()), self.indices
+
+    def neighbors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def one_sided(self) -> range:
+        return range(self.n_one)
+
+    def two_sided(self) -> range:
+        return self.vertices[self.n_one :]
+
+    def pair_ids(self, a, b) -> np.ndarray:
+        """Ids of the two-sided vertices of the pairs (a, b), in either order.
+
+        -1 where a and b are not two joined vertices of the source ball.
+        """
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * self.n_one + hi
+        pos = np.minimum(np.searchsorted(self._pair_keys, keys), len(self._pair_keys) - 1)
+        # With hi < n, no pair outside 0 <= lo < hi < n shares a key with an edge.
+        found = (self._pair_keys[pos] == keys) & (hi < self.n_one)
+        return np.where(found, self.n_one + pos, -1)
 
 
 def subdivide(ball: TetBall) -> CurveGraphBall:
     """Subdivide every edge of the ball by a two-sided vertex."""
-    adjacency = {OneSided(v): set() for v in ball.vertices()}
-    for v, w in ball.edges():
-        mid = TwoSided(v, w)
-        a, b = OneSided(v), OneSided(w)
-        adjacency[mid] = {a, b}
-        adjacency[a].add(mid)
-        adjacency[b].add(mid)
-    return CurveGraphBall(ball, adjacency)
-
-
-def determined_vertex(a: int, b: int, cg: CurveGraphBall) -> TwoSided:
-    """The unique two-sided vertex adjacent to both OneSided(a) and OneSided(b)."""
-    if not cg.source.has_edge(a, b):
-        raise ValueError(f"({a}, {b}) is not an edge of the source ball")
-    return two_sided(a, b)
-
-
-@dataclass(frozen=True)
-class CurveSubgraph:
-    vertices: frozenset
-    edges: frozenset
-
-
-def tet_star(cg: CurveGraphBall, addr: str) -> CurveSubgraph:
-    """The 10-vertex subgraph spanned by a tetrahedron.
-
-    Four one-sided vertices, the six two-sided vertices its edges determine,
-    and the twelve incidences between them.
-    """
-    if addr not in cg.source.tets:
-        raise ValueError(f"unknown tetrahedron {addr!r}")
-    verts = cg.source.tets[addr]
-    ones = [OneSided(v) for v in verts]
-    twos = [two_sided(verts[i], verts[j]) for i in range(4) for j in range(i + 1, 4)]
-    edges = frozenset(
-        frozenset((OneSided(v), t)) for t in twos for v in t.pair
-    )
-    return CurveSubgraph(frozenset(ones) | frozenset(twos), edges)
+    n = ball.n_vertices
+    ends = np.array(ball.edges(), dtype=np.int64)
+    m = len(ends)
+    mids = np.arange(n, n + m)
+    # One-sided rows: the two-sided ids of the edges at v, ascending.
+    owner = ends.T.ravel()
+    order = np.lexsort((np.tile(mids, 2), owner))
+    degree = np.bincount(owner, minlength=n)
+    indptr = np.zeros(n + m + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([degree, np.full(m, 2)]), out=indptr[1:])
+    indices = np.concatenate([np.tile(mids, 2)[order], ends.ravel()])
+    return CurveGraphBall(ball, ends, indptr, indices)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _vertex_json(cv):
-    return cv.v if isinstance(cv, OneSided) else [cv.u, cv.w]
+def _vertex_json(cg: CurveGraphBall, i: int):
+    return int(i) if i < cg.n_one else cg.ends[i - cg.n_one].tolist()
+
+
+def vertex_name(cg: CurveGraphBall, i: int) -> str:
+    """The witness text of a curve vertex: ``OneSided(v=8)`` or ``TwoSided(u=0, w=2)``."""
+    if i < cg.n_one:
+        return f"OneSided(v={i})"
+    u, w = cg.ends[i - cg.n_one].tolist()
+    return f"TwoSided(u={u}, w={w})"
+
+
+def _dot_name(cg: CurveGraphBall, i: int) -> str:
+    if i < cg.n_one:
+        return f"c{i}"
+    u, w = cg.ends[i - cg.n_one].tolist()
+    return f"b{u}_{w}"
 
 
 def curve_graph_to_json(cg: CurveGraphBall) -> dict:
-    edges = sorted(
-        (
-            (cv, nb)
-            for cv, nbrs in cg.adjacency.items()
-            if isinstance(cv, OneSided)
-            for nb in nbrs
-        ),
-        key=lambda e: (vertex_key(e[0]), vertex_key(e[1])),
-    )
+    rows, cols = cg.entries()
+    from_one = rows < cg.n_one
     return {
         "radius": cg.source.radius,
-        "one_sided": [cv.v for cv in cg.one_sided()],
-        "two_sided": [[cv.u, cv.w] for cv in cg.two_sided()],
-        "edges": [[_vertex_json(a), _vertex_json(b)] for a, b in edges],
+        "one_sided": list(cg.one_sided()),
+        "two_sided": cg.ends.tolist(),
+        "edges": [
+            [_vertex_json(cg, a), _vertex_json(cg, b)]
+            for a, b in zip(rows[from_one].tolist(), cols[from_one].tolist())
+        ],
     }
-
-
-def _dot_name(cv) -> str:
-    return f"c{cv.v}" if isinstance(cv, OneSided) else f"b{cv.u}_{cv.w}"
 
 
 def curve_graph_to_dot(cg: CurveGraphBall) -> str:
     lines = [f"graph curvegraph_{cg.source.radius} {{"]
-    for cv in cg.vertices:
-        shape = "circle" if isinstance(cv, OneSided) else "box"
-        lines.append(f"  {_dot_name(cv)} [shape={shape}];")
-    seen = set()
-    for cv in cg.vertices:
-        for nb in sorted(cg.adjacency[cv], key=vertex_key):
-            e = frozenset((cv, nb))
-            if e not in seen:
-                seen.add(e)
-                lines.append(f"  {_dot_name(cv)} -- {_dot_name(nb)};")
+    for i in cg.vertices:
+        shape = "circle" if i < cg.n_one else "box"
+        lines.append(f"  {_dot_name(cg, i)} [shape={shape}];")
+    rows, cols = cg.entries()
+    first = rows < cols  # each edge once, from the row of its smaller id
+    for a, b in zip(rows[first].tolist(), cols[first].tolist()):
+        lines.append(f"  {_dot_name(cg, a)} -- {_dot_name(cg, b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -174,41 +156,44 @@ def count_checks(cg: CurveGraphBall) -> list[dict]:
 
 
 def structural_report(cg: CurveGraphBall) -> list[dict]:
-    """Counts, bipartiteness, degree, and determined-vertex checks for one window."""
+    """Counts, bipartiteness, degree, and determined-vertex checks for one window.
+
+    A failing check names up to 5 bad vertices, as ids ``v`` and pairs ``[u, w]``.
+    """
     ball = cg.source
+    n = cg.n_one
+    degree = cg.degrees()
     checks = count_checks(cg)
 
-    nonbipartite = [
-        cv
-        for cv, nbrs in cg.adjacency.items()
-        if any(isinstance(nb, type(cv)) for nb in nbrs)
-    ]
-    checks.append({"name": "bipartite", "ok": not nonbipartite})
+    def witness(ids) -> list:
+        return [_vertex_json(cg, i) for i in ids[:5]]
 
-    bad_degree = [
-        cv for cv in cg.two_sided() if len(cg.adjacency[cv]) != 2
-    ]
-    checks.append(
-        {"name": "two_sided_degree_2", "ok": not bad_degree, "bad": [_vertex_json(cv) for cv in bad_degree[:5]]}
-    )
+    def check(name: str, bad) -> None:
+        # These records carry ``bad`` only on failure; the degree-2 and
+        # determined-vertex records always carry it.
+        checks.append({"name": name, "ok": False, "bad": witness(bad)} if len(bad) else {"name": name, "ok": True})
 
-    wrong_ends = [
-        cv
-        for cv in cg.two_sided()
-        if cg.adjacency[cv] != {OneSided(cv.u), OneSided(cv.w)}
-    ]
-    checks.append({"name": "two_sided_endpoints", "ok": not wrong_ends})
+    rows, cols = cg.entries()
+    check("bipartite", np.unique(rows[(rows < n) == (cols < n)]))
 
+    bad_degree = np.flatnonzero(degree[n:] != 2) + n
+    checks.append({"name": "two_sided_degree_2", "ok": not len(bad_degree), "bad": witness(bad_degree)})
+
+    # A degree-2 row is sorted, so it equals its ordered endpoint pair exactly when right.
+    pairs = np.full_like(cg.ends, -1)
+    two = np.flatnonzero(degree[n:] == 2)
+    pairs[two] = cg.indices[cg.indptr[n + two, None] + np.arange(2)]
+    check("two_sided_endpoints", np.flatnonzero((pairs != cg.ends).any(axis=1)) + n)
+
+    flat, ptr = cg.indices.tolist(), cg.indptr.tolist()
+    nbrs = [set(flat[ptr[v] : ptr[v + 1]]) for v in range(n)]
     bad_determined = []
-    for v, w in ball.edges():
-        common = cg.adjacency[OneSided(v)] & cg.adjacency[OneSided(w)]
-        if common != {TwoSided(v, w)}:
-            bad_determined.append([v, w, [_vertex_json(cv) for cv in sorted(common, key=vertex_key)]])
+    for k, (v, w) in enumerate(ball.edges()):
+        common = nbrs[v] & nbrs[w]
+        if common != {n + k}:
+            bad_determined.append([v, w, [_vertex_json(cg, i) for i in sorted(common)]])
     checks.append({"name": "determined_vertex_unique", "ok": not bad_determined, "bad": bad_determined[:5]})
 
-    wrong_os_degree = [
-        v for v in ball.vertices() if len(cg.adjacency[OneSided(v)]) != len(ball.adjacency[v])
-    ]
-    checks.append({"name": "one_sided_degree_matches", "ok": not wrong_os_degree})
-
+    ball_degree = np.array([len(ball.adjacency[v]) for v in ball.vertices()])
+    check("one_sided_degree_matches", np.flatnonzero(degree[:n] != ball_degree))
     return checks

@@ -25,12 +25,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from math import comb, prod
 
 import numpy as np
 
-from .curve_graph import CurveGraphBall, OneSided, subdivide
+from .curve_graph import CurveGraphBall, subdivide, vertex_name
 from .errors import BudgetError, MarginError
 from .tet_tree import BLOCK_ELEMS, TetBall, generate_ball, tree_path
 
@@ -41,7 +42,6 @@ CURVE_THINNESS_BOUND = 3.0
 BOTTLENECK_BOUND = 1.5
 
 TRIPLE_THRESHOLD = 10_000_000
-QUAD_THRESHOLD = 20_000_000
 DEFAULT_SAMPLE_CAP = 1_000_000
 # Largest distance table (n^2) or exhaustive-thinness table (n^3) allocated.
 # The radius-7 curve table (612 MB) and the radius-8 ball table (344 MB) are
@@ -50,21 +50,20 @@ MAX_TABLE_BYTES = 256 << 20
 
 
 class DistanceTable:
-    """All-pairs distances over a fixed vertex order.
+    """All-pairs distances over the integer vertex ids of a graph.
 
-    ``vertices`` fixes the canonical order, ``dist`` is a symmetric int16
-    matrix over it.  Construction is a single breadth-first search that
-    advances all sources at once (see ``all_pairs_distances``).
+    ``dist`` is a symmetric int16 matrix indexed by vertex id.  Construction
+    is a single breadth-first search that advances all sources at once (see
+    ``all_pairs_distances``).
     """
 
-    def __init__(self, vertices: list, index: dict, dist: np.ndarray, source):
-        self.vertices = vertices
-        self.index = index
+    def __init__(self, dist: np.ndarray, source):
+        self.vertices = range(len(dist))
         self.dist = dist
         self.source = source
 
-    def d(self, u, v) -> int:
-        return int(self.dist[self.index[u], self.index[v]])
+    def d(self, u: int, v: int) -> int:
+        return int(self.dist[u, v])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -78,16 +77,13 @@ def _check_budget(what: str, shape: tuple, dtype) -> None:
         )
 
 
-def _int_adjacency(graph) -> tuple[list, list]:
-    if isinstance(graph, TetBall):
-        vertices = list(graph.vertices())
-        adj = [sorted(graph.adjacency[v]) for v in vertices]
-        return vertices, adj
+def _csr(graph) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(graph, CurveGraphBall):
-        vertices = list(graph.vertices)
-        index = {cv: i for i, cv in enumerate(vertices)}
-        adj = [[index[nb] for nb in graph.adjacency[cv]] for cv in vertices]
-        return vertices, adj
+        return graph.indptr, graph.indices
+    if isinstance(graph, TetBall):
+        adj = [sorted(graph.adjacency[v]) for v in graph.vertices()]
+        indptr = np.cumsum([0] + [len(a) for a in adj])
+        return indptr, np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(indptr[-1]))
     raise TypeError(f"cannot take distances on {type(graph).__name__}")
 
 
@@ -100,15 +96,12 @@ def all_pairs_distances(graph) -> DistanceTable:
     sources whose table entry is already set, and writes the rest into the
     table, a block of rows at a time.
     """
-    vertices, adj = _int_adjacency(graph)
-    n = len(vertices)
+    indptr, cols = _csr(graph)
+    n = len(indptr) - 1
     _check_budget(f"distance table for {n} vertices", (n, n), np.int16)
-    deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
-    if n > 1 and not deg.all():  # reduceat cannot OR over an empty neighbourhood
+    starts, ends = indptr[:-1], indptr[1:]
+    if n > 1 and not (ends > starts).all():  # reduceat cannot OR over an empty neighbourhood
         raise ValueError("graph is not connected")
-    cols = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(deg.sum()))
-    ends = np.cumsum(deg)
-    starts = ends - deg
     dist = np.full((n, n), -1, dtype=np.int16)
     np.fill_diagonal(dist, 0)
     # Bit s of a vertex's bitset is bit s % 8 of byte s // 8, so the uint8
@@ -134,7 +127,7 @@ def all_pairs_distances(graph) -> DistanceTable:
         frontier = new
     if dist.min() < 0:
         raise ValueError("graph is not connected")
-    return DistanceTable(vertices, {v: i for i, v in enumerate(vertices)}, dist, graph)
+    return DistanceTable(dist, graph)
 
 
 def _tet_ball(table: DistanceTable) -> TetBall:
@@ -148,10 +141,9 @@ def _interval_idx(table: DistanceTable, xi: int, yi: int) -> np.ndarray:
     return np.nonzero(d[xi] + d[yi] == d[xi, yi])[0]
 
 
-def interval(table: DistanceTable, x, y) -> frozenset:
+def interval(table: DistanceTable, x: int, y: int) -> frozenset:
     """The betweenness set: all vertices on some geodesic from x to y."""
-    idx = _interval_idx(table, table.index[x], table.index[y])
-    return frozenset(table.vertices[i] for i in idx)
+    return frozenset(_interval_idx(table, x, y).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +165,33 @@ def check_subdivision_isometry(dd: DistanceTable, dc: DistanceTable) -> Subdivis
     For one-sided vertices u, v: d_curve(u, v) = 2 d(u, v); a two-sided
     vertex sits at distance 1 past the nearer of its two endpoints.
     """
-    if not isinstance(dc.source, CurveGraphBall) or dc.source.source is not dd.source:
+    cg = dc.source
+    if not isinstance(cg, CurveGraphBall) or cg.source is not dd.source:
         raise ValueError("tables must come from a ball and its own subdivision")
     n = len(dd)
-    one_idx = np.array([dc.index[OneSided(v)] for v in range(n)])
     violations = []
-    sub = dc.dist[np.ix_(one_idx, one_idx)]
-    bad = np.argwhere(sub != 2 * dd.dist)
+    bad = np.argwhere(dc.dist[:n, :n] != 2 * dd.dist)
     for ui, vi in bad[:5]:
         violations.append(("one_sided", int(ui), int(vi)))
-    pairs = n * (n - 1) // 2
-    for t in dc.source.two_sided():
-        row = dc.dist[dc.index[t], one_idx]
-        want = np.minimum(2 * dd.dist[t.u], 2 * dd.dist[t.w]) + 1
-        if not np.array_equal(row, want):
-            violations.append(("two_sided", t.pair))
-        pairs += n
+    for k, (u, w) in enumerate(cg.ends.tolist()):
+        row = dc.dist[n + k, :n]
+        if not np.array_equal(row, np.minimum(2 * dd.dist[u], 2 * dd.dist[w]) + 1):
+            violations.append(("two_sided", (u, w)))
+    pairs = n * (n - 1) // 2 + n * len(cg.ends)
     return SubdivisionReport(pairs_checked=pairs, violations=violations)
 
 
 def check_distance_stability(small: DistanceTable, big: DistanceTable) -> dict:
-    """Distances over the smaller window must be unchanged in the larger one."""
-    idx = np.array([big.index[v] for v in small.vertices])
-    same = np.array_equal(big.dist[np.ix_(idx, idx)], small.dist)
+    """Distances over the smaller window must be unchanged in the larger one.
+
+    Ball vertex ids, and so one-sided ids, are the same in both windows; a
+    two-sided id is matched through its endpoint pair.
+    """
+    idx = np.arange(len(small))
+    if isinstance(small.source, CurveGraphBall):
+        n = small.source.n_one
+        idx[n:] = big.source.pair_ids(*small.source.ends.T)
+    same = (idx >= 0).all() and np.array_equal(big.dist[np.ix_(idx, idx)], small.dist)
     return {
         "name": "distance_stability",
         "ok": bool(same),
@@ -296,9 +292,8 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
                 continue
             pairs += 1
             half = dxy // 2
-            xi, yi = table.index[x], table.index[y]
-            between = _interval_idx(table, xi, yi)
-            p = min(int(i) for i in between if table.dist[xi, i] == half)
+            between = _interval_idx(table, x, y)
+            p = min(int(i) for i in between if table.dist[x, i] == half)
             delta = bottleneck_triangle(table, x, y, p)
             if p not in delta:
                 failures.append({"pair": (x, y), "error": "p not in triangle"})
@@ -312,7 +307,7 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
                 p2 = min(
                     int(i)
                     for i in between
-                    if table.dist[xi, i] == half + 1 and ball.has_edge(p, int(i))
+                    if table.dist[x, i] == half + 1 and ball.has_edge(p, int(i))
                 )
                 m_dist = max(min(table.d(w, p), table.d(w, p2)) + 0.5 for w in delta)
             worst = max(worst, float(m_dist))
@@ -379,11 +374,10 @@ def thinness_report(
         value, witness = _thinness_sampled(d, sample_cap, seed)
         examined = sample_cap
         exhaustive = False
-    witness_v = tuple(table.vertices[i] for i in witness)
     return ThinnessReport(
         bound=TET_THINNESS_BOUND if isinstance(table.source, TetBall) else CURVE_THINNESS_BOUND,
         max_value=value,
-        witness=witness_v,
+        witness=tuple(int(i) for i in witness),
         triples_examined=examined,
         exhaustive=exhaustive,
     )
@@ -475,42 +469,6 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
     return best, witness
 
 
-def four_point_delta(
-    table: DistanceTable,
-    *,
-    quad_threshold: int = QUAD_THRESHOLD,
-    sample_cap: int = 200_000,
-    seed: int = 0,
-) -> float:
-    """Hyperbolicity via the four-point condition: max (largest - middle)/2.
-
-    Exhaustive below ``quad_threshold`` quadruples, sampled above; a sampled
-    value is a lower bound, which is all the smoke test needs.
-    """
-    n = len(table)
-    d = table.dist.astype(np.int32)
-    if comb(n, 4) <= quad_threshold:
-        best = 0
-        for w in range(n):
-            for x in range(w + 1, n):
-                s1 = d[w, x] + d
-                s2 = np.add.outer(d[w], d[x])
-                s3 = np.add.outer(d[x], d[w])
-                top = np.maximum(np.maximum(s1, s2), s3)
-                mid = s1 + s2 + s3 - top - np.minimum(np.minimum(s1, s2), s3)
-                best = max(best, int((top - mid).max()))
-        return best / 2
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(sample_cap):
-        w, x, y, z = rng.sample(range(n), 4)
-        s = sorted(
-            (int(d[w, x] + d[y, z]), int(d[w, y] + d[x, z]), int(d[w, z] + d[x, y]))
-        )
-        best = max(best, s[2] - s[1])
-    return best / 2
-
-
 # ---------------------------------------------------------------------------
 # Tree comparison
 
@@ -579,13 +537,14 @@ def hyperbolicity_reports(radius: int, *, sample_cap: int = DEFAULT_SAMPLE_CAP, 
     """
     _check_sample_cap(sample_cap)
     ball = generate_ball(radius)
+    cg = subdivide(ball)
     dd = all_pairs_distances(ball)
-    dc = all_pairs_distances(subdivide(ball))
+    dc = all_pairs_distances(cg)
     rows = []
-    for graph, table in (("tet_graph", dd), ("curve_graph", dc)):
+    for graph, table, name_of in (("tet_graph", dd, str), ("curve_graph", dc, partial(vertex_name, cg))):
         rep = thinness_report(table, sample_cap=sample_cap, seed=seed)
         name = f"thinness_{graph}" + ("" if rep.exhaustive else "_sampled")
-        witness = " ".join(str(v) for v in rep.witness)
+        witness = " ".join(map(name_of, rep.witness))
         rows.append((name, rep.triples_examined, rep.max_value, witness, rep.bound, rep.ok))
     sub = check_subdivision_isometry(dd, dc)
     witness = str(sub.violations[:1])

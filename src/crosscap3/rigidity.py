@@ -7,10 +7,12 @@ is mapped, the neighbour across each face has exactly one possible image
 to the fresh vertex.  Elements are therefore represented extensionally as
 ordered destination tetrahedra and realized by propagation over a window.
 
-This module also builds the exhaustion of the curve graph by unions of
-tetrahedron stars, enumerates locally injective simplicial maps of the root
-star, and mechanically verifies that each such map is the restriction of a
-unique propagated element.
+This module also enumerates the locally injective simplicial maps of the
+root star and verifies mechanically that each is the restriction of a unique
+propagated element.  The level-n set of the rigid exhaustion, the union of
+the stars of the tetrahedra within tree distance n - 1, is the subdivision
+of the radius n - 1 ball; maps of it are int arrays with one column per
+domain curve id.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .curve_graph import CurveGraphBall, OneSided, TwoSided, subdivide, two_sided
+import numpy as np
+
+from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError
 from .tet_tree import TetBall, generate_ball, neighbor, triangle_cofaces
 
@@ -86,10 +90,9 @@ class VertexMap:
     def apply(self, v: int) -> int:
         return self.vertices[v]
 
-    def apply_curve(self, cv):
-        if isinstance(cv, OneSided):
-            return OneSided(self.vertices[cv.v])
-        return two_sided(self.vertices[cv.u], self.vertices[cv.w])
+    def apply_curve(self, domain: CurveGraphBall, codomain: CurveGraphBall) -> np.ndarray:
+        """Images in ``codomain`` of all ids of ``domain``, the subdivision of this map's domain."""
+        return _with_pairs(np.array([self.vertices[v] for v in domain.one_sided()]), domain, codomain)
 
     def fixes(self, ids) -> bool:
         return all(self.vertices[v] == v for v in ids)
@@ -175,123 +178,79 @@ def ordered_tets(ball: TetBall, max_length: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Star unions (the rigid exhaustion)
+# Locally injective simplicial maps
 
-@dataclass(frozen=True)
-class RigidSet:
-    """Union of tetrahedron stars over a tree ball: level n uses radius n-1."""
-
-    level: int
-    one_sided: frozenset
-    two_sided: frozenset  # of ordered pairs (u, w) with u < w
+def _with_pairs(one: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> np.ndarray:
+    """Maps given on the one-sided ids of ``domain`` (last axis), extended to
+    every id: a two-sided vertex goes to the one its endpoints' images determine."""
+    u, w = domain.ends.T
+    return np.concatenate([one, cg.pair_ids(one[..., u], one[..., w])], axis=-1)
 
 
-def star_union(level: int, ball: TetBall) -> RigidSet:
-    """The union of the 10-vertex stars of all tetrahedra within radius level-1."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    if ball.radius < level - 1:
-        raise ValueError(f"ball radius {ball.radius} too small for level {level}")
-    ones: set = set()
-    twos: set = set()
-    for addr, verts in ball.tets.items():
-        if len(addr) > level - 1:
-            continue
-        ones.update(verts)
-        twos.update(tuple(sorted(p)) for p in combinations(verts, 2))
-    return RigidSet(level, frozenset(ones), frozenset(twos))
+def check_map(domain: CurveGraphBall, maps: np.ndarray, cg: CurveGraphBall) -> tuple[np.ndarray, np.ndarray]:
+    """(simplicial, locally injective) for each row of ``maps``, a map of domain ids to cg ids.
 
-
-def rigid_set_graph(y: RigidSet) -> dict:
-    """The curve-graph adjacency of a star union."""
-    adj = {OneSided(v): set() for v in y.one_sided}
-    for u, w in y.two_sided:
-        t = TwoSided(u, w)
-        adj[t] = {OneSided(u), OneSided(w)}
-        adj[OneSided(u)].add(t)
-        adj[OneSided(w)].add(t)
-    return adj
-
-
-def check_map(domain_adj: dict, mapping: dict, cg: CurveGraphBall) -> tuple[bool, bool]:
-    """(simplicial, locally injective) for a curve-vertex map into cg."""
-    simplicial = True
-    for cv, nbrs in domain_adj.items():
-        img = mapping[cv]
-        img_nbrs = cg.adjacency.get(img)
-        if img_nbrs is None:
-            return False, False
-        for nb in nbrs:
-            if mapping[nb] not in img_nbrs:
-                simplicial = False
-    locally_injective = True
-    for cv, nbrs in domain_adj.items():
-        images = [mapping[nb] for nb in nbrs]
-        if len(set(images)) != len(images) or mapping[cv] in images:
-            locally_injective = False
+    Simplicial: every directed domain edge lands on an edge of cg.  Locally
+    injective: the images of a vertex's neighbours are distinct and differ
+    from its own image.  A row with an image outside cg is neither.
+    """
+    size = len(cg.vertices)
+    valid = ((maps >= 0) & (maps < size)).all(axis=1)
+    maps = np.where(valid[:, None], maps, 0)
+    rows, cols = cg.entries()
+    edge_keys = rows * size + cols  # ascending: rows are sorted
+    src, dst = domain.entries()
+    keys = maps[:, src] * size + maps[:, dst]
+    pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+    simplicial = valid & (edge_keys[pos] == keys).all(axis=1)
+    distinct = []  # id pairs whose images must differ
+    for i in domain.vertices:
+        nbrs = domain.neighbors(i).tolist()
+        distinct += [(i, j) for j in nbrs] + list(combinations(nbrs, 2))
+    a, b = np.array(distinct).T
+    locally_injective = valid & (maps[:, a] != maps[:, b]).all(axis=1)
     return simplicial, locally_injective
 
 
-# ---------------------------------------------------------------------------
-# Enumeration of locally injective simplicial maps
+def enumerate_locally_injective(domain: CurveGraphBall, cg: CurveGraphBall) -> np.ndarray:
+    """All locally injective simplicial maps of the level-1 star into cg, one row each.
 
-def _heavy_ids(cg: CurveGraphBall) -> list[int]:
-    # Vertices of degree >= 3 are exactly the one-sided ones.
-    return sorted(
-        cv.v
-        for cv in cg.vertices
-        if isinstance(cv, OneSided) and len(cg.adjacency[cv]) >= 3
-    )
-
-
-def _codistance_two(cg: CurveGraphBall, v: int) -> list[int]:
-    # Ids whose one-sided vertex shares a two-sided neighbour with v.
-    out = set()
-    for t in cg.adjacency[OneSided(v)]:
-        out.update(t.pair)
-    out.discard(v)
-    return sorted(out)
-
-
-def enumerate_locally_injective(src: RigidSet, cg: CurveGraphBall) -> list[dict]:
-    """All locally injective simplicial maps of the level-1 star into cg.
-
-    Candidate images of the four one-sided vertices must have degree at
-    least 3 (two-sided vertices have degree exactly 2) and be pairwise at
-    distance 2; the six two-sided images are then forced to the determined
-    common neighbours.  Every candidate map is validated explicitly.  Maps
-    are returned ordered lexicographically by the image ids of slots 0-3.
+    ``domain`` is the level-1 star, the subdivided radius-0 ball.  Candidate
+    images of the four one-sided vertices must have degree at least 3
+    (two-sided vertices have degree exactly 2) and be pairwise at distance
+    2; the six two-sided images are then forced to the determined common
+    neighbours.  Every candidate map is validated explicitly.  Maps are
+    returned ordered lexicographically by the image ids of slots 0-3.
     """
-    if src.level != 1:
+    if domain.source.radius != 0:
         raise ValueError("enumeration is defined for the level-1 star")
-    slots = sorted(src.one_sided)
-    domain_adj = rigid_set_graph(src)
-    heavy = set(_heavy_ids(cg))
-    maps = []
-    for v0 in sorted(heavy):
-        near0 = [v for v in _codistance_two(cg, v0) if v in heavy]
+    n = cg.n_one
+    heavy = np.flatnonzero(cg.degrees()[:n] >= 3).tolist()
+    # near[v]: the ids whose one-sided vertex shares a two-sided neighbour with v.
+    near = {}
+    for v in heavy:
+        nbrs = cg.neighbors(v)
+        near[v] = sorted(set(cg.ends[nbrs[nbrs >= n] - n].ravel().tolist()) - {v})
+    candidates = []
+    for v0 in heavy:
+        near0 = [v for v in near[v0] if v in near]
         for v1 in near0:
-            near1 = set(_codistance_two(cg, v1))
+            near1 = set(near[v1])
             for v2 in (v for v in near0 if v in near1):
-                near2 = set(_codistance_two(cg, v2))
-                for v3 in (v for v in near0 if v in near1 and v in near2):
-                    imgs = (v0, v1, v2, v3)
-                    mapping = {OneSided(s): OneSided(i) for s, i in zip(slots, imgs)}
-                    for (si, ii), (sj, ij) in combinations(zip(slots, imgs), 2):
-                        mapping[two_sided(si, sj)] = two_sided(ii, ij)
-                    simplicial, loc_inj = check_map(domain_adj, mapping, cg)
-                    if simplicial and loc_inj:
-                        maps.append(mapping)
-    return maps
+                near2 = set(near[v2])
+                candidates += [(v0, v1, v2, v3) for v3 in near0 if v3 in near1 and v3 in near2]
+    maps = _with_pairs(np.array(candidates, dtype=np.int64).reshape(-1, 4), domain, cg)
+    simplicial, locally_injective = check_map(domain, maps, cg)
+    return maps[simplicial & locally_injective]
 
 
-def element_of_map(mapping: dict, cg: CurveGraphBall) -> MappingClassElement:
+def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassElement:
     """Read off the element whose propagation restricts to ``mapping``.
 
     The element is fixed by the images of the root slots, so this serves any
     map whose domain contains the root tetrahedron.
     """
-    imgs = tuple(mapping[OneSided(s)].v for s in ROOT_TET.verts)
+    imgs = tuple(int(mapping[s]) for s in ROOT_TET.verts)
     cofaces = set.intersection(*(cg.source.support[v] for v in imgs))
     if len(cofaces) != 1:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
@@ -303,7 +262,7 @@ def element_of_map(mapping: dict, cg: CurveGraphBall) -> MappingClassElement:
 # Stabilizers and level checks
 
 def pointwise_stabilizer_check(
-    y, work: TetBall, *, dst_radius: int | None = None
+    ids, work: TetBall, *, dst_radius: int | None = None
 ) -> bool:
     """True iff only the identity fixes every listed one-sided vertex.
 
@@ -311,7 +270,7 @@ def pointwise_stabilizer_check(
     root; that is sufficient because an element fixing the root star
     pointwise already has the identity destination.
     """
-    ids = sorted(y.one_sided) if isinstance(y, RigidSet) else sorted(y)
+    ids = sorted(ids)
     domain_radius = max(work.vertex_depth(v) for v in ids)
     if dst_radius is None:
         dst_radius = work.radius - domain_radius
@@ -348,15 +307,15 @@ def rigidity_reports(level: int) -> list[dict]:
     work = generate_ball(max(level + 1, 3))
     cg = subdivide(generate_ball(max(level, 2)))
     ball = cg.source
-    star = star_union(1, work)
+    star = subdivide(generate_ball(0))
     maps = enumerate_locally_injective(star, cg)
-    witnesses = _match_propagated(maps, star, cg, generate_ball(0))
+    witnesses = _match_propagated(maps, star, cg)
     reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.tets), witnesses)]
     if level >= 2:
         reports.append(_check_level_two(maps, cg))
     reports += [induction_step_report(k, work) for k in range(2, level + 1)]
     for k in range(1, min(level, 2) + 1):
-        fixers = [] if pointwise_stabilizer_check(star_union(k, work), work) else ["nontrivial fixer"]
+        fixers = [] if pointwise_stabilizer_check(generate_ball(k - 1).vertices(), work) else ["nontrivial fixer"]
         check = f"pointwise_stabilizer_level_{k}"
         reports.append(_level_report(k, work.radius, len(fixers), 0, fixers, check=check))
     return reports
@@ -407,58 +366,51 @@ def _level_report(level, radius, found, expected, witnesses, check=None) -> dict
     }
 
 
-def _match_propagated(maps, src, cg, domain) -> list:
+def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> list:
     witnesses = []
     seen = set()
-    graph = rigid_set_graph(src)
     for mapping in maps:
         element = element_of_map(mapping, cg)
         if element in seen:
             witnesses.append({"element": str(element.dst), "error": "duplicate element"})
             continue
         seen.add(element)
-        pm = propagate_map(element, domain, cg.source)
-        if any(pm.apply_curve(cv) != mapping[cv] for cv in graph):
+        pm = propagate_map(element, domain.source, cg.source)
+        if not np.array_equal(pm.apply_curve(domain, cg), mapping):
             witnesses.append({"element": str(element.dst), "error": "propagation mismatch"})
     return witnesses
 
 
-def _check_level_two(base_maps, cg: CurveGraphBall) -> dict:
+def _check_level_two(base_maps: np.ndarray, cg: CurveGraphBall) -> dict:
     ball = cg.source
-    domain = generate_ball(1)
-    y2 = star_union(2, domain)
-    graph2 = rigid_set_graph(y2)
+    domain = subdivide(generate_ball(1))
+    tets = domain.source.tets
     adj = ball.adjacency
-    completed = []
-    witnesses = []
-    for base in base_maps:
-        imgs = tuple(base[OneSided(i)].v for i in ROOT_TET.verts)
-        mapping = dict(base)
-        dead = False
+    completed = []  # (base row, one-sided images of the level-2 domain)
+    witnesses = []  # (base row, witness); at most one per base
+    for b, imgs in enumerate(base_maps[:, :4].tolist()):
+        one = imgs + [-1] * (domain.n_one - len(imgs))
         for face in range(4):
-            tet = domain.tets[str(face)]
-            fresh = tet[face]
             face_imgs = [imgs[j] for j in range(4) if j != face]
             candidates = set.intersection(*(adj[v] for v in face_imgs)) - {imgs[face]}
             if not candidates:
-                dead = True  # image tetrahedron has no second coface in the window
-                break
+                break  # image tetrahedron has no second coface in the window
             if len(candidates) > 1:
-                witnesses.append({"base": imgs, "error": f"face {face} not forced"})
-                dead = True
+                witnesses.append((b, {"base": tuple(imgs), "error": f"face {face} not forced"}))
                 break
-            (new,) = candidates
-            mapping[OneSided(fresh)] = OneSided(new)
-            for j in range(4):
-                if j != face:
-                    mapping[two_sided(fresh, tet[j])] = two_sided(new, imgs[j])
-        if dead:
-            continue
-        simplicial, loc_inj = check_map(graph2, mapping, cg)
-        if not (simplicial and loc_inj):
-            witnesses.append({"base": imgs, "error": "completed map invalid"})
-            continue
-        completed.append(mapping)
+            (one[tets[str(face)][face]],) = candidates
+        else:
+            completed.append((b, one))
+    one_sided = np.array([one for _, one in completed], dtype=np.int64).reshape(-1, domain.n_one)
+    maps = _with_pairs(one_sided, domain, cg)
+    simplicial, locally_injective = check_map(domain, maps, cg)
+    good = simplicial & locally_injective
+    witnesses += [
+        (b, {"base": tuple(one[:4]), "error": "completed map invalid"})
+        for (b, one), ok in zip(completed, good)
+        if not ok
+    ]
+    witnesses = [w for _, w in sorted(witnesses, key=lambda bw: bw[0])]
     expected = 24 * sum(1 for a in ball.tets if len(a) < ball.radius)
-    witnesses += _match_propagated(completed, y2, cg, domain)
-    return _level_report(2, ball.radius, len(completed), expected, witnesses)
+    witnesses += _match_propagated(maps[good], domain, cg)
+    return _level_report(2, ball.radius, int(good.sum()), expected, witnesses)

@@ -382,11 +382,8 @@ def structural_report(ball: TetBall) -> list[dict]:
 
     cliques = four_cliques(ball)
     listed = {frozenset(verts) for verts in ball.tets.values()}
-    five = [
-        sorted(q)
-        for q in cliques
-        if any(set.intersection(*(ball.adjacency[x] for x in q)))
-    ]
+    # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
+    five = sorted(sorted(q) for q in cliques if set.intersection(*(ball.adjacency[x] for x in q)))
     checks.append(
         {
             "name": "four_cliques_are_tets",

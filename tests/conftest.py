@@ -48,3 +48,23 @@ def ctable(cgraph):
         return _ctables[n]
 
     return get
+
+
+def subdivide_oracle(b):
+    """The curve graph of ``b`` as a dict of sets over the integer ids.
+
+    Built from ``b.edges()`` alone: id v is one-sided, id n + k the
+    two-sided vertex of the k-th edge.  The reference for the CSR build.
+    """
+    n = b.n_vertices
+    adjacency = {v: set() for v in b.vertices()}
+    for k, (v, w) in enumerate(b.edges()):
+        adjacency[n + k] = {v, w}
+        adjacency[v].add(n + k)
+        adjacency[w].add(n + k)
+    return adjacency
+
+
+@pytest.fixture(scope="session")
+def curve_oracle(ball):
+    return lambda n: subdivide_oracle(ball(n))

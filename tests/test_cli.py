@@ -52,6 +52,19 @@ class TestGenerate:
         assert out.startswith("graph curvegraph_0")
         assert "[shape=box];" in out
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "5eff81fa503346140466ef0c31b73e90c9e545a8e28555f5de80bac790e502b0"),
+            ("dot", "f4d9a7458ac014f137c6179e2029a222b9b64d792caee521ca35e65492ca0b64"),
+        ],
+    )
+    def test_golden_artifact(self, capsys, fmt, digest):
+        # Digests of the artifacts of the curve graph built from vertex objects.
+        code, out, _ = run(capsys, "generate", "--radius", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "generate", "--radius", "2", "--out", str(a))
@@ -153,10 +166,12 @@ class TestRigidity:
         [
             ("2", "54b3b2fca381d44c1e1182eb2945df306a75bdae32843178b72991a6b8f14fcf"),
             ("3", "6079f7a9f01646c6e4ad3f3aa18d36242f824b156e773e4f3cdfee0b0ccb7cf0"),
+            ("4", "f465f8dea7b1cd378e29dcf1a23ac9ae147b447ede60cabdbd6ceb2c2de4dfff"),
         ],
     )
     def test_golden_artifact(self, capsys, level, digest):
-        # Digests of the artifacts of the two-enumeration implementation.
+        # Digests of the artifacts of the two-enumeration implementation (levels
+        # 2-3) and of the maps as dicts of vertex objects (level 4).
         code, out, _ = run(capsys, "rigidity", "--level", level)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,40 +1,57 @@
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from crosscap3.curve_graph import (
-    CurveSubgraph,
-    OneSided,
-    TwoSided,
+    CurveGraphBall,
     count_checks,
     curve_graph_to_dot,
     curve_graph_to_json,
-    determined_vertex,
     structural_report,
     subdivide,
-    tet_star,
-    two_sided,
-    vertex_key,
+    vertex_name,
 )
 from crosscap3.tet_tree import generate_ball
 
 
-class TestVertices:
-    def test_two_sided_normalization(self):
-        assert two_sided(3, 1) == TwoSided(1, 3)
-        with pytest.raises(ValueError):
-            TwoSided(3, 1)
-        with pytest.raises(ValueError):
-            two_sided(2, 2)
+def with_edges(cg, *pairs, remove=()):
+    """A copy of cg with the undirected edges ``pairs`` added and ``remove`` removed."""
+    rows = [set(cg.neighbors(i).tolist()) for i in cg.vertices]
+    for a, b in pairs:
+        rows[int(a)].add(int(b))
+        rows[int(b)].add(int(a))
+    for a, b in remove:
+        rows[int(a)].discard(int(b))
+        rows[int(b)].discard(int(a))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([w for r in rows for w in sorted(r)])
+    return CurveGraphBall(cg.source, cg.ends, indptr, indices)
 
-    def test_canonical_order(self):
-        vs = [TwoSided(0, 1), OneSided(2), OneSided(0), TwoSided(0, 2)]
-        assert sorted(vs, key=vertex_key) == [
-            OneSided(0),
-            OneSided(2),
-            TwoSided(0, 1),
-            TwoSided(0, 2),
-        ]
+
+def star_ids(cg, verts):
+    """The ids of the star of a tetrahedron: its vertices and the pairs they determine."""
+    pairs = list(combinations(verts, 2))
+    return list(verts) + cg.pair_ids(*zip(*pairs)).tolist()
+
+
+class TestVertices:
+    def test_two_sided_normalization(self, cgraph):
+        cg = cgraph(1)
+        assert cg.pair_ids(3, 1) == cg.pair_ids(1, 3) >= cg.n_one
+        assert (cg.ends[:, 0] < cg.ends[:, 1]).all()
+        assert cg.pair_ids(2, 2) == -1
+
+    def test_canonical_order(self, cgraph):
+        # One-sided ids first, then two-sided ids in lexicographic pair order.
+        cg = cgraph(1)
+        n = cg.source.n_vertices
+        assert cg.one_sided() == range(n)
+        assert cg.two_sided() == range(n, len(cg.vertices))
+        assert cg.ends.tolist() == sorted(map(list, cg.source.edges()))
+        assert cg.pair_ids(*cg.ends.T).tolist() == list(cg.two_sided())
+        assert [vertex_name(cg, i) for i in (0, n)] == ["OneSided(v=0)", "TwoSided(u=0, w=1)"]
 
 
 class TestSubdivide:
@@ -44,61 +61,71 @@ class TestSubdivide:
         assert len(cgraph(1).vertices) == 26
         assert cgraph(1).n_edges() == 36
 
+    @pytest.mark.parametrize("radius", range(6))
+    def test_matches_dict_oracle(self, cgraph, curve_oracle, radius):
+        cg, oracle = cgraph(radius), curve_oracle(radius)
+        assert list(cg.vertices) == sorted(oracle)
+        for i in cg.vertices:
+            assert cg.neighbors(i).tolist() == sorted(oracle[i])
+
     def test_two_sided_adjacency_is_endpoint_pair(self, cgraph):
         cg = cgraph(2)
         for t in cg.two_sided():
-            assert cg.adjacency[t] == {OneSided(t.u), OneSided(t.w)}
+            assert cg.neighbors(t).tolist() == cg.ends[t - cg.n_one].tolist()
 
     def test_bipartite(self, cgraph):
         cg = cgraph(2)
-        for cv, nbrs in cg.adjacency.items():
-            for nb in nbrs:
-                assert type(nb) is not type(cv)
+        rows, cols = cg.entries()
+        assert ((rows < cg.n_one) != (cols < cg.n_one)).all()
 
     def test_one_sided_degree_monotone_in_radius(self, cgraph):
         small, big = cgraph(1), cgraph(2)
-        for cv in small.one_sided():
-            assert len(small.adjacency[cv]) <= len(big.adjacency[cv])
+        n = small.n_one
+        assert (small.degrees()[:n] <= big.degrees()[:n]).all()
 
 
 class TestDeterminedVertex:
     def test_root_edge(self, cgraph):
-        assert determined_vertex(0, 1, cgraph(0)) == TwoSided(0, 1)
+        cg = cgraph(0)
+        assert cg.pair_ids(0, 1) == 4
+        assert np.intersect1d(cg.neighbors(0), cg.neighbors(1)).tolist() == [4]
 
     def test_unique_common_neighbour(self, cgraph):
         cg = cgraph(1)
-        for v, w in cg.source.edges():
-            common = cg.adjacency[OneSided(v)] & cg.adjacency[OneSided(w)]
-            assert common == {TwoSided(v, w)}
+        for k, (v, w) in enumerate(cg.source.edges()):
+            common = set(cg.neighbors(v).tolist()) & set(cg.neighbors(w).tolist())
+            assert common == {int(cg.pair_ids(v, w))} == {cg.n_one + k}
 
     def test_non_edge_rejected(self, cgraph, dtable):
         # 4 is the fresh vertex of the opposite tetrahedron: distance 2 from 0.
         assert dtable(1).d(0, 4) == 2
-        with pytest.raises(ValueError):
-            determined_vertex(0, 4, cgraph(1))
+        assert cgraph(1).pair_ids(0, 4) == -1
+        assert cgraph(1).pair_ids([0, 0], [1, 4]).tolist() == [cgraph(1).n_one, -1]
+        # Ids that are not ball vertices determine nothing; -n + (n + 1) is the key of (0, 1).
+        assert cgraph(1).pair_ids([-1, 0, -1], [1, cgraph(1).n_one, cgraph(1).n_one + 1]).tolist() == [-1] * 3
 
 
 class TestTetStar:
     def test_root_star(self, cgraph):
-        star = tet_star(cgraph(1), "")
-        assert isinstance(star, CurveSubgraph)
-        assert len(star.vertices) == 10
-        assert len(star.edges) == 12
+        cg = cgraph(1)
+        star = set(star_ids(cg, cg.source.tets[""]))
+        rows, cols = cg.entries()
+        inside = np.isin(rows, list(star)) & np.isin(cols, list(star))
+        assert len(star) == 10 and min(star) >= 0
+        assert inside.sum() // 2 == 12
 
     def test_degrees_within_star(self, cgraph):
-        star = tet_star(cgraph(1), "0")
-        degree = {v: 0 for v in star.vertices}
-        for e in star.edges:
-            for v in e:
-                degree[v] += 1
-        for v, d in degree.items():
-            assert d == (3 if isinstance(v, OneSided) else 2)
+        cg = cgraph(1)
+        star = star_ids(cg, cg.source.tets["0"])
+        for v in star:
+            degree = len(set(cg.neighbors(v).tolist()) & set(star))
+            assert degree == (3 if v < cg.n_one else 2)
 
     def test_unknown_tet(self, cgraph):
-        with pytest.raises(ValueError):
-            tet_star(cgraph(1), "00")
-        with pytest.raises(ValueError):
-            tet_star(cgraph(1), "21")
+        # {0, 1, 2, 4} is no tetrahedron: 4 replaced 0 in tetrahedron "0".
+        cg = cgraph(1)
+        assert cg.source.tets["0"] == (4, 1, 2, 3)
+        assert -1 in star_ids(cg, (0, 1, 2, 4))
 
 
 class TestReport:
@@ -118,13 +145,36 @@ class TestReport:
         # A two-sided vertex with a third neighbour fails the degree and the
         # determined-vertex checks; both witnesses name it as the pair [0, 1].
         cg = subdivide(generate_ball(3))
-        cg.adjacency[TwoSided(0, 1)].add(OneSided(5))
-        cg.adjacency[OneSided(5)].add(TwoSided(0, 1))
+        cg = with_edges(cg, (cg.pair_ids(0, 1), 5))
         checks = {c["name"]: c for c in json.loads(json.dumps(structural_report(cg)))}
         degree, determined = checks["two_sided_degree_2"], checks["determined_vertex_unique"]
         assert not degree["ok"] and not determined["ok"]
         assert degree["bad"] == [[0, 1]]
         assert [0, 5, [[0, 1], [0, 5]]] in determined["bad"]
+
+    def test_every_failing_check_names_a_vertex(self):
+        # One-sided 5 added to both sides of the two-sided vertex of (0, 1).
+        cg = subdivide(generate_ball(3))
+        cg = with_edges(cg, (cg.pair_ids(0, 1), 5))
+        checks = {c["name"]: c for c in structural_report(cg)}
+        assert checks["two_sided_endpoints"] == {"name": "two_sided_endpoints", "ok": False, "bad": [[0, 1]]}
+        assert checks["one_sided_degree_matches"] == {"name": "one_sided_degree_matches", "ok": False, "bad": [5]}
+        assert checks["bipartite"] == {"name": "bipartite", "ok": True}
+
+    def test_rewired_endpoint_is_named(self):
+        # The two-sided vertex of (0, 1) keeps degree 2 but is joined to 5, not 1.
+        cg = subdivide(generate_ball(3))
+        t = cg.pair_ids(0, 1)
+        cg = with_edges(cg, (t, 5), remove=[(t, 1)])
+        checks = {c["name"]: c for c in structural_report(cg)}
+        assert checks["two_sided_degree_2"]["ok"]
+        assert checks["two_sided_endpoints"] == {"name": "two_sided_endpoints", "ok": False, "bad": [[0, 1]]}
+        assert checks["one_sided_degree_matches"] == {"name": "one_sided_degree_matches", "ok": False, "bad": [1, 5]}
+
+    def test_bipartite_witness(self):
+        cg = with_edges(subdivide(generate_ball(3)), (0, 5))
+        checks = {c["name"]: c for c in structural_report(cg)}
+        assert checks["bipartite"] == {"name": "bipartite", "ok": False, "bad": [0, 5]}
 
 
 class TestSerialization:

@@ -4,17 +4,16 @@ from collections import deque
 import numpy as np
 import pytest
 
-from crosscap3.curve_graph import OneSided, TwoSided
 from crosscap3.errors import BudgetError, MarginError
 from crosscap3.metric import (
     HYPERBOLICITY_FIELDS,
+    DistanceTable,
     TreeComparisonReport,
     all_pairs_distances,
     bottleneck_triangle,
     check_bottleneck_property,
     check_distance_stability,
     check_subdivision_isometry,
-    four_point_delta,
     hyperbolicity_reports,
     interval,
     separates,
@@ -64,32 +63,42 @@ class TestDistances:
         assert t.d(0, 1) == 1
         assert t.d(0, 4) == 2  # fresh vertex of tetrahedron "0"
 
-    def test_agrees_with_floyd_warshall(self, ball, cgraph):
+    def test_agrees_with_floyd_warshall(self, ball, cgraph, curve_oracle):
         b = ball(1)
         oracle = floyd_warshall(list(b.vertices()), b.adjacency)
         t = all_pairs_distances(b)
         for u in b.vertices():
             for v in b.vertices():
                 assert t.d(u, v) == oracle[u][v]
-        cg = cgraph(1)
-        oracle = floyd_warshall(cg.vertices, cg.adjacency)
+        cg, adjacency = cgraph(1), curve_oracle(1)
+        oracle = floyd_warshall(sorted(adjacency), adjacency)
         tc = all_pairs_distances(cg)
         for u in cg.vertices:
             for v in cg.vertices:
                 assert tc.d(u, v) == oracle[u][v]
 
     @pytest.mark.parametrize("radius", range(7))
-    def test_agrees_with_deque_bfs(self, ball, cgraph, radius):
-        for graph in (ball(radius), cgraph(radius)):
+    def test_agrees_with_deque_bfs(self, ball, cgraph, curve_oracle, radius):
+        # The curve adjacency of the oracle comes from ball.edges(), not the CSR.
+        for graph, adjacency in ((ball(radius), ball(radius).adjacency), (cgraph(radius), curve_oracle(radius))):
             t = all_pairs_distances(graph)
             assert t.dist.dtype == np.int16
-            for s, row in enumerate(deque_bfs_rows(t.vertices, graph.adjacency)):
+            for s, row in enumerate(deque_bfs_rows(sorted(adjacency), adjacency)):
                 assert t.dist[s].tolist() == row
 
     def test_stability_between_radii(self, dtable, ctable):
         for n in range(3):
             assert check_distance_stability(dtable(n), dtable(n + 1))["ok"]
             assert check_distance_stability(ctable(n), ctable(n + 1))["ok"]
+
+    def test_stability_matches_two_sided_ids_by_pair(self, cgraph, ctable):
+        # Two-sided ids start after the one-sided ones, so they shift with the radius.
+        small, big = ctable(1), ctable(2)
+        a = int(cgraph(2).pair_ids(0, 1))
+        assert a != int(cgraph(1).pair_ids(0, 1))
+        bent = DistanceTable(big.dist.copy(), big.source)
+        bent.dist[a, 0] = bent.dist[0, a] = 3
+        assert not check_distance_stability(small, bent)["ok"]
 
     def test_rejects_unknown_graph(self):
         with pytest.raises(TypeError):
@@ -123,12 +132,12 @@ class TestInterval:
 
 
 class TestSubdivisionIsometry:
-    def test_examples(self, dtable, ctable):
+    def test_examples(self, cgraph, dtable, ctable):
         td, tc = dtable(2), ctable(2)
         assert td.d(0, 1) == 1
-        assert tc.d(OneSided(0), OneSided(1)) == 2
-        assert tc.d(OneSided(0), OneSided(4)) == 4
-        assert tc.d(TwoSided(0, 1), OneSided(0)) == 1
+        assert tc.d(0, 1) == 2
+        assert tc.d(0, 4) == 4
+        assert tc.d(int(cgraph(2).pair_ids(0, 1)), 0) == 1
 
     def test_full_check(self, dtable, ctable):
         for n in range(4):
@@ -186,7 +195,7 @@ def test_table_only_checks_need_a_tetrahedron_table(ctable):
     # The ball is always the table's source, so a curve-graph table is refused.
     t = ctable(2)
     with pytest.raises(ValueError):
-        bottleneck_triangle(t, OneSided(0), OneSided(8), OneSided(2))
+        bottleneck_triangle(t, 0, 8, 2)
     with pytest.raises(ValueError):
         check_bottleneck_property(t)
     with pytest.raises(ValueError):
@@ -314,20 +323,6 @@ class TestSampledThinness:
         # 650 vertices: the n^3 int16 table would take about 524 MiB.
         with pytest.raises(BudgetError):
             thinness_report(ctable(4), triple_threshold=10**12)
-
-
-class TestFourPoint:
-    def test_smoke_inequality(self, dtable, ctable):
-        # Four-point delta never exceeds twice the interval thinness plus one.
-        for t in (dtable(2), ctable(2)):
-            thin = thinness_report(t)
-            assert four_point_delta(t) <= 2 * thin.max_value + 1
-
-    def test_sampled_is_lower_bound(self, dtable):
-        t = dtable(2)
-        exact = four_point_delta(t)
-        sampled = four_point_delta(t, quad_threshold=0, sample_cap=300, seed=5)
-        assert sampled <= exact
 
 
 class TestTreeComparison:

@@ -1,6 +1,9 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
-from crosscap3.curve_graph import OneSided, TwoSided, two_sided
+from crosscap3.curve_graph import subdivide
 from crosscap3.errors import CodomainTooSmallError
 from crosscap3.rigidity import (
     ROOT_TET,
@@ -16,14 +19,30 @@ from crosscap3.rigidity import (
     ordered_tets,
     pointwise_stabilizer_check,
     propagate_map,
-    rigid_set_graph,
     rigidity_reports,
-    star_union,
 )
+from crosscap3.tet_tree import generate_ball
 
 
 def elem(address, verts):
     return MappingClassElement(OrderedTet(address, tuple(verts)))
+
+
+def star_union(level, ball):
+    """The union of the 10-vertex stars of all tetrahedra within radius level-1.
+
+    The reference for the level-``level`` domain, as (one-sided ids, pairs).
+    """
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    if ball.radius < level - 1:
+        raise ValueError(f"ball radius {ball.radius} too small for level {level}")
+    ones, twos = set(), set()
+    for addr, verts in ball.tets.items():
+        if len(addr) <= level - 1:
+            ones.update(verts)
+            twos.update(tuple(sorted(p)) for p in combinations(verts, 2))
+    return frozenset(ones), frozenset(twos)
 
 
 class TestOrderedTet:
@@ -82,11 +101,15 @@ class TestPropagate:
                     codomain.tets[c_addr]
                 )
 
-    def test_preserves_determined_vertices(self, ball):
+    def test_preserves_determined_vertices(self, ball, cgraph):
         pm = propagate_map(elem("1", ball(2).tets["1"]), ball(1), ball(3))
-        for u, w in ball(1).edges():
-            img = pm.apply_curve(two_sided(u, w))
-            assert img == two_sided(pm.apply(u), pm.apply(w))
+        dom, cod = cgraph(1), cgraph(3)
+        images = pm.apply_curve(dom, cod)
+        assert images[: dom.n_one].tolist() == [pm.apply(v) for v in ball(1).vertices()]
+        for k, (u, w) in enumerate(ball(1).edges()):
+            img = images[dom.n_one + k]
+            assert img >= cod.n_one
+            assert cod.ends[img - cod.n_one].tolist() == sorted((pm.apply(u), pm.apply(w)))
 
     def test_restriction_commutes(self, ball):
         e = elem("2", ball(1).tets["2"])
@@ -163,27 +186,35 @@ class TestGroupLaws:
 
 class TestStarUnion:
     def test_level_one_is_root_star(self, ball):
-        y = star_union(1, ball(2))
-        assert sorted(y.one_sided) == [0, 1, 2, 3]
-        assert len(y.two_sided) == 6
+        ones, twos = star_union(1, ball(2))
+        assert sorted(ones) == [0, 1, 2, 3]
+        assert len(twos) == 6
 
     def test_level_two_counts(self, ball):
-        y = star_union(2, ball(2))
-        assert len(y.one_sided) == 2 * 3 + 2
-        assert len(y.two_sided) == 6 * 3
+        ones, twos = star_union(2, ball(2))
+        assert len(ones) == 2 * 3 + 2
+        assert len(twos) == 6 * 3
 
     def test_closed_form_counts(self, ball):
         for n in (1, 2, 3, 4):
-            y = star_union(n, ball(3))
-            assert len(y.one_sided) == 2 * 3 ** (n - 1) + 2
-            assert len(y.two_sided) == 6 * 3 ** (n - 1)
+            ones, twos = star_union(n, ball(3))
+            assert len(ones) == 2 * 3 ** (n - 1) + 2
+            assert len(twos) == 6 * 3 ** (n - 1)
 
     def test_nesting(self, ball):
         b = ball(3)
         for n in (1, 2, 3):
-            a, c = star_union(n, b), star_union(n + 1, b)
-            assert a.one_sided <= c.one_sided
-            assert a.two_sided <= c.two_sided
+            (a1, a2), (c1, c2) = star_union(n, b), star_union(n + 1, b)
+            assert a1 <= c1
+            assert a2 <= c2
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_is_the_subdivided_ball(self, ball, level):
+        # The level-n domain of the rigidity checks is subdivide(generate_ball(n - 1)).
+        domain = subdivide(generate_ball(level - 1))
+        ones, twos = star_union(level, ball(5))
+        assert set(domain.one_sided()) == ones
+        assert set(map(tuple, domain.ends.tolist())) == twos
 
     def test_ball_too_small(self, ball):
         with pytest.raises(ValueError):
@@ -191,64 +222,107 @@ class TestStarUnion:
 
 
 class TestEnumeration:
-    def test_count_into_root_subdivision(self, ball, cgraph):
-        maps = enumerate_locally_injective(star_union(1, ball(1)), cgraph(0))
+    def test_count_into_root_subdivision(self, cgraph):
+        maps = enumerate_locally_injective(cgraph(0), cgraph(0))
         assert len(maps) == 24
 
-    def test_count_into_radius_one(self, ball, cgraph):
-        maps = enumerate_locally_injective(star_union(1, ball(1)), cgraph(1))
+    def test_count_into_radius_one(self, cgraph):
+        maps = enumerate_locally_injective(cgraph(0), cgraph(1))
         assert len(maps) == 24 * 5
 
-    def test_maps_are_injective_and_one_sided_to_one_sided(self, ball, cgraph):
-        maps = enumerate_locally_injective(star_union(1, ball(1)), cgraph(1))
-        for m in maps:
-            assert len(set(m.values())) == len(m)
-            for cv, img in m.items():
-                assert type(cv) is type(img)
+    def test_maps_are_injective_and_one_sided_to_one_sided(self, cgraph):
+        dom, cg = cgraph(0), cgraph(1)
+        maps = enumerate_locally_injective(dom, cg)
+        assert maps.shape == (24 * 5, len(dom.vertices))
+        for m in maps.tolist():
+            assert len(set(m)) == len(m)
+            for i, img in enumerate(m):
+                assert (i < dom.n_one) == (0 <= img < cg.n_one)
 
     def test_each_map_is_a_unique_propagated_element(self, ball, cgraph):
-        src = star_union(1, ball(1))
-        graph = rigid_set_graph(src)
+        dom, cg = cgraph(0), cgraph(1)
         seen = set()
-        for m in enumerate_locally_injective(src, cgraph(1)):
-            e = element_of_map(m, cgraph(1))
+        for m in enumerate_locally_injective(dom, cg):
+            e = element_of_map(m, cg)
             assert e not in seen
             seen.add(e)
             pm = propagate_map(e, ball(0), ball(1))
-            assert all(pm.apply_curve(cv) == m[cv] for cv in graph)
+            assert pm.apply_curve(dom, cg).tolist() == m.tolist()
 
-    def test_lexicographic_order(self, ball, cgraph):
-        maps = enumerate_locally_injective(star_union(1, ball(1)), cgraph(0))
-        keys = [tuple(m[OneSided(i)].v for i in range(4)) for m in maps]
+    def test_lexicographic_order(self, cgraph):
+        maps = enumerate_locally_injective(cgraph(0), cgraph(0))
+        keys = [tuple(m[:4]) for m in maps.tolist()]
         assert keys == sorted(keys)
 
-    def test_corrupted_map_rejected(self, ball, cgraph):
-        src = star_union(1, ball(1))
-        graph = rigid_set_graph(src)
-        cg = cgraph(1)
-        m = dict(enumerate_locally_injective(src, cg)[0])
-        m[TwoSided(0, 1)], m[TwoSided(0, 2)] = m[TwoSided(0, 2)], m[TwoSided(0, 1)]
-        simplicial, loc_inj = check_map(graph, m, cg)
-        assert not (simplicial and loc_inj)
+    def test_corrupted_map_rejected(self, cgraph):
+        dom, cg = cgraph(0), cgraph(1)
+        m = enumerate_locally_injective(dom, cg)[:1].copy()
+        a, b = dom.pair_ids([0, 0], [1, 2])
+        m[:, [a, b]] = m[:, [b, a]]
+        simplicial, loc_inj = check_map(dom, m, cg)
+        assert not (simplicial[0] and loc_inj[0])
 
-    def test_requires_level_one(self, ball, cgraph):
+    def test_check_map_matches_loop(self, cgraph):
+        # Perturbed maps (columns swapped, an entry moved or out of range)
+        # against a plain loop over each map.
+        cg = cgraph(2)
+        dom, maps = level_two_maps(cg)
+        adj = {i: set(cg.neighbors(i).tolist()) for i in cg.vertices}
+        assert all(check_map(dom, maps, cg)[0]) and all(check_map(dom, maps, cg)[1])
+        rng = np.random.default_rng(4)
+        for m in maps[:40]:
+            for _ in range(5):
+                bent = m.copy()
+                i, j = rng.choice(len(m), 2, replace=False)
+                kind = rng.integers(3)
+                if kind == 0:
+                    bent[[i, j]] = bent[[j, i]]
+                else:
+                    bent[i] = rng.integers(-1, len(cg.vertices) + 1) if kind == 1 else bent[j]
+                simplicial, loc_inj = check_map(dom, bent[None], cg)
+                assert (simplicial[0], loc_inj[0]) == loop_check_map(dom, bent.tolist(), adj)
+
+    def test_requires_level_one(self, cgraph):
         with pytest.raises(ValueError):
-            enumerate_locally_injective(star_union(2, ball(1)), cgraph(1))
+            enumerate_locally_injective(cgraph(1), cgraph(1))
+
+
+def loop_check_map(domain, mapping, adj):
+    """(simplicial, locally injective) of one map, one domain vertex at a time."""
+    if any(img not in adj for img in mapping):
+        return False, False
+    simplicial = injective = True
+    for i in domain.vertices:
+        nbrs = [mapping[j] for j in domain.neighbors(i).tolist()]
+        simplicial &= all(img in adj[mapping[i]] for img in nbrs)
+        injective &= len(set(nbrs)) == len(nbrs) and mapping[i] not in nbrs
+    return simplicial, injective
+
+
+def level_two_maps(cg):
+    """The level-2 domain, and its maps into cg that propagate inside the window."""
+    domain = subdivide(generate_ball(1))
+    maps = []
+    for m in enumerate_locally_injective(subdivide(generate_ball(0)), cg):
+        e = element_of_map(m, cg)
+        if len(e.dst.address) < cg.source.radius:
+            maps.append(propagate_map(e, domain.source, cg.source).apply_curve(domain, cg))
+    return domain, np.array(maps)
 
 
 class TestStabilizers:
     def test_root_star_trivial(self, ball):
-        assert pointwise_stabilizer_check(star_union(1, ball(3)), ball(3))
+        assert pointwise_stabilizer_check(ball(0).vertices(), ball(3))
 
     def test_level_two_trivial(self, ball):
-        assert pointwise_stabilizer_check(star_union(2, ball(3)), ball(3))
+        assert pointwise_stabilizer_check(ball(1).vertices(), ball(3))
 
     def test_single_vertex_not_rigid(self, ball):
         assert not pointwise_stabilizer_check([0], ball(3))
 
     def test_work_too_small(self, ball):
         with pytest.raises(ValueError):
-            pointwise_stabilizer_check(star_union(2, ball(1)), ball(1))
+            pointwise_stabilizer_check(ball(1).vertices(), ball(1))
 
 
 @pytest.fixture(scope="module")

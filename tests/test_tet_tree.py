@@ -442,6 +442,16 @@ class TestStructuralReport:
         names = {c["name"] for c in structural_report(ball(1))}
         assert {"tet_count", "four_cliques_are_tets", "supports_tree_connected"} <= names
 
+    def test_five_clique_witness_lists_every_four_subset(self):
+        # Edge 0-4 closes the 5-clique {0, 1, 2, 3, 4}; the 4-subset whose only
+        # common neighbour is vertex 0 is listed too.
+        b = generate_ball(1)
+        b.adjacency[0].add(4)
+        b.adjacency[4].add(0)
+        (check,) = [c for c in structural_report(b) if c["name"] == "four_cliques_are_tets"]
+        assert not check["ok"]
+        assert check["five_cliques"] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]]
+
     @pytest.mark.parametrize("radius", range(4))
     def test_starts_with_the_count_checks(self, ball, radius):
         counts = count_checks(ball(radius))
