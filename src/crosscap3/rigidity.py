@@ -7,6 +7,13 @@ is mapped, the neighbour across each face has exactly one possible image
 to the fresh vertex.  Elements are therefore represented extensionally as
 ordered destination tetrahedra and realized by propagation over a window.
 
+Propagation runs in batches over the integer tetrahedron tables of the
+balls (``TetBall.table``): M elements walk the domain rows together, and
+each face crossing is a few array operations over all of them.  A single
+element is a batch of one.  The group operations on single elements
+(``image_of_ordered_tet``, ``compose``, ``inverse``) follow one tree path
+over the address dictionaries instead.
+
 This module also enumerates the locally injective simplicial maps of the
 root star and verifies mechanically that each is the restriction of a unique
 propagated element.  The level-n set of the rigid exhaustion, the union of
@@ -17,7 +24,6 @@ domain curve id.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError
-from .tet_tree import TetBall, generate_ball, neighbor, triangle_cofaces
+from .tet_tree import ALPHABET, TetBall, generate_ball, triangle_cofaces
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +47,7 @@ class OrderedTet:
 
 
 ROOT_TET = OrderedTet("", (0, 1, 2, 3))
+PERMUTATIONS = np.array(list(permutations(range(4))), dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,24 +64,16 @@ class MappingClassElement:
         return self.dst == ROOT_TET
 
 
-def _check_tet(ball: TetBall, otet: OrderedTet, role: str) -> None:
-    if otet.address not in ball.tets:
+def _check_tet(ball: TetBall, otet: OrderedTet, role: str) -> tuple:
+    """The ball's slots of ``otet``'s tetrahedron, once its vertices are known to match."""
+    slots = ball.tets.get(otet.address)
+    if slots is None:
         raise CodomainTooSmallError(f"{role} tetrahedron {otet.address!r} is not in the ball")
-    if set(otet.verts) != set(ball.tets[otet.address]):
+    # OrderedTet lists 4 distinct vertices, so 4 memberships mean equal sets.
+    a, b, c, d = otet.verts
+    if a not in slots or b not in slots or c not in slots or d not in slots:
         raise ValueError(f"{role} vertices {otet.verts} do not match tetrahedron {otet.address!r}")
-
-
-def _cross(codomain: TetBall, c_addr: str, images: tuple, domain_face: int):
-    """Cross one face: the image of face i is the face dropping images[i]."""
-    image_face = codomain.tets[c_addr].index(images[domain_face])
-    c_next = neighbor(c_addr, image_face)
-    if c_next not in codomain.tets:
-        raise CodomainTooSmallError(
-            f"image left the codomain ball at {c_addr!r} across face {image_face}"
-        )
-    out = list(images)
-    out[domain_face] = codomain.tets[c_next][image_face]
-    return c_next, tuple(out)
+    return slots
 
 
 class VertexMap:
@@ -94,52 +93,85 @@ class VertexMap:
         """Images in ``codomain`` of all ids of ``domain``, the subdivision of this map's domain."""
         return _with_pairs(np.array([self.vertices[v] for v in domain.one_sided()]), domain, codomain)
 
-    def fixes(self, ids) -> bool:
-        return all(self.vertices[v] == v for v in ids)
+
+def _propagate(domain: TetBall, codomain: TetBall, dst: np.ndarray, slots: np.ndarray) -> tuple:
+    """Propagate M elements through ``domain`` at once.
+
+    ``dst`` (M,) holds the codomain rows of the destinations and ``slots``
+    (M x 4) their vertices in slot order.  Returns the codomain row of every
+    domain row (M x T) and the image of every domain vertex id (M x V).
+    Domain rows are walked parents first; crossing face f crosses the image
+    face that drops the image of slot f, and the fresh vertex goes to the
+    fresh vertex.  Raises CodomainTooSmallError when an image leaves the
+    codomain: its radius must be at least the domain radius plus the tree
+    distance of dst from the root.
+    """
+    dom, cod = domain.table, codomain.table
+    tets = np.empty((len(dst), len(dom.addrs)), dtype=np.int64)
+    images = np.empty((len(dst), domain.n_vertices), dtype=np.int64)
+    tets[:, 0] = dst
+    images[:, dom.verts[0]] = slots
+    for t in range(1, len(dom.addrs)):
+        face, parent = dom.face[t], tets[:, dom.parent[t]]
+        crossed = images[:, dom.verts[dom.parent[t], face]]
+        pos = (cod.verts[parent] == crossed[:, None]).argmax(axis=1)
+        nxt = cod.nbr[parent, pos]
+        if (nxt < 0).any():
+            i = int(np.argmax(nxt < 0))
+            raise CodomainTooSmallError(
+                f"image left the codomain ball at {cod.addrs[parent[i]]!r} across face {pos[i]}"
+            )
+        tets[:, t] = nxt
+        images[:, dom.verts[t, face]] = cod.verts[nxt, pos]
+    return tets, images
 
 
 def propagate_map(element: MappingClassElement, domain: TetBall, codomain: TetBall) -> VertexMap:
     """The unique simplicial injection of ``domain`` extending root -> dst.
 
-    Walks the domain tree breadth-first; every crossing is forced, so the
-    result is canonical.  Raises CodomainTooSmallError when the image of
-    some domain tetrahedron is not generated; the codomain radius must be at
-    least the domain radius plus the tree distance of dst from the root.
+    A batch of one element (see ``_propagate``); raises
+    CodomainTooSmallError when the image of some domain tetrahedron is not
+    generated.
     """
     dst = element.dst
     _check_tet(codomain, dst, "destination")
-    state = {"": (dst.address, dst.verts)}
-    vertex_images = dict(zip((0, 1, 2, 3), dst.verts))
-    queue = deque([""])
-    while queue:
-        addr = queue.popleft()
-        c_addr, images = state[addr]
-        for face in range(4):
-            nxt = neighbor(addr, face)
-            if nxt not in domain.tets or nxt in state:
-                continue
-            c_nxt, imgs = _cross(codomain, c_addr, images, face)
-            state[nxt] = (c_nxt, imgs)
-            vertex_images[domain.tets[nxt][face]] = imgs[face]
-            queue.append(nxt)
+    cod = codomain.table
+    tets, images = _propagate(domain, codomain, np.array([cod.rows[dst.address]]), np.array([dst.verts]))
     return VertexMap(
         element,
         domain,
         codomain,
-        vertex_images,
-        {a: c for a, (c, _) in state.items()},
+        dict(enumerate(images[0].tolist())),
+        {a: cod.addrs[c] for a, c in zip(domain.table.addrs, tets[0].tolist())},
     )
 
 
 def image_of_ordered_tet(element: MappingClassElement, otet: OrderedTet, work: TetBall) -> OrderedTet:
-    """Image of one ordered tetrahedron, propagating along a single tree path."""
+    """Image of one ordered tetrahedron, propagating along a single tree path.
+
+    Each letter f of the source address crosses the image face that drops
+    ``images[f]``, as in ``_propagate``.
+    """
     _check_tet(work, element.dst, "destination")
-    _check_tet(work, otet, "source")
-    c_addr, images = element.dst.address, element.dst.verts
+    slots = _check_tet(work, otet, "source")
+    tets = work.tets
+    c_addr = element.dst.address
+    images = list(element.dst.verts)
     for letter in otet.address:
-        c_addr, images = _cross(work, c_addr, images, int(letter))
-    slots = work.tets[otet.address]
-    return OrderedTet(c_addr, tuple(images[slots.index(v)] for v in otet.verts))
+        face = int(letter)
+        image_face = tets[c_addr].index(images[face])
+        step = ALPHABET[image_face]
+        c_next = c_addr[:-1] if c_addr.endswith(step) else c_addr + step
+        c_verts = tets.get(c_next)
+        if c_verts is None:
+            raise CodomainTooSmallError(
+                f"image left the codomain ball at {c_addr!r} across face {image_face}"
+            )
+        images[face] = c_verts[image_face]
+        c_addr = c_next
+    a, b, c, d = otet.verts
+    index = slots.index
+    return OrderedTet(c_addr, (images[index(a)], images[index(b)], images[index(c)], images[index(d)]))
 
 
 def compose(a: MappingClassElement, b: MappingClassElement, work: TetBall) -> MappingClassElement:
@@ -150,22 +182,23 @@ def compose(a: MappingClassElement, b: MappingClassElement, work: TetBall) -> Ma
 def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
     """The element undoing ``element``; needs work radius >= |dst address|."""
     _check_tet(work, element.dst, "destination")
-    c_addr, images = element.dst.address, element.dst.verts
+    tets = work.tets
+    c_addr = element.dst.address
+    images = list(element.dst.verts)
     d_addr = ""
     while c_addr:
         back_face = int(c_addr[-1])
-        domain_face = images.index(work.tets[c_addr][back_face])
-        d_next = neighbor(d_addr, domain_face)
-        if d_next not in work.tets:
+        domain_face = images.index(tets[c_addr][back_face])
+        step = ALPHABET[domain_face]
+        d_addr = d_addr[:-1] if d_addr.endswith(step) else d_addr + step
+        if d_addr not in tets:
             raise CodomainTooSmallError("work ball too small to invert")
-        c_next = c_addr[:-1]
-        out = list(images)
-        out[domain_face] = work.tets[c_next][back_face]
-        c_addr, images, d_addr = c_next, tuple(out), d_next
-    slots = work.tets[d_addr]
-    return MappingClassElement(
-        OrderedTet(d_addr, tuple(slots[images.index(r)] for r in (0, 1, 2, 3)))
-    )
+        c_addr = c_addr[:-1]
+        images[domain_face] = tets[c_addr][back_face]
+    slots = tets[d_addr]
+    index = images.index
+    verts = (slots[index(0)], slots[index(1)], slots[index(2)], slots[index(3)])
+    return MappingClassElement(OrderedTet(d_addr, verts))
 
 
 def ordered_tets(ball: TetBall, max_length: int | None = None):
@@ -251,11 +284,11 @@ def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassEleme
     map whose domain contains the root tetrahedron.
     """
     imgs = tuple(int(mapping[s]) for s in ROOT_TET.verts)
-    cofaces = set.intersection(*(cg.source.support[v] for v in imgs))
-    if len(cofaces) != 1:
+    table = cg.source.table
+    row = table.by_verts.get(tuple(sorted(imgs)))
+    if row is None:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
-    (addr,) = cofaces
-    return MappingClassElement(OrderedTet(addr, imgs))
+    return MappingClassElement(OrderedTet(table.addrs[row], imgs))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +303,15 @@ def pointwise_stabilizer_check(
     root; that is sufficient because an element fixing the root star
     pointwise already has the identity destination.
     """
+    return _first_fixer(ids, work, dst_radius) is None
+
+
+def _first_fixer(ids, work: TetBall, dst_radius: int | None) -> OrderedTet | None:
+    """The destination of the first non-identity element, in ``ordered_tets``
+    order, that fixes every listed vertex; None if there is none.
+
+    All candidates are propagated as one batch.
+    """
     ids = sorted(ids)
     domain_radius = max(work.vertex_depth(v) for v in ids)
     if dst_radius is None:
@@ -277,13 +319,17 @@ def pointwise_stabilizer_check(
     if dst_radius < 1:
         raise ValueError("work ball too small to test any non-identity element")
     domain = generate_ball(domain_radius, cap=max(domain_radius, work.radius))
-    for otet in ordered_tets(work, max_length=dst_radius):
-        element = MappingClassElement(otet)
-        if element.is_identity():
-            continue
-        if propagate_map(element, domain, work).fixes(ids):
-            return False
-    return True
+    table = work.table
+    rows = [table.rows[a] for a in sorted(work.tets, key=lambda a: (len(a), a)) if len(a) <= dst_radius]
+    dst = np.repeat(rows, len(PERMUTATIONS))
+    slots = table.verts[rows][:, PERMUTATIONS].reshape(-1, 4)
+    _, images = _propagate(domain, work, dst, slots)
+    identity = (dst == table.rows[ROOT_TET.address]) & (slots == ROOT_TET.verts).all(axis=1)
+    fixes = (images[:, ids] == ids).all(axis=1) & ~identity
+    if not fixes.any():
+        return None
+    i = int(np.argmax(fixes))
+    return OrderedTet(table.addrs[dst[i]], tuple(slots[i].tolist()))
 
 
 def rigidity_reports(level: int) -> list[dict]:
@@ -314,11 +360,17 @@ def rigidity_reports(level: int) -> list[dict]:
     if level >= 2:
         reports.append(_check_level_two(maps, cg))
     reports += [induction_step_report(k, work) for k in range(2, level + 1)]
-    for k in range(1, min(level, 2) + 1):
-        fixers = [] if pointwise_stabilizer_check(generate_ball(k - 1).vertices(), work) else ["nontrivial fixer"]
-        check = f"pointwise_stabilizer_level_{k}"
-        reports.append(_level_report(k, work.radius, len(fixers), 0, fixers, check=check))
+    reports += [_stabilizer_report(k, generate_ball(k - 1).vertices(), work) for k in range(1, min(level, 2) + 1)]
     return reports
+
+
+def _stabilizer_report(level: int, ids, work: TetBall) -> dict:
+    """The pointwise stabilizer of ``ids``; a failure names the first non-identity fixer."""
+    fixers = []
+    if not pointwise_stabilizer_check(ids, work):
+        fixers.append({"element": str(_first_fixer(ids, work, None)), "error": "nontrivial fixer"})
+    check = f"pointwise_stabilizer_level_{level}"
+    return _level_report(level, work.radius, len(fixers), 0, fixers, check=check)
 
 
 def induction_step_report(level: int, work: TetBall) -> dict:
@@ -367,17 +419,30 @@ def _level_report(level, radius, found, expected, witnesses, check=None) -> dict
 
 
 def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> list:
+    """Witnesses, in row order, of the maps that are not the restriction of one new element.
+
+    A row's element is read off its root images (as in ``element_of_map``).
+    A row whose root images span no tetrahedron, or whose element an earlier
+    row already had, is a witness; the other rows are propagated as one
+    batch and compared with the map.
+    """
+    table = cg.source.table
+    roots = maps[:, list(ROOT_TET.verts)]
+    dst = np.array([table.by_verts.get(tuple(r), -1) for r in np.sort(roots, axis=1).tolist()], dtype=np.int64)
+    duplicate = np.ones(len(maps), dtype=bool)
+    duplicate[np.unique(roots, axis=0, return_index=True)[1]] = False
+    fresh = (dst >= 0) & ~duplicate
+    _, images = _propagate(domain.source, cg.source, dst[fresh], roots[fresh])
+    mismatch = np.zeros(len(maps), dtype=bool)
+    mismatch[fresh] = (_with_pairs(images, domain, cg) != maps[fresh]).any(axis=1)
     witnesses = []
-    seen = set()
-    for mapping in maps:
-        element = element_of_map(mapping, cg)
-        if element in seen:
-            witnesses.append({"element": str(element.dst), "error": "duplicate element"})
-            continue
-        seen.add(element)
-        pm = propagate_map(element, domain.source, cg.source)
-        if not np.array_equal(pm.apply_curve(domain, cg), mapping):
-            witnesses.append({"element": str(element.dst), "error": "propagation mismatch"})
+    for i in np.flatnonzero((dst < 0) | duplicate | mismatch).tolist():
+        imgs = roots[i].tolist()
+        if dst[i] < 0:
+            witnesses.append({"images": imgs, "error": "no unique tetrahedron"})
+        else:
+            error = "duplicate element" if duplicate[i] else "propagation mismatch"
+            witnesses.append({"element": str(OrderedTet(table.addrs[dst[i]], tuple(imgs))), "error": error})
     return witnesses
 
 

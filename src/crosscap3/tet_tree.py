@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -135,6 +136,35 @@ class TetBall:
     def in_margin(self, v: int) -> bool:
         """True iff v lies in a tetrahedron strictly inside the ball."""
         return self.vertex_depth(v) <= self.radius - 1
+
+    @cached_property
+    def table(self) -> "TetTable":
+        """The tetrahedra as integer arrays, built on first use."""
+        return TetTable(self)
+
+
+class TetTable:
+    """A ball's tetrahedra as rows of integer arrays, in generation order.
+
+    Row t is the tetrahedron at ``addrs[t]``; ``rows`` inverts that.
+    ``verts`` (T x 4) holds its vertex ids in slot order and ``nbr`` (T x 4)
+    the row across each face, -1 outside the ball.  ``parent`` and ``face``
+    give the row a non-root tetrahedron was unfolded from and the face it
+    crossed (-1 for the root), so walking the rows in order visits every
+    parent first.  ``by_verts`` maps each sorted vertex 4-tuple to its row.
+    """
+
+    def __init__(self, ball: TetBall):
+        self.addrs = list(ball.tets)
+        self.rows = {a: t for t, a in enumerate(self.addrs)}
+        self.verts = np.array(list(ball.tets.values()), dtype=np.int64).reshape(-1, 4)
+        self.parent = np.array([-1] + [self.rows[a[:-1]] for a in self.addrs[1:]], dtype=np.int64)
+        self.face = np.array([-1] + [int(a[-1]) for a in self.addrs[1:]], dtype=np.int64)
+        self.nbr = np.full((len(self.addrs), 4), -1, dtype=np.int64)
+        child = np.arange(1, len(self.addrs))
+        self.nbr[child, self.face[1:]] = self.parent[1:]
+        self.nbr[self.parent[1:], self.face[1:]] = child
+        self.by_verts = {tuple(sorted(v)): t for t, v in enumerate(ball.tets.values())}
 
 
 def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:

@@ -164,14 +164,17 @@ class TestRigidity:
     @pytest.mark.parametrize(
         "level, digest",
         [
+            ("1", "6d649dc8dcb5a99ce9a2c72bf176f3e59bb9da067e268d166af8f3665def6ce7"),
             ("2", "54b3b2fca381d44c1e1182eb2945df306a75bdae32843178b72991a6b8f14fcf"),
             ("3", "6079f7a9f01646c6e4ad3f3aa18d36242f824b156e773e4f3cdfee0b0ccb7cf0"),
             ("4", "f465f8dea7b1cd378e29dcf1a23ac9ae147b447ede60cabdbd6ceb2c2de4dfff"),
+            ("5", "ec1764b4a0671f567224bf3dee0f8be95542d44d6f9bdc38ffda60702dce0447"),
         ],
     )
     def test_golden_artifact(self, capsys, level, digest):
         # Digests of the artifacts of the two-enumeration implementation (levels
-        # 2-3) and of the maps as dicts of vertex objects (level 4).
+        # 2-3), of the maps as dicts of vertex objects (level 4) and of the
+        # one-element-at-a-time propagation (levels 1 and 5).
         code, out, _ = run(capsys, "rigidity", "--level", level)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

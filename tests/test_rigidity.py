@@ -2,11 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crosscap3.curve_graph import subdivide
 from crosscap3.errors import CodomainTooSmallError
 from crosscap3.rigidity import (
     ROOT_TET,
+    PERMUTATIONS,
     MappingClassElement,
     OrderedTet,
     check_map,
@@ -20,12 +23,61 @@ from crosscap3.rigidity import (
     pointwise_stabilizer_check,
     propagate_map,
     rigidity_reports,
+    _first_fixer,
+    _match_propagated,
+    _propagate,
+    _stabilizer_report,
 )
-from crosscap3.tet_tree import generate_ball
+from crosscap3.tet_tree import ALPHABET, generate_ball, is_address, neighbor
 
 
 def elem(address, verts):
     return MappingClassElement(OrderedTet(address, tuple(verts)))
+
+
+def walk_images(element, domain, codomain):
+    """Images of the domain vertices, one single tree path per domain tetrahedron.
+
+    Built on ``image_of_ordered_tet`` alone, so it is independent of the
+    batched propagation engine.
+    """
+    images = {}
+    for addr, verts in domain.tets.items():
+        images.update(zip(verts, image_of_ordered_tet(element, OrderedTet(addr, verts), codomain).verts))
+    return images
+
+
+def match_loop(maps, domain, cg):
+    """Reference for ``_match_propagated``: one map at a time, in row order."""
+    witnesses, seen = [], set()
+    for mapping in maps:
+        try:
+            element = element_of_map(mapping, cg)
+        except ValueError:
+            witnesses.append({"images": mapping[:4].tolist(), "error": "no unique tetrahedron"})
+            continue
+        if element in seen:
+            witnesses.append({"element": str(element.dst), "error": "duplicate element"})
+            continue
+        seen.add(element)
+        images = walk_images(element, domain.source, cg.source)
+        one = np.array([images[v] for v in domain.one_sided()])
+        curve = np.concatenate([one, cg.pair_ids(one[domain.ends[:, 0]], one[domain.ends[:, 1]])])
+        if not np.array_equal(curve, mapping):
+            witnesses.append({"element": str(element.dst), "error": "propagation mismatch"})
+    return witnesses
+
+
+def first_fixer_loop(ids, work):
+    """Reference for ``_first_fixer``: one element at a time, in ``ordered_tets`` order."""
+    domain_radius = max(work.vertex_depth(v) for v in ids)
+    domain = generate_ball(domain_radius)
+    for otet in ordered_tets(work, max_length=work.radius - domain_radius):
+        element = MappingClassElement(otet)
+        images = walk_images(element, domain, work)
+        if not element.is_identity() and all(images[v] == v for v in ids):
+            return otet
+    return None
 
 
 def star_union(level, ball):
@@ -130,6 +182,45 @@ class TestPropagate:
             assert back.apply(fwd.apply(v)) == v
 
 
+class TestBatchedPropagation:
+    def test_matches_single_path_walker(self, ball):
+        # Every element with a destination of length <= 2, against image_of_ordered_tet.
+        domain, work = ball(2), ball(4)
+        table = work.table
+        rows = [table.rows[a] for a in work.tets if len(a) <= 2]
+        dst = np.repeat(rows, 24)
+        slots = table.verts[rows][:, PERMUTATIONS].reshape(-1, 4)
+        tets, images = _propagate(domain, work, dst, slots)
+        assert tets.shape == (24 * 17, 17) and images.shape == (24 * 17, domain.n_vertices)
+        for i, (d, s) in enumerate(zip(dst.tolist(), slots.tolist())):
+            e = elem(table.addrs[d], s)
+            for t, (addr, verts) in enumerate(domain.tets.items()):
+                img = image_of_ordered_tet(e, OrderedTet(addr, verts), work)
+                assert img.address == table.addrs[tets[i, t]]
+                assert img.verts == tuple(images[i, list(verts)].tolist())
+
+    def test_table(self, ball):
+        b = ball(3)
+        table = b.table
+        assert table.addrs == list(b.tets)
+        for t, addr in enumerate(table.addrs):
+            assert table.verts[t].tolist() == list(b.tets[addr])
+            assert table.by_verts[tuple(sorted(b.tets[addr]))] == t
+            for face in range(4):
+                nxt = table.nbr[t, face]
+                assert (nxt >= 0) == (neighbor(addr, face) in b.tets)
+                if nxt >= 0:
+                    assert table.addrs[nxt] == neighbor(addr, face)
+
+    def test_batch_leaving_codomain_raises(self, ball):
+        # Destinations at distance 2 with a radius-2 domain leave the radius-3 codomain.
+        work = ball(3)
+        rows = [work.table.rows[a] for a in ("", "0", "01")]
+        with pytest.raises(CodomainTooSmallError):
+            _propagate(ball(2), work, np.array(rows), work.table.verts[rows])
+        _propagate(ball(2), work, np.array(rows[:2]), work.table.verts[rows[:2]])
+
+
 class TestSinglePathImages:
     def test_matches_full_propagation(self, ball):
         work = ball(4)
@@ -182,6 +273,56 @@ class TestGroupLaws:
             assert otet not in seen
             seen.add(otet)
         assert len(seen) == 24 * 5
+
+    def test_errors(self, ball):
+        work = ball(2)
+        far = elem("012", ball(3).tets["012"])
+        ident = MappingClassElement.identity()
+        with pytest.raises(CodomainTooSmallError):
+            image_of_ordered_tet(far, ROOT_TET, work)
+        with pytest.raises(CodomainTooSmallError):
+            compose(ident, far, work)
+        with pytest.raises(CodomainTooSmallError):
+            image_of_ordered_tet(ident, far.dst, work)
+        with pytest.raises(CodomainTooSmallError):
+            inverse(far, work)
+        # Tetrahedron f differs from the root in slot f alone.
+        for f in range(4):
+            wrong = OrderedTet(str(f), (0, 1, 2, 3))
+            with pytest.raises(ValueError, match="source vertices"):
+                image_of_ordered_tet(ident, wrong, work)
+            with pytest.raises(ValueError, match="destination vertices"):
+                compose(ident, MappingClassElement(wrong), work)
+            with pytest.raises(ValueError, match="destination vertices"):
+                inverse(MappingClassElement(wrong), work)
+
+    def test_path_leaving_the_ball_raises(self, ball):
+        # Both tetrahedra are in the ball, but the image path is 4 steps long.
+        work = ball(3)
+        with pytest.raises(CodomainTooSmallError):
+            image_of_ordered_tet(elem("01", work.tets["01"]), OrderedTet("23", work.tets["23"]), work)
+
+
+short_addresses = st.text(alphabet=ALPHABET, max_size=4).filter(is_address)
+elements = st.tuples(short_addresses, st.integers(0, 23))
+
+
+class TestGroupLawProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(elements, elements, elements)
+    def test_group_laws(self, ball, a, b, c):
+        # Destinations of length <= 4; every product fits the radius-8 ball.
+        work = ball(8)
+        assume(len(a[0]) + len(b[0]) + len(c[0]) <= work.radius)
+        a, b, c = (elem(addr, [work.tets[addr][i] for i in PERMUTATIONS[p]]) for addr, p in (a, b, c))
+        ident = MappingClassElement.identity()
+        assert compose(a, ident, work) == a == compose(ident, a, work)
+        ai, bi, ab = inverse(a, work), inverse(b, work), compose(a, b, work)
+        assert compose(a, ai, work).is_identity() and compose(ai, a, work).is_identity()
+        assert inverse(ab, work) == compose(bi, ai, work)
+        assert compose(ab, c, work) == compose(a, compose(b, c, work), work)
+        assert image_of_ordered_tet(a, ROOT_TET, work) == a.dst
+        assert len(inverse(a, work).dst.address) == len(a.dst.address)
 
 
 class TestStarUnion:
@@ -238,6 +379,16 @@ class TestEnumeration:
             assert len(set(m)) == len(m)
             for i, img in enumerate(m):
                 assert (i < dom.n_one) == (0 <= img < cg.n_one)
+
+    def test_element_of_map_needs_a_tetrahedron(self, cgraph):
+        dom, cg = cgraph(0), cgraph(1)
+        m = enumerate_locally_injective(dom, cg)[0].copy()
+        m[3] = m[2]
+        with pytest.raises(ValueError, match="unique tetrahedron"):
+            element_of_map(m, cg)
+        m[3] = cg.n_one  # a two-sided id
+        with pytest.raises(ValueError, match="unique tetrahedron"):
+            element_of_map(m, cg)
 
     def test_each_map_is_a_unique_propagated_element(self, ball, cgraph):
         dom, cg = cgraph(0), cgraph(1)
@@ -310,7 +461,67 @@ def level_two_maps(cg):
     return domain, np.array(maps)
 
 
+class TestBatchedMatching:
+    @pytest.fixture(scope="class")
+    def batches(self, cgraph):
+        cg = cgraph(3)
+        star = subdivide(generate_ball(0))
+        level_one = enumerate_locally_injective(star, cg)
+        domain, level_two = level_two_maps(cg)
+        return cg, {"level 1": (star, level_one), "level 2": (domain, level_two)}
+
+    @pytest.mark.parametrize("level", ["level 1", "level 2"])
+    def test_clean_maps_match_the_loop(self, batches, level):
+        cg, by_level = batches
+        domain, maps = by_level[level]
+        assert _match_propagated(maps, domain, cg) == match_loop(maps, domain, cg) == []
+
+    @pytest.mark.parametrize("level", ["level 1", "level 2"])
+    def test_corrupted_batch_matches_the_loop(self, batches, level):
+        cg, by_level = batches
+        domain, maps = by_level[level]
+        bad = maps[:30].copy()
+        bad[4] = bad[1]  # duplicated row
+        a, b = domain.pair_ids([0, 0], [1, 2])
+        bad[7, [a, b]] = bad[7, [b, a]]  # swapped two-sided image
+        bad[9, 3] = bad[9, 2]  # root images spanning no tetrahedron
+        bad[12, 0] = -1
+        bad[15] = bad[9]  # a duplicate of a row with no tetrahedron
+        witnesses = _match_propagated(bad, domain, cg)
+        assert witnesses == match_loop(bad, domain, cg)
+        assert [w["error"] for w in witnesses] == [
+            "duplicate element",
+            "propagation mismatch",
+            "no unique tetrahedron",
+            "no unique tetrahedron",
+            "no unique tetrahedron",
+        ]
+        assert witnesses[0]["element"].startswith("OrderedTet(address=")
+        assert witnesses[2]["images"] == bad[9, :4].tolist()
+
+    def test_empty_batch(self, batches):
+        cg, by_level = batches
+        domain, maps = by_level["level 2"]
+        assert _match_propagated(maps[:0], domain, cg) == []
+
+
 class TestStabilizers:
+    @pytest.mark.parametrize("ids", [[0], [0, 1], range(4), range(8)])
+    def test_first_fixer_matches_the_loop(self, ball, ids):
+        work = ball(3)
+        fixer = _first_fixer(ids, work, None)
+        assert fixer == first_fixer_loop(list(ids), work)
+        assert pointwise_stabilizer_check(ids, work) == (fixer is None)
+
+    def test_fixer_witness(self, ball):
+        work = ball(3)
+        report = _stabilizer_report(1, [0], work)
+        fixer = first_fixer_loop([0], work)
+        assert fixer is not None
+        assert report["count_found"] == 1
+        assert report["witnesses_of_failure"] == [{"element": str(fixer), "error": "nontrivial fixer"}]
+        assert _stabilizer_report(1, range(4), work)["witnesses_of_failure"] == []
+
     def test_root_star_trivial(self, ball):
         assert pointwise_stabilizer_check(ball(0).vertices(), ball(3))
 
