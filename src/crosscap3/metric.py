@@ -14,9 +14,19 @@ switches to fixed-seed sampling above a configurable triple count.  The
 paper's bounds are constants here, and ``hyperbolicity_reports`` runs every
 check on one window against them.
 
+Every b in I(x, y) is within d(b, x) of I(x, z) and within d(b, y) of
+I(y, z), and d(b, x) + d(b, y) = d(x, y), so the thinness of (x, y, z) is
+at most floor(d(x, y) / 2).  The bound is exact, not sampled.  Both scans
+skip a triple (or an (x, y) pair) whose bound is at most the running
+maximum: it cannot be the first to exceed it, so the maximum and the
+witness are those of the full scan.  Skipped triples still count as
+examined.
+
 The hot loops are vectorized: the distance table comes from one BFS that
-advances every source at once as packed bitsets, and sampled triples are
-scored a chunk at a time.  Tables whose size would exceed
+advances every source at once as packed bitsets, the sampled triples are
+replayed from ``random.Random.getrandbits`` in blocks (the stream of
+``random.sample``, pinned by an oracle test), and the triples left after the
+bound are scored a chunk at a time.  Tables whose size would exceed
 ``MAX_TABLE_BYTES`` are refused with ``BudgetError`` before allocation.
 """
 
@@ -43,6 +53,7 @@ BOTTLENECK_BOUND = 1.5
 
 TRIPLE_THRESHOLD = 10_000_000
 DEFAULT_SAMPLE_CAP = 1_000_000
+SAMPLE_BLOCK = 4096  # sampled triples drawn and bounded at a time
 # Largest distance table (n^2) or exhaustive-thinness table (n^3) allocated.
 # The radius-7 curve table (612 MB) and the radius-8 ball table (344 MB) are
 # refused; the radius-6 curve table (68 MB) is not.
@@ -224,12 +235,8 @@ def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozens
         raise ValueError("p must be distinct from both endpoints")
     if dxp + dpy != dxy:
         raise ValueError(f"{p} does not lie on a geodesic from {x} to {y}")
-    preds = [
-        q
-        for q in sorted(ball.adjacency[p])
-        if table.d(x, q) == dxp - 1 and table.d(q, y) == dpy + 1
-    ]
-    q = preds[0]
+    nbrs = np.fromiter(ball.adjacency[p], dtype=np.intp)
+    q = int(nbrs[(table.dist[x, nbrs] == dxp - 1) & (table.dist[y, nbrs] == dpy + 1)].min())
     start = min(ball.support[q])
     goal = min(ball.support[y])
     path = tree_path(start, goal)
@@ -280,20 +287,20 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
     still separates, whenever the endpoints survive that deletion.
     """
     ball = _tet_ball(table)
-    margin = [v for v in ball.vertices() if ball.in_margin(v)]
+    dist = table.dist
+    margin = np.array([v for v in ball.vertices() if ball.in_margin(v)], dtype=np.intp)
     failures = []
     worst = 0.0
     pairs = 0
     nbhd_checked = 0
-    for ai, x in enumerate(margin):
-        for y in margin[ai + 1 :]:
-            dxy = table.d(x, y)
-            if dxy < 3:
-                continue
+    for ai, x in enumerate(margin.tolist()):
+        rest = margin[ai + 1 :]
+        for y in rest[dist[x, rest] >= 3].tolist():
+            dxy = int(dist[x, y])
             pairs += 1
             half = dxy // 2
             between = _interval_idx(table, x, y)
-            p = min(int(i) for i in between if table.dist[x, i] == half)
+            p = int(between[dist[x, between] == half].min())
             delta = bottleneck_triangle(table, x, y, p)
             if p not in delta:
                 failures.append({"pair": (x, y), "error": "p not in triangle"})
@@ -301,16 +308,13 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
             if not separates(ball, delta, x, y):
                 failures.append({"pair": (x, y), "error": "triangle does not separate"})
                 continue
+            tri = list(delta)
             if dxy % 2 == 0:
-                m_dist = max(table.d(w, p) for w in delta)
+                m_dist = float(dist[p, tri].max())
             else:
-                p2 = min(
-                    int(i)
-                    for i in between
-                    if table.dist[x, i] == half + 1 and ball.has_edge(p, int(i))
-                )
-                m_dist = max(min(table.d(w, p), table.d(w, p2)) + 0.5 for w in delta)
-            worst = max(worst, float(m_dist))
+                p2 = min(i for i in between[dist[x, between] == half + 1].tolist() if ball.has_edge(p, i))
+                m_dist = float(np.minimum(dist[p, tri], dist[p2, tri]).max()) + 0.5
+            worst = max(worst, m_dist)
             blocked = set(delta) | {p}
             for w in list(blocked):
                 blocked |= ball.adjacency[w]
@@ -336,6 +340,7 @@ class ThinnessReport:
     witness: tuple
     triples_examined: int
     exhaustive: bool
+    triples_scored: int
 
     @property
     def ok(self) -> bool:
@@ -357,21 +362,27 @@ def thinness_report(
     """Worst distance from a between-vertex to the union of the other two intervals.
 
     Exhaustive over unordered triples when their number is at most
-    ``triple_threshold``; otherwise samples ``sample_cap`` triples with a
-    fixed-seed generator, which is deterministic per seed.  The bound is
-    the paper's for the table's graph: 3/2 on a TetBall, 3 on a
-    CurveGraphBall.
+    ``triple_threshold``; otherwise samples ``sample_cap`` triples, those of
+    ``random.Random(seed).sample(range(n), 3)`` called ``sample_cap``
+    times, so the result is deterministic per seed.  The bound is the
+    paper's for the table's graph: 3/2 on a TetBall, 3 on a CurveGraphBall.
+
+    ``triples_examined`` counts every triple the scan covers, whether scored
+    or ruled out by the exact bound floor(d(x, y) / 2).  ``triples_scored``
+    counts those actually scored: sampled triples, or on the exhaustive path
+    the (x, y, z) with x < y and z not an endpoint, n - 2 per scored pair,
+    out of 3 * ``triples_examined``.  It is not part of any artifact.
     """
     _check_sample_cap(sample_cap)
     n = len(table)
     d = table.dist
     total = comb(n, 3)
     if total <= triple_threshold:
-        value, witness = _thinness_exhaustive(d)
+        value, witness, scored = _thinness_exhaustive(d)
         examined = total
         exhaustive = True
     else:
-        value, witness = _thinness_sampled(d, sample_cap, seed)
+        value, witness, scored = _thinness_sampled(d, sample_cap, seed)
         examined = sample_cap
         exhaustive = False
     return ThinnessReport(
@@ -380,10 +391,11 @@ def thinness_report(
         witness=tuple(int(i) for i in witness),
         triples_examined=examined,
         exhaustive=exhaustive,
+        triples_scored=scored,
     )
 
 
-def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple]:
+def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
     n = d.shape[0]
     _check_budget(f"exhaustive thinness over {n} vertices", (n, n, n), np.int16)
     # point_to_interval[p, x, z] = distance from p to the interval of (x, z)
@@ -397,8 +409,12 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple]:
             point_to_interval[:, z, x] = col
     best = -1
     witness = (0, 0, 0, 0)
+    scored = 0
     for x in range(n):
         for y in range(x + 1, n):
+            if d[x, y] // 2 <= best:  # the bound: this pair cannot raise the maximum
+                continue
+            scored += n - 2
             between = np.nonzero(d[x] + d[y] == d[x, y])[0]
             vals = np.minimum(
                 point_to_interval[between, x, :], point_to_interval[between, y, :]
@@ -408,7 +424,7 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple]:
                 best = m
                 pi, z = np.unravel_index(int(vals.argmax()), vals.shape)
                 witness = (x, y, int(z), int(between[pi]))
-    return best, witness
+    return best, witness, scored
 
 
 def _triple_thinness(d: np.ndarray, x: int, y: int, z: int) -> tuple[int, int]:
@@ -445,28 +461,107 @@ def _chunk_thinness(d: np.ndarray, xyz: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(per_b, np.cumsum(n_b) - n_b)
 
 
-def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tuple]:
+def _group_draws(draws: np.ndarray, want: int) -> tuple[np.ndarray, int]:
+    """Up to ``want`` triples from accepted draws, as ``random.sample``'s set branch groups them.
+
+    Each value joins the current triple unless the triple already holds it.
+    Consecutive threes are taken whole up to the next one with a repeat,
+    which is resolved one value at a time; that shifts the threes after it.
+    Returns the triples and the number of draws they used.
+    """
+    a, b, c = draws[:-2], draws[1:-1], draws[2:]
+    starts = np.flatnonzero((a == b) | (a == c) | (b == c))
+    by_phase = [starts[starts % 3 == r] for r in range(3)]
+    parts = []
+    pos = 0
+    while want:
+        k = min(want, (len(draws) - pos) // 3)
+        phase = by_phase[pos % 3]
+        j = np.searchsorted(phase, pos)
+        good = min(k, (int(phase[j]) - pos) // 3) if j < len(phase) else k
+        parts.append(draws[pos : pos + 3 * good].reshape(good, 3))
+        pos += 3 * good
+        want -= good
+        if good == k:
+            break
+        triple = []
+        end = pos
+        while len(triple) < 3 and end < len(draws):
+            if draws[end] not in triple:
+                triple.append(draws[end])
+            end += 1
+        if len(triple) < 3:
+            break
+        parts.append(np.array([triple], dtype=draws.dtype))
+        pos = end
+        want -= 1
+    return np.concatenate(parts), pos
+
+
+def _sampled_triples(n: int, samples: int, seed: int):
+    """The triples of ``random.Random(seed).sample(range(n), 3)``, ``samples`` calls, in blocks.
+
+    For n > 21, CPython's ``sample`` takes its set branch: every draw is
+    ``randbelow(n)``, i.e. the next 32-bit Mersenne Twister output shifted
+    right by ``32 - n.bit_length()`` and rejected when it is n or more, and a
+    value the triple already holds is drawn again.  The outputs come from
+    ``getrandbits`` (first output in the least significant word), so the
+    stream is replayed with array operations.  For n <= 21 ``sample`` takes
+    its pool branch, which is called directly.  The test
+    ``test_sampled_triples_replay_random_sample`` pins both branches against
+    ``rng.sample``.  Yields (t, 3) int arrays with t <= ``SAMPLE_BLOCK``.
+    """
+    rng = random.Random(seed)
+    if n <= 21:
+        for start in range(0, samples, SAMPLE_BLOCK):
+            yield np.array([rng.sample(range(n), 3) for _ in range(min(SAMPLE_BLOCK, samples - start))])
+        return
+    shift = 32 - n.bit_length()
+    draws = np.empty(0, dtype=np.int64)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        want = min(SAMPLE_BLOCK, samples - start)
+        parts = []
+        while want:
+            # At least half of all outputs are below n; a short draw is topped up.
+            m = 2 * max(3 * want - len(draws), 0) + 8
+            words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
+            draws = np.concatenate((draws, words[words < n].astype(np.int64)))
+            xyz, used = _group_draws(draws, want)
+            draws = draws[used:]
+            parts.append(xyz)
+            want -= len(xyz)
+        yield np.concatenate(parts)
+
+
+def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tuple, int]:
     """The first sampled triple, in draw order, attaining the largest thinness.
 
-    Triples are drawn one ``rng.sample`` call at a time, so the stream is
-    fixed by ``seed``, and scored in chunks of at most ``BLOCK_ELEMS // n``.
+    The stream is the triples of ``samples`` calls of
+    ``random.Random(seed).sample(range(n), 3)``, replayed in blocks by
+    ``_sampled_triples``.  A triple whose bound floor(d(x, y) / 2) is at
+    most the running maximum cannot be the first to exceed it, so it is
+    skipped; the rest are scored in chunks of at most ``BLOCK_ELEMS // n``.
+    Returns the maximum, the witness and the number of triples scored.
     """
     n = d.shape[0]
-    rng = random.Random(seed)
-    population = range(n)
     chunk = max(1, BLOCK_ELEMS // n)
     best = -1
     witness = (0, 0, 0, 0)
-    for start in range(0, samples, chunk):
-        xyz = np.array([rng.sample(population, 3) for _ in range(min(chunk, samples - start))])
-        vals = _chunk_thinness(d, xyz)
-        i = int(vals.argmax())
-        if vals[i] > best:
-            best = int(vals[i])
-            witness = tuple(int(v) for v in xyz[i])
+    scored = 0
+    for xyz in _sampled_triples(n, samples, seed):
+        live = xyz[d[xyz[:, 0], xyz[:, 1]] // 2 > best]
+        while len(live):
+            part, live = live[:chunk], live[chunk:]
+            vals = _chunk_thinness(d, part)
+            scored += len(part)
+            i = int(vals.argmax())
+            if vals[i] > best:
+                best = int(vals[i])
+                witness = tuple(int(v) for v in part[i])
+                live = live[d[live[:, 0], live[:, 1]] // 2 > best]
     if best >= 0:
         witness += (_triple_thinness(d, *witness)[1],)
-    return best, witness
+    return best, witness, scored
 
 
 # ---------------------------------------------------------------------------

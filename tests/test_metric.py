@@ -7,6 +7,7 @@ import pytest
 from crosscap3.errors import BudgetError, MarginError
 from crosscap3.metric import (
     HYPERBOLICITY_FIELDS,
+    SAMPLE_BLOCK,
     DistanceTable,
     TreeComparisonReport,
     all_pairs_distances,
@@ -20,7 +21,8 @@ from crosscap3.metric import (
     thinness_report,
     tree_comparison,
 )
-from crosscap3.tet_tree import tree_distance
+from crosscap3.metric import _chunk_thinness, _sampled_triples
+from crosscap3.tet_tree import BLOCK_ELEMS, tree_distance
 
 
 def floyd_warshall(vertices, adjacency):
@@ -237,10 +239,23 @@ def brute_thinness(table):
 
 class TestThinness:
     def test_exhaustive_matches_brute_force(self, dtable, ctable):
-        for t in (dtable(1), ctable(0)):
+        # The scan skips pairs whose bound d(x, y) // 2 cannot raise the maximum.
+        for t in (dtable(1), dtable(2), dtable(3), ctable(0), ctable(1)):
             report = thinness_report(t)
             assert report.exhaustive
             assert report.max_value == brute_thinness(t)
+
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    @pytest.mark.parametrize("graph", ["tet", "curve"])
+    def test_half_distance_bound(self, dtable, ctable, radius, graph):
+        # b in I(x, y) is within d(b, x) of I(x, z) and d(b, y) of I(y, z).
+        t = (dtable if graph == "tet" else ctable)(radius)
+        d, n = t.dist, len(t)
+        rng = random.Random(radius)
+        xyz = np.array([rng.sample(range(n), 3) for _ in range(5000)])
+        chunk = max(1, BLOCK_ELEMS // n)
+        vals = np.concatenate([_chunk_thinness(d, xyz[a : a + chunk]) for a in range(0, len(xyz), chunk)])
+        assert (vals <= d[xyz[:, 0], xyz[:, 1]] // 2).all()
 
     def test_tet_graph_bound(self, dtable):
         report = thinness_report(dtable(2))
@@ -319,10 +334,35 @@ class TestSampledThinness:
                 rep = thinness_report(t, triple_threshold=0, sample_cap=cap, seed=seed)
                 assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, cap, seed)
 
+    def test_pruned_sample_matches_plain_loop(self, ctable):
+        # Once the maximum reaches 3, only triples with d(x, y) >= 8 are scored.
+        t = ctable(5)
+        rep = thinness_report(t, triple_threshold=0, sample_cap=20_000, seed=5)
+        assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 20_000, 5)
+        assert rep.triples_scored < rep.triples_examined // 2
+
+    def test_prune_fires(self, ctable):
+        rep = thinness_report(ctable(5), triple_threshold=0, sample_cap=50_000, seed=1)
+        assert rep.triples_examined == 50_000
+        assert rep.triples_scored < 50_000 // 4
+
     def test_exhaustive_table_over_budget(self, ctable):
         # 650 vertices: the n^3 int16 table would take about 524 MiB.
         with pytest.raises(BudgetError):
             thinness_report(ctable(4), triple_threshold=10**12)
+
+
+@pytest.mark.parametrize("n", [3, 20, 21, 22, 23, 56, 488, 1946])
+def test_sampled_triples_replay_random_sample(n):
+    # n <= 21 takes CPython's pool branch, n > 21 its set branch (n = 22
+    # repeats a value in about one triple in eight); the caps cross blocks.
+    for seed in (0, 1, -5, 2**40 + 3):
+        rng = random.Random(seed)
+        want = [rng.sample(range(n), 3) for _ in range(20_000)]
+        for cap in (1, 4095, 4097, 20_000):
+            blocks = list(_sampled_triples(n, cap, seed))
+            assert all(len(b) <= SAMPLE_BLOCK for b in blocks)
+            assert np.concatenate(blocks).tolist() == want[:cap]
 
 
 class TestTreeComparison:
