@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tet_tree import TetBall
+from .tet_tree import TetBall, common_neighbors
 
 
 class CurveGraphBall:
@@ -185,15 +185,17 @@ def structural_report(cg: CurveGraphBall) -> list[dict]:
     pairs[two] = cg.indices[cg.indptr[n + two, None] + np.arange(2)]
     check("two_sided_endpoints", np.flatnonzero((pairs != cg.ends).any(axis=1)) + n)
 
-    flat, ptr = cg.indices.tolist(), cg.indptr.tolist()
-    nbrs = [set(flat[ptr[v] : ptr[v + 1]]) for v in range(n)]
-    bad_determined = []
-    for k, (v, w) in enumerate(ball.edges()):
-        common = nbrs[v] & nbrs[w]
-        if common != {n + k}:
-            bad_determined.append([v, w, [_vertex_json(cg, i) for i in sorted(common)]])
-    checks.append({"name": "determined_vertex_unique", "ok": not bad_determined, "bad": bad_determined[:5]})
+    # Ball edge k (v < w, in order) must have the single common neighbour n + k.
+    ball_rows = np.repeat(np.arange(n), np.diff(ball.indptr))
+    edges = np.column_stack([ball_rows, ball.indices])[ball_rows < ball.indices]
+    row, common = common_neighbors(cg, edges)
+    bad = np.bincount(row, minlength=len(edges)) != 1
+    bad[row[common != n + row]] = True
+    bad_determined = [
+        [*edges[k].tolist(), [_vertex_json(cg, i) for i in common[row == k].tolist()]]
+        for k in np.flatnonzero(bad)[:5].tolist()
+    ]
+    checks.append({"name": "determined_vertex_unique", "ok": not bad_determined, "bad": bad_determined})
 
-    ball_degree = np.array([len(ball.adjacency[v]) for v in ball.vertices()])
-    check("one_sided_degree_matches", np.flatnonzero(degree[:n] != ball_degree))
+    check("one_sided_degree_matches", np.flatnonzero(degree[:n] != np.diff(ball.indptr)))
     return checks

@@ -36,7 +36,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from math import comb, prod
 
 import numpy as np
@@ -88,16 +87,6 @@ def _check_budget(what: str, shape: tuple, dtype) -> None:
         )
 
 
-def _csr(graph) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(graph, CurveGraphBall):
-        return graph.indptr, graph.indices
-    if isinstance(graph, TetBall):
-        adj = [sorted(graph.adjacency[v]) for v in graph.vertices()]
-        indptr = np.cumsum([0] + [len(a) for a in adj])
-        return indptr, np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(indptr[-1]))
-    raise TypeError(f"cannot take distances on {type(graph).__name__}")
-
-
 def all_pairs_distances(graph) -> DistanceTable:
     """Exact BFS distances on a TetBall 1-skeleton or a CurveGraphBall.
 
@@ -107,7 +96,9 @@ def all_pairs_distances(graph) -> DistanceTable:
     sources whose table entry is already set, and writes the rest into the
     table, a block of rows at a time.
     """
-    indptr, cols = _csr(graph)
+    if not isinstance(graph, (TetBall, CurveGraphBall)):
+        raise TypeError(f"cannot take distances on {type(graph).__name__}")
+    indptr, cols = graph.indptr, graph.indices
     n = len(indptr) - 1
     _check_budget(f"distance table for {n} vertices", (n, n), np.int16)
     starts, ends = indptr[:-1], indptr[1:]
@@ -225,7 +216,7 @@ def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozens
     geodesic from a tetrahedron containing q to one containing y, and cut at
     the first tetrahedron that has lost q; the shared face of that step is a
     separating triangle, and it must contain p because every vertex of it is
-    adjacent to q.
+    adjacent to q.  The face is returned unchecked; the bottleneck report checks it.
     """
     ball = _tet_ball(table)
     _margin_vertex(ball, x)
@@ -241,9 +232,7 @@ def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozens
     goal = min(ball.support[y])
     path = tree_path(start, goal)
     cut = next(i for i, addr in enumerate(path) if q not in ball.tets[addr])
-    delta = frozenset(ball.tets[path[cut]]) & frozenset(ball.tets[path[cut - 1]])
-    assert len(delta) == 3 and p in delta
-    return delta
+    return frozenset(ball.tets[path[cut]]) & frozenset(ball.tets[path[cut - 1]])
 
 
 def separates(ball: TetBall, blocked, x: int, y: int) -> bool:
@@ -302,8 +291,8 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
             between = _interval_idx(table, x, y)
             p = int(between[dist[x, between] == half].min())
             delta = bottleneck_triangle(table, x, y, p)
-            if p not in delta:
-                failures.append({"pair": (x, y), "error": "p not in triangle"})
+            if len(delta) != 3 or p not in delta:
+                failures.append({"pair": (x, y), "error": f"{sorted(delta)} is not a triangle through p={p}"})
                 continue
             if not separates(ball, delta, x, y):
                 failures.append({"pair": (x, y), "error": "triangle does not separate"})

@@ -19,7 +19,8 @@ root star and verifies mechanically that each is the restriction of a unique
 propagated element.  The level-n set of the rigid exhaustion, the union of
 the stars of the tetrahedra within tree distance n - 1, is the subdivision
 of the radius n - 1 ball; maps of it are int arrays with one column per
-domain curve id.
+domain curve id.  Candidate images of both levels come from one batched
+query on the source ball's CSR adjacency, ``tet_tree.common_neighbors``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError
-from .tet_tree import ALPHABET, TetBall, generate_ball, triangle_cofaces
+from .tet_tree import ALPHABET, TetBall, common_neighbors, generate_ball, triangle_cofaces
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,30 +250,19 @@ def enumerate_locally_injective(domain: CurveGraphBall, cg: CurveGraphBall) -> n
     """All locally injective simplicial maps of the level-1 star into cg, one row each.
 
     ``domain`` is the level-1 star, the subdivided radius-0 ball.  Candidate
-    images of the four one-sided vertices must have degree at least 3
-    (two-sided vertices have degree exactly 2) and be pairwise at distance
-    2; the six two-sided images are then forced to the determined common
-    neighbours.  Every candidate map is validated explicitly.  Maps are
-    returned ordered lexicographically by the image ids of slots 0-3.
+    one-sided images are the ordered 4-cliques of the source ball's
+    1-skeleton (every vertex extended three times by common neighbours; no
+    degree filter), and the two-sided images the determined vertices.
+    Every candidate map is validated explicitly.  Maps are returned ordered
+    lexicographically by the image ids of slots 0-3.
     """
     if domain.source.radius != 0:
         raise ValueError("enumeration is defined for the level-1 star")
-    n = cg.n_one
-    heavy = np.flatnonzero(cg.degrees()[:n] >= 3).tolist()
-    # near[v]: the ids whose one-sided vertex shares a two-sided neighbour with v.
-    near = {}
-    for v in heavy:
-        nbrs = cg.neighbors(v)
-        near[v] = sorted(set(cg.ends[nbrs[nbrs >= n] - n].ravel().tolist()) - {v})
-    candidates = []
-    for v0 in heavy:
-        near0 = [v for v in near[v0] if v in near]
-        for v1 in near0:
-            near1 = set(near[v1])
-            for v2 in (v for v in near0 if v in near1):
-                near2 = set(near[v2])
-                candidates += [(v0, v1, v2, v3) for v3 in near0 if v3 in near1 and v3 in near2]
-    maps = _with_pairs(np.array(candidates, dtype=np.int64).reshape(-1, 4), domain, cg)
+    candidates = np.arange(cg.n_one)[:, None]
+    for _ in range(3):
+        row, v = common_neighbors(cg.source, candidates)
+        candidates = np.column_stack([candidates[row], v])
+    maps = _with_pairs(candidates, domain, cg)
     simplicial, locally_injective = check_map(domain, maps, cg)
     return maps[simplicial & locally_injective]
 
@@ -447,35 +437,28 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
 
 
 def _check_level_two(base_maps: np.ndarray, cg: CurveGraphBall) -> dict:
+    """The level-2 record.  Face f of each base image (one query per face) must have one common
+    neighbour besides slot f's image; the first face with none drops a map, one with several makes a witness."""
     ball = cg.source
     domain = subdivide(generate_ball(1))
-    tets = domain.source.tets
-    adj = ball.adjacency
-    completed = []  # (base row, one-sided images of the level-2 domain)
-    witnesses = []  # (base row, witness); at most one per base
-    for b, imgs in enumerate(base_maps[:, :4].tolist()):
-        one = imgs + [-1] * (domain.n_one - len(imgs))
-        for face in range(4):
-            face_imgs = [imgs[j] for j in range(4) if j != face]
-            candidates = set.intersection(*(adj[v] for v in face_imgs)) - {imgs[face]}
-            if not candidates:
-                break  # image tetrahedron has no second coface in the window
-            if len(candidates) > 1:
-                witnesses.append((b, {"base": tuple(imgs), "error": f"face {face} not forced"}))
-                break
-            (one[tets[str(face)][face]],) = candidates
-        else:
-            completed.append((b, one))
-    one_sided = np.array([one for _, one in completed], dtype=np.int64).reshape(-1, domain.n_one)
-    maps = _with_pairs(one_sided, domain, cg)
+    base = base_maps[:, :4]
+    one = np.pad(base, ((0, 0), (0, 4)), constant_values=-1)  # domain id 4 + f lies across face f
+    counts = np.empty((len(base), 4), dtype=np.int64)
+    for face in range(4):
+        row, v = common_neighbors(ball, np.delete(base, face, axis=1))
+        fresh = v != base[row, face]
+        counts[:, face] = np.bincount(row[fresh], minlength=len(base))
+        one[row[fresh], 4 + face] = v[fresh]
+    forced = (counts == 1).all(axis=1)
+    stop = (counts != 1).argmax(axis=1)  # first face not forced
+    several = counts[np.arange(len(base)), stop] > 1
+    maps = _with_pairs(one[forced], domain, cg)
     simplicial, locally_injective = check_map(domain, maps, cg)
-    good = simplicial & locally_injective
-    witnesses += [
-        (b, {"base": tuple(one[:4]), "error": "completed map invalid"})
-        for (b, one), ok in zip(completed, good)
-        if not ok
-    ]
-    witnesses = [w for _, w in sorted(witnesses, key=lambda bw: bw[0])]
+    good = np.zeros(len(base), dtype=bool)
+    good[forced] = simplicial & locally_injective
+    bad = np.flatnonzero(forced & ~good | several).tolist()
+    errors = ["completed map invalid" if forced[b] else f"face {stop[b]} not forced" for b in bad]
+    witnesses = [{"base": tuple(base[b].tolist()), "error": e} for b, e in zip(bad, errors)]
     expected = 24 * sum(1 for a in ball.tets if len(a) < ball.radius)
-    witnesses += _match_propagated(maps[good], domain, cg)
+    witnesses += _match_propagated(maps[good[forced]], domain, cg)
     return _level_report(2, ball.radius, int(good.sum()), expected, witnesses)

@@ -93,7 +93,9 @@ class TetBall:
     ``tets`` maps each address to its 4 vertex ids in slot order;
     ``adjacency`` records co-residence in some tetrahedron of the ball (which
     equals edge restriction to the ball); ``support`` maps each vertex to the
-    addresses of the tetrahedra containing it.
+    addresses of the tetrahedra containing it.  ``indptr``/``indices``, the
+    CSR form of ``adjacency`` with sorted rows, are built from it on first
+    use, never from ``tets``, so checks comparing the two stay independent.
     """
 
     def __init__(self, radius: int, tets: dict):
@@ -128,6 +130,14 @@ class TetBall:
 
     def has_edge(self, v: int, w: int) -> bool:
         return w in self.adjacency.get(v, ())
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.cumsum([0] + [len(self.adjacency[v]) for v in self.vertices()])
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return np.array([w for v in self.vertices() for w in sorted(self.adjacency[v])], dtype=np.int64)
 
     def vertex_depth(self, v: int) -> int:
         """Length of the shortest address among the tetrahedra containing v."""
@@ -227,18 +237,10 @@ def _tree_neighbors_in(addr: str, members: set) -> list[str]:
 
 
 def support_connected(ball: TetBall, v: int) -> bool:
-    """Whether the tetrahedra containing v form a subtree of the address tree."""
+    """Whether the tetrahedra containing v form a subtree of the address tree:
+    exactly one of them (the root counts) has its parent outside the set."""
     members = ball.support[v]
-    start = min(members)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        addr = queue.popleft()
-        for nb in _tree_neighbors_in(addr, members):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(members)
+    return sum(1 for a in members if not a or a[:-1] not in members) == 1
 
 
 def _slope_pair(p: int, q: int) -> tuple[int, int]:
@@ -349,17 +351,39 @@ def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
     return tuple(sorted(cofaces))
 
 
-def four_cliques(ball: TetBall) -> set:
-    """All 4-element cliques of the ball's adjacency graph."""
-    cliques = set()
-    adj = ball.adjacency
-    for v, w in ball.edges():
-        common = sorted(adj[v] & adj[w])
-        for i, x in enumerate(common):
-            adj_x = adj[x]
-            for y in common[i + 1 :]:
-                if y in adj_x:
-                    cliques.add(frozenset((v, w, x, y)))
+def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex adjacent to all of a row of ``verts`` (R x k ids), as (row, v) arrays in order.
+
+    Works on a TetBall or a CurveGraphBall.  A row expands the neighbours of its vertex of
+    least degree (root vertices reach degree 768 at radius 8), ``BLOCK_ELEMS`` at a time."""
+    indptr, n = graph.indptr, len(graph.indptr) - 1
+    degree = np.diff(indptr)
+    keys = np.repeat(np.arange(n), degree) * n + graph.indices  # ascending: CSR rows are sorted
+    base = verts[np.arange(len(verts)), degree[verts].argmin(axis=1)]
+    count = degree[base]
+    end, total = np.cumsum(count), int(count.sum())  # candidate p belongs to the first row ending above p
+    found = []
+    for p0 in range(0, max(total, 1), BLOCK_ELEMS):  # at least one block, maybe empty
+        p = np.arange(p0, min(p0 + BLOCK_ELEMS, total))
+        row = np.searchsorted(end, p, side="right")
+        v = graph.indices[indptr[base[row]] + p - end[row] + count[row]]
+        for col in verts.T:
+            want = col[row] * n + v
+            hit = keys[np.minimum(np.searchsorted(keys, want), len(keys) - 1)] == want
+            row, v = row[hit], v[hit]
+        found.append((row, v))
+    rows, vs = zip(*found)
+    return np.concatenate(rows), np.concatenate(vs)
+
+
+def four_cliques(ball: TetBall) -> np.ndarray:
+    """All 4-cliques of the ball's adjacency graph as ascending rows, in lexicographic
+    order: each vertex extended three times by the common neighbours above it."""
+    cliques = np.arange(ball.n_vertices)[:, None]
+    for _ in range(3):
+        row, v = common_neighbors(ball, cliques)
+        above = v > cliques[row, -1]
+        cliques = np.column_stack([cliques[row[above]], v[above]])
     return cliques
 
 
@@ -411,16 +435,16 @@ def structural_report(ball: TetBall) -> list[dict]:
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})
 
     cliques = four_cliques(ball)
-    listed = {frozenset(verts) for verts in ball.tets.values()}
+    listed = np.unique(np.sort(np.array(list(ball.tets.values())), axis=1), axis=0)
     # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
-    five = sorted(sorted(q) for q in cliques if set.intersection(*(ball.adjacency[x] for x in q)))
+    five = cliques[np.unique(common_neighbors(ball, cliques)[0])]
     checks.append(
         {
             "name": "four_cliques_are_tets",
-            "ok": cliques == listed and not five,
+            "ok": np.array_equal(cliques, listed) and not len(five),
             "cliques": len(cliques),
             "tets": len(listed),
-            "five_cliques": five[:5],
+            "five_cliques": five[:5].tolist(),
         }
     )
 

@@ -128,7 +128,40 @@ class TestTetStar:
         assert -1 in star_ids(cg, (0, 1, 2, 4))
 
 
+def determined_loop(cg):
+    """Reference for the ``determined_vertex_unique`` record: neighbour sets per ball edge."""
+    n = cg.n_one
+    nbrs = [set(cg.neighbors(v).tolist()) for v in range(n)]
+    bad = []
+    for k, (v, w) in enumerate(cg.source.edges()):
+        common = nbrs[v] & nbrs[w]
+        if common != {n + k}:
+            bad.append([v, w, [int(i) if i < n else cg.ends[i - n].tolist() for i in sorted(common)]])
+    return {"name": "determined_vertex_unique", "ok": not bad, "bad": bad[:5]}
+
+
 class TestReport:
+    @pytest.mark.parametrize("radius", range(5))
+    def test_determined_vertices_match_the_loop(self, cgraph, radius):
+        (record,) = [c for c in structural_report(cgraph(radius)) if c["name"] == "determined_vertex_unique"]
+        assert record == determined_loop(cgraph(radius)) == {"name": "determined_vertex_unique", "ok": True, "bad": []}
+
+    @pytest.mark.parametrize("corrupt", ["extra", "common", "missing", "rewired"])
+    def test_corrupted_determined_vertices_match_the_loop(self, corrupt):
+        # The two-sided vertex t of (0, 1) gains, loses or swaps a neighbour,
+        # or the one-sided 2 becomes a second common neighbour of 0 and 1.
+        cg = subdivide(generate_ball(2))
+        t = cg.pair_ids(0, 1)
+        cg = {
+            "extra": lambda: with_edges(cg, (t, 5)),
+            "common": lambda: with_edges(cg, (0, 2), (1, 2)),
+            "missing": lambda: with_edges(cg, remove=[(t, 0)]),
+            "rewired": lambda: with_edges(cg, (t, 5), remove=[(t, 1)]),
+        }[corrupt]()
+        (record,) = [c for c in structural_report(cg) if c["name"] == "determined_vertex_unique"]
+        assert record == determined_loop(cg)
+        assert not record["ok"]
+
     def test_clean_at_radius_three(self, cgraph):
         report = structural_report(cgraph(3))
         assert all(c["ok"] for c in report), [c for c in report if not c["ok"]]

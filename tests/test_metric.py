@@ -4,6 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+from crosscap3 import metric
+from crosscap3.cli import main
 from crosscap3.errors import BudgetError, MarginError
 from crosscap3.metric import (
     HYPERBOLICITY_FIELDS,
@@ -171,7 +173,7 @@ class TestBottleneckTriangle:
                 for p in sorted(interval(t, x, y) - {x, y}):
                     delta = bottleneck_triangle(t, x, y, p)
                     checked += 1
-                    assert p in delta
+                    assert len(delta) == 3 and p in delta
                     assert separates(b, delta, x, y)
         assert checked > 0
 
@@ -216,6 +218,20 @@ class TestBottleneckProperty:
         report = check_bottleneck_property(dtable(1))
         assert report.pairs_checked == 0
         assert report.ok
+
+    @pytest.mark.parametrize("spoil", [lambda delta, p: delta - {p}, lambda delta, p: delta | {-1}])
+    def test_bad_triangle_is_a_witness(self, monkeypatch, capsys, dtable, spoil):
+        # Without p, or with a fourth vertex: the report, not an assert, names the pair.
+        build = metric.bottleneck_triangle
+        monkeypatch.setattr(metric, "bottleneck_triangle", lambda t, x, y, p: spoil(build(t, x, y, p), p))
+        report = check_bottleneck_property(dtable(3))
+        assert not report.ok
+        assert report.failures and all("is not a triangle through p=" in f["error"] for f in report.failures)
+        (row,) = [r for r in hyperbolicity_reports(3) if r["name"] == "bottleneck_property"]
+        assert not row["ok"]
+        assert "is not a triangle through p=" in row["witness"]
+        assert main(["hyperbolicity", "--radius", "3"]) == 1
+        capsys.readouterr()
 
 
 def brute_thinness(table):

@@ -23,10 +23,13 @@ from crosscap3.rigidity import (
     pointwise_stabilizer_check,
     propagate_map,
     rigidity_reports,
+    _check_level_two,
     _first_fixer,
+    _level_report,
     _match_propagated,
     _propagate,
     _stabilizer_report,
+    _with_pairs,
 )
 from crosscap3.tet_tree import ALPHABET, generate_ball, is_address, neighbor
 
@@ -459,6 +462,133 @@ def level_two_maps(cg):
         if len(e.dst.address) < cg.source.radius:
             maps.append(propagate_map(e, domain.source, cg.source).apply_curve(domain, cg))
     return domain, np.array(maps)
+
+
+def enumerate_loop(domain, cg):
+    """Reference for ``enumerate_locally_injective``: near-set loops over the curve graph.
+
+    Candidate images have curve degree at least 3 and share a two-sided
+    neighbour pairwise; each candidate is then validated by ``check_map``.
+    """
+    n = cg.n_one
+    heavy = np.flatnonzero(cg.degrees()[:n] >= 3).tolist()
+    near = {}  # v -> one-sided ids sharing a two-sided neighbour with v
+    for v in heavy:
+        nbrs = cg.neighbors(v)
+        near[v] = sorted(set(cg.ends[nbrs[nbrs >= n] - n].ravel().tolist()) - {v})
+    candidates = []
+    for v0 in heavy:
+        near0 = [v for v in near[v0] if v in near]
+        for v1 in near0:
+            near1 = set(near[v1])
+            for v2 in (v for v in near0 if v in near1):
+                near2 = set(near[v2])
+                candidates += [(v0, v1, v2, v3) for v3 in near0 if v3 in near1 and v3 in near2]
+    maps = _with_pairs(np.array(candidates, dtype=np.int64).reshape(-1, 4), domain, cg)
+    simplicial, locally_injective = check_map(domain, maps, cg)
+    return maps[simplicial & locally_injective]
+
+
+def level_two_loop(base_maps, cg):
+    """Reference for ``_check_level_two``: one base map at a time over ``adjacency`` sets."""
+    ball = cg.source
+    domain = subdivide(generate_ball(1))
+    tets = domain.source.tets
+    adj = ball.adjacency
+    completed = []  # (base row, one-sided images of the level-2 domain)
+    witnesses = []  # (base row, witness); at most one per base
+    for b, imgs in enumerate(base_maps[:, :4].tolist()):
+        one = imgs + [-1] * (domain.n_one - len(imgs))
+        for face in range(4):
+            face_imgs = [imgs[j] for j in range(4) if j != face]
+            candidates = set.intersection(*(adj[v] for v in face_imgs)) - {imgs[face]}
+            if not candidates:
+                break  # image tetrahedron has no second coface in the window
+            if len(candidates) > 1:
+                witnesses.append((b, {"base": tuple(imgs), "error": f"face {face} not forced"}))
+                break
+            (one[tets[str(face)][face]],) = candidates
+        else:
+            completed.append((b, one))
+    one_sided = np.array([one for _, one in completed], dtype=np.int64).reshape(-1, domain.n_one)
+    maps = _with_pairs(one_sided, domain, cg)
+    simplicial, locally_injective = check_map(domain, maps, cg)
+    good = simplicial & locally_injective
+    witnesses += [
+        (b, {"base": tuple(one[:4]), "error": "completed map invalid"})
+        for (b, one), ok in zip(completed, good)
+        if not ok
+    ]
+    witnesses = [w for _, w in sorted(witnesses, key=lambda bw: bw[0])]
+    expected = 24 * sum(1 for a in ball.tets if len(a) < ball.radius)
+    witnesses += _match_propagated(maps[good], domain, cg)
+    return _level_report(2, ball.radius, int(good.sum()), expected, witnesses)
+
+
+def ball_with_extra_edge(radius):
+    """A fresh ball where face (1, 2, 3) gains a third coface vertex.
+
+    The vertex created at address "30" is joined to 1 and 2; one extra edge
+    joins it to 3 as well.
+    """
+    b = generate_ball(radius)
+    y = b.tets["30"][0]
+    b.adjacency[y].add(3)
+    b.adjacency[3].add(y)
+    return b
+
+
+class TestCommonNeighbourQueries:
+    STAR = subdivide(generate_ball(0))
+
+    @pytest.mark.parametrize("radius", range(1, 6))
+    def test_enumeration_matches_the_loop(self, cgraph, radius):
+        cg = cgraph(radius)
+        maps = enumerate_locally_injective(self.STAR, cg)
+        assert len(maps) == 24 * len(cg.source.tets)
+        assert np.array_equal(maps, enumerate_loop(self.STAR, cg))
+
+    @pytest.mark.parametrize("radius", range(1, 6))
+    def test_level_two_matches_the_loop(self, cgraph, radius):
+        cg = cgraph(radius)
+        base = enumerate_locally_injective(self.STAR, cg)
+        report = _check_level_two(base, cg)
+        assert report == level_two_loop(base, cg)
+        assert report["count_found"] == report["count_expected"] < len(base)  # boundary maps drop out
+        assert report["witnesses_of_failure"] == []
+
+    def test_extra_edge_matches_the_loops(self):
+        cg = subdivide(ball_with_extra_edge(3))
+        base = enumerate_locally_injective(self.STAR, cg)
+        assert np.array_equal(base, enumerate_loop(self.STAR, cg))
+        assert len(base) > 24 * len(cg.source.tets)  # the new 4-clique adds 24 maps
+        report = _check_level_two(base, cg)
+        assert report == level_two_loop(base, cg)
+        errors = [w["error"] for w in report["witnesses_of_failure"]]
+        assert "face 0 not forced" in errors
+        assert {"base": (0, 1, 2, 3), "error": "face 0 not forced"} in report["witnesses_of_failure"]
+
+    def test_bases_without_second_coface_match_the_loop(self, cgraph):
+        # Random rows mostly span no tetrahedron, so some face has no second
+        # coface; the rest reach the other witnesses.  Real maps with their
+        # root images reordered, and repeated, complete or stop at the window.
+        cg = cgraph(3)
+        base = enumerate_locally_injective(self.STAR, cg)
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, cg.n_one, size=(300, base.shape[1]))
+        shuffled = base[rng.choice(len(base), 300)]
+        shuffled[:, :4] = shuffled[:, rng.permutation(4)]
+        mixed = np.concatenate([rows, shuffled, base[:50]])
+        report = _check_level_two(mixed, cg)
+        assert report == level_two_loop(mixed, cg)
+        assert report["count_found"] < len(mixed)
+        errors = {w["error"] for w in report["witnesses_of_failure"]}
+        assert {"completed map invalid", "duplicate element", "face 0 not forced"} <= errors
+
+    def test_empty_base(self, cgraph):
+        cg = cgraph(2)
+        base = enumerate_locally_injective(self.STAR, cg)[:0]
+        assert _check_level_two(base, cg) == level_two_loop(base, cg)
 
 
 class TestBatchedMatching:

@@ -1,4 +1,9 @@
 import json
+import random
+from collections import deque
+from types import SimpleNamespace
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -395,16 +400,86 @@ class TestTriangleCofaces:
             triangle_cofaces(ball(1), (0, 1, 1))
 
 
+def four_cliques_loop(b):
+    """Reference for ``four_cliques``: pairs of common neighbours of each edge, as sets."""
+    cliques = set()
+    adj = b.adjacency
+    for v, w in b.edges():
+        common = sorted(adj[v] & adj[w])
+        for i, x in enumerate(common):
+            cliques.update(frozenset((v, w, x, y)) for y in common[i + 1 :] if y in adj[x])
+    return cliques
+
+
+def support_bfs(members):
+    """Reference for ``support_connected``: breadth-first search inside ``members``."""
+    start = min(members)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        addr = queue.popleft()
+        for nb in tet_tree._tree_neighbors_in(addr, members):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(members)
+
+
 class TestCliques:
     def test_four_cliques_are_exactly_tets(self, ball):
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             b = ball(n)
-            assert four_cliques(b) == {frozenset(t) for t in b.tets.values()}
+            assert four_cliques(b).tolist() == sorted(sorted(t) for t in b.tets.values())
+
+    @pytest.mark.parametrize("v, count", [(None, 0), (0, 1), (8, 1), (0, 3)])
+    def test_four_cliques_match_loop(self, ball, v, count):
+        b = ball(4) if v is None else ball_with_extra_link_edges(3, v, count)
+        cliques = four_cliques(b).tolist()
+        assert cliques == sorted(cliques) and all(q == sorted(set(q)) for q in cliques)
+        assert {frozenset(q) for q in cliques} == four_cliques_loop(b)
 
     def test_no_five_cliques(self, ball):
         b = ball(3)
-        for q in four_cliques(b):
+        for q in four_cliques(b).tolist():
             assert not set.intersection(*(b.adjacency[v] for v in q))
+
+
+class TestCommonNeighbors:
+    @pytest.mark.parametrize("radius", range(5))
+    def test_csr_is_the_sorted_adjacency(self, ball, radius):
+        b = ball(radius)
+        rows = [b.indices[b.indptr[v] : b.indptr[v + 1]].tolist() for v in b.vertices()]
+        assert rows == [sorted(b.adjacency[v]) for v in b.vertices()]
+
+    @pytest.mark.parametrize("block", [tet_tree.BLOCK_ELEMS, 7])
+    @pytest.mark.parametrize("graph", ["tet", "curve"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_set_intersection(self, monkeypatch, ball, cgraph, graph, k, block):
+        # Rows of neighbours of a random centre, so that many rows have a
+        # common neighbour, with a random vertex in place of one at times;
+        # some rows repeat a vertex.  Block 7 splits rows across blocks.
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
+        g = ball(4) if graph == "tet" else cgraph(3)
+        size = len(g.indptr) - 1
+        adj = [set(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()) for v in range(size)]
+        rng = random.Random(k)
+        verts = []
+        for _ in range(300):
+            near = sorted(adj[rng.randrange(size)])
+            verts.append([rng.choice(near) if rng.random() < 0.8 else rng.randrange(size) for _ in range(k)])
+        row, v = tet_tree.common_neighbors(g, np.array(verts))
+        expected = [(r, u) for r, q in enumerate(verts) for u in sorted(set.intersection(*(adj[x] for x in q)))]
+        assert list(zip(row.tolist(), v.tolist())) == expected
+        assert len(expected) > 100 and (k == 1 or len(set(row.tolist())) < len(verts))
+
+    def test_no_rows(self, ball):
+        row, v = tet_tree.common_neighbors(ball(2), np.zeros((0, 3), dtype=np.int64))
+        assert len(row) == len(v) == 0
+
+    def test_block_size_does_not_change_cliques(self, monkeypatch, ball):
+        cliques = four_cliques(ball(4))
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", 5)
+        assert np.array_equal(four_cliques(ball(4)), cliques)
 
 
 class TestSupport:
@@ -417,6 +492,24 @@ class TestSupport:
         # Equivalent to: generation never re-identifies a fresh vertex.
         b = ball(6)
         assert all(support_connected(b, v) for v in b.vertices())
+
+    def test_count_matches_bfs(self, ball):
+        # Random subtrees (grown one tree neighbour at a time) and random sets.
+        addrs = sorted(ball(5).tets)
+        rng = random.Random(3)
+        seen = set()
+        for trial in range(400):
+            if trial % 2:
+                members = set(rng.sample(addrs, rng.randint(1, 12)))
+            else:
+                members = {rng.choice(addrs)}
+                for _ in range(rng.randint(0, 15)):
+                    grow = [nb for a in members for nb in tet_tree._tree_neighbors_in(a, set(addrs))]
+                    members.add(rng.choice(sorted(set(grow) - members or grow)))
+            connected = support_bfs(members)
+            assert support_connected(SimpleNamespace(support={0: members}), 0) == connected
+            seen.add(connected)
+        assert seen == {True, False}
 
     def test_edge_cofaces_match_link_triangles(self, ball):
         # Tetrahedra on an edge (u, w) correspond to triangles of the link of
