@@ -160,21 +160,41 @@ class TetTable:
     ``verts`` (T x 4) holds its vertex ids in slot order and ``nbr`` (T x 4)
     the row across each face, -1 outside the ball.  ``parent`` and ``face``
     give the row a non-root tetrahedron was unfolded from and the face it
-    crossed (-1 for the root), so walking the rows in order visits every
-    parent first.  ``by_verts`` maps each sorted vertex 4-tuple to its row.
+    crossed, so in a generated ball walking the rows in order visits every
+    parent first.  Both are -1 for the root; ``parent`` is also -1 where the
+    parent address is missing, and ``face`` where the last letter is not a
+    face, so a malformed ball still builds a table.  ``by_verts`` maps each
+    sorted vertex 4-tuple to its row and ``depth`` gives each address
+    length.  ``rows``, ``nbr``, ``by_verts`` and ``depth`` are built on
+    first use, so a table kept for the structural checks stays small.
     """
 
     def __init__(self, ball: TetBall):
         self.addrs = list(ball.tets)
-        self.rows = {a: t for t, a in enumerate(self.addrs)}
         self.verts = np.array(list(ball.tets.values()), dtype=np.int64).reshape(-1, 4)
-        self.parent = np.array([-1] + [self.rows[a[:-1]] for a in self.addrs[1:]], dtype=np.int64)
-        self.face = np.array([-1] + [int(a[-1]) for a in self.addrs[1:]], dtype=np.int64)
-        self.nbr = np.full((len(self.addrs), 4), -1, dtype=np.int64)
-        child = np.arange(1, len(self.addrs))
-        self.nbr[child, self.face[1:]] = self.parent[1:]
-        self.nbr[self.parent[1:], self.face[1:]] = child
-        self.by_verts = {tuple(sorted(v)): t for t, v in enumerate(ball.tets.values())}
+        rows = {a: t for t, a in enumerate(self.addrs)}
+        self.parent = np.array([rows.get(a[:-1], -1) if a else -1 for a in self.addrs], dtype=np.int64)
+        self.face = np.array([ALPHABET.find(a[-1]) if a else -1 for a in self.addrs], dtype=np.int64)
+
+    @cached_property
+    def rows(self) -> dict:
+        return {a: t for t, a in enumerate(self.addrs)}
+
+    @cached_property
+    def nbr(self) -> np.ndarray:
+        nbr = np.full((len(self.addrs), 4), -1, dtype=np.int64)
+        child = np.flatnonzero((self.parent >= 0) & (self.face >= 0))
+        nbr[child, self.face[child]] = self.parent[child]
+        nbr[self.parent[child], self.face[child]] = child
+        return nbr
+
+    @cached_property
+    def by_verts(self) -> dict:
+        return {tuple(v): t for t, v in enumerate(np.sort(self.verts, axis=1).tolist())}
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        return np.fromiter(map(len, self.addrs), dtype=np.int64, count=len(self.addrs))
 
 
 def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
@@ -191,6 +211,11 @@ def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
         raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
+    return TetBall(radius, _unfold(radius))
+
+
+def _unfold(radius: int) -> dict:
+    """The address -> vertex-tuple dict of the generated ball of this radius."""
     tets = {"": (0, 1, 2, 3)}
     frontier = [""]
     next_id = 4
@@ -209,7 +234,7 @@ def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
                 tets[addr + letter] = tuple(child)
                 nxt.append(addr + letter)
         frontier = nxt
-    return TetBall(radius, tets)
+    return tets
 
 
 def link(ball: TetBall, v: int) -> dict:
@@ -426,6 +451,36 @@ def count_checks(ball: TetBall) -> list[dict]:
     ]
 
 
+def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
+    """Faces of tetrahedra inside the ball whose triangle does not lie in exactly two
+    tetrahedra, one the parent of the other: their count and the first five as
+    (addr, i, cofaces), cofaces being the sorted addresses holding the triangle.
+
+    The four faces of every row are grouped by sorted vertex triple; a row
+    with a repeated vertex counts once in a group."""
+    table = ball.table
+    tri = np.sort(table.verts[:, _OTHER_SLOTS], axis=2).reshape(-1, 3)
+    row = np.repeat(np.arange(len(table.addrs)), 4)
+    order = np.lexsort((row, tri[:, 2], tri[:, 1], tri[:, 0]))
+    tri, row = tri[order], row[order]
+    start = np.r_[True, (tri[1:] != tri[:-1]).any(axis=1)]
+    group = np.cumsum(start) - 1
+    keep = start | np.r_[True, row[1:] != row[:-1]]
+    krow, kgroup = row[keep], group[keep]
+    first = np.flatnonzero(start[keep])
+    r1, r2 = krow[first], krow[np.minimum(first + 1, len(krow) - 1)]
+    pair_ok = (np.bincount(kgroup) == 2) & ((table.parent[r1] == r2) | (table.parent[r2] == r1))
+    face_group = np.empty_like(group)
+    face_group[order] = group
+    face_group = face_group.reshape(-1, 4)
+    faults = np.argwhere(~pair_ok[face_group] & (table.depth < ball.radius)[:, None])
+    witnesses = [
+        (table.addrs[t], i, tuple(sorted(table.addrs[r] for r in krow[kgroup == face_group[t, i]])))
+        for t, i in faults[:5].tolist()
+    ]
+    return len(faults), witnesses
+
+
 def structural_report(ball: TetBall) -> list[dict]:
     """Run the structural invariant checks for one ball; one dict per check."""
     n = ball.radius
@@ -451,22 +506,11 @@ def structural_report(ball: TetBall) -> list[dict]:
     disconnected = [v for v in ball.vertices() if not support_connected(ball, v)]
     checks.append({"name": "supports_tree_connected", "ok": not disconnected, "bad": disconnected[:5]})
 
-    prefix_ok = True
-    if n > 0:
-        smaller = generate_ball(n - 1, cap=max(n, radius_cap()))
-        prefix_ok = all(ball.tets[a] == verts for a, verts in smaller.tets.items())
+    prefix_ok = n == 0 or all(ball.tets.get(a) == verts for a, verts in _unfold(n - 1).items())
     checks.append({"name": "prefix_stable", "ok": prefix_ok})
 
-    bad_cofaces = []
-    for addr, verts in ball.tets.items():
-        if len(addr) > n - 1:
-            continue
-        for i in range(4):
-            tri = tuple(verts[j] for j in range(4) if j != i)
-            cof = triangle_cofaces(ball, tri)
-            if len(cof) != 2 or tree_distance(cof[0], cof[1]) != 1:
-                bad_cofaces.append((addr, i, cof))
-    checks.append({"name": "interior_triangle_cofaces", "ok": not bad_cofaces, "bad": bad_cofaces[:5]})
+    faults, bad_cofaces = _interior_coface_faults(ball)
+    checks.append({"name": "interior_triangle_cofaces", "ok": not faults, "bad": bad_cofaces})
 
     return checks
 
@@ -520,50 +564,301 @@ def _edge_mismatches(group: list) -> list[tuple]:
     return out
 
 
+# The slots of a row other than s, in order: the base triple of a vertex at
+# slot s, or the face opposite slot s.
+_OTHER_SLOTS = np.array([[k for k in range(4) if k != s] for s in range(4)])
+# The labels (0/1, 1/0, 1/1) on the other slots of a vertex at slot s.
+_SEED = np.array([[((0, 1), (1, 0), (1, 1))[k - (k > s)] if k != s else (0, 0) for k in range(4)] for s in range(4)])
+# For j != c, the two slots other than j and c: the link edge kept when the
+# link of the vertex at slot j crosses slot c.
+_KEPT = np.array([[[k for k in range(4) if k not in (j, c)][:2] for c in range(4)] for j in range(4)])
+
+
+def _canonical(pairs: np.ndarray) -> np.ndarray:
+    """``_slope_pair`` on every row of an (N x 2) int64 array, in place."""
+    pairs[(pairs[:, 1] < 0) | ((pairs[:, 1] == 0) & (pairs[:, 0] < 0))] *= -1
+    return pairs
+
+
+def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_link_labels``'s crossing rule for N links at once: cross slot c in the link at slot j.
+
+    ``src`` (N x 4 x 2) holds the labels of the other slots before the
+    crossing and is updated in place: the kept pair x, y keeps its labels
+    and slot c gets whichever of x + y and x - y its old label is not.
+    Returns that new label, in int64, and whether |ps - qr| = 1 and the old
+    label was x + y or x - y.
+    """
+    n = np.arange(len(src))
+    x, y, d = (src[n, k].astype(np.int64) for k in (_KEPT[j, c, 0], _KEPT[j, c, 1], c))
+    plus, minus = x + y, _canonical(x - y)
+    is_plus, is_minus = (d == plus).all(axis=1), (d == minus).all(axis=1)
+    ok = (np.abs(x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]) == 1) & (is_plus | is_minus)
+    new = np.where(is_plus[:, None], minus, plus)
+    src[n, c] = new
+    return new, ok
+
+
+def _link_shape(table: TetTable, n: int) -> tuple | None:
+    """Where each vertex's links start, or None for a ball not shaped like a generated one.
+
+    A generated ball has every non-root address a reduced word whose parent
+    is in the ball and differs from it in exactly one slot, and every vertex
+    id in 0..n-1 has exactly one birth row: the root, or a row that does not
+    inherit it at the same slot from its parent.  Then the tetrahedra
+    containing v are a subtree below its birth row, all with v at one slot.
+    Returns (born, cross, last, slot): ``born`` (T x 4) marks birth slots,
+    ``cross`` (T,) is the slot each row changes, ``last`` (n,) the last row
+    of each vertex's support in address order and ``slot`` (n,) its slot.
+    """
+    verts, parent, face = table.verts, table.parent, table.face
+    if table.addrs[:1] != [""] or (parent[1:] < 0).any() or (face[1:] < 0).any() or (face[1:] == face[parent[1:]]).any():
+        return None
+    if verts.min() < 0 or verts.max() >= n:
+        return None
+    born = np.ones(verts.shape, dtype=bool)
+    born[1:] = verts[1:] != verts[parent[1:]]
+    if (born[1:].sum(axis=1) != 1).any() or (np.bincount(verts[born], minlength=n) != 1).any():
+        return None
+    order = np.argsort(np.array(table.addrs))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, verts.ravel(), np.repeat(rank, 4))
+    slot = np.empty(n, dtype=np.int64)
+    slot[verts[born]] = np.nonzero(born)[1]
+    return born, born.argmax(axis=1), order[last], slot
+
+
+def _slot_labels(
+    table: TetTable, born: np.ndarray, cross: np.ndarray, j: int, start: np.ndarray, flagged: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label the link of the vertex at slot j of every row, as ``_link_labels`` does.
+
+    ``start`` gives, for each birth row of slot j in order, the row whose
+    other three slots get (0/1, 1/0, 1/1).  The labelling walks up from
+    there to the birth row, then crosses into every other row from its
+    parent, depth by depth.  Returns ``labels`` (T x 4 x 2), ``labels[t, k]``
+    being the label of slot k, and the rows that got a label of at least
+    ``LABEL_LIMIT``; marks in ``flagged`` the vertices a crossing check
+    failed on.
+    """
+    verts, parent = table.verts, table.parent
+    owner = verts[:, j]
+    labels = np.zeros((len(verts), 4, 2), dtype=np.int32)
+    labels[start] = _SEED[j]
+    done = np.zeros(len(verts), dtype=bool)
+    done[start] = True
+    big = np.zeros(len(verts), dtype=bool)
+    birth = np.flatnonzero(born[:, j])
+    depth = table.depth
+    at = start.copy()
+    live = np.flatnonzero(at != birth)
+    for _ in range(int(depth.max())):  # each walk reaches its birth row within the depth
+        child = at[live]
+        src = labels[child]
+        _, ok = _cross(src, j, cross[child])
+        at[live] = parent[child]
+        labels[at[live]] = src
+        done[at[live]] = True
+        flagged[owner[child][~ok]] = True
+        live = live[at[live] != birth[live]]
+    for d in range(1, int(depth.max()) + 1):
+        t = np.flatnonzero((depth == d) & ~done)
+        src = labels[parent[t]]
+        new, ok = _cross(src, j, cross[t])
+        labels[t] = src
+        flagged[owner[t][~ok]] = True
+        big[t] = np.abs(new).max(axis=1) >= LABEL_LIMIT
+    return labels, big
+
+
+def _mobius_flags(labels: np.ndarray, relabels: np.ndarray, base: np.ndarray, j: int) -> np.ndarray:
+    """The rows whose slot-j link relabels are not the Mobius image of their labels, up to sign.
+
+    The matrix sends the first labels a, b, c of the second base, row
+    ``base[t]``, to (0/1, 1/0, 1/1): ``triangle_matrix``, then
+    ``mat_inverse``, on every row at once.  A row is also returned when
+    a, b, c are not an ordered Farey triangle.
+    """
+    a, b, c = (labels[base, k].astype(np.int64) for k in _OTHER_SLOTS[j])
+    is_plus, is_minus = (c == _canonical(a + b)).all(axis=1), (c == _canonical(a - b)).all(axis=1)
+    sign = np.where(is_plus, 1, -1)
+    det = sign * (b[:, 0] * a[:, 1] - a[:, 0] * b[:, 1])
+    p, q, r, s = labels[:, :, 0], labels[:, :, 1], relabels[:, :, 0], relabels[:, :, 1]
+    # The inverse is det * ((sign a_q, -sign a_p), (-b_q, b_p)).
+    image_p = (det * sign)[:, None] * (a[:, 1:] * p - a[:, :1] * q)
+    image_q = det[:, None] * (b[:, :1] * q - b[:, 1:] * p)
+    same = ((r == image_p) & (s == image_q)) | ((r == -image_p) & (s == -image_q))
+    return ~(is_plus | is_minus) | (np.abs(det) != 1) | ~same.all(axis=1)
+
+
+def _link_pass(ball: TetBall) -> tuple | None:
+    """Label every vertex link from both bases at once and flag the vertices a check fails on.
+
+    None if ``_link_shape`` finds the ball not shaped like a generated one;
+    otherwise (flagged, over, labels, relabels): ``flagged`` (n,) marks the
+    vertices a check fails on, ``over`` those with a first label of at
+    least ``LABEL_LIMIT``, and ``labels`` and ``relabels`` (2E x 2) are the
+    first and second label of each link member, in the order of
+    ``ball.indices``.  The checks are the crossings, the Mobius check, and
+    that each vertex's labels are one per neighbour in each labelling,
+    injective, and cover exactly its adjacency.  A vertex keeps one slot
+    in every row, so all of it runs a slot at a time.
+    """
+    n, table = ball.n_vertices, ball.table
+    shape = _link_shape(table, n)
+    if shape is None:
+        return None
+    born, cross, last, slot = shape
+    flagged = np.zeros(n, dtype=bool)
+    over = np.full(n, LABEL_LIMIT <= 1)
+    tail = np.repeat(np.arange(n), np.diff(ball.indptr))
+    csr = tail * n + ball.indices
+    first, second = np.zeros((len(csr), 2), dtype=np.int32), np.zeros((len(csr), 2), dtype=np.int32)
+    for j, others in enumerate(_OTHER_SLOTS):
+        owner = table.verts[:, j]
+        birth = np.flatnonzero(born[:, j])
+        labels, big = _slot_labels(table, born, cross, j, birth, flagged)
+        over[owner[big]] = True
+        relabels, _ = _slot_labels(table, born, cross, j, last[owner[birth]], flagged)
+        flagged[owner[_mobius_flags(labels, relabels, last[owner], j)]] = True
+        key = (owner[:, None] * n + table.verts[:, others]).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        one, two = labels[:, others].reshape(-1, 2)[order], relabels[:, others].reshape(-1, 2)[order]
+        repeat = key[1:] == key[:-1]
+        clash = repeat & ((one[1:] != one[:-1]).any(axis=1) | (two[1:] != two[:-1]).any(axis=1))
+        flagged[key[1:][clash] // n] = True
+        distinct = np.r_[True, ~repeat]
+        key, one, two = key[distinct], one[distinct], two[distinct]
+        v = key // n
+        order = np.lexsort((one[:, 1], one[:, 0], v))
+        same = (v[order][1:] == v[order][:-1]) & (one[order][1:] == one[order][:-1]).all(axis=1)
+        flagged[v[order][1:][same]] = True
+        mine = np.flatnonzero(slot[tail] == j)
+        if len(key) != len(mine) or (key != csr[mine]).any():
+            flagged[np.setxor1d(key, csr[mine], assume_unique=True) // n] = True
+        at = np.minimum(np.searchsorted(key, csr[mine]), len(key) - 1)
+        first[mine], second[mine] = one[at], two[at]
+    return flagged, over, first, second
+
+
+def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
+    """Every link edge as (v, i * k + j) for members i < j of the sorted link of v, k its size.
+
+    The common neighbours of each directed edge (v, x), in blocks of
+    ``BLOCK_ELEMS // 8`` edges: at radius 8 an edge has six candidate
+    neighbours on average, so a block is about one ``common_neighbors``
+    block.  v is nondecreasing."""
+    indptr, indices = ball.indptr, ball.indices
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    tail = np.repeat(np.arange(n), degree)
+    csr = tail * n + indices
+    found = []
+    step = max(1, BLOCK_ELEMS // 8)
+    for e0 in range(0, max(len(indices), 1), step):
+        e = np.arange(e0, min(e0 + step, len(indices)))
+        row, y = common_neighbors(ball, np.column_stack([tail[e], indices[e]]))
+        e = e[row]
+        v = tail[e]
+        i, j = e - indptr[v], np.searchsorted(csr, v * n + y) - indptr[v]
+        keep = i < j
+        found.append((v[keep], (i * degree[v] + j)[keep]))
+    vs, keys = zip(*found)
+    return np.concatenate(vs), np.concatenate(keys)
+
+
+def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | None]:
+    """The per-vertex link check of v by ``_link_labels`` breadth-first searches.
+
+    Appends v's labelling, coverage, relabelling and Mobius failures and
+    raises BudgetError for a label over ``LABEL_LIMIT``.  Returns whether the
+    first labelling succeeded and v's (v, members, labels, edge keys) entry
+    for ``_edge_mismatches``, or None when v has no pair check.
+    """
+    try:
+        labels = _link_labels(ball, v, _base_triple(ball, v, min(ball.support[v])))
+    except (RuntimeError, ValueError) as exc:
+        failures.append((v, 0, 0, 0, str(exc)))
+        return False, None
+    nbrs = ball.adjacency[v]
+    if labels.keys() != nbrs:
+        failures.append((v, 0, 0, 0, "labeling does not cover the link"))
+        return True, None
+    other_base = _base_triple(ball, v, max(ball.support[v]))
+    try:
+        relabels = _link_labels(ball, v, other_base)
+    except (RuntimeError, ValueError) as exc:
+        failures.append((v, 0, 0, 0, f"relabelling from base {other_base}: {exc}"))
+    else:
+        u = _mobius_mismatch(labels, relabels, other_base)
+        if u is not None:
+            failures.append((v, 2, 0, 0, f"Mobius cross-check failed at {u}"))
+    members = sorted(nbrs)
+    row = [labels[u] for u in members]
+    if max(map(abs, chain.from_iterable(row))) >= LABEL_LIMIT:
+        raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
+    k = len(members)
+    index = {u: i for i, u in enumerate(members)}
+    keys = [i * k + index[y] for i, x in enumerate(members) for y in ball.adjacency[x] & nbrs if i < index[y]]
+    return True, (v, members, row, keys)
+
+
 def link_labeling_report(ball: TetBall) -> list[dict]:
     """Check that every in-ball link labels injectively onto a Farey subcomplex.
 
-    For each vertex, labels the full in-ball link from a canonical base
-    triangle and verifies that link edges correspond exactly to Farey-adjacent
-    label pairs (both directions), and that a relabeling from a second base
-    differs by the Mobius action of the matrix determined by the base images.
-    The pair check runs on blocks of vertices of equal degree, which are
-    dropped once scored.  Failures are listed by vertex, and within a vertex
-    labelling or coverage failures first, then edge mismatches in pair
-    order, then the Mobius cross-check.
+    Each vertex's link is labelled by Farey slopes twice: from the base
+    triangle of its first tetrahedron in address order (its birth row) and
+    from that of its last.  Link edges must be exactly the Farey-adjacent
+    label pairs (both directions), and the second labelling must be the
+    Mobius image of the first under the matrix its base images determine.
+
+    ``_link_pass`` labels every link at once on ``ball.table``: row t, slot
+    j holds the labels of the other three slots in the link of
+    ``verts[t, j]``.  In a ball shaped like a generated one the tetrahedra
+    containing v are the subtree below its birth row that keeps v at its
+    slot, and ``_link_labels``'s breadth-first search from a base row of that
+    subtree reaches every other row from its tree neighbour nearer the base,
+    by a crossing that keeps two labels and forces the third.  From the
+    birth row that neighbour is the parent; from the last row it is the
+    child on the path up to the birth row, then the parent off that path.
+    The pass makes exactly those crossings, so its labels are the search's.
+
+    The pass flags every vertex on which a crossing, the Mobius check,
+    uniqueness or injectivity of its labels, or coverage of its adjacency
+    fails; those vertices, and every vertex of a ball not shaped like a
+    generated one, take the per-vertex searches of ``_check_vertex``, which
+    write their records.  The pair check runs on blocks of vertices of
+    equal degree, which are dropped once scored.  Failures are listed by
+    vertex, and within a vertex labelling or coverage failures first, then
+    edge mismatches in pair order, then the Mobius cross-check.
     """
     failures = []  # (vertex, kind, i, j, message)
     vertices_checked = 0
     groups: dict = {}  # degree -> vertices awaiting the pair check
+    found = _link_pass(ball)
+    if found is not None:
+        flagged, over, labels, _ = found
+        owner, edge_keys = _link_edges(ball)
+        bounds = np.searchsorted(owner, np.arange(ball.n_vertices + 1)).tolist()
+        indptr = ball.indptr.tolist()
     for v in ball.vertices():
-        try:
-            labels = _link_labels(ball, v, _base_triple(ball, v, min(ball.support[v])))
-        except (RuntimeError, ValueError) as exc:
-            failures.append((v, 0, 0, 0, str(exc)))
-            continue
-        vertices_checked += 1
-        nbrs = ball.adjacency[v]
-        if labels.keys() != nbrs:
-            failures.append((v, 0, 0, 0, "labeling does not cover the link"))
-            continue
-        other_base = _base_triple(ball, v, max(ball.support[v]))
-        try:
-            relabels = _link_labels(ball, v, other_base)
-        except (RuntimeError, ValueError) as exc:
-            failures.append((v, 0, 0, 0, f"relabelling from base {other_base}: {exc}"))
+        if found is None or flagged[v]:
+            labelled, entry = _check_vertex(ball, v, failures)
+            vertices_checked += labelled
+            if entry is None:
+                continue
         else:
-            u = _mobius_mismatch(labels, relabels, other_base)
-            if u is not None:
-                failures.append((v, 2, 0, 0, f"Mobius cross-check failed at {u}"))
-        members = sorted(nbrs)
-        row = [labels[u] for u in members]
-        if max(map(abs, chain.from_iterable(row))) >= LABEL_LIMIT:
-            raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
-        k = len(members)
-        index = {u: i for i, u in enumerate(members)}
-        keys = [i * k + index[y] for i, x in enumerate(members) for y in ball.adjacency[x] & nbrs if i < index[y]]
+            vertices_checked += 1
+            if over[v]:
+                raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
+            lo, hi = indptr[v], indptr[v + 1]
+            entry = (v, ball.indices[lo:hi], labels[lo:hi], edge_keys[bounds[v] : bounds[v + 1]])
+        k = len(entry[1])
         group = groups.setdefault(k, [])
-        group.append((v, members, row, keys))
+        group.append(entry)
         if len(group) * k * k >= BLOCK_ELEMS:
             failures += _edge_mismatches(group)
             group.clear()

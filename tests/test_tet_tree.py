@@ -270,6 +270,18 @@ def ball_with_extra_link_edges(radius, v, count=1):
     return b
 
 
+def flag_vertices(monkeypatch, *vertices):
+    """Make the table pass flag ``vertices``, so they take the per-vertex searches."""
+    link_pass = tet_tree._link_pass
+
+    def flagging(ball_):
+        flagged, *rest = link_pass(ball_)
+        flagged[list(vertices)] = True
+        return (flagged, *rest)
+
+    monkeypatch.setattr(tet_tree, "_link_pass", flagging)
+
+
 class TestLinkLabelingReport:
     def test_crossing_rule_matches_common_neighbors(self):
         # Every adjacent pair in a box of slopes: x + y and x - y, with the
@@ -331,6 +343,7 @@ class TestLinkLabelingReport:
             return labels_of(ball_, v, base)
 
         monkeypatch.setattr(tet_tree, "_link_labels", failing)
+        flag_vertices(monkeypatch, 7)
         (report,) = link_labeling_report(b)
         assert report["failures"] == [{"vertex": 7, "error": f"relabelling from base {second}: broken"}]
         assert report["vertices_checked"] == b.n_vertices
@@ -350,6 +363,7 @@ class TestLinkLabelingReport:
             return labels
 
         monkeypatch.setattr(tet_tree, "_link_labels", swapped)
+        flag_vertices(monkeypatch, 0)
         (report,) = link_labeling_report(b)
         assert [report] == slope_loop_report(b)
         errors = [f["error"] for f in report["failures"] if f["vertex"] == 0]
@@ -362,6 +376,139 @@ class TestLinkLabelingReport:
         monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 2)
         with pytest.raises(BudgetError, match="limit of the pair check"):
             link_labeling_report(ball(1))
+
+
+def ball_reusing(radius, addr, u):
+    """The ball whose crossing into ``addr`` puts the existing vertex u at the crossed slot
+    instead of a fresh vertex; the later ids close the gap."""
+    tets = generate_ball(radius).tets
+    fresh = tets[addr][int(addr[-1])]
+    return TetBall(radius, {a: tuple(u if x == fresh else x - (x > fresh) for x in vs) for a, vs in tets.items()})
+
+
+def ball_without(radius, addr):
+    """The ball with the tetrahedron at ``addr`` deleted and its children kept."""
+    tets = dict(generate_ball(radius).tets)
+    del tets[addr]
+    return TetBall(radius, tets)
+
+
+def ball_with_swapped_vertices():
+    """The radius-3 ball of ``test_swapped_vertices_name_the_tetrahedra``."""
+    tets = dict(generate_ball(3).tets)
+    a, c = list(tets["01"]), list(tets["32"])
+    a[1], c[2] = c[2], a[1]
+    tets["01"], tets["32"] = tuple(a), tuple(c)
+    return TetBall(3, tets)
+
+
+def ball_with_moved_vertex(radius, addr, k):
+    """The ball whose fresh vertex at ``addr`` sits at slot k instead of the crossed slot."""
+    tets = dict(generate_ball(radius).tets)
+    row = list(tets[addr[:-1]])
+    row[k] = tets[addr][int(addr[-1])]
+    tets[addr] = tuple(row)
+    return TetBall(radius, tets)
+
+
+def ball_without_edge(radius, x, y):
+    b = generate_ball(radius)
+    b.adjacency[x].discard(y)
+    b.adjacency[y].discard(x)
+    return b
+
+
+MALFORMED = {
+    "extra_edge_0": lambda: ball_with_extra_link_edges(3, 0, 1),
+    "extra_edge_8": lambda: ball_with_extra_link_edges(3, 8, 1),
+    "extra_edges_0": lambda: ball_with_extra_link_edges(3, 0, 3),
+    "missing_edge": lambda: ball_without_edge(3, 4, 8),
+    "swapped": ball_with_swapped_vertices,
+    "missing_parent": lambda: ball_without(3, "01"),
+    "missing_root_child": lambda: ball_without(3, "2"),
+    "reused_dropped": lambda: ball_reusing(3, "01", 1),
+    "reused_other": lambda: ball_reusing(3, "01", 5),
+    "moved_leaf": lambda: ball_with_moved_vertex(3, "012", 0),
+    "moved_inner": lambda: ball_with_moved_vertex(3, "01", 3),
+}
+
+
+# The malformed balls on which every vertex takes the per-vertex searches.
+NOT_SHAPED = {"swapped", "missing_parent", "missing_root_child", "reused_dropped", "reused_other", "moved_inner"}
+
+
+def table_entry(b, link_pass, edges, v):
+    """The pair-check entry of v as the table pass gives it, as plain lists."""
+    lo, hi = b.indptr[v], b.indptr[v + 1]
+    owner, keys = edges
+    return v, b.indices[lo:hi].tolist(), [tuple(x) for x in link_pass[2][lo:hi].tolist()], sorted(keys[owner == v].tolist())
+
+
+class TestLinkPass:
+    @pytest.mark.parametrize("radius", range(7))
+    def test_labels_match_both_searches(self, ball, radius):
+        b = ball(radius)
+        flagged, over, labels, relabels = tet_tree._link_pass(b)
+        assert not flagged.any() and not over.any()
+        for v in b.vertices():
+            lo, hi = b.indptr[v], b.indptr[v + 1]
+            members = b.indices[lo:hi].tolist()
+            for table, addr in ((labels, min(b.support[v])), (relabels, max(b.support[v]))):
+                found = tet_tree._link_labels(b, v, tet_tree._base_triple(b, v, addr))
+                assert [found[u] for u in members] == [tuple(x) for x in table[lo:hi].tolist()]
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_clean_ball_takes_no_search(self, ball, monkeypatch, radius):
+        def no_search(*args):
+            raise AssertionError("per-vertex search on a clean ball")
+
+        monkeypatch.setattr(tet_tree, "_link_labels", no_search)
+        (report,) = link_labeling_report(ball(radius))
+        assert report["ok"] and report["vertices_checked"] == ball(radius).n_vertices
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_ball_matches_slope_loop(self, name):
+        b = MALFORMED[name]()
+        (report,) = link_labeling_report(b)
+        assert not report["ok"]
+        assert [report] == slope_loop_report(b)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_cleared_vertices_pass_the_per_vertex_check(self, name):
+        # The pass clears a vertex only if the per-vertex searches find
+        # nothing on it and give the same pair-check entry.
+        b = MALFORMED[name]()
+        link_pass = tet_tree._link_pass(b)
+        assert (link_pass is None) == (name in NOT_SHAPED)
+        if link_pass is None:
+            return
+        edges = tet_tree._link_edges(b)
+        cleared = np.flatnonzero(~link_pass[0]).tolist()
+        assert 0 < len(cleared) < b.n_vertices
+        for v in cleared:
+            failures = []
+            labelled, (u, members, row, keys) = tet_tree._check_vertex(b, v, failures)
+            assert labelled and not failures
+            assert (u, members, row, sorted(keys)) == table_entry(b, link_pass, edges, v)
+
+    def test_second_labelling_is_checked_at_every_slot(self, ball, monkeypatch):
+        # Relabel one neighbour of each root vertex consistently in every
+        # tetrahedron: only the Mobius check can notice.
+        slot_labels = tet_tree._slot_labels
+        calls = []
+
+        def corrupted(table, born, cross, j, start, flagged):
+            labels, big = slot_labels(table, born, cross, j, start, flagged)
+            calls.append(j)
+            if calls.count(j) == 2:
+                k = (j + 1) % 4
+                labels[(table.verts[:, j] == j) & (table.verts[:, k] == k), k] = (7, 3)
+            return labels, big
+
+        monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
+        flagged, over, labels, relabels = tet_tree._link_pass(ball(3))
+        assert np.flatnonzero(flagged).tolist() == [0, 1, 2, 3]
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +673,45 @@ class TestSupport:
 # ---------------------------------------------------------------------------
 # Reports and serialization
 
+def interior_cofaces_loop(b):
+    """Reference for ``interior_triangle_cofaces``: ``triangle_cofaces`` of each interior face."""
+    bad = []
+    for addr, verts in b.tets.items():
+        if len(addr) > b.radius - 1:
+            continue
+        for i in range(4):
+            cof = triangle_cofaces(b, tuple(verts[j] for j in range(4) if j != i))
+            if len(cof) != 2 or tree_distance(cof[0], cof[1]) != 1:
+                bad.append((addr, i, cof))
+    return {"name": "interior_triangle_cofaces", "ok": not bad, "bad": bad[:5]}
+
+
+def check(b, name):
+    (found,) = [c for c in structural_report(b) if c["name"] == name]
+    return found
+
+
 class TestStructuralReport:
+    @pytest.mark.parametrize("name", sorted(set(MALFORMED) - {"missing_edge"}) + [f"radius_{n}" for n in range(6)])
+    def test_interior_cofaces_match_loop(self, ball, name):
+        b = ball(int(name[-1])) if name.startswith("radius") else MALFORMED[name]()
+        assert check(b, "interior_triangle_cofaces") == interior_cofaces_loop(b)
+        assert check(b, "interior_triangle_cofaces")["ok"] == (name.startswith(("radius", "extra_edge")))
+
+    def test_missing_edge_is_a_clique_fault(self):
+        # Cofaces are read from the tetrahedra, so an edge missing from the
+        # adjacency no longer raises from triangle_cofaces; the clique check
+        # reports the ball.
+        b = MALFORMED["missing_edge"]()
+        with pytest.raises(ValueError, match="not adjacent"):
+            interior_cofaces_loop(b)
+        assert check(b, "interior_triangle_cofaces")["ok"]
+        assert not check(b, "four_cliques_are_tets")["ok"]
+
+    @pytest.mark.parametrize("name, ok", [("missing_parent", False), ("swapped", False), ("moved_leaf", True), ("extra_edge_0", True)])
+    def test_prefix_stable(self, name, ok):
+        assert check(MALFORMED[name](), "prefix_stable") == {"name": "prefix_stable", "ok": ok}
+
     def test_clean_at_radius_three(self, ball):
         report = structural_report(ball(3))
         assert all(c["ok"] for c in report), [c for c in report if not c["ok"]]
