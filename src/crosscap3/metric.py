@@ -22,6 +22,14 @@ maximum: it cannot be the first to exceed it, so the maximum and the
 witness are those of the full scan.  Skipped triples still count as
 examined.
 
+The bottleneck property (Manning's criterion for a quasi-tree) asks that
+every far-apart pair be separated by a triangle near a geodesic midpoint.
+``bottleneck_triangle`` and ``separates`` build and test it for one pair;
+the scan does the same for blocks of pairs on integer arrays, and deletes
+each distinct blocked set (a triangle or its closed neighbourhood) once,
+labelling the components of what is left, so a pair is separated exactly
+when its endpoints get different labels.
+
 The hot loops are vectorized: the distance table comes from one BFS that
 advances every source at once as packed bitsets, the sampled triples are
 replayed from ``random.Random.getrandbits`` in blocks (the stream of
@@ -138,14 +146,10 @@ def _tet_ball(table: DistanceTable) -> TetBall:
     return table.source
 
 
-def _interval_idx(table: DistanceTable, xi: int, yi: int) -> np.ndarray:
-    d = table.dist
-    return np.nonzero(d[xi] + d[yi] == d[xi, yi])[0]
-
-
 def interval(table: DistanceTable, x: int, y: int) -> frozenset:
     """The betweenness set: all vertices on some geodesic from x to y."""
-    return frozenset(_interval_idx(table, x, y).tolist())
+    d = table.dist
+    return frozenset(np.flatnonzero(d[x] + d[y] == d[x, y]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -265,57 +269,178 @@ class BottleneckReport:
         return not self.failures and self.worst_margin <= BOTTLENECK_BOUND
 
 
+def _least_neighbor(ball: TetBall, v: np.ndarray, want) -> np.ndarray:
+    """The least neighbour w of each ``v[i]`` with ``want(i, w)``, or n where there is none.
+
+    A masked minimum over the sorted CSR rows of ``v``, laid out flat.
+    """
+    indptr = ball.indptr
+    deg = indptr[v + 1] - indptr[v]
+    seg = np.cumsum(deg) - deg
+    i = np.repeat(np.arange(len(v)), deg)
+    w = ball.indices[np.arange(deg.sum()) + np.repeat(indptr[v] - seg, deg)]
+    return np.minimum.reduceat(np.where(want(i, w), w, len(indptr) - 1), seg)
+
+
+def _bottleneck_faces(table: DistanceTable, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``bottleneck_triangle`` for arrays of pairs and their vertices p.
+
+    q is the least neighbour of p one step nearer x on a geodesic.  The rows
+    holding q form a subtree topped by q's creation row s, so the tree path
+    from s to the creation row g of y (which lacks q) leaves them once:
+    climbing to the parent of s, or, when g lies below s, at the first row
+    without q on the way down (read off ``TetTable.ancestors``).  Returns
+    the vertices of that cut row (B x 4), -1 where the row before the cut
+    lacks them, so a triangle is the other three; like
+    ``bottleneck_triangle``, unchecked.
+    """
+    ball, d = table.source, table.dist
+    tab = ball.table
+    dxp, dpy = d[x, p], d[p, y]
+    q = _least_neighbor(ball, p, lambda i, w: (d[x[i], w] == dxp[i] - 1) & (d[y[i], w] == dpy[i] + 1))
+    s, g = tab.born[q], tab.born[y]
+    b, ds = np.arange(len(q)), tab.depth[s]
+    down = tab.ancestors[g]  # the rows from the root to g
+    below = down[b, ds] == s
+    lacks = (tab.verts[down] != q[:, None, None]).all(axis=2)
+    k = (lacks & (down >= 0) & (np.arange(down.shape[1]) > ds[:, None])).argmax(axis=1)
+    face = tab.verts[np.where(below, down[b, k], tab.parent[s])]
+    before = tab.verts[np.where(below, down[b, k - 1], s)]
+    return np.where((face[:, :, None] == before[:, None, :]).any(axis=2), face, -1)
+
+
+def _bottleneck_blocks(table: DistanceTable):
+    """The scan's pairs and what it builds on them, a block at a time.
+
+    Yields arrays x, y, p, p2 and faces over blocks of at most
+    ``BLOCK_ELEMS // n`` of the in-margin pairs at distance >= 3, in
+    x-then-y order: p is the least vertex of I(x, y) at distance floor(d/2)
+    from x, p2 the least neighbour of p one step further on (used for odd
+    d), and faces those of ``_bottleneck_faces``.  A vertex is in the
+    margin when its creation row lies strictly inside the ball.
+    """
+    ball = _tet_ball(table)
+    tab, dist = ball.table, table.dist
+    margin = np.flatnonzero(tab.depth[tab.born] <= ball.radius - 1)
+    a, b = np.nonzero((dist[np.ix_(margin, margin)] >= 3) & (margin[:, None] < margin))
+    x, y = margin[a], margin[b]
+    step = max(1, BLOCK_ELEMS // len(dist))
+    for lo in range(0, len(x), step):
+        xs, ys = x[lo : lo + step], y[lo : lo + step]
+        dx, dy = dist[xs], dist[ys]
+        dxy = dist[xs, ys][:, None]
+        half = dxy // 2
+        p = ((dx == half) & (dx + dy == dxy)).argmax(axis=1)
+        p2 = _least_neighbor(
+            ball, p, lambda i, w: (dx[i, w] == half[i, 0] + 1) & (dx[i, w] + dy[i, w] == dxy[i, 0])
+        )
+        yield xs, ys, p, p2, _bottleneck_faces(table, xs, ys, p)
+
+
+def _separated(
+    ball: TetBall, tris: np.ndarray, inv: np.ndarray, x: np.ndarray, y: np.ndarray, closed: bool
+) -> np.ndarray:
+    """Whether deleting ``tris[inv[i]]`` disconnects ``x[i]`` from ``y[i]``, for every i.
+
+    With ``closed`` the closed neighbourhood of the triangle is deleted
+    instead.  The components of the 1-skeleton minus each blocked set are
+    labelled once by min-label propagation over the CSR, for as many sets at
+    a time as keep the gathered labels within ``BLOCK_ELEMS``; a pair is
+    separated exactly when its endpoints get different labels.
+    ``separates`` is the per-pair oracle.
+    """
+    indptr, cols = ball.indptr, ball.indices
+    starts = indptr[:-1]
+    n = len(starts)
+    need = np.zeros(len(tris), dtype=bool)  # label only the sets some pair uses
+    need[inv] = True
+    used = np.flatnonzero(need)
+    rank = np.empty(len(tris), dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    tris, inv = tris[used], rank[inv]
+    out = np.empty(len(inv), dtype=bool)
+    step = max(1, BLOCK_ELEMS // len(cols))
+    for k0 in range(0, len(tris), step):
+        block = tris[k0 : k0 + step]
+        blocked = np.zeros((len(block), n), dtype=bool)
+        blocked[np.arange(len(block))[:, None], block] = True
+        if closed:
+            blocked |= np.logical_or.reduceat(blocked[:, cols], starts, axis=1)
+        label = np.empty(blocked.shape, dtype=np.int32)
+        label[:] = np.arange(n, dtype=np.int32)
+        label[blocked] = n
+        while True:
+            nxt = np.minimum(label, np.minimum.reduceat(label[:, cols], starts, axis=1))
+            nxt[blocked] = n
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        i = np.flatnonzero((inv >= k0) & (inv < k0 + len(block)))
+        out[i] = label[inv[i] - k0, x[i]] != label[inv[i] - k0, y[i]]
+    return out
+
+
 def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
     """Every in-margin pair at distance >= 3 admits a near-midpoint bottleneck.
 
-    For each pair, picks the lexicographically least vertex p within 1/2 of
-    the midpoint of a geodesic, builds the separating triangle through p,
-    verifies separation by deletion-connectivity, and records how far the
-    triangle's vertices are from the midpoint (the bound is 3/2).  Also
-    confirms that deleting the closed 1-neighbourhood of the triangle and p
+    For each pair, picks the least vertex p within 1/2 of the midpoint of a
+    geodesic, builds the separating triangle through p, verifies separation
+    by deletion-connectivity, and records how far the triangle's vertices
+    are from the midpoint (the bound is 3/2).  Also confirms that deleting
+    the closed 1-neighbourhood of the triangle (p is one of its vertices)
     still separates, whenever the endpoints survive that deletion.
+
+    The pairs are scanned in blocks on integer arrays (``_bottleneck_blocks``).
+    Separation is decided per distinct blocked set, not per pair: each
+    triangle, and each neighbourhood, is deleted once and the rest of the
+    1-skeleton labelled by component (``_separated``).  A pair's first
+    failure is reported, in pair order: a bad triangle, then the triangle's
+    separation, then the neighbourhood's; ``worst_margin`` and
+    ``neighborhood_checked`` count only pairs past the earlier checks.
     """
     ball = _tet_ball(table)
-    dist = table.dist
-    margin = np.array([v for v in ball.vertices() if ball.in_margin(v)], dtype=np.intp)
-    failures = []
-    worst = 0.0
-    pairs = 0
-    nbhd_checked = 0
-    for ai, x in enumerate(margin.tolist()):
-        rest = margin[ai + 1 :]
-        for y in rest[dist[x, rest] >= 3].tolist():
-            dxy = int(dist[x, y])
-            pairs += 1
-            half = dxy // 2
-            between = _interval_idx(table, x, y)
-            p = int(between[dist[x, between] == half].min())
-            delta = bottleneck_triangle(table, x, y, p)
-            if len(delta) != 3 or p not in delta:
-                failures.append({"pair": (x, y), "error": f"{sorted(delta)} is not a triangle through p={p}"})
-                continue
-            if not separates(ball, delta, x, y):
-                failures.append({"pair": (x, y), "error": "triangle does not separate"})
-                continue
-            tri = list(delta)
-            if dxy % 2 == 0:
-                m_dist = float(dist[p, tri].max())
-            else:
-                p2 = min(i for i in between[dist[x, between] == half + 1].tolist() if ball.has_edge(p, i))
-                m_dist = float(np.minimum(dist[p, tri], dist[p2, tri]).max()) + 0.5
-            worst = max(worst, m_dist)
-            blocked = set(delta) | {p}
-            for w in list(blocked):
-                blocked |= ball.adjacency[w]
-            if x not in blocked and y not in blocked:
-                nbhd_checked += 1
-                if not separates(ball, blocked, x, y):
-                    failures.append({"pair": (x, y), "error": "neighbourhood does not separate"})
+    dist, n = table.dist, len(table)
+    pairs, errors, index, kept = 0, {}, {}, []
+    for x, y, p, p2, faces in _bottleneck_blocks(table):
+        # A triangle through p: one slot of the face is -1, and p is in another.
+        good = (np.minimum(faces, 0).sum(axis=1) == -1) & (faces == p[:, None]).any(axis=1)
+        for i in np.flatnonzero(~good).tolist():
+            face = sorted(faces[i][faces[i] >= 0].tolist())
+            errors[pairs + i] = (x[i], y[i], f"{face} is not a triangle through p={p[i]}")
+        g = np.flatnonzero(good)
+        x, y, p, p2, face = x[g], y[g], p[g, None], p2[g, None], faces[g]
+        # The triangle, least vertex first, dropping the -1 of its face.
+        hi = face.max(axis=1)
+        lo = np.where(face < 0, hi[:, None], face).min(axis=1)
+        tri = np.column_stack((lo, face.sum(axis=1) + 1 - lo - hi, hi))
+        if ((tri == x[:, None]) | (tri == y[:, None])).any():
+            raise ValueError("endpoints may not be deleted")
+        # Twice the distance of the triangle from the midpoint, in exact integers.
+        odd = dist[x, y] % 2
+        twice = 2 * np.where(odd[:, None], np.minimum(dist[p, tri], dist[p2, tri]), dist[p, tri]).max(axis=1) + odd
+        # The endpoints survive the deletion when both are 2 or more from the triangle.
+        live = (dist[x[:, None], tri].min(axis=1) > 1) & (dist[y[:, None], tri].min(axis=1) > 1)
+        # Distinct triangles, numbered in order of first use; the keys reach
+        # n^3, so they need the int64 of the faces.
+        keys = ((lo * n + tri[:, 1]) * n + hi).tolist()
+        inv = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
+        kept.append((pairs + g, x, y, inv, twice, live))
+        pairs += len(faces)
+    if not kept:
+        return BottleneckReport(pairs_checked=0, worst_margin=0.0, neighborhood_checked=0)
+    i, x, y, inv, twice, live = map(np.concatenate, zip(*kept))
+    tris = np.column_stack(np.unravel_index(np.fromiter(index, dtype=np.int64, count=len(index)), (n, n, n)))
+    cut = _separated(ball, tris, inv, x, y, closed=False)
+    for k in np.flatnonzero(~cut).tolist():
+        errors[int(i[k])] = (x[k], y[k], "triangle does not separate")
+    nbhd = np.flatnonzero(cut & live)
+    for k in nbhd[~_separated(ball, tris, inv[nbhd], x[nbhd], y[nbhd], closed=True)].tolist():
+        errors[int(i[k])] = (x[k], y[k], "neighbourhood does not separate")
     return BottleneckReport(
         pairs_checked=pairs,
-        worst_margin=worst,
-        neighborhood_checked=nbhd_checked,
-        failures=failures,
+        worst_margin=int(twice[cut].max(initial=0)) / 2,
+        neighborhood_checked=len(nbhd),
+        failures=[{"pair": (int(a), int(b)), "error": e} for a, b, e in (errors[k] for k in sorted(errors))],
     )
 
 
@@ -568,13 +693,14 @@ class TreeComparisonReport:
 def tree_comparison(table: DistanceTable) -> TreeComparisonReport:
     """Empirical comparison of ball distances with tree distances.
 
-    Each vertex is assigned the lexicographically least address in its
-    support; the report gives min/max of d_ball - d_tree over all pairs and
-    of the ratio over pairs with positive tree distance.  These are window
-    statistics only; no constant for the infinite complex is claimed.
+    Each vertex is assigned the address of its creation row
+    (``TetTable.born``), the least address in its support; the report gives
+    min/max of d_ball - d_tree over all pairs and of the ratio over pairs
+    with positive tree distance.  These are window statistics only; no
+    constant for the infinite complex is claimed.
     """
-    ball = _tet_ball(table)
-    assign = [min(ball.support[v]) for v in ball.vertices()]
+    tab = _tet_ball(table).table
+    assign = [tab.addrs[t] for t in tab.born.tolist()]
     n = len(assign)
     depth = np.array([len(a) for a in assign])
     width = int(depth.max())

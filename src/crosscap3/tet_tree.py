@@ -29,8 +29,9 @@ ALPHABET = "0123"
 DEFAULT_RADIUS_CAP = 8
 RADIUS_CAP_ENV = "CROSSCAP3_RADIUS_CAP"
 # Elements per scratch block of numpy work: a block of link pairs here, and
-# in ``metric`` one BFS level's unpacked bits, a chunk of sampled triples or
-# a block of tree-comparison rows.  It keeps the scratch memory of each far
+# in ``metric`` one BFS level's unpacked bits, a chunk of sampled triples, a
+# block of bottleneck pairs or of blocked sets, or a block of
+# tree-comparison rows.  It keeps the scratch memory of each far
 # below that of the n^2 distance table.
 BLOCK_ELEMS = 1 << 16
 # Link labels are checked for Farey adjacency in int64; below this bound the
@@ -95,7 +96,7 @@ class TetBall:
     equals edge restriction to the ball); ``support`` maps each vertex to the
     addresses of the tetrahedra containing it.  ``indptr``/``indices``, the
     CSR form of ``adjacency`` with sorted rows, are built from it on first
-    use, never from ``tets``, so checks comparing the two stay independent.
+    use; like ``adjacency`` they derive from ``tets``.
     """
 
     def __init__(self, radius: int, tets: dict):
@@ -164,9 +165,11 @@ class TetTable:
     parent first.  Both are -1 for the root; ``parent`` is also -1 where the
     parent address is missing, and ``face`` where the last letter is not a
     face, so a malformed ball still builds a table.  ``by_verts`` maps each
-    sorted vertex 4-tuple to its row and ``depth`` gives each address
-    length.  ``rows``, ``nbr``, ``by_verts`` and ``depth`` are built on
-    first use, so a table kept for the structural checks stays small.
+    sorted vertex 4-tuple to its row, ``depth`` gives each address
+    length, ``born`` each vertex's creation row and ``ancestors`` each
+    row's chain of ancestors.  All but ``addrs``, ``verts``, ``parent`` and
+    ``face`` are built on first use, so a table kept for the structural
+    checks stays small.
     """
 
     def __init__(self, ball: TetBall):
@@ -195,6 +198,30 @@ class TetTable:
     @cached_property
     def depth(self) -> np.ndarray:
         return np.fromiter(map(len, self.addrs), dtype=np.int64, count=len(self.addrs))
+
+    @cached_property
+    def born(self) -> np.ndarray:
+        """The creation row of each vertex: the first row holding it.
+
+        In a generated ball that row is the top of the vertex's support
+        subtree, so its address is ``min(ball.support[v])``.
+        """
+        born = np.full(self.verts.max(initial=-1) + 1, len(self.verts), dtype=np.int64)
+        np.minimum.at(born, self.verts, np.arange(len(self.verts))[:, None])
+        return born
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        """``ancestors[t, k]`` is the row of the depth-k ancestor of row t, -1 below its depth."""
+        t = np.arange(len(self.addrs))
+        if ((self.parent < 0) != (self.depth == 0)).any():
+            raise ValueError("ball holds a tetrahedron without its parent")
+        anc = np.full((len(t), int(self.depth.max(initial=0)) + 1), -1, dtype=np.int64)
+        anc[t, self.depth] = t
+        for k in range(anc.shape[1] - 1, 0, -1):
+            below = anc[:, k] >= 0
+            anc[below, k - 1] = self.parent[anc[below, k]]
+        return anc
 
 
 def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:

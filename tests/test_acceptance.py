@@ -106,7 +106,7 @@ def test_criterion_4_metric(dtable, ctable):
             problems.append(f"stability d n={n}")
         if not check_distance_stability(ctable(n), ctable(n + 1))["ok"]:
             problems.append(f"stability c n={n}")
-    bot = check_bottleneck_property(dtable(4))
+    bot = check_bottleneck_property(dtable(5))
     if not bot.ok:
         problems.append(f"bottleneck: {bot.failures[:2]}")
     report(

@@ -130,6 +130,16 @@ class TestHyperbolicity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_artifact_radius_five(self, capsys):
+        # Digest of the artifact of the per-pair bottleneck scan; radius 5 is
+        # the first with neighbourhood checks (792 of 8,052 pairs).
+        argv = ("hyperbolicity", "--radius", "5", "--sample-cap", "20000", "--seed", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "00d194b30c74bedf56de6fede5c9f8134ddb9124024b84f78f0146c6ca3f2f15"
+        )
+
     @pytest.mark.parametrize(
         "argv, digest",
         [

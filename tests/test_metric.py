@@ -219,19 +219,136 @@ class TestBottleneckProperty:
         assert report.pairs_checked == 0
         assert report.ok
 
-    @pytest.mark.parametrize("spoil", [lambda delta, p: delta - {p}, lambda delta, p: delta | {-1}])
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda faces, y, p: np.where(faces == p[:, None], -1, faces),  # without p
+            lambda faces, y, p: np.where(faces < 0, y[:, None], faces),  # a fourth vertex
+        ],
+    )
     def test_bad_triangle_is_a_witness(self, monkeypatch, capsys, dtable, spoil):
         # Without p, or with a fourth vertex: the report, not an assert, names the pair.
-        build = metric.bottleneck_triangle
-        monkeypatch.setattr(metric, "bottleneck_triangle", lambda t, x, y, p: spoil(build(t, x, y, p), p))
+        build = metric._bottleneck_faces
+        monkeypatch.setattr(metric, "_bottleneck_faces", lambda t, x, y, p: spoil(build(t, x, y, p), y, p))
         report = check_bottleneck_property(dtable(3))
         assert not report.ok
         assert report.failures and all("is not a triangle through p=" in f["error"] for f in report.failures)
+        assert all(type(v) is int for f in report.failures for v in f["pair"])
         (row,) = [r for r in hyperbolicity_reports(3) if r["name"] == "bottleneck_property"]
         assert not row["ok"]
         assert "is not a triangle through p=" in row["witness"]
+        assert "np." not in row["witness"]
         assert main(["hyperbolicity", "--radius", "3"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "radius, spoiled, error, worst, nbhd",
+        [
+            # A triangle that does not separate stops the pair before its margin counts.
+            (3, False, "triangle does not separate", 0.0, 0),
+            (5, True, "neighbourhood does not separate", 1.5, 792),
+        ],
+    )
+    def test_separation_failure_is_a_witness(self, monkeypatch, capsys, dtable, radius, spoiled, error, worst, nbhd):
+        # Every triangle, or every neighbourhood, is made to fail its deletion check.
+        real = metric._separated
+        monkeypatch.setattr(
+            metric,
+            "_separated",
+            lambda b, tris, inv, x, y, closed: real(b, tris, inv, x, y, closed) & (closed != spoiled),
+        )
+        report = check_bottleneck_property(dtable(radius))
+        assert not report.ok
+        assert (report.worst_margin, report.neighborhood_checked) == (worst, nbhd)
+        assert len(report.failures) == (nbhd or report.pairs_checked)
+        assert {f["error"] for f in report.failures} == {error}
+        pairs = [f["pair"] for f in report.failures]
+        assert pairs == sorted(pairs) and all(type(v) is int for pair in pairs for v in pair)
+        argv = ["hyperbolicity", "--radius", str(radius), "--sample-cap", "100"]
+        (row,) = [r for r in hyperbolicity_reports(radius, sample_cap=100) if r["name"] == "bottleneck_property"]
+        assert not row["ok"] and error in row["witness"] and "np." not in row["witness"]
+        assert main(argv) == 1
+        capsys.readouterr()
+
+    def test_first_failure_per_pair(self, monkeypatch, dtable):
+        # x % 3 == 0: a bad triangle; 1: a triangle that does not separate;
+        # 2: a neighbourhood that does not separate.  Each pair reports only
+        # its first failure, in pair order.
+        build, real = metric._bottleneck_faces, metric._separated
+
+        def faces(t, x, y, p):
+            out = build(t, x, y, p)
+            return np.where((x[:, None] % 3 == 0) & (out == p[:, None]), -1, out)
+
+        def separated(b, tris, inv, x, y, closed):
+            return real(b, tris, inv, x, y, closed) & (not closed) & (x % 3 != 1)
+
+        monkeypatch.setattr(metric, "_bottleneck_faces", faces)
+        monkeypatch.setattr(metric, "_separated", separated)
+        report = check_bottleneck_property(dtable(5))
+        pairs = [f["pair"] for f in report.failures]
+        assert pairs == sorted(set(pairs))
+        kinds = ("is not a triangle through p=", "triangle does not separate", "neighbourhood does not separate")
+        assert all(kinds[f["pair"][0] % 3] in f["error"] for f in report.failures)
+        xs = np.concatenate([block[0] for block in metric._bottleneck_blocks(dtable(5))])
+        assert sum(x % 3 != 2 for x, _ in pairs) == int((xs % 3 != 2).sum())
+        assert 0 < sum(x % 3 == 2 for x, _ in pairs) == report.neighborhood_checked
+        assert 0 < report.worst_margin <= 1.5
+
+
+class TestBatchedBottleneckScan:
+    @pytest.mark.parametrize("radius, pairs, nbhd", [(3, 12, 0), (4, 504, 0), (5, 8052, 792)])
+    def test_matches_per_pair_oracles(self, monkeypatch, ball, dtable, radius, pairs, nbhd):
+        # Every pair's p, p2 and triangle against bottleneck_triangle, and
+        # every separation verdict the scan used against the deletion BFS.
+        b, t = ball(radius), dtable(radius)
+        real, calls = metric._separated, []
+
+        def spy(ball_, tris, inv, x, y, closed):
+            out = real(ball_, tris, inv, x, y, closed)
+            calls.append((closed, tris[inv].tolist(), x.tolist(), y.tolist(), out.tolist()))
+            return out
+
+        monkeypatch.setattr(metric, "_separated", spy)
+        report = check_bottleneck_property(t)
+        assert report.ok
+        assert (report.pairs_checked, report.neighborhood_checked, report.worst_margin) == (pairs, nbhd, 1.5)
+        x, y, p, p2, faces = (np.concatenate(a).tolist() for a in zip(*metric._bottleneck_blocks(t)))
+        margin = [v for v in b.vertices() if b.in_margin(v)]
+        assert list(zip(x, y)) == [(u, v) for i, u in enumerate(margin) for v in margin[i + 1 :] if t.d(u, v) >= 3]
+        for xi, yi, pi, p2i, face in zip(x, y, p, p2, faces):
+            half = t.d(xi, yi) // 2
+            between = interval(t, xi, yi)
+            assert pi == min(v for v in between if t.d(xi, v) == half)
+            assert p2i == min(v for v in between if t.d(xi, v) == half + 1 and b.has_edge(pi, v))
+            assert set(face) - {-1} == bottleneck_triangle(t, xi, yi, pi)
+        (tri_closed, *tri_checks), (nbhd_closed, *nbhd_checks) = calls
+        assert (tri_closed, nbhd_closed) == (False, True)
+        assert len(tri_checks[1]) == pairs and len(nbhd_checks[1]) == nbhd
+        for tri, xi, yi, cut in zip(*tri_checks):
+            assert cut == separates(b, tri, xi, yi)
+        for tri, xi, yi, cut in zip(*nbhd_checks):
+            assert cut == separates(b, set(tri).union(*(b.adjacency[w] for w in tri)), xi, yi)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_separated_matches_deletion_bfs(self, ball, closed):
+        # Every face of the radius-3 ball, each with random surviving pairs:
+        # the verdicts include both outcomes, unlike those of a passing scan.
+        b = ball(3)
+        faces = b.table.verts[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+        tris = np.unique(np.sort(faces, axis=1), axis=0)
+        rng = random.Random(7)
+        queries, want = [], []
+        for k, tri in enumerate(tris.tolist()):
+            blocked = set(tri).union(*(b.adjacency[w] for w in tri)) if closed else set(tri)
+            free = [v for v in b.vertices() if v not in blocked]
+            for _ in range(4):
+                x, y = rng.sample(free, 2)
+                queries.append((k, x, y))
+                want.append(separates(b, blocked, x, y))
+        k, x, y = np.array(queries).T
+        assert metric._separated(b, tris, k, x, y, closed).tolist() == want
+        assert set(want) == {True, False}
 
 
 def brute_thinness(table):

@@ -640,6 +640,26 @@ class TestSupport:
         b = ball(6)
         assert all(support_connected(b, v) for v in b.vertices())
 
+    @pytest.mark.parametrize("radius", range(6))
+    def test_creation_row_is_top_of_support(self, ball, radius):
+        b = ball(radius)
+        table = b.table
+        assert [table.addrs[t] for t in table.born] == [min(b.support[v]) for v in b.vertices()]
+        assert table.depth[table.born].tolist() == [b.vertex_depth(v) for v in b.vertices()]
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_ancestors_are_prefixes(self, ball, radius):
+        table = ball(radius).table
+        for t, addr in enumerate(table.addrs):
+            want = [table.rows[addr[:k]] for k in range(len(addr) + 1)]
+            assert table.ancestors[t].tolist() == want + [-1] * (radius - len(addr))
+
+    def test_ancestors_need_every_parent(self):
+        tets = dict(generate_ball(2).tets)
+        del tets["0"]
+        with pytest.raises(ValueError):
+            TetBall(2, tets).table.ancestors
+
     def test_count_matches_bfs(self, ball):
         # Random subtrees (grown one tree neighbour at a time) and random sets.
         addrs = sorted(ball(5).tets)
