@@ -78,7 +78,7 @@ class CurveGraphBall:
 def subdivide(ball: TetBall) -> CurveGraphBall:
     """Subdivide every edge of the ball by a two-sided vertex."""
     n = ball.n_vertices
-    ends = np.array(ball.edges(), dtype=np.int64)
+    ends = ball.edges()
     m = len(ends)
     mids = np.arange(n, n + m)
     # One-sided rows: the two-sided ids of the edges at v, ascending.
@@ -186,8 +186,7 @@ def structural_report(cg: CurveGraphBall) -> list[dict]:
     check("two_sided_endpoints", np.flatnonzero((pairs != cg.ends).any(axis=1)) + n)
 
     # Ball edge k (v < w, in order) must have the single common neighbour n + k.
-    ball_rows = np.repeat(np.arange(n), np.diff(ball.indptr))
-    edges = np.column_stack([ball_rows, ball.indices])[ball_rows < ball.indices]
+    edges = ball.edges()
     row, common = common_neighbors(cg, edges)
     bad = np.bincount(row, minlength=len(edges)) != 1
     bad[row[common != n + row]] = True

@@ -230,10 +230,9 @@ def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozens
         raise ValueError("p must be distinct from both endpoints")
     if dxp + dpy != dxy:
         raise ValueError(f"{p} does not lie on a geodesic from {x} to {y}")
-    nbrs = np.fromiter(ball.adjacency[p], dtype=np.intp)
+    nbrs = ball.neighbors(p)
     q = int(nbrs[(table.dist[x, nbrs] == dxp - 1) & (table.dist[y, nbrs] == dpy + 1)].min())
-    start = min(ball.support[q])
-    goal = min(ball.support[y])
+    start, goal = (min(ball.table.addrs[t] for t in ball.support(v).tolist()) for v in (q, y))
     path = tree_path(start, goal)
     cut = next(i for i, addr in enumerate(path) if q not in ball.tets[addr])
     return frozenset(ball.tets[path[cut]]) & frozenset(ball.tets[path[cut - 1]])
@@ -248,7 +247,7 @@ def separates(ball: TetBall, blocked, x: int, y: int) -> bool:
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        for w in ball.adjacency[u]:
+        for w in ball.neighbors(u).tolist():
             if w == y:
                 return False
             if w not in seen and w not in blocked:
@@ -700,13 +699,9 @@ def tree_comparison(table: DistanceTable) -> TreeComparisonReport:
     constant for the infinite complex is claimed.
     """
     tab = _tet_ball(table).table
-    assign = [tab.addrs[t] for t in tab.born.tolist()]
-    n = len(assign)
-    depth = np.array([len(a) for a in assign])
-    width = int(depth.max())
-    letters = np.frombuffer(
-        "".join(a.ljust(width) for a in assign).encode(), dtype=np.uint8
-    ).reshape(n, width)
+    anc, depth = tab.ancestors[tab.born], tab.depth[tab.born]
+    letters = np.where(anc >= 0, tab.face[anc], -1)[:, 1:]  # the faces crossed from the root, -1 past the depth
+    n, width = letters.shape
     # found[d, t]: some pair u < v has ball distance d and tree distance t.
     found = np.zeros((int(table.dist.max()) + 1, 2 * width + 1), dtype=bool)
     v = np.arange(n)

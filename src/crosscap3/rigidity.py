@@ -108,11 +108,11 @@ def _propagate(domain: TetBall, codomain: TetBall, dst: np.ndarray, slots: np.nd
     distance of dst from the root.
     """
     dom, cod = domain.table, codomain.table
-    tets = np.empty((len(dst), len(dom.addrs)), dtype=np.int64)
+    tets = np.empty((len(dst), len(dom.verts)), dtype=np.int64)
     images = np.empty((len(dst), domain.n_vertices), dtype=np.int64)
     tets[:, 0] = dst
     images[:, dom.verts[0]] = slots
-    for t in range(1, len(dom.addrs)):
+    for t in range(1, len(dom.verts)):
         face, parent = dom.face[t], tets[:, dom.parent[t]]
         crossed = images[:, dom.verts[dom.parent[t], face]]
         pos = (cod.verts[parent] == crossed[:, None]).argmax(axis=1)
@@ -346,7 +346,7 @@ def rigidity_reports(level: int) -> list[dict]:
     star = subdivide(generate_ball(0))
     maps = enumerate_locally_injective(star, cg)
     witnesses = _match_propagated(maps, star, cg)
-    reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.tets), witnesses)]
+    reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.table.verts), witnesses)]
     if level >= 2:
         reports.append(_check_level_two(maps, cg))
     reports += [induction_step_report(k, work) for k in range(2, level + 1)]
@@ -459,6 +459,6 @@ def _check_level_two(base_maps: np.ndarray, cg: CurveGraphBall) -> dict:
     bad = np.flatnonzero(forced & ~good | several).tolist()
     errors = ["completed map invalid" if forced[b] else f"face {stop[b]} not forced" for b in bad]
     witnesses = [{"base": tuple(base[b].tolist()), "error": e} for b, e in zip(bad, errors)]
-    expected = 24 * sum(1 for a in ball.tets if len(a) < ball.radius)
+    expected = 24 * int((ball.table.depth < ball.radius).sum())
     witnesses += _match_propagated(maps[good[forced]], domain, cg)
     return _level_report(2, ball.radius, int(good.sum()), expected, witnesses)

@@ -11,6 +11,13 @@ Tetrahedra are addressed by reduced words over {0,1,2,3} (no letter repeats
 its predecessor); the empty word is the root.  Because generation is a
 lexicographic breadth-first walk, vertex ids and serializations are
 canonical: regenerating a ball always yields the same bytes.
+
+A ball is held as integer arrays (``TetTable``): each row's vertices,
+parent, crossed face and depth.  The adjacency and the vertex supports are
+CSR arrays read off those rows, and the address strings and the
+address -> vertices dict are built only when something asks for them
+(witnesses, serialization, the group operations), never by ``verify`` on a
+well-formed ball.
 """
 
 from __future__ import annotations
@@ -91,93 +98,142 @@ def tree_path(a: str, b: str) -> list[str]:
 class TetBall:
     """All tetrahedra within tree distance ``radius`` of the root, immutable.
 
-    ``tets`` maps each address to its 4 vertex ids in slot order;
-    ``adjacency`` records co-residence in some tetrahedron of the ball (which
-    equals edge restriction to the ball); ``support`` maps each vertex to the
-    addresses of the tetrahedra containing it.  ``indptr``/``indices``, the
-    CSR form of ``adjacency`` with sorted rows, are built from it on first
-    use; like ``adjacency`` they derive from ``tets``.
+    ``table`` (a ``TetTable``), the tetrahedra as integer rows, is the
+    primary form.  Built from it on first use: ``indptr``/``indices``, the
+    adjacency (co-residence in a tetrahedron of the ball, which equals edge
+    restriction to the ball) as CSR with sorted rows; ``support(v)``, the
+    rows holding v; and ``tets``, the address -> vertex-tuple dict.
+    ``TetBall(radius, tets)`` builds a ball from such a dict, which need not
+    be a generated one.
     """
 
     def __init__(self, radius: int, tets: dict):
         self.radius = radius
+        self.table = TetTable.from_tets(tets)
         self.tets = tets
-        adjacency: dict = {}
-        support: dict = {}
-        for addr, verts in tets.items():
-            for i, v in enumerate(verts):
-                support.setdefault(v, set()).add(addr)
-                adj_v = adjacency.setdefault(v, set())
-                for w in verts[i + 1 :]:
-                    adj_v.add(w)
-                    adjacency.setdefault(w, set()).add(v)
-        self.adjacency = adjacency
-        self.support = support
-        self.n_vertices = len(adjacency)
+
+    @classmethod
+    def from_table(cls, radius: int, table: "TetTable") -> "TetBall":
+        ball = cls.__new__(cls)
+        ball.radius, ball.table = radius, table
+        return ball
 
     def __repr__(self) -> str:
-        return f"TetBall(radius={self.radius}, tets={len(self.tets)})"
+        return f"TetBall(radius={self.radius}, tets={len(self.table.verts)})"
+
+    @cached_property
+    def tets(self) -> dict:
+        return dict(zip(self.table.addrs, map(tuple, self.table.verts.tolist())))
+
+    @cached_property
+    def n_vertices(self) -> int:
+        return int(self.table.verts.max()) + 1
 
     def vertices(self) -> range:
         return range(self.n_vertices)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (v, w) for v, nbrs in self.adjacency.items() for w in nbrs if v < w
-        )
+    def edges(self) -> np.ndarray:
+        """Every edge (v, w) with v < w, as an E x 2 array in lexicographic order."""
+        tail = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
+        keep = tail < self.indices
+        return np.column_stack([tail[keep], self.indices[keep]])
 
     def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return len(self.indices) // 2
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, v: int, w: int) -> bool:
-        return w in self.adjacency.get(v, ())
+        return 0 <= v < self.n_vertices and w in self.neighbors(v)
 
     @cached_property
     def indptr(self) -> np.ndarray:
-        return np.cumsum([0] + [len(self.adjacency[v]) for v in self.vertices()])
+        return self._csr[0]
 
     @cached_property
     def indices(self) -> np.ndarray:
-        return np.array([w for v in self.vertices() for w in sorted(self.adjacency[v])], dtype=np.int64)
+        return self._csr[1]
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        n, verts = self.n_vertices, self.table.verts
+        keys = _distinct(verts[:, _PAIRS[0]] * n + verts[:, _PAIRS[1]])
+        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+
+    def support(self, v: int) -> np.ndarray:
+        """The rows holding v, ascending."""
+        indptr, rows = self._support
+        return rows[indptr[v] : indptr[v + 1]]
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        verts = self.table.verts
+        t = len(verts)
+        keys = _distinct(verts * t + np.arange(t)[:, None])
+        return np.searchsorted(keys, np.arange(self.n_vertices + 1) * t), keys % t
 
     def vertex_depth(self, v: int) -> int:
         """Length of the shortest address among the tetrahedra containing v."""
-        return min(len(a) for a in self.support[v])
+        return int(self.table.depth[self.support(v)].min())
 
     def in_margin(self, v: int) -> bool:
         """True iff v lies in a tetrahedron strictly inside the ball."""
         return self.vertex_depth(v) <= self.radius - 1
 
-    @cached_property
-    def table(self) -> "TetTable":
-        """The tetrahedra as integer arrays, built on first use."""
-        return TetTable(self)
+
+# The 12 ordered pairs of distinct slots, as two index rows.
+_PAIRS = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: ``np.unique`` by one sort, which
+    is several times faster than its hashing on the edge keys of a radius-8 ball."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 class TetTable:
     """A ball's tetrahedra as rows of integer arrays, in generation order.
 
-    Row t is the tetrahedron at ``addrs[t]``; ``rows`` inverts that.
-    ``verts`` (T x 4) holds its vertex ids in slot order and ``nbr`` (T x 4)
-    the row across each face, -1 outside the ball.  ``parent`` and ``face``
-    give the row a non-root tetrahedron was unfolded from and the face it
-    crossed, so in a generated ball walking the rows in order visits every
-    parent first.  Both are -1 for the root; ``parent`` is also -1 where the
-    parent address is missing, and ``face`` where the last letter is not a
-    face, so a malformed ball still builds a table.  ``by_verts`` maps each
-    sorted vertex 4-tuple to its row, ``depth`` gives each address
-    length, ``born`` each vertex's creation row and ``ancestors`` each
-    row's chain of ancestors.  All but ``addrs``, ``verts``, ``parent`` and
-    ``face`` are built on first use, so a table kept for the structural
-    checks stays small.
+    The table is four arrays: ``verts`` (T x 4), each row's vertex ids in
+    slot order; ``parent`` and ``face``, the row a non-root tetrahedron was
+    unfolded from and the face it crossed (-1 for the root), so in a
+    generated ball walking the rows in order visits every parent first; and
+    ``depth``, the address lengths.  Built on first use: ``addrs[t]``, the
+    address of row t, read off ``parent``/``face`` in row order, and
+    ``rows``, its inverse; ``nbr`` (T x 4), the row across each face, -1
+    outside the ball; ``by_verts``, sorted vertex 4-tuple -> row; ``born``,
+    each vertex's creation row; and ``ancestors``.  ``from_tets`` keeps the
+    addresses of a dict, where ``parent`` is also -1 for a missing parent
+    address and ``face`` for a last letter that is not a face, so a
+    malformed ball still builds a table.
     """
 
-    def __init__(self, ball: TetBall):
-        self.addrs = list(ball.tets)
-        self.verts = np.array(list(ball.tets.values()), dtype=np.int64).reshape(-1, 4)
-        rows = {a: t for t, a in enumerate(self.addrs)}
-        self.parent = np.array([rows.get(a[:-1], -1) if a else -1 for a in self.addrs], dtype=np.int64)
-        self.face = np.array([ALPHABET.find(a[-1]) if a else -1 for a in self.addrs], dtype=np.int64)
+    def __init__(self, verts: np.ndarray, parent: np.ndarray, face: np.ndarray, depth: np.ndarray):
+        self.verts, self.parent, self.face, self.depth = verts, parent, face, depth
+
+    @classmethod
+    def from_tets(cls, tets: dict) -> "TetTable":
+        addrs = list(tets)
+        rows = {a: t for t, a in enumerate(addrs)}
+        table = cls(
+            np.array(list(tets.values()), dtype=np.int64).reshape(-1, 4),
+            np.array([rows.get(a[:-1], -1) if a else -1 for a in addrs], dtype=np.int64),
+            np.array([ALPHABET.find(a[-1]) if a else -1 for a in addrs], dtype=np.int64),
+            np.fromiter(map(len, addrs), dtype=np.int64, count=len(addrs)),
+        )
+        table.addrs, table.rows = addrs, rows
+        return table
+
+    @cached_property
+    def addrs(self) -> list[str]:
+        """Each row's address: its parent's and the crossed face's letter."""
+        addrs = [""] * len(self.verts)
+        for t, (p, f) in enumerate(zip(self.parent.tolist(), self.face.tolist())):
+            if p >= 0:
+                addrs[t] = addrs[p] + ALPHABET[f]
+        return addrs
 
     @cached_property
     def rows(self) -> dict:
@@ -185,7 +241,7 @@ class TetTable:
 
     @cached_property
     def nbr(self) -> np.ndarray:
-        nbr = np.full((len(self.addrs), 4), -1, dtype=np.int64)
+        nbr = np.full((len(self.verts), 4), -1, dtype=np.int64)
         child = np.flatnonzero((self.parent >= 0) & (self.face >= 0))
         nbr[child, self.face[child]] = self.parent[child]
         nbr[self.parent[child], self.face[child]] = child
@@ -196,15 +252,12 @@ class TetTable:
         return {tuple(v): t for t, v in enumerate(np.sort(self.verts, axis=1).tolist())}
 
     @cached_property
-    def depth(self) -> np.ndarray:
-        return np.fromiter(map(len, self.addrs), dtype=np.int64, count=len(self.addrs))
-
-    @cached_property
     def born(self) -> np.ndarray:
         """The creation row of each vertex: the first row holding it.
 
         In a generated ball that row is the top of the vertex's support
-        subtree, so its address is ``min(ball.support[v])``.
+        subtree, its address the least of the support's, and row t >= 1
+        creates vertex t + 3.
         """
         born = np.full(self.verts.max(initial=-1) + 1, len(self.verts), dtype=np.int64)
         np.minimum.at(born, self.verts, np.arange(len(self.verts))[:, None])
@@ -213,7 +266,7 @@ class TetTable:
     @cached_property
     def ancestors(self) -> np.ndarray:
         """``ancestors[t, k]`` is the row of the depth-k ancestor of row t, -1 below its depth."""
-        t = np.arange(len(self.addrs))
+        t = np.arange(len(self.verts))
         if ((self.parent < 0) != (self.depth == 0)).any():
             raise ValueError("ball holds a tetrahedron without its parent")
         anc = np.full((len(t), int(self.depth.max(initial=0)) + 1), -1, dtype=np.int64)
@@ -238,7 +291,32 @@ def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
         raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
-    return TetBall(radius, _unfold(radius))
+    return TetBall.from_table(radius, _grow(radius))
+
+
+def _grow(radius: int) -> TetTable:
+    """The table of the generated ball of this radius, one level at a time.
+
+    Each row of a level spawns a child across every face but the one it was
+    entered by; row t >= 1 puts the fresh vertex t + 3 at its crossed slot.
+    ``_unfold`` is the address-dict oracle."""
+    total = 2 * 3**radius - 1
+    verts = np.empty((total, 4), dtype=np.int64)
+    verts[0] = np.arange(4)
+    parent, face, depth = (np.full(total, -1, dtype=np.int64) for _ in range(3))
+    depth[0] = 0
+    lo, hi = 0, 1  # the rows of the last level
+    for d in range(1, radius + 1):
+        p = np.repeat(np.arange(lo, hi), 4)
+        f = np.tile(np.arange(4), hi - lo)
+        keep = f != face[p]
+        p, f = p[keep], f[keep]
+        t = np.arange(hi, hi + len(p))
+        verts[t] = verts[p]
+        verts[t, f] = t + 3
+        parent[t], face[t], depth[t] = p, f, d
+        lo, hi = hi, hi + len(p)
+    return TetTable(verts, parent, face, depth)
 
 
 def _unfold(radius: int) -> dict:
@@ -270,29 +348,17 @@ def link(ball: TetBall, v: int) -> dict:
     Two neighbours are joined exactly when they are adjacent to each other
     (equivalently, co-resident with v in a tetrahedron of the ball).
     """
-    if v not in ball.adjacency:
+    if not 0 <= v < ball.n_vertices:
         raise ValueError(f"unknown vertex {v}")
-    nbrs = ball.adjacency[v]
-    return {u: ball.adjacency[u] & nbrs for u in nbrs}
-
-
-def _tree_neighbors_in(addr: str, members: set) -> list[str]:
-    out = []
-    if addr and addr[:-1] in members:
-        out.append(addr[:-1])
-    for letter in ALPHABET:
-        if not addr or addr[-1] != letter:
-            child = addr + letter
-            if child in members:
-                out.append(child)
-    return out
+    nbrs = set(ball.neighbors(v).tolist())
+    return {u: set(ball.neighbors(u).tolist()) & nbrs for u in nbrs}
 
 
 def support_connected(ball: TetBall, v: int) -> bool:
     """Whether the tetrahedra containing v form a subtree of the address tree:
     exactly one of them (the root counts) has its parent outside the set."""
-    members = ball.support[v]
-    return sum(1 for a in members if not a or a[:-1] not in members) == 1
+    rows = ball.support(v)
+    return np.count_nonzero(~np.isin(ball.table.parent[rows], rows)) == 1
 
 
 def _slope_pair(p: int, q: int) -> tuple[int, int]:
@@ -317,31 +383,41 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
     the link fails to match the Farey complex; each message names the
     tetrahedra, vertices or labels at fault.
     """
-    if v not in ball.adjacency:
+    if not 0 <= v < ball.n_vertices:
         raise ValueError(f"unknown vertex {v}")
     a, b, c = base
-    if len({a, b, c}) != 3 or not {a, b, c} <= ball.adjacency[v]:
+    if len({a, b, c}) != 3 or not {a, b, c} <= set(ball.neighbors(v).tolist()):
         raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")
-    members = ball.support[v]
-    cofaces = members & ball.support[a] & ball.support[b] & ball.support[c]
+    table = ball.table
+    rows = ball.support(v)
+    members = set(rows.tolist())
+    cofaces = members.intersection(*(ball.support(x).tolist() for x in base))
     if len(cofaces) != 1:
         raise ValueError(
-            f"base triple {base} of vertex {v} has cofaces {sorted(cofaces)}, not exactly one"
+            f"base triple {base} of vertex {v} has cofaces {sorted(table.addrs[t] for t in cofaces)}, not exactly one"
         )
+    # The tree neighbours of each member: its parent, then its children in face order.
+    verts, near = {}, {}
+    for t, vs, p, f, across in zip(
+        rows.tolist(), table.verts[rows].tolist(), table.parent[rows].tolist(),
+        table.face[rows].tolist(), table.nbr[rows].tolist(),
+    ):
+        verts[t], near[t] = set(vs), [p] + [across[k] for k in range(4) if k != f]
     labels = {a: (0, 1), b: (1, 0), c: (1, 1)}
-    tets = ball.tets
     seen = set(cofaces)
     queue = deque(cofaces)
     while queue:
-        addr = queue.popleft()
-        here = set(tets[addr])
-        for nb in _tree_neighbors_in(addr, members):
-            if nb in seen:
+        t = queue.popleft()
+        here = verts[t]
+        for nb in near[t]:
+            if nb not in members or nb in seen:
                 continue
-            there = set(tets[nb])
+            there = verts[nb]
             dropped, added, shared = here - there, there - here, here & there
             if len(dropped) != 1 or len(added) != 1 or len(shared) != 3:
-                raise RuntimeError(f"tetrahedra {addr!r} and {nb!r} of vertex {v} share no link triangle")
+                raise RuntimeError(
+                    f"tetrahedra {table.addrs[t]!r} and {table.addrs[nb]!r} of vertex {v} share no link triangle"
+                )
             (d,), (e,) = dropped, added
             x, y = shared - {v}
             (p, q), (r, s) = labels[x], labels[y]
@@ -356,10 +432,10 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
             else:
                 raise RuntimeError(
                     f"link does not unfold like the Farey complex: {d} is not "
-                    f"a common neighbour of {x} and {y} in {addr!r}"
+                    f"a common neighbour of {x} and {y} in {table.addrs[t]!r}"
                 )
             if labels.setdefault(e, new) != new:
-                raise RuntimeError(f"link labeling is inconsistent at {e} from {nb!r}")
+                raise RuntimeError(f"link labeling is inconsistent at {e} from {table.addrs[nb]!r}")
             seen.add(nb)
             queue.append(nb)
     if len(seen) != len(members):
@@ -397,10 +473,10 @@ def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
     for x, y in ((a, b), (a, c), (b, c)):
         if not ball.has_edge(x, y):
             raise ValueError(f"{tri} is not a triangle: {x} and {y} are not adjacent")
-    cofaces = ball.support[a] & ball.support[b] & ball.support[c]
-    if not cofaces:
+    rows = np.intersect1d(np.intersect1d(ball.support(a), ball.support(b)), ball.support(c))
+    if not len(rows):
         raise ValueError(f"{tri} is not a triangle of the ball")
-    return tuple(sorted(cofaces))
+    return tuple(sorted(ball.table.addrs[t] for t in rows.tolist()))
 
 
 def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
@@ -443,12 +519,11 @@ def four_cliques(ball: TetBall) -> np.ndarray:
 # Serialization
 
 def ball_to_json(ball: TetBall) -> dict:
+    table = ball.table
     return {
         "radius": ball.radius,
-        "tets": [
-            {"addr": addr, "verts": list(verts)} for addr, verts in ball.tets.items()
-        ],
-        "edges": [list(e) for e in ball.edges()],
+        "tets": [{"addr": addr, "verts": verts} for addr, verts in zip(table.addrs, table.verts.tolist())],
+        "edges": ball.edges().tolist(),
     }
 
 
@@ -456,7 +531,7 @@ def ball_to_dot(ball: TetBall) -> str:
     lines = [f"graph tetball_{ball.radius} {{", "  node [shape=circle];"]
     for v in ball.vertices():
         lines.append(f"  {v};")
-    for v, w in ball.edges():
+    for v, w in ball.edges().tolist():
         lines.append(f"  {v} -- {w};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -471,7 +546,7 @@ def count_checks(ball: TetBall) -> list[dict]:
     return [
         {"name": name, "ok": found == want, "found": found, "expected": want}
         for name, found, want in (
-            ("tet_count", len(ball.tets), 2 * 3**n - 1),
+            ("tet_count", len(ball.table.verts), 2 * 3**n - 1),
             ("vertex_count", ball.n_vertices, 2 * 3**n + 2),
             ("edge_count", ball.n_edges(), 6 * 3**n),
         )
@@ -487,7 +562,7 @@ def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
     with a repeated vertex counts once in a group."""
     table = ball.table
     tri = np.sort(table.verts[:, _OTHER_SLOTS], axis=2).reshape(-1, 3)
-    row = np.repeat(np.arange(len(table.addrs)), 4)
+    row = np.repeat(np.arange(len(table.verts)), 4)
     order = np.lexsort((row, tri[:, 2], tri[:, 1], tri[:, 0]))
     tri, row = tri[order], row[order]
     start = np.r_[True, (tri[1:] != tri[:-1]).any(axis=1)]
@@ -508,16 +583,52 @@ def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
     return len(faults), witnesses
 
 
+def _reduced(table: TetTable) -> bool:
+    """Whether the arrays show every address to be a reduced word: the root's is
+    empty, and every other row has a parent and adds a face letter other than its."""
+    parent, face = table.parent[1:], table.face[1:]
+    return table.depth[0] == 0 and (parent >= 0).all() and (face >= 0).all() and (face != table.face[parent]).all()
+
+
+def _support_tops(ball: TetBall) -> np.ndarray:
+    """For each vertex, how many rows holding it have no parent holding it: 1 exactly
+    when its support is a subtree (``support_connected`` for every vertex at once)."""
+    verts, parent = ball.table.verts, ball.table.parent
+    indptr, t = ball._support
+    v = np.repeat(np.arange(ball.n_vertices), np.diff(indptr))
+    top = (parent[t] < 0) | (verts[parent[t]] != v[:, None]).all(axis=1)
+    return np.bincount(v[top], minlength=ball.n_vertices)
+
+
+def _prefix_stable(ball: TetBall) -> bool:
+    """Whether the ball holds the generated ball of radius n - 1, at the same addresses.
+
+    A ball whose first rows repeat that ball's table row for row holds it;
+    in any other row order the address dicts are compared."""
+    n, table = ball.radius, ball.table
+    if n == 0:
+        return True
+    small = _grow(n - 1)
+    m = len(small.verts)
+    if all(np.array_equal(getattr(small, k), getattr(table, k)[:m]) for k in ("verts", "parent", "face", "depth")):
+        return True
+    return all(ball.tets.get(a) == verts for a, verts in _unfold(n - 1).items())
+
+
 def structural_report(ball: TetBall) -> list[dict]:
     """Run the structural invariant checks for one ball; one dict per check."""
     n = ball.radius
     checks = count_checks(ball)
 
-    bad_addr = [a for a in ball.tets if not is_address(a) or len(a) > n]
+    table = ball.table
+    rows = np.flatnonzero(table.depth > n) if _reduced(table) else range(len(table.verts))
+    bad_addr = [a for a in (table.addrs[t] for t in rows) if not is_address(a) or len(a) > n]
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})
 
     cliques = four_cliques(ball)
-    listed = np.unique(np.sort(np.array(list(ball.tets.values())), axis=1), axis=0)
+    listed = np.sort(table.verts, axis=1)
+    listed = listed[np.lexsort(listed.T[::-1])]
+    listed = listed[np.r_[True, (listed[1:] != listed[:-1]).any(axis=1)]]
     # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
     five = cliques[np.unique(common_neighbors(ball, cliques)[0])]
     checks.append(
@@ -530,11 +641,10 @@ def structural_report(ball: TetBall) -> list[dict]:
         }
     )
 
-    disconnected = [v for v in ball.vertices() if not support_connected(ball, v)]
-    checks.append({"name": "supports_tree_connected", "ok": not disconnected, "bad": disconnected[:5]})
+    disconnected = np.flatnonzero(_support_tops(ball) != 1)
+    checks.append({"name": "supports_tree_connected", "ok": not len(disconnected), "bad": disconnected[:5].tolist()})
 
-    prefix_ok = n == 0 or all(ball.tets.get(a) == verts for a, verts in _unfold(n - 1).items())
-    checks.append({"name": "prefix_stable", "ok": prefix_ok})
+    checks.append({"name": "prefix_stable", "ok": _prefix_stable(ball)})
 
     faults, bad_cofaces = _interior_coface_faults(ball)
     checks.append({"name": "interior_triangle_cofaces", "ok": not faults, "bad": bad_cofaces})
@@ -542,8 +652,9 @@ def structural_report(ball: TetBall) -> list[dict]:
     return checks
 
 
-def _base_triple(ball: TetBall, v: int, addr: str) -> tuple:
-    return tuple(x for x in ball.tets[addr] if x != v)
+def _base_triple(ball: TetBall, v: int, t: int) -> tuple:
+    """The other three vertices of row t, in slot order."""
+    return tuple(x for x in ball.table.verts[t].tolist() if x != v)
 
 
 def _mobius_mismatch(labels: dict, relabels: dict, base: tuple):
@@ -565,14 +676,15 @@ def _mobius_mismatch(labels: dict, relabels: dict, base: tuple):
 def _edge_mismatches(group: list) -> list[tuple]:
     """Link pairs of a block of equal-degree vertices where edge and Farey adjacency differ.
 
-    ``group`` holds (v, members, labels, edge keys): the sorted link members,
-    their labels in that order and ``i * k + j`` for each link edge with
-    i < j.  Farey adjacency |ps - qr| = 1 is scored on (m, rows, k) int64
-    blocks of at most about ``BLOCK_ELEMS``; the result is one failure tuple
-    per mismatched pair, in (vertex, i, j) order.
+    ``group`` holds (v, members, labels, edge keys), arrays after v: the
+    sorted link members, their labels in that order and ``i * k + j`` for
+    each link edge with i < j.  Farey adjacency |ps - qr| = 1 is scored on
+    (m, rows, k) int64 blocks of at most about ``BLOCK_ELEMS``; the result
+    is one failure tuple per mismatched pair, in (vertex, i, j) order.
+    Both key sets hold each pair at most once.
     """
     m, k = len(group), len(group[0][1])
-    labels = np.array([row for _, _, row, _ in group], dtype=np.int64)
+    labels = np.stack([row for _, _, row, _ in group]).astype(np.int64)
     p, q = labels[:, :, 0], labels[:, :, 1]
     rows = max(1, BLOCK_ELEMS // (m * k))
     farey = []
@@ -581,9 +693,10 @@ def _edge_mismatches(group: list) -> list[tuple]:
         g, i, j = np.nonzero(np.abs(det) == 1)
         i += r0
         farey.append(((g * k + i) * k + j)[i < j])
-    edges = np.array([g * k * k + key for g, (*_, keys) in enumerate(group) for key in keys], dtype=np.int64)
+    keys = [entry[3] for entry in group]
+    edges = np.concatenate(keys) + np.repeat(np.arange(m) * k * k, [len(x) for x in keys])
     out = []
-    for key in np.setxor1d(np.concatenate(farey), edges).tolist():
+    for key in np.setxor1d(np.concatenate(farey), edges, assume_unique=True).tolist():
         g, ij = divmod(key, k * k)
         i, j = divmod(ij, k)
         v, members = group[g][0], group[g][1]
@@ -639,15 +752,14 @@ def _link_shape(table: TetTable, n: int) -> tuple | None:
     of each vertex's support in address order and ``slot`` (n,) its slot.
     """
     verts, parent, face = table.verts, table.parent, table.face
-    if table.addrs[:1] != [""] or (parent[1:] < 0).any() or (face[1:] < 0).any() or (face[1:] == face[parent[1:]]).any():
-        return None
-    if verts.min() < 0 or verts.max() >= n:
+    if not _reduced(table) or verts.min() < 0 or verts.max() >= n:
         return None
     born = np.ones(verts.shape, dtype=bool)
     born[1:] = verts[1:] != verts[parent[1:]]
     if (born[1:].sum(axis=1) != 1).any() or (np.bincount(verts[born], minlength=n) != 1).any():
         return None
-    order = np.argsort(np.array(table.addrs))
+    anc = table.ancestors  # address order: by the faces crossed from the root, shorter first
+    order = np.lexsort(np.where(anc >= 0, face[anc], -1).T[::-1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     last = np.full(n, -1, dtype=np.int64)
@@ -803,18 +915,19 @@ def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | 
     Appends v's labelling, coverage, relabelling and Mobius failures and
     raises BudgetError for a label over ``LABEL_LIMIT``.  Returns whether the
     first labelling succeeded and v's (v, members, labels, edge keys) entry
-    for ``_edge_mismatches``, or None when v has no pair check.
+    for ``_edge_mismatches``, arrays after v, or None when v has no pair check.
     """
+    rows = sorted(ball.support(v).tolist(), key=ball.table.addrs.__getitem__)
     try:
-        labels = _link_labels(ball, v, _base_triple(ball, v, min(ball.support[v])))
+        labels = _link_labels(ball, v, _base_triple(ball, v, rows[0]))
     except (RuntimeError, ValueError) as exc:
         failures.append((v, 0, 0, 0, str(exc)))
         return False, None
-    nbrs = ball.adjacency[v]
-    if labels.keys() != nbrs:
+    members = ball.neighbors(v)
+    if labels.keys() != set(members.tolist()):
         failures.append((v, 0, 0, 0, "labeling does not cover the link"))
         return True, None
-    other_base = _base_triple(ball, v, max(ball.support[v]))
+    other_base = _base_triple(ball, v, rows[-1])
     try:
         relabels = _link_labels(ball, v, other_base)
     except (RuntimeError, ValueError) as exc:
@@ -823,14 +936,16 @@ def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | 
         u = _mobius_mismatch(labels, relabels, other_base)
         if u is not None:
             failures.append((v, 2, 0, 0, f"Mobius cross-check failed at {u}"))
-    members = sorted(nbrs)
-    row = [labels[u] for u in members]
+    row = [labels[u] for u in members.tolist()]
     if max(map(abs, chain.from_iterable(row))) >= LABEL_LIMIT:
         raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
+    # The link edge (i, j), i < j, for each neighbour x_j of each member x_i.
     k = len(members)
-    index = {u: i for i, u in enumerate(members)}
-    keys = [i * k + index[y] for i, x in enumerate(members) for y in ball.adjacency[x] & nbrs if i < index[y]]
-    return True, (v, members, row, keys)
+    i = np.repeat(np.arange(k), np.diff(ball.indptr)[members])
+    x = np.concatenate([ball.neighbors(u) for u in members.tolist()])
+    j = np.minimum(np.searchsorted(members, x), k - 1)
+    hit = (members[j] == x) & (i < j)
+    return True, (v, members, np.array(row, dtype=np.int64), i[hit] * k + j[hit])
 
 
 def link_labeling_report(ball: TetBall) -> list[dict]:

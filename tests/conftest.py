@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from crosscap3.curve_graph import subdivide
@@ -68,3 +69,46 @@ def subdivide_oracle(b):
 @pytest.fixture(scope="session")
 def curve_oracle(ball):
     return lambda n: subdivide_oracle(ball(n))
+
+
+def adjacency_sets(b):
+    """The adjacency of a ball as a list of sets, read off its CSR."""
+    return [set(b.neighbors(v).tolist()) for v in b.vertices()]
+
+
+def coresidence_sets(b):
+    """The adjacency of a ball as a list of sets, read off the tetrahedra ``b.tets``.
+
+    Independent of the CSR build, which it is the reference for."""
+    adjacency = [set() for _ in b.vertices()]
+    for verts in b.tets.values():
+        for v in verts:
+            adjacency[v].update(set(verts) - {v})
+    return adjacency
+
+
+def support_sets(b):
+    """vertex -> the addresses of the tetrahedra holding it, read off ``b.tets``."""
+    support = {}
+    for addr, verts in b.tets.items():
+        for v in verts:
+            support.setdefault(v, set()).add(addr)
+    return support
+
+
+def with_edges(b, add=(), remove=()):
+    """``b`` with the edges ``add`` joined and ``remove`` cut in its CSR adjacency.
+
+    The tetrahedra stay as they are, so the ball is a fault the adjacency
+    checks must find.  Returns ``b``.
+    """
+    adjacency = adjacency_sets(b)
+    for x, y in add:
+        adjacency[x].add(y)
+        adjacency[y].add(x)
+    for x, y in remove:
+        adjacency[x].discard(y)
+        adjacency[y].discard(x)
+    b.indptr = np.cumsum([0] + [len(a) for a in adjacency])
+    b.indices = np.array([w for a in adjacency for w in sorted(a)], dtype=np.int64)
+    return b

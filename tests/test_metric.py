@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import coresidence_sets, support_sets
 from crosscap3 import metric
 from crosscap3.cli import main
 from crosscap3.errors import BudgetError, MarginError
@@ -69,7 +70,7 @@ class TestDistances:
 
     def test_agrees_with_floyd_warshall(self, ball, cgraph, curve_oracle):
         b = ball(1)
-        oracle = floyd_warshall(list(b.vertices()), b.adjacency)
+        oracle = floyd_warshall(list(b.vertices()), coresidence_sets(b))
         t = all_pairs_distances(b)
         for u in b.vertices():
             for v in b.vertices():
@@ -84,7 +85,8 @@ class TestDistances:
     @pytest.mark.parametrize("radius", range(7))
     def test_agrees_with_deque_bfs(self, ball, cgraph, curve_oracle, radius):
         # The curve adjacency of the oracle comes from ball.edges(), not the CSR.
-        for graph, adjacency in ((ball(radius), ball(radius).adjacency), (cgraph(radius), curve_oracle(radius))):
+        tet_adjacency = dict(enumerate(coresidence_sets(ball(radius))))
+        for graph, adjacency in ((ball(radius), tet_adjacency), (cgraph(radius), curve_oracle(radius))):
             t = all_pairs_distances(graph)
             assert t.dist.dtype == np.int16
             for s, row in enumerate(deque_bfs_rows(sorted(adjacency), adjacency)):
@@ -118,10 +120,11 @@ class TestInterval:
 
     def test_distance_two_contains_common_neighbours(self, ball, dtable):
         b, t = ball(2), dtable(2)
+        adj = coresidence_sets(b)
         for x in b.vertices():
             for y in b.vertices():
                 if t.d(x, y) == 2:
-                    common = b.adjacency[x] & b.adjacency[y]
+                    common = adj[x] & adj[y]
                     assert interval(t, x, y) == common | {x, y}
 
     def test_matches_direct_scan(self, ball, dtable):
@@ -323,24 +326,26 @@ class TestBatchedBottleneckScan:
             assert p2i == min(v for v in between if t.d(xi, v) == half + 1 and b.has_edge(pi, v))
             assert set(face) - {-1} == bottleneck_triangle(t, xi, yi, pi)
         (tri_closed, *tri_checks), (nbhd_closed, *nbhd_checks) = calls
+        adj = coresidence_sets(b)
         assert (tri_closed, nbhd_closed) == (False, True)
         assert len(tri_checks[1]) == pairs and len(nbhd_checks[1]) == nbhd
         for tri, xi, yi, cut in zip(*tri_checks):
             assert cut == separates(b, tri, xi, yi)
         for tri, xi, yi, cut in zip(*nbhd_checks):
-            assert cut == separates(b, set(tri).union(*(b.adjacency[w] for w in tri)), xi, yi)
+            assert cut == separates(b, set(tri).union(*(adj[w] for w in tri)), xi, yi)
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_separated_matches_deletion_bfs(self, ball, closed):
         # Every face of the radius-3 ball, each with random surviving pairs:
         # the verdicts include both outcomes, unlike those of a passing scan.
         b = ball(3)
+        adj = coresidence_sets(b)
         faces = b.table.verts[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
         tris = np.unique(np.sort(faces, axis=1), axis=0)
         rng = random.Random(7)
         queries, want = [], []
         for k, tri in enumerate(tris.tolist()):
-            blocked = set(tri).union(*(b.adjacency[w] for w in tri)) if closed else set(tri)
+            blocked = set(tri).union(*(adj[w] for w in tri)) if closed else set(tri)
             free = [v for v in b.vertices() if v not in blocked]
             for _ in range(4):
                 x, y = rng.sample(free, 2)
@@ -500,9 +505,9 @@ def test_sampled_triples_replay_random_sample(n):
 
 class TestTreeComparison:
     def test_root_vertices_map_to_root(self, ball, dtable):
-        b = ball(2)
+        support = support_sets(ball(2))
         for v in range(4):
-            assert min(b.support[v]) == ""
+            assert min(support[v]) == ""
 
     def test_distance_bounded_by_tree_distance_plus_one(self, dtable):
         report = tree_comparison(dtable(2))
@@ -512,17 +517,19 @@ class TestTreeComparison:
     def test_chain_bound(self, ball, dtable):
         # Vertices in tetrahedra at tree distance k are at most k + 1 apart.
         b, t = ball(3), dtable(3)
+        support = support_sets(b)
         for u in b.vertices():
             for v in b.vertices():
                 k = min(
-                    tree_distance(a, c) for a in b.support[u] for c in b.support[v]
+                    tree_distance(a, c) for a in support[u] for c in support[v]
                 )
                 assert t.d(u, v) <= k + 1
 
     @pytest.mark.parametrize("radius", range(6))
     def test_matches_pair_loop(self, ball, dtable, radius):
         b, t = ball(radius), dtable(radius)
-        assign = [min(b.support[v]) for v in b.vertices()]
+        support = support_sets(b)
+        assign = [min(support[v]) for v in b.vertices()]
         diffs, ratios = [], []
         for u in range(b.n_vertices):
             for v in range(u + 1, b.n_vertices):

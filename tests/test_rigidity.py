@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacency_sets, with_edges
 from crosscap3.curve_graph import subdivide
 from crosscap3.errors import CodomainTooSmallError
 from crosscap3.rigidity import (
@@ -494,7 +495,7 @@ def level_two_loop(base_maps, cg):
     ball = cg.source
     domain = subdivide(generate_ball(1))
     tets = domain.source.tets
-    adj = ball.adjacency
+    adj = adjacency_sets(ball)
     completed = []  # (base row, one-sided images of the level-2 domain)
     witnesses = []  # (base row, witness); at most one per base
     for b, imgs in enumerate(base_maps[:, :4].tolist()):
@@ -532,10 +533,7 @@ def ball_with_extra_edge(radius):
     joins it to 3 as well.
     """
     b = generate_ball(radius)
-    y = b.tets["30"][0]
-    b.adjacency[y].add(3)
-    b.adjacency[3].add(y)
-    return b
+    return with_edges(b, add=[(b.tets["30"][0], 3)])
 
 
 class TestCommonNeighbourQueries:

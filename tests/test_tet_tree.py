@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscap3 import tet_tree
+from conftest import adjacency_sets, coresidence_sets, support_sets, with_edges
+from crosscap3 import cli, tet_tree
 from crosscap3.errors import BudgetError, RadiusCapError
 from crosscap3.farey import (
     Slope,
@@ -22,7 +23,9 @@ from crosscap3.farey import (
 from crosscap3.tet_tree import (
     ALPHABET,
     TetBall,
+    TetTable,
     _slope_pair,
+    _unfold,
     ball_to_dot,
     ball_to_json,
     count_checks,
@@ -126,6 +129,43 @@ class TestGenerateBall:
             for addr, verts in small.tets.items():
                 assert big.tets[addr] == verts
 
+    @pytest.mark.parametrize("radius", range(9))
+    def test_matches_the_unfold_oracle(self, radius):
+        b, oracle = generate_ball(radius), TetBall(radius, _unfold(radius))
+        for name in ("verts", "parent", "face", "depth", "born"):
+            assert np.array_equal(getattr(b.table, name), getattr(oracle.table, name)), name
+        assert b.table.addrs == oracle.table.addrs
+        assert np.array_equal(b.indptr, oracle.indptr) and np.array_equal(b.indices, oracle.indices)
+        assert b.tets == oracle.tets
+
+    def test_rows_create_ids_in_order(self):
+        # Every row after the root creates exactly one fresh id, the next one;
+        # rows run in (length, address) order.
+        b = generate_ball(8)
+        assert b.table.born.tolist() == [max(v - 3, 0) for v in b.vertices()]
+        assert b.table.addrs == sorted(b.table.addrs, key=lambda a: (len(a), a))
+
+    def test_tets_is_a_cached_dict(self):
+        # The group operations read it hundreds of thousands of times.
+        b = generate_ball(2)
+        assert type(b.tets) is dict and b.tets is b.tets
+
+    def test_verify_builds_no_strings_or_sets(self, monkeypatch):
+        made = []
+
+        def generate(radius, **kwargs):
+            made.append(generate_ball(radius, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tet_tree, "generate_ball", generate)
+        assert cli.run_verify(6)["ok"]
+        (b,) = made
+        for obj in (b, b.table):
+            held = vars(obj)
+            assert not {"tets", "addrs", "rows", "by_verts"} & held.keys()
+            values = [x for value in held.values() for x in (value if isinstance(value, tuple) else (value,))]
+            assert all(isinstance(x, (int, np.ndarray, TetTable)) for x in values), held.keys()
+
     def test_fresh_vertex_at_crossed_slot(self, ball):
         b = ball(1)
         assert b.tets[""] == (0, 1, 2, 3)
@@ -195,11 +235,12 @@ class TestLinkLabeling:
 
     def test_every_labeled_edge_is_farey_adjacent(self, ball):
         b = ball(3)
+        support = support_sets(b)
         for v in b.vertices():
-            base_addr = min(b.support[v])
+            base_addr = min(support[v])
             base = tuple(x for x in b.tets[base_addr] if x != v)
             labels = link_slope_labeling(b, v, base)
-            assert set(labels) == b.adjacency[v]
+            assert set(labels) == set(b.neighbors(v).tolist())
             assert len(set(labels.values())) == len(labels)
             for u, nbrs in link(b, v).items():
                 for w in nbrs:
@@ -225,24 +266,25 @@ def slope_loop_report(ball):
     """The link labelling report as one loop over Slope pairs: the reference."""
     failures = []
     vertices_checked = 0
+    adjacency, support = adjacency_sets(ball), support_sets(ball)
     for v in ball.vertices():
-        base = tuple(x for x in ball.tets[min(ball.support[v])] if x != v)
+        base = tuple(x for x in ball.tets[min(support[v])] if x != v)
         try:
             labels = link_slope_labeling(ball, v, base)
         except (RuntimeError, ValueError) as exc:
             failures.append({"vertex": v, "error": str(exc)})
             continue
         vertices_checked += 1
-        nbrs = ball.adjacency[v]
+        nbrs = adjacency[v]
         if set(labels) != nbrs:
             failures.append({"vertex": v, "error": "labeling does not cover the link"})
             continue
         members = sorted(nbrs)
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
-                if (y in ball.adjacency[x]) != farey_adjacent(labels[x], labels[y]):
+                if (y in adjacency[x]) != farey_adjacent(labels[x], labels[y]):
                     failures.append({"vertex": v, "error": f"edge mismatch at ({x}, {y})"})
-        other_base = tuple(x for x in ball.tets[max(ball.support[v])] if x != v)
+        other_base = tuple(x for x in ball.tets[max(support[v])] if x != v)
         relabels = link_slope_labeling(ball, v, other_base)
         m = mat_inverse(triangle_matrix(tuple(labels[x] for x in other_base)))
         for u, slope in labels.items():
@@ -262,12 +304,9 @@ def slope_loop_report(ball):
 def ball_with_extra_link_edges(radius, v, count=1):
     """A fresh ball with edges from the first link member of v to ``count`` others it misses."""
     b = generate_ball(radius)
-    members = sorted(b.adjacency[v])
+    members = b.neighbors(v).tolist()
     x = members[0]
-    for y in [u for u in members[1:] if u not in b.adjacency[x]][:count]:
-        b.adjacency[x].add(y)
-        b.adjacency[y].add(x)
-    return b
+    return with_edges(b, add=[(x, y) for y in [u for u in members[1:] if not b.has_edge(x, u)][:count]])
 
 
 def flag_vertices(monkeypatch, *vertices):
@@ -335,7 +374,7 @@ class TestLinkLabelingReport:
     def test_relabelling_failure_is_a_record(self, ball, monkeypatch):
         b = ball(2)
         labels_of = tet_tree._link_labels
-        second = tuple(x for x in b.tets[max(b.support[7])] if x != 7)
+        second = tuple(x for x in b.tets[max(support_sets(b)[7])] if x != 7)
 
         def failing(ball_, v, base):
             if v == 7 and base == second:
@@ -353,7 +392,7 @@ class TestLinkLabelingReport:
         # cross-check; both implementations read the same relabelling.
         b = ball_with_extra_link_edges(3, 0, 2)
         labels_of = tet_tree._link_labels
-        second = tuple(x for x in b.tets[max(b.support[0])] if x != 0)
+        second = tuple(x for x in b.tets[max(support_sets(b)[0])] if x != 0)
 
         def swapped(ball_, v, base):
             labels = labels_of(ball_, v, base)
@@ -412,10 +451,7 @@ def ball_with_moved_vertex(radius, addr, k):
 
 
 def ball_without_edge(radius, x, y):
-    b = generate_ball(radius)
-    b.adjacency[x].discard(y)
-    b.adjacency[y].discard(x)
-    return b
+    return with_edges(generate_ball(radius), remove=[(x, y)])
 
 
 MALFORMED = {
@@ -450,11 +486,12 @@ class TestLinkPass:
         b = ball(radius)
         flagged, over, labels, relabels = tet_tree._link_pass(b)
         assert not flagged.any() and not over.any()
+        support = support_sets(b)
         for v in b.vertices():
             lo, hi = b.indptr[v], b.indptr[v + 1]
             members = b.indices[lo:hi].tolist()
-            for table, addr in ((labels, min(b.support[v])), (relabels, max(b.support[v]))):
-                found = tet_tree._link_labels(b, v, tet_tree._base_triple(b, v, addr))
+            for table, addr in ((labels, min(support[v])), (relabels, max(support[v]))):
+                found = tet_tree._link_labels(b, v, tet_tree._base_triple(b, v, b.table.rows[addr]))
                 assert [found[u] for u in members] == [tuple(x) for x in table[lo:hi].tolist()]
 
     @pytest.mark.parametrize("radius", range(7))
@@ -489,7 +526,9 @@ class TestLinkPass:
             failures = []
             labelled, (u, members, row, keys) = tet_tree._check_vertex(b, v, failures)
             assert labelled and not failures
-            assert (u, members, row, sorted(keys)) == table_entry(b, link_pass, edges, v)
+            assert keys.dtype == np.int64
+            entry = (u, members.tolist(), [tuple(x) for x in row.tolist()], sorted(keys.tolist()))
+            assert entry == table_entry(b, link_pass, edges, v)
 
     def test_second_labelling_is_checked_at_every_slot(self, ball, monkeypatch):
         # Relabel one neighbour of each root vertex consistently in every
@@ -550,12 +589,19 @@ class TestTriangleCofaces:
 def four_cliques_loop(b):
     """Reference for ``four_cliques``: pairs of common neighbours of each edge, as sets."""
     cliques = set()
-    adj = b.adjacency
-    for v, w in b.edges():
+    adj = adjacency_sets(b)
+    for v, w in b.edges().tolist():
         common = sorted(adj[v] & adj[w])
         for i, x in enumerate(common):
             cliques.update(frozenset((v, w, x, y)) for y in common[i + 1 :] if y in adj[x])
     return cliques
+
+
+def tree_neighbors_in(addr, members):
+    """The tree neighbours of ``addr`` among the addresses ``members``: parent, then children."""
+    near = [addr[:-1]] if addr else []
+    near += [addr + letter for letter in ALPHABET if not addr or addr[-1] != letter]
+    return [a for a in near if a in members]
 
 
 def support_bfs(members):
@@ -565,7 +611,7 @@ def support_bfs(members):
     queue = deque([start])
     while queue:
         addr = queue.popleft()
-        for nb in tet_tree._tree_neighbors_in(addr, members):
+        for nb in tree_neighbors_in(addr, members):
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
@@ -587,16 +633,18 @@ class TestCliques:
 
     def test_no_five_cliques(self, ball):
         b = ball(3)
+        adj = adjacency_sets(b)
         for q in four_cliques(b).tolist():
-            assert not set.intersection(*(b.adjacency[v] for v in q))
+            assert not set.intersection(*(adj[v] for v in q))
 
 
 class TestCommonNeighbors:
     @pytest.mark.parametrize("radius", range(5))
     def test_csr_is_the_sorted_adjacency(self, ball, radius):
         b = ball(radius)
+        adjacency = coresidence_sets(b)
         rows = [b.indices[b.indptr[v] : b.indptr[v + 1]].tolist() for v in b.vertices()]
-        assert rows == [sorted(b.adjacency[v]) for v in b.vertices()]
+        assert rows == [sorted(adjacency[v]) for v in b.vertices()]
 
     @pytest.mark.parametrize("block", [tet_tree.BLOCK_ELEMS, 7])
     @pytest.mark.parametrize("graph", ["tet", "curve"])
@@ -640,11 +688,18 @@ class TestSupport:
         b = ball(6)
         assert all(support_connected(b, v) for v in b.vertices())
 
+    @pytest.mark.parametrize("radius", range(5))
+    def test_support_rows_hold_the_vertex(self, ball, radius):
+        b = ball(radius)
+        support, rows = support_sets(b), b.table.rows
+        for v in b.vertices():
+            assert [b.table.addrs[t] for t in b.support(v)] == sorted(support[v], key=rows.get)
+
     @pytest.mark.parametrize("radius", range(6))
     def test_creation_row_is_top_of_support(self, ball, radius):
         b = ball(radius)
-        table = b.table
-        assert [table.addrs[t] for t in table.born] == [min(b.support[v]) for v in b.vertices()]
+        table, support = b.table, support_sets(b)
+        assert [table.addrs[t] for t in table.born] == [min(support[v]) for v in b.vertices()]
         assert table.depth[table.born].tolist() == [b.vertex_depth(v) for v in b.vertices()]
 
     @pytest.mark.parametrize("radius", range(5))
@@ -662,7 +717,8 @@ class TestSupport:
 
     def test_count_matches_bfs(self, ball):
         # Random subtrees (grown one tree neighbour at a time) and random sets.
-        addrs = sorted(ball(5).tets)
+        table = ball(5).table
+        addrs = sorted(table.addrs)
         rng = random.Random(3)
         seen = set()
         for trial in range(400):
@@ -671,10 +727,11 @@ class TestSupport:
             else:
                 members = {rng.choice(addrs)}
                 for _ in range(rng.randint(0, 15)):
-                    grow = [nb for a in members for nb in tet_tree._tree_neighbors_in(a, set(addrs))]
+                    grow = [nb for a in members for nb in tree_neighbors_in(a, set(addrs))]
                     members.add(rng.choice(sorted(set(grow) - members or grow)))
             connected = support_bfs(members)
-            assert support_connected(SimpleNamespace(support={0: members}), 0) == connected
+            rows = np.array(sorted(table.rows[a] for a in members))
+            assert support_connected(SimpleNamespace(support=lambda v: rows, table=table), 0) == connected
             seen.add(connected)
         assert seen == {True, False}
 
@@ -682,10 +739,11 @@ class TestSupport:
         # Tetrahedra on an edge (u, w) correspond to triangles of the link of
         # u containing w, hence to labelled Farey triangles at the label of w.
         b = ball(2)
-        for u, w in b.edges():
-            cofaces = b.support[u] & b.support[w]
+        support = support_sets(b)
+        for u, w in b.edges().tolist():
+            cofaces = {b.table.addrs[t] for t in np.intersect1d(b.support(u), b.support(w))}
             link_tris = [
-                addr for addr in b.support[u] if w in b.tets[addr]
+                addr for addr in support[u] if w in b.tets[addr]
             ]
             assert cofaces == set(link_tris)
 
@@ -732,6 +790,30 @@ class TestStructuralReport:
     def test_prefix_stable(self, name, ok):
         assert check(MALFORMED[name](), "prefix_stable") == {"name": "prefix_stable", "ok": ok}
 
+    def test_prefix_stable_in_any_row_order(self):
+        tets = generate_ball(3).tets
+        assert check(TetBall(3, dict(reversed(tets.items()))), "prefix_stable")["ok"]
+        del tets["21"]
+        assert not check(TetBall(3, dict(reversed(tets.items()))), "prefix_stable")["ok"]
+
+    def test_addresses_reduced_matches_the_words(self):
+        # Non-reduced words, a letter outside the alphabet, words too long,
+        # and children of all of them; the arrays clear only reduced words.
+        tets = dict(generate_ball(2).tets)
+        for addr in ("00", "001", "0x", "0x1", "012", "0123", "1x0"):
+            tets[addr] = (0, 1, 2, 3)
+        b = TetBall(2, tets)
+        want = [a for a in tets if not is_address(a) or len(a) > 2]
+        assert check(b, "addresses_reduced") == {"name": "addresses_reduced", "ok": False, "bad": want[:5]}
+        assert len(want) > 5
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED) + ["radius_4"])
+    def test_supports_match_the_per_vertex_check(self, ball, name):
+        b = ball(4) if name == "radius_4" else MALFORMED[name]()
+        bad = [v for v in b.vertices() if not support_connected(b, v)]
+        assert check(b, "supports_tree_connected") == {"name": "supports_tree_connected", "ok": not bad, "bad": bad[:5]}
+        assert bool(bad) == (name in {"missing_parent", "missing_root_child", "moved_inner", "reused_other", "swapped"})
+
     def test_clean_at_radius_three(self, ball):
         report = structural_report(ball(3))
         assert all(c["ok"] for c in report), [c for c in report if not c["ok"]]
@@ -743,9 +825,7 @@ class TestStructuralReport:
     def test_five_clique_witness_lists_every_four_subset(self):
         # Edge 0-4 closes the 5-clique {0, 1, 2, 3, 4}; the 4-subset whose only
         # common neighbour is vertex 0 is listed too.
-        b = generate_ball(1)
-        b.adjacency[0].add(4)
-        b.adjacency[4].add(0)
+        b = with_edges(generate_ball(1), add=[(0, 4)])
         (check,) = [c for c in structural_report(b) if c["name"] == "four_cliques_are_tets"]
         assert not check["ok"]
         assert check["five_cliques"] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]]
