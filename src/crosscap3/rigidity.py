@@ -31,8 +31,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
-from .errors import CodomainTooSmallError
-from .tet_tree import ALPHABET, TetBall, common_neighbors, generate_ball, triangle_cofaces
+from .errors import CodomainTooSmallError, RadiusCapError
+from .tet_tree import ALPHABET, TetBall, common_neighbors, generate_ball, radius_cap, triangle_cofaces
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,11 +336,15 @@ def rigidity_reports(level: int) -> list[dict]:
     with its parent has exactly those two cofaces.  The root star's maps are
     enumerated once and extended for level 2.  Reports come in this order:
     levels 1 and 2, forcing levels 2..level, then the pointwise stabilizers
-    of the level-1 and level-2 star unions.
+    of the level-1 and level-2 star unions.  A work ball over the radius cap
+    raises RadiusCapError naming the level.
     """
     if level < 1:
         raise ValueError(f"rigidity level must be at least 1, got {level}")
-    work = generate_ball(max(level + 1, 3))
+    radius, cap = max(level + 1, 3), radius_cap()
+    if radius > cap:
+        raise RadiusCapError(f"rigidity level {level} needs a work ball of radius {radius}, over the radius cap {cap}")
+    work = generate_ball(radius)
     cg = subdivide(generate_ball(max(level, 2)))
     ball = cg.source
     star = subdivide(generate_ball(0))

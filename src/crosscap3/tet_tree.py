@@ -101,7 +101,9 @@ class TetBall:
     ``table`` (a ``TetTable``), the tetrahedra as integer rows, is the
     primary form.  Built from it on first use: ``indptr``/``indices``, the
     adjacency (co-residence in a tetrahedron of the ball, which equals edge
-    restriction to the ball) as CSR with sorted rows; ``support(v)``, the
+    restriction to the ball) as CSR with sorted rows; ``triangles``, the
+    3-cliques of that CSR (read from it alone, not from ``table``), which
+    ``four_cliques`` and the link edges are read off; ``support(v)``, the
     rows holding v; and ``tets``, the address -> vertex-tuple dict.
     ``TetBall(radius, tets)`` builds a ball from such a dict, which need not
     be a generated one.
@@ -154,6 +156,15 @@ class TetBall:
     @cached_property
     def indices(self) -> np.ndarray:
         return self._csr[1]
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """Every 3-clique of the CSR adjacency as an ascending row, in lexicographic
+        order: each edge (a, b), a < b, extended by the common neighbours c > b."""
+        edges = self.edges()
+        row, c = common_neighbors(self, edges)
+        above = c > edges[row, 1]
+        return np.column_stack([edges[row[above]], c[above]])
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -479,6 +490,13 @@ def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
     return tuple(sorted(ball.table.addrs[t] for t in rows.tolist()))
 
 
+def _edge_keys(graph) -> np.ndarray:
+    """The directed edges of a CSR graph as keys ``v * n + w``, ascending since its rows are sorted."""
+    indptr = graph.indptr
+    n = len(indptr) - 1
+    return np.repeat(np.arange(n), np.diff(indptr)) * n + graph.indices
+
+
 def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
     """Every vertex adjacent to all of a row of ``verts`` (R x k ids), as (row, v) arrays in order.
 
@@ -486,7 +504,7 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
     least degree (root vertices reach degree 768 at radius 8), ``BLOCK_ELEMS`` at a time."""
     indptr, n = graph.indptr, len(graph.indptr) - 1
     degree = np.diff(indptr)
-    keys = np.repeat(np.arange(n), degree) * n + graph.indices  # ascending: CSR rows are sorted
+    keys = _edge_keys(graph)
     base = verts[np.arange(len(verts)), degree[verts].argmin(axis=1)]
     count = degree[base]
     end, total = np.cumsum(count), int(count.sum())  # candidate p belongs to the first row ending above p
@@ -505,14 +523,20 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def four_cliques(ball: TetBall) -> np.ndarray:
-    """All 4-cliques of the ball's adjacency graph as ascending rows, in lexicographic
-    order: each vertex extended three times by the common neighbours above it."""
-    cliques = np.arange(ball.n_vertices)[:, None]
-    for _ in range(3):
-        row, v = common_neighbors(ball, cliques)
-        above = v > cliques[row, -1]
-        cliques = np.column_stack([cliques[row[above]], v[above]])
-    return cliques
+    """All 4-cliques of the ball's adjacency graph as ascending rows, in lexicographic order.
+
+    Read off ``ball.triangles``: two rows (a, b, c) and (a, b, d), c < d, of
+    one run of equal (a, b) span a 4-clique exactly when c and d are
+    adjacent, found by one ``searchsorted`` on the directed edge keys."""
+    tri, keys, n = ball.triangles, _edge_keys(ball), len(ball.indptr) - 1
+    start = np.flatnonzero(np.r_[True, (tri[1:, :2] != tri[:-1, :2]).any(axis=1)])
+    end = np.r_[start[1:], len(tri)]
+    later = np.repeat(end, end - start) - np.arange(len(tri)) - 1  # rows after each in its run
+    first = np.repeat(np.arange(len(tri)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    c, d = tri[first, 2], tri[second, 2]
+    keep = keys[np.minimum(np.searchsorted(keys, c * n + d), len(keys) - 1)] == c * n + d
+    return np.column_stack([tri[first[keep]], d[keep]])
 
 
 # ---------------------------------------------------------------------------
@@ -673,34 +697,31 @@ def _mobius_mismatch(labels: dict, relabels: dict, base: tuple):
     return None
 
 
-def _edge_mismatches(group: list) -> list[tuple]:
-    """Link pairs of a block of equal-degree vertices where edge and Farey adjacency differ.
+def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndarray) -> list[tuple]:
+    """Link pairs of a block of m vertices of equal degree k where edge and Farey adjacency differ.
 
-    ``group`` holds (v, members, labels, edge keys), arrays after v: the
-    sorted link members, their labels in that order and ``i * k + j`` for
-    each link edge with i < j.  Farey adjacency |ps - qr| = 1 is scored on
+    ``members`` (m x k) holds the sorted link members of each vertex of
+    ``vs``, ``labels`` (m x k x 2) their labels, and ``edges`` the key
+    ``(g * k + i) * k + j`` of each link edge (i, j), i < j, of ``vs[g]``,
+    each at most once.  Farey adjacency |ps - qr| = 1 is scored on
     (m, rows, k) int64 blocks of at most about ``BLOCK_ELEMS``; the result
-    is one failure tuple per mismatched pair, in (vertex, i, j) order.
-    Both key sets hold each pair at most once.
+    is one failure tuple per mismatched pair, in (g, i, j) order.
     """
-    m, k = len(group), len(group[0][1])
-    labels = np.stack([row for _, _, row, _ in group]).astype(np.int64)
-    p, q = labels[:, :, 0], labels[:, :, 1]
+    m, k = members.shape
+    p, q = labels[..., 0].astype(np.int64), labels[..., 1].astype(np.int64)
     rows = max(1, BLOCK_ELEMS // (m * k))
     farey = []
     for r0 in range(0, k, rows):
         det = p[:, r0 : r0 + rows, None] * q[:, None, :] - q[:, r0 : r0 + rows, None] * p[:, None, :]
-        g, i, j = np.nonzero(np.abs(det) == 1)
+        g, ij = np.divmod(np.flatnonzero(np.abs(det) == 1), det.shape[1] * k)
+        i, j = np.divmod(ij, k)
         i += r0
         farey.append(((g * k + i) * k + j)[i < j])
-    keys = [entry[3] for entry in group]
-    edges = np.concatenate(keys) + np.repeat(np.arange(m) * k * k, [len(x) for x in keys])
     out = []
     for key in np.setxor1d(np.concatenate(farey), edges, assume_unique=True).tolist():
         g, ij = divmod(key, k * k)
         i, j = divmod(ij, k)
-        v, members = group[g][0], group[g][1]
-        out.append((v, 1, i, j, f"edge mismatch at ({members[i]}, {members[j]})"))
+        out.append((int(vs[g]), 1, i, j, f"edge mismatch at ({members[g, i]}, {members[g, j]})"))
     return out
 
 
@@ -852,8 +873,7 @@ def _link_pass(ball: TetBall) -> tuple | None:
     born, cross, last, slot = shape
     flagged = np.zeros(n, dtype=bool)
     over = np.full(n, LABEL_LIMIT <= 1)
-    tail = np.repeat(np.arange(n), np.diff(ball.indptr))
-    csr = tail * n + ball.indices
+    csr = _edge_keys(ball)
     first, second = np.zeros((len(csr), 2), dtype=np.int32), np.zeros((len(csr), 2), dtype=np.int32)
     for j, others in enumerate(_OTHER_SLOTS):
         owner = table.verts[:, j]
@@ -875,7 +895,7 @@ def _link_pass(ball: TetBall) -> tuple | None:
         order = np.lexsort((one[:, 1], one[:, 0], v))
         same = (v[order][1:] == v[order][:-1]) & (one[order][1:] == one[order][:-1]).all(axis=1)
         flagged[v[order][1:][same]] = True
-        mine = np.flatnonzero(slot[tail] == j)
+        mine = np.flatnonzero(slot[csr // n] == j)
         if len(key) != len(mine) or (key != csr[mine]).any():
             flagged[np.setxor1d(key, csr[mine], assume_unique=True) // n] = True
         at = np.minimum(np.searchsorted(key, csr[mine]), len(key) - 1)
@@ -886,27 +906,15 @@ def _link_pass(ball: TetBall) -> tuple | None:
 def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
     """Every link edge as (v, i * k + j) for members i < j of the sorted link of v, k its size.
 
-    The common neighbours of each directed edge (v, x), in blocks of
-    ``BLOCK_ELEMS // 8`` edges: at radius 8 an edge has six candidate
-    neighbours on average, so a block is about one ``common_neighbors``
-    block.  v is nondecreasing."""
-    indptr, indices = ball.indptr, ball.indices
+    Read off ``ball.triangles``: the triangle (a, b, c) is the link edge
+    (b, c) of a, (a, c) of b and (a, b) of c.  Each vertex holds each of its
+    link edges once; the order is the triangles' within each role."""
+    indptr, keys = ball.indptr, _edge_keys(ball)
     n = len(indptr) - 1
-    degree = np.diff(indptr)
-    tail = np.repeat(np.arange(n), degree)
-    csr = tail * n + indices
-    found = []
-    step = max(1, BLOCK_ELEMS // 8)
-    for e0 in range(0, max(len(indices), 1), step):
-        e = np.arange(e0, min(e0 + step, len(indices)))
-        row, y = common_neighbors(ball, np.column_stack([tail[e], indices[e]]))
-        e = e[row]
-        v = tail[e]
-        i, j = e - indptr[v], np.searchsorted(csr, v * n + y) - indptr[v]
-        keep = i < j
-        found.append((v[keep], (i * degree[v] + j)[keep]))
-    vs, keys = zip(*found)
-    return np.concatenate(vs), np.concatenate(keys)
+    a, b, c = ball.triangles.T
+    v, x, y = np.concatenate([a, b, c]), np.concatenate([b, a, a]), np.concatenate([c, c, b])
+    i, j = (np.searchsorted(keys, v * n + u) - indptr[v] for u in (x, y))
+    return v, i * (indptr[v + 1] - indptr[v]) + j
 
 
 def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | None]:
@@ -914,8 +922,9 @@ def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | 
 
     Appends v's labelling, coverage, relabelling and Mobius failures and
     raises BudgetError for a label over ``LABEL_LIMIT``.  Returns whether the
-    first labelling succeeded and v's (v, members, labels, edge keys) entry
-    for ``_edge_mismatches``, arrays after v, or None when v has no pair check.
+    first labelling succeeded and v's (v, members, labels, edge keys) entry,
+    arrays after v, which ``_edge_mismatches`` scores as a block of one, or
+    None when v has no pair check.
     """
     rows = sorted(ball.support(v).tolist(), key=ball.table.addrs.__getitem__)
     try:
@@ -972,41 +981,52 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
     uniqueness or injectivity of its labels, or coverage of its adjacency
     fails; those vertices, and every vertex of a ball not shaped like a
     generated one, take the per-vertex searches of ``_check_vertex``, which
-    write their records.  The pair check runs on blocks of vertices of
-    equal degree, which are dropped once scored.  Failures are listed by
-    vertex, and within a vertex labelling or coverage failures first, then
-    edge mismatches in pair order, then the Mobius cross-check.
+    write their records and score their pairs one vertex at a time.  The
+    vertices the pass clears are scored one degree class at a time, in
+    blocks of about ``BLOCK_ELEMS`` pairs, on members, labels and link
+    edges (``_link_edges``) sliced from CSR order.  A label over
+    ``LABEL_LIMIT`` raises BudgetError for the least vertex holding one.
+    Failures are listed by vertex, and within a vertex labelling or
+    coverage failures first, then edge mismatches in pair order, then the
+    Mobius cross-check.
     """
+    n = ball.n_vertices
     failures = []  # (vertex, kind, i, j, message)
-    vertices_checked = 0
-    groups: dict = {}  # degree -> vertices awaiting the pair check
     found = _link_pass(ball)
-    if found is not None:
+    if found is None:
+        flagged, over, labels = np.ones(n, dtype=bool), np.zeros(n, dtype=bool), None
+    else:
         flagged, over, labels, _ = found
-        owner, edge_keys = _link_edges(ball)
-        bounds = np.searchsorted(owner, np.arange(ball.n_vertices + 1)).tolist()
-        indptr = ball.indptr.tolist()
-    for v in ball.vertices():
-        if found is None or flagged[v]:
-            labelled, entry = _check_vertex(ball, v, failures)
-            vertices_checked += labelled
-            if entry is None:
-                continue
-        else:
-            vertices_checked += 1
-            if over[v]:
-                raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
-            lo, hi = indptr[v], indptr[v + 1]
-            entry = (v, ball.indices[lo:hi], labels[lo:hi], edge_keys[bounds[v] : bounds[v + 1]])
-        k = len(entry[1])
-        group = groups.setdefault(k, [])
-        group.append(entry)
-        if len(group) * k * k >= BLOCK_ELEMS:
-            failures += _edge_mismatches(group)
-            group.clear()
-    for group in groups.values():
-        if group:
-            failures += _edge_mismatches(group)
+    cleared = np.flatnonzero(~flagged)
+    stop = int(cleared[over[cleared]].min(initial=n))  # the least cleared vertex over the limit
+    vertices_checked = len(cleared)
+    for v in np.flatnonzero(flagged[:stop]).tolist():
+        labelled, entry = _check_vertex(ball, v, failures)
+        vertices_checked += labelled
+        if entry is not None:
+            v, members, row, keys = entry
+            failures += _edge_mismatches([v], members[None], row[None], keys)
+    if stop < n:
+        raise BudgetError(f"a link label of vertex {stop} reaches {LABEL_LIMIT}, the limit of the pair check")
+    if len(cleared):
+        indptr, degree = ball.indptr, np.diff(ball.indptr)
+        vs = cleared[np.argsort(degree[cleared], kind="stable")]  # by degree, then vertex
+        degree = degree[vs]
+        pos = np.full(n, -1)
+        pos[vs] = np.arange(len(vs))
+        owner, keys = _link_edges(ball)
+        at = pos[owner]  # each link edge's owner by its place in vs, -1 if flagged
+        order = np.argsort(at)
+        at, keys = at[order], keys[order]
+        lo = 0
+        while lo < len(vs):
+            k = int(degree[lo])
+            hi = min(int(np.searchsorted(degree, k, side="right")), lo + max(1, BLOCK_ELEMS // (k * k)))
+            block = vs[lo:hi]
+            col = indptr[block][:, None] + np.arange(k)
+            e0, e1 = np.searchsorted(at, [lo, hi])
+            failures += _edge_mismatches(block, ball.indices[col], labels[col], (at[e0:e1] - lo) * k * k + keys[e0:e1])
+            lo = hi
     failures.sort(key=lambda f: f[:4])
     return [
         {

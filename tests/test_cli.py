@@ -5,6 +5,7 @@ import pytest
 
 from crosscap3 import metric, rigidity
 from crosscap3.cli import main
+from crosscap3.errors import RadiusCapError
 
 
 def run(capsys, *argv):
@@ -265,6 +266,12 @@ class TestErrors:
         code, _, err = run(capsys, "hyperbolicity", "--radius", "8")
         assert code == 2
         assert err.startswith("error:") and "budget" in err
+
+    def test_rigidity_level_over_the_cap(self, capsys):
+        want = "rigidity level 9 needs a work ball of radius 10, over the radius cap 8"
+        assert run(capsys, "rigidity", "--level", "9") == (2, "", f"error: {want}\n")
+        with pytest.raises(RadiusCapError, match=want):
+            rigidity.rigidity_reports(9)
 
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_rigidity_level_below_one(self, capsys, level):

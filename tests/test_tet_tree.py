@@ -416,6 +416,23 @@ class TestLinkLabelingReport:
         with pytest.raises(BudgetError, match="limit of the pair check"):
             link_labeling_report(ball(1))
 
+    @pytest.mark.parametrize("flags", [(), (0,), (1,), (2, 3), "all"])
+    def test_label_limit_names_the_least_vertex(self, ball, monkeypatch, flags):
+        # Flagged vertices are checked one at a time and cleared ones by
+        # degree class; the error names the least over-limit vertex of both.
+        b = ball(2)
+        monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 3)
+        support = support_sets(b)
+        over = []
+        for v in b.vertices():
+            base = tet_tree._base_triple(b, v, b.table.rows[min(support[v])])
+            if max(abs(x) for label in tet_tree._link_labels(b, v, base).values() for x in label) >= 3:
+                over.append(v)
+        assert over == [0, 1, 2, 3]
+        flag_vertices(monkeypatch, *(b.vertices() if flags == "all" else flags))
+        with pytest.raises(BudgetError, match=f"of vertex {over[0]} reaches"):
+            link_labeling_report(b)
+
 
 def ball_reusing(radius, addr, u):
     """The ball whose crossing into ``addr`` puts the existing vertex u at the crossed slot
@@ -597,6 +614,47 @@ def four_cliques_loop(b):
     return cliques
 
 
+def triangles_loop(b):
+    """Reference for ``TetBall.triangles``: the 3-cliques v < w < x of the adjacency sets."""
+    adj = adjacency_sets(b)
+    return [[v, w, x] for v in b.vertices() for w in sorted(adj[v]) if w > v for x in sorted(adj[v] & adj[w]) if x > w]
+
+
+def link_edges_loop(b):
+    """Reference for ``_link_edges``: the common neighbours of each directed edge (v, x),
+    one ``common_neighbors`` query per block of edges, as (v, i * k + j) arrays."""
+    indptr, indices = b.indptr, b.indices
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    tail = np.repeat(np.arange(n), degree)
+    csr = tail * n + indices
+    found = []
+    step = max(1, tet_tree.BLOCK_ELEMS // 8)
+    for e0 in range(0, max(len(indices), 1), step):
+        e = np.arange(e0, min(e0 + step, len(indices)))
+        row, y = tet_tree.common_neighbors(b, np.column_stack([tail[e], indices[e]]))
+        e = e[row]
+        v = tail[e]
+        i, j = e - indptr[v], np.searchsorted(csr, v * n + y) - indptr[v]
+        keep = i < j
+        found.append((v[keep], (i * degree[v] + j)[keep]))
+    vs, keys = zip(*found)
+    return np.concatenate(vs), np.concatenate(keys)
+
+
+# The balls the clique and link-edge fast paths are checked on: generated
+# balls, every malformed ball, and the radius-1 ball closed into a 5-clique.
+ORACLE_BALLS = [f"radius_{n}" for n in range(7)] + sorted(MALFORMED) + ["five_clique"]
+
+
+def named_ball(ball, name):
+    if name.startswith("radius"):
+        return ball(int(name[-1]))
+    if name == "five_clique":
+        return with_edges(generate_ball(1), add=[(0, 4)])
+    return MALFORMED[name]()
+
+
 def tree_neighbors_in(addr, members):
     """The tree neighbours of ``addr`` among the addresses ``members``: parent, then children."""
     near = [addr[:-1]] if addr else []
@@ -624,9 +682,9 @@ class TestCliques:
             b = ball(n)
             assert four_cliques(b).tolist() == sorted(sorted(t) for t in b.tets.values())
 
-    @pytest.mark.parametrize("v, count", [(None, 0), (0, 1), (8, 1), (0, 3)])
-    def test_four_cliques_match_loop(self, ball, v, count):
-        b = ball(4) if v is None else ball_with_extra_link_edges(3, v, count)
+    @pytest.mark.parametrize("name", ORACLE_BALLS)
+    def test_four_cliques_match_loop(self, ball, name):
+        b = named_ball(ball, name)
         cliques = four_cliques(b).tolist()
         assert cliques == sorted(cliques) and all(q == sorted(set(q)) for q in cliques)
         assert {frozenset(q) for q in cliques} == four_cliques_loop(b)
@@ -636,6 +694,32 @@ class TestCliques:
         adj = adjacency_sets(b)
         for q in four_cliques(b).tolist():
             assert not set.intersection(*(adj[v] for v in q))
+
+    @pytest.mark.parametrize("name", ORACLE_BALLS)
+    def test_triangles_match_loop(self, ball, name):
+        b = named_ball(ball, name)
+        assert b.triangles.tolist() == triangles_loop(b)
+
+    @pytest.mark.parametrize("name", ORACLE_BALLS)
+    def test_link_edges_match_loop(self, ball, name):
+        b = named_ball(ball, name)
+        owner, keys = tet_tree._link_edges(b)
+        want = link_edges_loop(b)
+        assert sorted(zip(owner.tolist(), keys.tolist())) == sorted(zip(want[0].tolist(), want[1].tolist()))
+        assert len(owner) == 3 * len(b.triangles)
+
+    def test_edit_after_cliques_is_seen(self):
+        # The triangles cached by four_cliques belong to the CSR before the
+        # edit; the edited ball must report what a ball edited first reports.
+        b = generate_ball(1)
+        four_cliques(b)
+        with_edges(b, add=[(0, 4)])
+        fresh = with_edges(generate_ball(1), add=[(0, 4)])
+        assert check(b, "four_cliques_are_tets") == check(fresh, "four_cliques_are_tets")
+        assert check(b, "four_cliques_are_tets")["five_cliques"][0] == [0, 1, 2, 3]
+        (report,) = link_labeling_report(b)
+        assert [report] == link_labeling_report(fresh)
+        assert any(f["error"] == "edge mismatch at (0, 4)" for f in report["failures"])
 
 
 class TestCommonNeighbors:
@@ -674,7 +758,7 @@ class TestCommonNeighbors:
     def test_block_size_does_not_change_cliques(self, monkeypatch, ball):
         cliques = four_cliques(ball(4))
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", 5)
-        assert np.array_equal(four_cliques(ball(4)), cliques)
+        assert np.array_equal(four_cliques(generate_ball(4)), cliques)  # a fresh ball: triangles are cached
 
 
 class TestSupport:
