@@ -31,11 +31,14 @@ labelling the components of what is left, so a pair is separated exactly
 when its endpoints get different labels.
 
 The hot loops are vectorized: the distance table comes from one BFS that
-advances every source at once as packed bitsets, the sampled triples are
-replayed from ``random.Random.getrandbits`` in blocks (the stream of
-``random.sample``, pinned by an oracle test), and the triples left after the
-bound are scored a chunk at a time.  Tables whose size would exceed
-``MAX_TABLE_BYTES`` are refused with ``BudgetError`` before allocation.
+advances every source at once as packed bitsets, the exhaustive scan's
+point-to-interval table is filled one distance level at a time along every
+source's BFS DAG (each interval is its endpoint plus the intervals of the
+endpoint's predecessors), the sampled triples are replayed from
+``random.Random.getrandbits`` in blocks (the stream of ``random.sample``,
+pinned by an oracle test), and the triples left after the bound are scored
+a chunk at a time.  Tables whose size would exceed ``MAX_TABLE_BYTES`` are
+refused with ``BudgetError`` before allocation.
 """
 
 from __future__ import annotations
@@ -268,17 +271,21 @@ class BottleneckReport:
         return not self.failures and self.worst_margin <= BOTTLENECK_BOUND
 
 
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray, v: np.ndarray):
+    """The CSR rows of ``v`` laid out flat: each row's start, and the row i and entry w of each slot."""
+    deg = indptr[v + 1] - indptr[v]
+    seg = np.cumsum(deg) - deg
+    i = np.repeat(np.arange(len(v)), deg)
+    return seg, i, indices[np.arange(deg.sum()) + np.repeat(indptr[v] - seg, deg)]
+
+
 def _least_neighbor(ball: TetBall, v: np.ndarray, want) -> np.ndarray:
     """The least neighbour w of each ``v[i]`` with ``want(i, w)``, or n where there is none.
 
     A masked minimum over the sorted CSR rows of ``v``, laid out flat.
     """
-    indptr = ball.indptr
-    deg = indptr[v + 1] - indptr[v]
-    seg = np.cumsum(deg) - deg
-    i = np.repeat(np.arange(len(v)), deg)
-    w = ball.indices[np.arange(deg.sum()) + np.repeat(indptr[v] - seg, deg)]
-    return np.minimum.reduceat(np.where(want(i, w), w, len(indptr) - 1), seg)
+    seg, i, w = _csr_rows(ball.indptr, ball.indices, v)
+    return np.minimum.reduceat(np.where(want(i, w), w, len(ball.indptr) - 1), seg)
 
 
 def _bottleneck_faces(table: DistanceTable, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -508,18 +515,68 @@ def thinness_report(
     )
 
 
-def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
+def _point_to_interval(d: np.ndarray) -> np.ndarray:
+    """The int16 table ``t[p, x, z] = d(p, I(x, z))`` of a graph metric ``d``.
+
+    Every geodesic from x to z enters z from a neighbour z' one step nearer
+    x, so I(x, z) is z together with the intervals I(x, z') of those
+    predecessors, and
+
+        d(p, I(x, z)) = min(d(p, z), min over z' of d(p, I(x, z'))).
+
+    The table is filled one distance level at a time, for all sources x at
+    once, from the adjacency ``d == 1``.  A level's pairs x < z are taken in
+    blocks of ``BLOCK_ELEMS // n``; their predecessors are folded in with
+    one ``np.minimum`` per predecessor rank (a pair with fewer predecessors
+    folds its last one in again, which leaves the minimum as it is), and
+    each row is written for (x, z) and (z, x).  The rows are stored as
+    ``a[x, z, :]`` so that they are contiguous, and ``t`` is a view of them.
+    Besides the table, which is refused with ``BudgetError`` before
+    allocation when it exceeds ``MAX_TABLE_BYTES``, the build holds the
+    level's pair list (at most n^2 / 2 pairs) and block temporaries of at
+    most about ``BLOCK_ELEMS`` elements.
+    """
     n = d.shape[0]
     _check_budget(f"exhaustive thinness over {n} vertices", (n, n, n), np.int16)
-    # point_to_interval[p, x, z] = distance from p to the interval of (x, z)
-    point_to_interval = np.empty((n, n, n), dtype=np.int16)
-    for x in range(n):
-        point_to_interval[:, x, x] = d[:, x]
-        for z in range(x + 1, n):
-            idx = np.nonzero(d[x] + d[z] == d[x, z])[0]
-            col = d[:, idx].min(axis=1)
-            point_to_interval[:, x, z] = col
-            point_to_interval[:, z, x] = col
+    a = np.empty((n, n, n), dtype=np.int16)
+    diag = np.arange(n)
+    a[diag, diag] = d
+    rows, nbrs = np.nonzero(d == 1)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    step = max(1, BLOCK_ELEMS // n)
+    for level in range(1, int(d.max()) + 1):
+        xs, zs = np.nonzero(np.triu(d == level))
+        for lo in range(0, len(xs), step):
+            x, z = xs[lo : lo + step], zs[lo : lo + step]
+            acc = d[z]
+            # The predecessors w[first[k] : last[k] + 1] of pair k: the
+            # neighbours of z[k] one step nearer x[k], at least one each.
+            _, i, w = _csr_rows(indptr, nbrs, z)
+            keep = d[x[i], w] == level - 1
+            i, w = i[keep], w[keep]
+            first = np.searchsorted(i, np.arange(len(z)))
+            last = np.append(first[1:], len(i)) - 1
+            # Rank r folds in each pair's r-th predecessor, or its last again.
+            for r in range(int((last - first).max()) + 1):
+                np.minimum(acc, a[x, w[np.minimum(first + r, last)]], out=acc)
+            a[x, z] = acc
+            a[z, x] = acc
+    return a.transpose(2, 0, 1)
+
+
+def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
+    """The largest thinness over all triples, its witness and the triples scored.
+
+    ``d`` must be a graph metric: symmetric, with the adjacency ``d == 1``
+    and every other distance reached through it.  The distances from each
+    point to each interval come from ``_point_to_interval``; its n^3 int16
+    table is the only large allocation.  Then every pair x < y whose bound
+    floor(d(x, y) / 2) exceeds the running maximum is scored against every
+    z, and the witness (x, y, z, p) is the first maximum in pair order, then
+    p in I(x, y) and z in row-major order.
+    """
+    n = d.shape[0]
+    point_to_interval = _point_to_interval(d)
     best = -1
     witness = (0, 0, 0, 0)
     scored = 0

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crosscap3
 from crosscap3 import metric, rigidity
 from crosscap3.cli import main
 from crosscap3.errors import RadiusCapError
@@ -309,3 +314,24 @@ class TestErrors:
 
         monkeypatch.setattr(metric, "hyperbolicity_reports", exhausted)
         assert run(capsys, "hyperbolicity", "--radius", "1") == (2, "", "error: out of memory\n")
+
+
+def run_module(*argv):
+    # ``python -m crosscap3`` in a fresh interpreter that finds the package on PYTHONPATH only.
+    src = str(Path(crosscap3.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "crosscap3", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestModule:
+    def test_verify(self):
+        proc = run_module("verify", "--radius", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
+
+    def test_invalid_radius(self):
+        proc = run_module("verify", "--radius", "-1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == ["error: radius must be nonnegative"]

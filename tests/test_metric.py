@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -24,7 +25,7 @@ from crosscap3.metric import (
     thinness_report,
     tree_comparison,
 )
-from crosscap3.metric import _chunk_thinness, _sampled_triples
+from crosscap3.metric import _chunk_thinness, _point_to_interval, _sampled_triples, _thinness_exhaustive
 from crosscap3.tet_tree import BLOCK_ELEMS, tree_distance
 
 
@@ -373,6 +374,97 @@ def brute_thinness(table):
                 for p in between:
                     best = max(best, min(int(d[p, q]) for q in side))
     return best
+
+
+def loop_point_to_interval(d):
+    # Independent oracle: each pair's interval read off d, one pair at a time.
+    n = d.shape[0]
+    point_to_interval = np.empty((n, n, n), dtype=np.int16)
+    for x in range(n):
+        point_to_interval[:, x, x] = d[:, x]
+        for z in range(x + 1, n):
+            idx = np.nonzero(d[x] + d[z] == d[x, z])[0]
+            col = d[:, idx].min(axis=1)
+            point_to_interval[:, x, z] = col
+            point_to_interval[:, z, x] = col
+    return point_to_interval
+
+
+def loop_thinness_exhaustive(d):
+    # The pair scan over the oracle table: the reference for the maximum,
+    # the witness order and the number of triples scored.
+    n = d.shape[0]
+    point_to_interval = loop_point_to_interval(d)
+    best = -1
+    witness = (0, 0, 0, 0)
+    scored = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            if d[x, y] // 2 <= best:
+                continue
+            scored += n - 2
+            between = np.nonzero(d[x] + d[y] == d[x, y])[0]
+            vals = np.minimum(point_to_interval[between, x, :], point_to_interval[between, y, :])
+            m = int(vals.max())
+            if m > best:
+                best = m
+                pi, z = np.unravel_index(int(vals.argmax()), vals.shape)
+                witness = (x, y, int(z), int(between[pi]))
+    return best, witness, scored
+
+
+# Small graphs with many geodesics between far-apart vertices.
+MANY_GEODESICS = {
+    "cycle_9": [[(v - 1) % 9, (v + 1) % 9] for v in range(9)],
+    "grid_4x4": [[w for w in range(16) if abs(v // 4 - w // 4) + abs(v % 4 - w % 4) == 1] for v in range(16)],
+    "k_3_3": [[w for w in range(6) if (w < 3) != (v < 3)] for v in range(6)],
+}
+WINDOWS = [f"tet-{r}" for r in range(5)] + [f"curve-{r}" for r in range(4)]
+
+
+@pytest.fixture
+def metric_named(dtable, ctable):
+    def get(name):
+        if name in MANY_GEODESICS:
+            adjacency = MANY_GEODESICS[name]
+            return np.array(list(deque_bfs_rows(range(len(adjacency)), adjacency)), dtype=np.int16)
+        graph, radius = name.split("-")
+        return (dtable if graph == "tet" else ctable)(int(radius)).dist
+
+    return get
+
+
+class TestExhaustiveThinness:
+    @pytest.mark.parametrize("name", WINDOWS + list(MANY_GEODESICS))
+    def test_table_matches_loop(self, metric_named, name):
+        d = metric_named(name)
+        assert np.array_equal(_point_to_interval(d), loop_point_to_interval(d))
+
+    @pytest.mark.parametrize("name", WINDOWS + list(MANY_GEODESICS))
+    def test_result_matches_loop(self, metric_named, name):
+        # The maximum, the witness (first in scan order) and the triples scored.
+        d = metric_named(name)
+        assert _thinness_exhaustive(d) == loop_thinness_exhaustive(d)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_table(self, monkeypatch, metric_named, block):
+        tables = [metric_named(name) for name in ("tet-3", "curve-1", *MANY_GEODESICS)]
+        want = [(_point_to_interval(d), _thinness_exhaustive(d)) for d in tables]
+        monkeypatch.setattr(metric, "BLOCK_ELEMS", block)
+        for d, (table, result) in zip(tables, want):
+            assert np.array_equal(_point_to_interval(d), table)
+            assert _thinness_exhaustive(d) == result
+
+    def test_table_is_the_only_large_allocation(self, dtable):
+        d = dtable(4).dist
+        n = len(d)
+        tracemalloc.start()
+        try:
+            _thinness_exhaustive(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n**3 + (1 << 20)
 
 
 class TestThinness:
