@@ -11,8 +11,9 @@ Propagation runs in batches over the integer tetrahedron tables of the
 balls (``TetBall.table``): M elements walk the domain rows together, and
 each face crossing is a few array operations over all of them.  A single
 element is a batch of one.  The group operations on single elements
-(``image_of_ordered_tet``, ``compose``, ``inverse``) follow one tree path
-over the address dictionaries instead.
+(``image_of_ordered_tet``, ``compose``, ``inverse``) need no walk: a vertex
+keeps one slot in every tetrahedron (``TetTable.colour``), so an element is
+a reduced word and a slot permutation, and each operation a closed form.
 
 This module also enumerates the locally injective simplicial maps of the
 root star and verifies mechanically that each is the restriction of a unique
@@ -32,7 +33,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError, RadiusCapError
-from .tet_tree import ALPHABET, TetBall, common_neighbors, generate_ball, radius_cap, triangle_cofaces
+from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +50,9 @@ class OrderedTet:
 
 ROOT_TET = OrderedTet("", (0, 1, 2, 3))
 PERMUTATIONS = np.array(list(permutations(range(4))), dtype=np.int64)
+# The str.translate table relabelling face letters by each slot permutation pi, and pi^-1.
+_RELABEL = {pi: str.maketrans(ALPHABET, "".join(ALPHABET[f] for f in pi)) for pi in permutations(range(4))}
+_INVERSE = {pi: tuple(sorted(range(4), key=pi.__getitem__)) for pi in _RELABEL}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,16 +69,20 @@ class MappingClassElement:
         return self.dst == ROOT_TET
 
 
-def _check_tet(ball: TetBall, otet: OrderedTet, role: str) -> tuple:
-    """The ball's slots of ``otet``'s tetrahedron, once its vertices are known to match."""
-    slots = ball.tets.get(otet.address)
+def _slot_order(tets: dict, colour: list, otet: OrderedTet, role: str) -> tuple:
+    """The slot pi[k] of the k-th vertex of ``otet`` in its tetrahedron of ``tets``, once they are known
+    to match; ``colour`` is the ball's ``TetTable.colour``, fetched by the caller once per operation."""
+    slots = tets.get(otet.address)
     if slots is None:
         raise CodomainTooSmallError(f"{role} tetrahedron {otet.address!r} is not in the ball")
-    # OrderedTet lists 4 distinct vertices, so 4 memberships mean equal sets.
     a, b, c, d = otet.verts
-    if a not in slots or b not in slots or c not in slots or d not in slots:
+    try:
+        pi = (colour[a], colour[b], colour[c], colour[d])
+    except (IndexError, TypeError):
+        pi = None
+    if pi is None or slots[pi[0]] != a or slots[pi[1]] != b or slots[pi[2]] != c or slots[pi[3]] != d:
         raise ValueError(f"{role} vertices {otet.verts} do not match tetrahedron {otet.address!r}")
-    return slots
+    return pi
 
 
 class VertexMap:
@@ -135,7 +143,7 @@ def propagate_map(element: MappingClassElement, domain: TetBall, codomain: TetBa
     generated.
     """
     dst = element.dst
-    _check_tet(codomain, dst, "destination")
+    _slot_order(codomain.tets, codomain.table.colour, dst, "destination")
     cod = codomain.table
     tets, images = _propagate(domain, codomain, np.array([cod.rows[dst.address]]), np.array([dst.verts]))
     return VertexMap(
@@ -148,58 +156,46 @@ def propagate_map(element: MappingClassElement, domain: TetBall, codomain: TetBa
 
 
 def image_of_ordered_tet(element: MappingClassElement, otet: OrderedTet, work: TetBall) -> OrderedTet:
-    """Image of one ordered tetrahedron, propagating along a single tree path.
+    """Image of one ordered tetrahedron: with ``element.dst`` = (c, verts), pi(f) the slot of
+    ``verts[f]``, and ``otet`` = (w, vertices at slots sigma), the tetrahedron at reduce(c pi(w))
+    with its slots at pi o sigma; pi(w) relabels w letterwise, reduce cancels equal letters at the
+    junction.  Raises CodomainTooSmallError for a tetrahedron outside ``work``, ValueError for
+    vertices off their tetrahedron or a malformed ``work`` (see ``TetTable.colour``)."""
+    return _image(element.dst, otet, work)
 
-    Each letter f of the source address crosses the image face that drops
-    ``images[f]``, as in ``_propagate``.
-    """
-    _check_tet(work, element.dst, "destination")
-    slots = _check_tet(work, otet, "source")
-    tets = work.tets
-    c_addr = element.dst.address
-    images = list(element.dst.verts)
-    for letter in otet.address:
-        face = int(letter)
-        image_face = tets[c_addr].index(images[face])
-        step = ALPHABET[image_face]
-        c_next = c_addr[:-1] if c_addr.endswith(step) else c_addr + step
-        c_verts = tets.get(c_next)
-        if c_verts is None:
-            raise CodomainTooSmallError(
-                f"image left the codomain ball at {c_addr!r} across face {image_face}"
-            )
-        images[face] = c_verts[image_face]
-        c_addr = c_next
-    a, b, c, d = otet.verts
-    index = slots.index
-    return OrderedTet(c_addr, (images[index(a)], images[index(b)], images[index(c)], images[index(d)]))
+
+def _image(dst: OrderedTet, otet: OrderedTet, work: TetBall) -> OrderedTet:
+    """``image_of_ordered_tet`` under the element with destination ``dst``; ``compose`` calls it
+    directly, so that a composition is one call of a public function."""
+    tets, colour = work.tets, work.table.colour
+    pi, sigma = _slot_order(tets, colour, dst, "destination"), _slot_order(tets, colour, otet, "source")
+    c, w = dst.address, otet.address
+    u = w.translate(_RELABEL[pi])
+    k, stop = 0, min(len(c), len(u))
+    while k < stop and c[-1 - k] == u[k]:
+        k += 1
+    addr = c[: len(c) - k] + u[k:]
+    image = tets.get(addr)
+    if image is None:  # so is a tetrahedron on the path to it: the ball holds every prefix of its words
+        raise CodomainTooSmallError(f"image left the codomain ball on the way to {addr!r}")
+    return OrderedTet(addr, (image[pi[sigma[0]]], image[pi[sigma[1]]], image[pi[sigma[2]]], image[pi[sigma[3]]]))
 
 
 def compose(a: MappingClassElement, b: MappingClassElement, work: TetBall) -> MappingClassElement:
-    """The element acting as ``a`` followed by ``b``."""
-    return MappingClassElement(image_of_ordered_tet(b, a.dst, work))
+    """The element acting as ``a`` followed by ``b``: b's image of a's destination."""
+    return MappingClassElement(_image(b.dst, a.dst, work))
 
 
 def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
-    """The element undoing ``element``; needs work radius >= |dst address|."""
-    _check_tet(work, element.dst, "destination")
-    tets = work.tets
-    c_addr = element.dst.address
-    images = list(element.dst.verts)
-    d_addr = ""
-    while c_addr:
-        back_face = int(c_addr[-1])
-        domain_face = images.index(tets[c_addr][back_face])
-        step = ALPHABET[domain_face]
-        d_addr = d_addr[:-1] if d_addr.endswith(step) else d_addr + step
-        if d_addr not in tets:
-            raise CodomainTooSmallError("work ball too small to invert")
-        c_addr = c_addr[:-1]
-        images[domain_face] = tets[c_addr][back_face]
-    slots = tets[d_addr]
-    index = images.index
-    verts = (slots[index(0)], slots[index(1)], slots[index(2)], slots[index(3)])
-    return MappingClassElement(OrderedTet(d_addr, verts))
+    """The element undoing ``element``; needs work radius >= |dst address|.  The inverse of
+    (c, pi) is (pi^-1(reverse(c)), pi^-1): that tetrahedron, its slots listed in pi^-1 order."""
+    dst = element.dst
+    inv = _INVERSE[_slot_order(work.tets, work.table.colour, dst, "destination")]
+    addr = dst.address[::-1].translate(_RELABEL[inv])
+    slots = work.tets.get(addr)
+    if slots is None:
+        raise CodomainTooSmallError("work ball too small to invert")
+    return MappingClassElement(OrderedTet(addr, (slots[inv[0]], slots[inv[1]], slots[inv[2]], slots[inv[3]])))
 
 
 def ordered_tets(ball: TetBall, max_length: int | None = None):
@@ -374,31 +370,24 @@ def induction_step_report(level: int, work: TetBall) -> dict:
     everything nearer the root must send it to a coface of that shared face
     other than the parent, so forcing is valid exactly when the face has those
     two cofaces and the two apexes (hence their determined two-sided
-    vertices) are distinct.
+    vertices) are distinct.  The face is the one the shell row crossed; all
+    their cofaces come from one pass over the faces (``face_cofaces``).
     """
     if not 1 <= level <= work.radius:
         raise ValueError(f"level must be within the work radius {work.radius}")
-    shell = sorted(a for a in work.tets if len(a) == level)
+    table = work.table
+    shell = sorted(np.flatnonzero(table.depth == level).tolist(), key=table.addrs.__getitem__)
+    face = table.face[shell]
+    # With the parent a coface, its apex is the one vertex off the shared face.
+    coincide = (table.verts[table.parent[shell]] == table.verts[shell, face][:, None]).any(axis=1).tolist()
     witnesses = []
-    for addr in shell:
-        parent = addr[:-1]
-        face = frozenset(work.tets[addr]) & frozenset(work.tets[parent])
-        cof = triangle_cofaces(work, tuple(face))
-        if set(cof) != {addr, parent}:
+    for addr, cof, same in zip((table.addrs[t] for t in shell), face_cofaces(work, shell, face), coincide):
+        if set(cof) != {addr, addr[:-1]}:
             witnesses.append({"tet": addr, "cofaces": list(cof)})
-            continue
-        (child_apex,) = set(work.tets[addr]) - face
-        (parent_apex,) = set(work.tets[parent]) - face
-        if child_apex == parent_apex:
+        elif same:
             witnesses.append({"tet": addr, "error": "apexes coincide"})
-    return _level_report(
-        level,
-        work.radius,
-        len(shell) - len(witnesses),
-        4 * 3 ** (level - 1),
-        witnesses,
-        check=f"induction_forcing_level_{level}",
-    )
+    found, expected = len(shell) - len(witnesses), 4 * 3 ** (level - 1)
+    return _level_report(level, work.radius, found, expected, witnesses, check=f"induction_forcing_level_{level}")
 
 
 def _level_report(level, radius, found, expected, witnesses, check=None) -> dict:

@@ -215,7 +215,8 @@ class TetTable:
     address of row t, read off ``parent``/``face`` in row order, and
     ``rows``, its inverse; ``nbr`` (T x 4), the row across each face, -1
     outside the ball; ``by_verts``, sorted vertex 4-tuple -> row; ``born``,
-    each vertex's creation row; and ``ancestors``.  ``from_tets`` keeps the
+    each vertex's creation row; ``ancestors``; and ``colour``, each vertex's
+    slot, which the group operations read.  ``from_tets`` keeps the
     addresses of a dict, where ``parent`` is also -1 for a missing parent
     address and ``face`` for a last letter that is not a face, so a
     malformed ball still builds a table.
@@ -286,6 +287,22 @@ class TetTable:
             below = anc[:, k] >= 0
             anc[below, k - 1] = self.parent[anc[below, k]]
         return anc
+
+    @cached_property
+    def colour(self) -> list:
+        """``colour[v]``, the slot of vertex v in every row holding it (-1 if none does): in a
+        generated ball ``arange(4)`` followed by ``face[1:]``.  Raises ValueError unless every
+        non-root row has its parent, a face other than the parent's and the parent's vertices
+        off its face's slot, and every vertex id is nonnegative and at one slot."""
+        verts, face, child = self.verts, self.face, self.depth > 0
+        p, f = self.parent[child], face[child]
+        if verts.min(initial=0) < 0 or (p < 0).any() or (f < 0).any() or (f == face[p]).any():
+            raise ValueError("ball holds a negative id, a tetrahedron without its parent or an unreduced address")
+        colour = np.full(verts.max(initial=-1) + 1, -1)
+        colour[verts] = np.arange(4)
+        if (colour[verts] != np.arange(4)).any() or ((verts[child] != verts[p]) & (np.arange(4) != f[:, None])).any():
+            raise ValueError("ball holds a vertex at two slots or a tetrahedron that changes a slot off its face")
+        return colour.tolist()
 
 
 def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
@@ -490,6 +507,13 @@ def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
     return tuple(sorted(ball.table.addrs[t] for t in rows.tolist()))
 
 
+def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
+    """``triangle_cofaces`` of the face of each listed row opposite its listed slot, in order,
+    read off one grouped pass over the ball's faces (``_face_groups``)."""
+    group, members, bounds = _face_groups(ball.table)
+    return [_coface_addrs(ball.table, members, bounds, g) for g in group[rows, slots].tolist()]
+
+
 def _edge_keys(graph) -> np.ndarray:
     """The directed edges of a CSR graph as keys ``v * n + w``, ascending since its rows are sorted."""
     indptr = graph.indptr
@@ -507,12 +531,14 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
     keys = _edge_keys(graph)
     base = verts[np.arange(len(verts)), degree[verts].argmin(axis=1)]
     count = degree[base]
-    end, total = np.cumsum(count), int(count.sum())  # candidate p belongs to the first row ending above p
+    end = np.cumsum(count)
+    start, total = end - count, int(count.sum())  # row r's candidates are start[r]:end[r]
     found = []
     for p0 in range(0, max(total, 1), BLOCK_ELEMS):  # at least one block, maybe empty
-        p = np.arange(p0, min(p0 + BLOCK_ELEMS, total))
-        row = np.searchsorted(end, p, side="right")
-        v = graph.indices[indptr[base[row]] + p - end[row] + count[row]]
+        p1 = min(p0 + BLOCK_ELEMS, total)
+        r0, r1 = np.searchsorted(end, p0, side="right"), np.searchsorted(start, p1)  # the rows the block covers
+        row = np.repeat(np.arange(r0, r1), np.minimum(end[r0:r1], p1) - np.maximum(start[r0:r1], p0))
+        v = graph.indices[indptr[base[row]] + np.arange(p0, p1) - start[row]]
         for col in verts.T:
             want = col[row] * n + v
             hit = keys[np.minimum(np.searchsorted(keys, want), len(keys) - 1)] == want
@@ -577,32 +603,37 @@ def count_checks(ball: TetBall) -> list[dict]:
     ]
 
 
-def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
-    """Faces of tetrahedra inside the ball whose triangle does not lie in exactly two
-    tetrahedra, one the parent of the other: their count and the first five as
-    (addr, i, cofaces), cofaces being the sorted addresses holding the triangle.
-
-    The four faces of every row are grouped by sorted vertex triple; a row
-    with a repeated vertex counts once in a group."""
-    table = ball.table
+def _face_groups(table: TetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The faces of all rows grouped by sorted vertex triple: (group, members, bounds), ``group[t, i]``
+    the group of row t's face opposite slot i and ``members[bounds[g]:bounds[g + 1]]`` the rows
+    holding group g's triangle, ascending; a row with a repeated vertex counts once in a group."""
     tri = np.sort(table.verts[:, _OTHER_SLOTS], axis=2).reshape(-1, 3)
     row = np.repeat(np.arange(len(table.verts)), 4)
     order = np.lexsort((row, tri[:, 2], tri[:, 1], tri[:, 0]))
     tri, row = tri[order], row[order]
     start = np.r_[True, (tri[1:] != tri[:-1]).any(axis=1)]
-    group = np.cumsum(start) - 1
+    group = np.empty_like(order)
+    group[order] = np.cumsum(start) - 1
     keep = start | np.r_[True, row[1:] != row[:-1]]
-    krow, kgroup = row[keep], group[keep]
-    first = np.flatnonzero(start[keep])
-    r1, r2 = krow[first], krow[np.minimum(first + 1, len(krow) - 1)]
-    pair_ok = (np.bincount(kgroup) == 2) & ((table.parent[r1] == r2) | (table.parent[r2] == r1))
-    face_group = np.empty_like(group)
-    face_group[order] = group
-    face_group = face_group.reshape(-1, 4)
-    faults = np.argwhere(~pair_ok[face_group] & (table.depth < ball.radius)[:, None])
+    return group.reshape(-1, 4), row[keep], np.r_[np.flatnonzero(start[keep]), np.count_nonzero(keep)]
+
+
+def _coface_addrs(table: TetTable, members: np.ndarray, bounds: np.ndarray, g: int) -> tuple[str, ...]:
+    """The sorted addresses of the rows holding the triangle of face group g."""
+    return tuple(sorted(table.addrs[r] for r in members[bounds[g] : bounds[g + 1]].tolist()))
+
+
+def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
+    """Faces of tetrahedra inside the ball whose triangle does not lie in exactly two
+    tetrahedra, one the parent of the other: their count and the first five as
+    (addr, i, cofaces), cofaces being the sorted addresses holding the triangle."""
+    table = ball.table
+    group, members, bounds = _face_groups(table)
+    r1, r2 = members[bounds[:-1]], members[np.minimum(bounds[:-1] + 1, len(members) - 1)]
+    pair_ok = (np.diff(bounds) == 2) & ((table.parent[r1] == r2) | (table.parent[r2] == r1))
+    faults = np.argwhere(~pair_ok[group] & (table.depth < ball.radius)[:, None])
     witnesses = [
-        (table.addrs[t], i, tuple(sorted(table.addrs[r] for r in krow[kgroup == face_group[t, i]])))
-        for t, i in faults[:5].tolist()
+        (table.addrs[t], i, _coface_addrs(table, members, bounds, group[t, i])) for t, i in faults[:5].tolist()
     ]
     return len(faults), witnesses
 

@@ -32,7 +32,7 @@ from crosscap3.rigidity import (
     _stabilizer_report,
     _with_pairs,
 )
-from crosscap3.tet_tree import ALPHABET, generate_ball, is_address, neighbor
+from crosscap3.tet_tree import ALPHABET, TetBall, generate_ball, is_address, neighbor, triangle_cofaces
 
 
 def elem(address, verts):
@@ -40,15 +40,99 @@ def elem(address, verts):
 
 
 def walk_images(element, domain, codomain):
-    """Images of the domain vertices, one single tree path per domain tetrahedron.
+    """Images of the domain vertices, one ``image_of_ordered_tet`` call per domain tetrahedron.
 
-    Built on ``image_of_ordered_tet`` alone, so it is independent of the
+    Built on the closed-form image alone, so it is independent of the
     batched propagation engine.
     """
     images = {}
     for addr, verts in domain.tets.items():
         images.update(zip(verts, image_of_ordered_tet(element, OrderedTet(addr, verts), codomain).verts))
     return images
+
+
+def check_tet(ball, otet, role):
+    """The ball's slots of ``otet``'s tetrahedron, once its vertices are known to match."""
+    slots = ball.tets.get(otet.address)
+    if slots is None:
+        raise CodomainTooSmallError(f"{role} tetrahedron {otet.address!r} is not in the ball")
+    if not set(otet.verts) <= set(slots):
+        raise ValueError(f"{role} vertices {otet.verts} do not match tetrahedron {otet.address!r}")
+    return slots
+
+
+def walk_image(element, otet, work):
+    """Reference for ``image_of_ordered_tet``: one tree path over the address dict.
+
+    Each letter f of the source address crosses the image face that drops
+    the image of slot f, and the fresh vertex takes its place."""
+    check_tet(work, element.dst, "destination")
+    slots = check_tet(work, otet, "source")
+    addr, images = element.dst.address, list(element.dst.verts)
+    for letter in otet.address:
+        face = int(letter)
+        image_face = work.tets[addr].index(images[face])
+        step = neighbor(addr, image_face)
+        if step not in work.tets:
+            raise CodomainTooSmallError(f"image left the codomain ball at {addr!r} across face {image_face}")
+        images[face] = work.tets[step][image_face]
+        addr = step
+    return OrderedTet(addr, tuple(images[slots.index(v)] for v in otet.verts))
+
+
+def walk_inverse(element, work):
+    """Reference for ``inverse``: walk the destination back to the root, building the
+    inverse's address from the faces the walk crosses in the domain."""
+    check_tet(work, element.dst, "destination")
+    addr, images, back = element.dst.address, list(element.dst.verts), ""
+    while addr:
+        face = int(addr[-1])
+        domain_face = images.index(work.tets[addr][face])
+        back = neighbor(back, domain_face)
+        if back not in work.tets:
+            raise CodomainTooSmallError("work ball too small to invert")
+        addr = addr[:-1]
+        images[domain_face] = work.tets[addr][face]
+    slots = work.tets[back]
+    return MappingClassElement(OrderedTet(back, tuple(slots[images.index(f)] for f in range(4))))
+
+
+def outcome(op, *args):
+    """The result of ``op``, or the type of the error it raises and the role its message names first."""
+    try:
+        return op(*args)
+    except (CodomainTooSmallError, ValueError) as exc:
+        return type(exc), str(exc).split()[0]
+
+
+def free_reduce(word):
+    """Cancel every pair of equal adjacent letters, repeatedly."""
+    out = []
+    for letter in word:
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return "".join(out)
+
+
+def forcing_loop(level, work):
+    """Reference for ``induction_step_report``: one ``triangle_cofaces`` call per shell tetrahedron."""
+    shell = sorted(a for a in work.tets if len(a) == level)
+    witnesses = []
+    for addr in shell:
+        parent = addr[:-1]
+        face = frozenset(work.tets[addr]) & frozenset(work.tets[parent])
+        cof = triangle_cofaces(work, tuple(face))
+        if set(cof) != {addr, parent}:
+            witnesses.append({"tet": addr, "cofaces": list(cof)})
+            continue
+        (child_apex,) = set(work.tets[addr]) - face
+        (parent_apex,) = set(work.tets[parent]) - face
+        if child_apex == parent_apex:
+            witnesses.append({"tet": addr, "error": "apexes coincide"})
+    found, expected = len(shell) - len(witnesses), 4 * 3 ** (level - 1)
+    return _level_report(level, work.radius, found, expected, witnesses, check=f"induction_forcing_level_{level}")
 
 
 def match_loop(maps, domain, cg):
@@ -305,6 +389,89 @@ class TestGroupLaws:
         work = ball(3)
         with pytest.raises(CodomainTooSmallError):
             image_of_ordered_tet(elem("01", work.tets["01"]), OrderedTet("23", work.tets["23"]), work)
+
+
+# Tetrahedra that are not in the ball, whose vertices do not match, or with an id outside it.
+BAD_TETS = [OrderedTet("1", (0, 1, 2, 3)), OrderedTet("0123", (0, 1, 2, 3)), OrderedTet("", (0, 1, 2, 10**6))]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("radius", [2, 3, 5])
+    def test_match_the_path_walks(self, ball, radius):
+        # Images of length 3 leave the radius-2 ball; the larger balls hold them all.
+        work = ball(radius)
+        elements = [MappingClassElement(otet) for otet in [*ordered_tets(work, max_length=2), *BAD_TETS]]
+        sources = [*ordered_tets(work, max_length=1), *BAD_TETS]
+        left = 0
+        for e in elements:
+            assert outcome(inverse, e, work) == outcome(walk_inverse, e, work)
+            for src in sources:
+                got = outcome(image_of_ordered_tet, e, src, work)
+                assert got == outcome(walk_image, e, src, work)
+                left += got == (CodomainTooSmallError, "image")
+        assert (left > 0) == (radius == 2)
+
+    def test_identity(self, ball):
+        # image = reduce(c + pi(w)) at slots pi o sigma; inverse = (pi^-1(reverse c), pi^-1).
+        work = ball(6)
+        sources = [OrderedTet(a, tuple(reversed(v))) for a, v in work.tets.items() if len(a) <= 3]
+        for otet in ordered_tets(work, max_length=2):
+            c = otet.address
+            e, pi = MappingClassElement(otet), [work.tets[c].index(v) for v in otet.verts]
+            for src in sources:
+                addr = free_reduce(c + "".join(ALPHABET[pi[int(f)]] for f in src.address))
+                sigma = [work.tets[src.address].index(v) for v in src.verts]
+                want = OrderedTet(addr, tuple(work.tets[addr][pi[s]] for s in sigma))
+                assert image_of_ordered_tet(e, src, work) == want
+            inv = [pi.index(f) for f in range(4)]
+            addr = "".join(ALPHABET[inv[int(f)]] for f in reversed(c))
+            assert inverse(e, work) == elem(addr, [work.tets[addr][s] for s in inv])
+
+
+def tampered(radius, changes):
+    """A dict-built ball: the generated one with some addresses set, or removed when set to None."""
+    tets = dict(generate_ball(radius).tets)
+    for addr, verts in changes.items():
+        if verts is None:
+            del tets[addr]
+        else:
+            tets[addr] = verts
+    return TetBall(radius, tets)
+
+
+class TestGroupOpPreconditions:
+    @pytest.mark.parametrize(
+        "work",
+        [
+            tampered(3, {"012": (4, 8, 0, 3)}),  # vertex 0 at slot 0 in "", at slot 2 in the leaf "012"
+            tampered(3, {"0": None}),  # "01", "02" and "03" lose their parent
+            tampered(3, {"01": (4, 1, 2, 3)}),  # "01" changes no slot and "012" slot 1 as well as 2
+            tampered(3, {"00": (0, 1, 2, 3)}),  # crossing face 0 twice returns to the root
+        ],
+        ids=["two_slots", "no_parent", "slot_off_face", "unreduced"],
+    )
+    def test_malformed_ball(self, work):
+        ident = MappingClassElement.identity()
+        e = elem("2", work.tets["2"])
+        for call in (
+            lambda: compose(e, ident, work),
+            lambda: inverse(e, work),
+            lambda: image_of_ordered_tet(ident, OrderedTet("1", work.tets["1"]), work),
+        ):
+            with pytest.raises(ValueError, match="ball holds"):
+                call()
+
+    def test_vertex_id_out_of_range(self, ball):
+        work, ident = ball(3), MappingClassElement.identity()
+        far = OrderedTet("", (0, 1, 2, 10**6))
+        with pytest.raises(ValueError, match="source vertices"):
+            image_of_ordered_tet(ident, far, work)
+        with pytest.raises(ValueError, match="destination vertices"):
+            compose(ident, MappingClassElement(far), work)
+        with pytest.raises(ValueError, match="destination vertices"):
+            inverse(MappingClassElement(far), work)
+        with pytest.raises(ValueError, match="destination vertices"):
+            propagate_map(MappingClassElement(far), ball(0), work)
 
 
 short_addresses = st.text(alphabet=ALPHABET, max_size=4).filter(is_address)
@@ -696,6 +863,20 @@ class TestLevelChecks:
         report = reports(3)["induction_forcing_level_3"]
         assert report["count_found"] == report["count_expected"] == 36
         assert not report["witnesses_of_failure"]
+
+    @pytest.mark.parametrize("radius", range(3, 7))
+    def test_induction_step_matches_the_coface_loop(self, ball, radius):
+        for level in range(1, radius + 1):
+            assert induction_step_report(level, ball(radius)) == forcing_loop(level, ball(radius))
+
+    def test_induction_step_third_coface(self, ball):
+        # "0121" holds the face (4, 2, 3) that "01" shares with "0".
+        work = tampered(3, {"0121": (4, 99, 2, 3)})
+        for level in range(1, 4):
+            assert induction_step_report(level, work) == forcing_loop(level, work)
+        report = induction_step_report(2, work)
+        assert report["witnesses_of_failure"] == [{"tet": "01", "cofaces": ["0", "01", "0121"]}]
+        assert report["count_found"] == report["count_expected"] - 1
 
     def test_induction_level_out_of_range(self, ball):
         with pytest.raises(ValueError):

@@ -596,6 +596,13 @@ class TestTriangleCofaces:
                     seen.add(tri)
                     assert len(triangle_cofaces(b, tuple(tri))) <= 2
 
+    @pytest.mark.parametrize("name", ["radius_0", "radius_3", "radius_4", "swapped", "missing_parent", "reused_dropped", "moved_inner"])
+    def test_face_cofaces_match(self, ball, name):
+        b = ball(int(name[-1])) if name.startswith("radius") else MALFORMED[name]()
+        rows, slots = np.divmod(np.arange(4 * len(b.table.verts)), 4)
+        expected = [triangle_cofaces(b, np.delete(b.table.verts[t], i).tolist()) for t, i in zip(rows, slots)]
+        assert tet_tree.face_cofaces(b, rows, slots) == expected
+
     def test_rejects_non_triangle(self, ball):
         with pytest.raises(ValueError):
             triangle_cofaces(ball(1), (0, 1, 4))  # 0 and 4 are not adjacent
@@ -730,13 +737,13 @@ class TestCommonNeighbors:
         rows = [b.indices[b.indptr[v] : b.indptr[v + 1]].tolist() for v in b.vertices()]
         assert rows == [sorted(adjacency[v]) for v in b.vertices()]
 
-    @pytest.mark.parametrize("block", [tet_tree.BLOCK_ELEMS, 7])
+    @pytest.mark.parametrize("block", [tet_tree.BLOCK_ELEMS, 7, 1, 64])
     @pytest.mark.parametrize("graph", ["tet", "curve"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_set_intersection(self, monkeypatch, ball, cgraph, graph, k, block):
         # Rows of neighbours of a random centre, so that many rows have a
         # common neighbour, with a random vertex in place of one at times;
-        # some rows repeat a vertex.  Block 7 splits rows across blocks.
+        # some rows repeat a vertex.  Blocks 1, 7 and 64 split rows across blocks.
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         g = ball(4) if graph == "tet" else cgraph(3)
         size = len(g.indptr) - 1
@@ -792,6 +799,12 @@ class TestSupport:
         for t, addr in enumerate(table.addrs):
             want = [table.rows[addr[:k]] for k in range(len(addr) + 1)]
             assert table.ancestors[t].tolist() == want + [-1] * (radius - len(addr))
+
+    @pytest.mark.parametrize("radius", range(6))
+    def test_colour_is_the_slot_of_every_vertex(self, ball, radius):
+        table = ball(radius).table
+        assert table.colour == [0, 1, 2, 3] + table.face[1:].tolist()
+        assert all(table.colour[v] == s for row in table.verts.tolist() for s, v in enumerate(row))
 
     def test_ancestors_need_every_parent(self):
         tets = dict(generate_ball(2).tets)
