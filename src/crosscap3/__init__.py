@@ -9,7 +9,7 @@ coarse-geometry properties exhaustively at small radius.
 """
 
 from .curve_graph import CurveGraphBall, subdivide
-from .errors import BudgetError, CodomainTooSmallError, MarginError, RadiusCapError
+from .errors import BudgetError, CodomainTooSmallError, RadiusCapError
 from .farey import (
     BASE_TRIANGLE,
     FareyPatch,
@@ -18,19 +18,15 @@ from .farey import (
     farey_adjacent,
     farey_ball,
     mediant,
-    mobius_apply,
-    ordered_triangle_map,
     triangle,
     triangle_unfold,
 )
 from .metric import (
     DistanceTable,
     all_pairs_distances,
-    bottleneck_triangle,
     check_bottleneck_property,
     check_subdivision_isometry,
     hyperbolicity_reports,
-    interval,
     thinness_report,
     tree_comparison,
 )
@@ -46,13 +42,6 @@ from .rigidity import (
     propagate_map,
     rigidity_reports,
 )
-from .tet_tree import (
-    TetBall,
-    generate_ball,
-    link,
-    link_slope_labeling,
-    neighbor,
-    triangle_cofaces,
-)
+from .tet_tree import TetBall, generate_ball
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import curve_graph, farey, metric, rigidity, tet_tree
@@ -119,7 +120,9 @@ def cmd_farey(args) -> int:
         noun = "radius" if args.query == "ball" else "slopes"
         raise ValueError(f"farey {args.query} takes {want} {noun}, got {len(args.args)}")
     if args.query == "ball":
-        patch = farey.farey_ball(None, int(args.args[0]))
+        if not re.fullmatch("[0-9]+", args.args[0]):
+            raise ValueError(f"farey ball radius must be a nonnegative integer, got {args.args[0]!r}")
+        patch = farey.farey_ball(int(args.args[0]))
         _write(args.out, _dump_json(patch.to_json()))
         return 0
     slopes = [farey.Slope.from_string(s) for s in args.args]

@@ -9,9 +9,5 @@ class CodomainTooSmallError(ValueError):
     """Map propagation left the generated portion of the target complex."""
 
 
-class MarginError(ValueError):
-    """Operation requires vertices farther from the boundary of the window."""
-
-
 class BudgetError(ValueError):
     """A table would need more memory than the fixed budget allows."""

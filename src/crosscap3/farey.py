@@ -13,12 +13,12 @@ overflow however deep a window is unfolded.
 from __future__ import annotations
 
 import math
-from collections import deque
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable
 
-from .errors import CodomainTooSmallError, RadiusCapError
+from .errors import RadiusCapError
 
 #: Dual-tree radius above which farey_ball refuses to run (3 * 2**n - 2 triangles).
 FAREY_RADIUS_CAP = 16
@@ -60,10 +60,10 @@ class Slope:
 
     @classmethod
     def from_string(cls, text: str) -> "Slope":
-        """Parse the serialization "p/q"."""
-        p, _, q = text.partition("/")
-        if not _:
+        """Parse the serialization "p/q": optionally signed ASCII digits on each side."""
+        if not re.fullmatch(r"-?[0-9]+/-?[0-9]+", text):
             raise ValueError(f"slope string must look like p/q: {text!r}")
+        p, _, q = text.partition("/")
         return cls.of(int(p), int(q))
 
     @property
@@ -171,16 +171,11 @@ def triangle_unfold(tri: FareyTriangle, edge: frozenset) -> FareyTriangle:
 
 
 class FareyPatch:
-    """A dual-tree ball of Farey triangles around a base triangle."""
+    """A dual-tree ball of Farey triangles around the base triangle."""
 
-    def __init__(self, base: FareyTriangle, radius: int, dual_distance: dict):
-        self.base = base
+    def __init__(self, radius: int, triangles: frozenset):
         self.radius = radius
-        self.dual_distance = dual_distance  # triangle -> distance from base
-        self.triangles = frozenset(dual_distance)
-
-    def __contains__(self, tri: FareyTriangle) -> bool:
-        return tri in self.triangles
+        self.triangles = triangles
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -203,22 +198,19 @@ class FareyPatch:
         }
 
 
-def farey_ball(base: FareyTriangle | None, radius: int, *, cap: int = FAREY_RADIUS_CAP) -> FareyPatch:
-    """All triangles within dual-tree distance ``radius`` of ``base``.
+def farey_ball(radius: int) -> FareyPatch:
+    """All triangles within dual-tree distance ``radius`` of ``BASE_TRIANGLE``.
 
     The result has 3 * 2**radius - 2 triangles.  Raises RadiusCapError above
-    ``cap``; denominators grow exponentially with the radius.
+    ``FAREY_RADIUS_CAP``; denominators grow exponentially with the radius.
     """
-    if base is None:
-        base = BASE_TRIANGLE
-    base = triangle(*base)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if radius > cap:
-        raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
-    dual_distance = {base: 0}
-    frontier = [(base, None)]
-    for r in range(1, radius + 1):
+    if radius > FAREY_RADIUS_CAP:
+        raise RadiusCapError(f"radius {radius} exceeds cap {FAREY_RADIUS_CAP}")
+    triangles = {BASE_TRIANGLE}
+    frontier = [(BASE_TRIANGLE, None)]
+    for _ in range(radius):
         nxt = []
         for tri, entry in frontier:
             for edge in _edges(tri):
@@ -226,70 +218,16 @@ def farey_ball(base: FareyTriangle | None, radius: int, *, cap: int = FAREY_RADI
                     continue
                 other = triangle_unfold(tri, edge)
                 # The dual graph is a tree: unfolding never revisits a triangle.
-                assert other not in dual_distance, "dual graph is not a tree"
-                dual_distance[other] = r
+                assert other not in triangles, "dual graph is not a tree"
+                triangles.add(other)
                 nxt.append((other, edge))
         frontier = nxt
-    return FareyPatch(base, radius, dual_distance)
-
-
-def ordered_triangle_map(
-    src: OrderedTriangle,
-    dst: OrderedTriangle,
-    domain: FareyPatch,
-    codomain: FareyPatch | None = None,
-) -> dict:
-    """The unique simplicial map on ``domain`` sending ``src`` to ``dst`` in order.
-
-    Starting from the slot-wise assignment on src, the map is extended over
-    the whole patch by parallel unfolding: whenever two domain triangles share
-    an edge, their images must share the image edge, which pins the image of
-    the new vertex to one of the two common neighbours.  Returns the vertex
-    bijection as a dict.
-
-    When ``codomain`` is given, every image triangle must lie in it;
-    otherwise images are computed by exact arithmetic with no bound.
-    """
-    src = validate_ordered_triangle(src)
-    dst = validate_ordered_triangle(dst)
-    src_tri = frozenset(src)
-    if src_tri not in domain:
-        raise ValueError("source triangle does not lie in the domain patch")
-    if codomain is not None and frozenset(dst) not in codomain:
-        raise CodomainTooSmallError("destination triangle is outside the codomain patch")
-    mapping = dict(zip(src, dst))
-    seen = {src_tri}
-    queue = deque([src_tri])
-    while queue:
-        tri = queue.popleft()
-        for edge in _edges(tri):
-            other = triangle_unfold(tri, edge)
-            if other not in domain.triangles or other in seen:
-                continue
-            (old_third,) = tri - edge
-            (new_third,) = other - edge
-            x, y = edge
-            candidates = common_neighbors(mapping[x], mapping[y]) - {mapping[old_third]}
-            assert len(candidates) == 1, "image triangle degenerated"
-            (image,) = candidates
-            if new_third in mapping:
-                assert mapping[new_third] == image, "unfolding produced an inconsistent image"
-            else:
-                mapping[new_third] = image
-            if codomain is not None:
-                img_tri = frozenset((mapping[x], mapping[y], image))
-                if img_tri not in codomain:
-                    raise CodomainTooSmallError(
-                        f"image of triangle at dual distance {domain.dual_distance[other]} "
-                        "left the codomain patch"
-                    )
-            seen.add(other)
-            queue.append(other)
-    return mapping
+    return FareyPatch(radius, frozenset(triangles))
 
 
 # ---------------------------------------------------------------------------
-# Fractional-linear (Mobius) action, used to cross-validate propagated maps.
+# Fractional-linear (Mobius) action, used to cross-validate link labels; the
+# action on slopes itself (``mobius_apply``) is in ``tests/oracles.py``.
 
 Matrix = tuple  # ((a, b), (c, d)) with integer entries and determinant +-1
 
@@ -297,12 +235,6 @@ Matrix = tuple  # ((a, b), (c, d)) with integer entries and determinant +-1
 def mat_det(m: Matrix) -> int:
     (a, b), (c, d) = m
     return a * d - b * c
-
-
-def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -315,20 +247,12 @@ def mat_inverse(m: Matrix) -> Matrix:
     return ((-d, b), (c, -a))
 
 
-def mobius_apply(m: Matrix, s: Slope) -> Slope:
-    """Apply p/q -> (a p + b q)/(c p + d q) for an integer matrix with det +-1."""
-    if abs(mat_det(m)) != 1:
-        raise ValueError(f"matrix determinant must be +-1, got {mat_det(m)}")
-    (a, b), (c, d) = m
-    return Slope.of(a * s.num + b * s.den, c * s.num + d * s.den)
-
-
 def triangle_matrix(t: OrderedTriangle) -> Matrix:
     """The integer matrix sending (0/1, 1/0, 1/1) to ``t`` slot-wise.
 
-    Unique up to global sign; its Mobius action realizes the ordered triangle
-    correspondence, so it serves as an independent oracle for
-    :func:`ordered_triangle_map`.
+    Unique up to global sign; its Mobius action (``mobius_apply`` in
+    ``tests/oracles.py``) realizes the ordered triangle correspondence, so it
+    cross-checks the two link labellings of ``tet_tree.link_labeling_report``.
     """
     a, b, c = validate_ordered_triangle(t)
     if c == Slope.of(a.num + b.num, a.den + b.den):
@@ -337,7 +261,3 @@ def triangle_matrix(t: OrderedTriangle) -> Matrix:
         return ((b.num, -a.num), (b.den, -a.den))
     raise ValueError(f"({a}, {b}, {c}) is not an ordered Farey triangle")
 
-
-def triangle_pair_matrix(src: OrderedTriangle, dst: OrderedTriangle) -> Matrix:
-    """The matrix whose Mobius action sends src to dst slot-wise."""
-    return mat_mul(triangle_matrix(dst), mat_inverse(triangle_matrix(src)))

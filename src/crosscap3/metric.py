@@ -10,7 +10,7 @@ Thinness is measured on intervals (the union of all geodesics between two
 vertices): for a triple (x, y, z) and a vertex p between x and y, how far p
 is from the union of the other two intervals.  This is a consequence of
 geodesic thinness and is computable in polynomial time; the exhaustive scan
-switches to fixed-seed sampling above a configurable triple count.  The
+switches to fixed-seed sampling above ``TRIPLE_THRESHOLD`` triples.  The
 paper's bounds are constants here, and ``hyperbolicity_reports`` runs every
 check on one window against them.
 
@@ -24,11 +24,11 @@ examined.
 
 The bottleneck property (Manning's criterion for a quasi-tree) asks that
 every far-apart pair be separated by a triangle near a geodesic midpoint.
-``bottleneck_triangle`` and ``separates`` build and test it for one pair;
-the scan does the same for blocks of pairs on integer arrays, and deletes
-each distinct blocked set (a triangle or its closed neighbourhood) once,
-labelling the components of what is left, so a pair is separated exactly
-when its endpoints get different labels.
+``bottleneck_triangle`` and ``separates`` in ``tests/oracles.py`` build and
+test it for one pair; the scan does the same for blocks of pairs on integer
+arrays, and deletes each distinct blocked set (a triangle or its closed
+neighbourhood) once, labelling the components of what is left, so a pair is
+separated exactly when its endpoints get different labels.
 
 The hot loops are vectorized: the distance table comes from one BFS that
 advances every source at once as packed bitsets, the exhaustive scan's
@@ -44,7 +44,6 @@ refused with ``BudgetError`` before allocation.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb, prod
@@ -52,8 +51,8 @@ from math import comb, prod
 import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide, vertex_name
-from .errors import BudgetError, MarginError
-from .tet_tree import BLOCK_ELEMS, TetBall, generate_ball, tree_path
+from .errors import BudgetError
+from .tet_tree import BLOCK_ELEMS, TetBall, generate_ball
 
 # The paper's bounds: interval thinness of the tetrahedron graph and of the
 # curve graph, and the distance of a bottleneck triangle from the midpoint.
@@ -149,12 +148,6 @@ def _tet_ball(table: DistanceTable) -> TetBall:
     return table.source
 
 
-def interval(table: DistanceTable, x: int, y: int) -> frozenset:
-    """The betweenness set: all vertices on some geodesic from x to y."""
-    d = table.dist
-    return frozenset(np.flatnonzero(d[x] + d[y] == d[x, y]).tolist())
-
-
 # ---------------------------------------------------------------------------
 # Subdivision isometry
 
@@ -211,54 +204,6 @@ def check_distance_stability(small: DistanceTable, big: DistanceTable) -> dict:
 # ---------------------------------------------------------------------------
 # Bottleneck triangles
 
-def _margin_vertex(ball: TetBall, v: int) -> None:
-    if not ball.in_margin(v):
-        raise MarginError(f"vertex {v} is only supported at the ball boundary")
-
-
-def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozenset:
-    """A triangle through p separating x from y.
-
-    Constructive: let q precede p on a geodesic from x to y, walk the tree
-    geodesic from a tetrahedron containing q to one containing y, and cut at
-    the first tetrahedron that has lost q; the shared face of that step is a
-    separating triangle, and it must contain p because every vertex of it is
-    adjacent to q.  The face is returned unchecked; the bottleneck report checks it.
-    """
-    ball = _tet_ball(table)
-    _margin_vertex(ball, x)
-    _margin_vertex(ball, y)
-    dxp, dpy, dxy = table.d(x, p), table.d(p, y), table.d(x, y)
-    if dxp < 1 or dpy < 1:
-        raise ValueError("p must be distinct from both endpoints")
-    if dxp + dpy != dxy:
-        raise ValueError(f"{p} does not lie on a geodesic from {x} to {y}")
-    nbrs = ball.neighbors(p)
-    q = int(nbrs[(table.dist[x, nbrs] == dxp - 1) & (table.dist[y, nbrs] == dpy + 1)].min())
-    start, goal = (min(ball.table.addrs[t] for t in ball.support(v).tolist()) for v in (q, y))
-    path = tree_path(start, goal)
-    cut = next(i for i, addr in enumerate(path) if q not in ball.tets[addr])
-    return frozenset(ball.tets[path[cut]]) & frozenset(ball.tets[path[cut - 1]])
-
-
-def separates(ball: TetBall, blocked, x: int, y: int) -> bool:
-    """True iff deleting ``blocked`` disconnects x from y in the 1-skeleton."""
-    blocked = set(blocked)
-    if x in blocked or y in blocked:
-        raise ValueError("endpoints may not be deleted")
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in ball.neighbors(u).tolist():
-            if w == y:
-                return False
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                queue.append(w)
-    return True
-
-
 @dataclass
 class BottleneckReport:
     pairs_checked: int
@@ -289,7 +234,7 @@ def _least_neighbor(ball: TetBall, v: np.ndarray, want) -> np.ndarray:
 
 
 def _bottleneck_faces(table: DistanceTable, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``bottleneck_triangle`` for arrays of pairs and their vertices p.
+    """``bottleneck_triangle`` (in ``tests/oracles.py``) for arrays of pairs and their vertices p.
 
     q is the least neighbour of p one step nearer x on a geodesic.  The rows
     holding q form a subtree topped by q's creation row s, so the tree path
@@ -353,7 +298,7 @@ def _separated(
     labelled once by min-label propagation over the CSR, for as many sets at
     a time as keep the gathered labels within ``BLOCK_ELEMS``; a pair is
     separated exactly when its endpoints get different labels.
-    ``separates`` is the per-pair oracle.
+    ``separates`` in ``tests/oracles.py`` is the per-pair oracle.
     """
     indptr, cols = ball.indptr, ball.indices
     starts = indptr[:-1]
@@ -472,19 +417,14 @@ def _check_sample_cap(sample_cap: int) -> None:
         raise ValueError(f"sample cap must be positive, got {sample_cap}")
 
 
-def thinness_report(
-    table: DistanceTable,
-    *,
-    triple_threshold: int = TRIPLE_THRESHOLD,
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
-    seed: int = 0,
-) -> ThinnessReport:
+def thinness_report(table: DistanceTable, *, sample_cap: int = DEFAULT_SAMPLE_CAP, seed: int = 0) -> ThinnessReport:
     """Worst distance from a between-vertex to the union of the other two intervals.
 
     Exhaustive over unordered triples when their number is at most
-    ``triple_threshold``; otherwise samples ``sample_cap`` triples, those of
-    ``random.Random(seed).sample(range(n), 3)`` called ``sample_cap``
-    times, so the result is deterministic per seed.  The bound is the
+    ``TRIPLE_THRESHOLD`` (read at call time); otherwise samples
+    ``sample_cap`` triples, those of ``random.Random(seed).sample(range(n),
+    3)`` called ``sample_cap`` times, so the result is deterministic per
+    seed.  The bound is the
     paper's for the table's graph: 3/2 on a TetBall, 3 on a CurveGraphBall.
 
     ``triples_examined`` counts every triple the scan covers, whether scored
@@ -497,7 +437,7 @@ def thinness_report(
     n = len(table)
     d = table.dist
     total = comb(n, 3)
-    if total <= triple_threshold:
+    if total <= TRIPLE_THRESHOLD:
         value, witness, scored = _thinness_exhaustive(d)
         examined = total
         exhaustive = True

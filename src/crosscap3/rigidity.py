@@ -198,15 +198,6 @@ def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
     return MappingClassElement(OrderedTet(addr, (slots[inv[0]], slots[inv[1]], slots[inv[2]], slots[inv[3]])))
 
 
-def ordered_tets(ball: TetBall, max_length: int | None = None):
-    """All ordered tetrahedra of the ball, addresses then slot orders, in order."""
-    for addr in sorted(ball.tets, key=lambda a: (len(a), a)):
-        if max_length is not None and len(addr) > max_length:
-            continue
-        for perm in permutations(ball.tets[addr]):
-            yield OrderedTet(addr, perm)
-
-
 # ---------------------------------------------------------------------------
 # Locally injective simplicial maps
 
@@ -263,45 +254,30 @@ def enumerate_locally_injective(domain: CurveGraphBall, cg: CurveGraphBall) -> n
     return maps[simplicial & locally_injective]
 
 
-def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassElement:
-    """Read off the element whose propagation restricts to ``mapping``.
-
-    The element is fixed by the images of the root slots, so this serves any
-    map whose domain contains the root tetrahedron.
-    """
-    imgs = tuple(int(mapping[s]) for s in ROOT_TET.verts)
-    table = cg.source.table
-    row = table.by_verts.get(tuple(sorted(imgs)))
-    if row is None:
-        raise ValueError(f"images {imgs} do not span a unique tetrahedron")
-    return MappingClassElement(OrderedTet(table.addrs[row], imgs))
-
-
 # ---------------------------------------------------------------------------
 # Stabilizers and level checks
 
-def pointwise_stabilizer_check(
-    ids, work: TetBall, *, dst_radius: int | None = None
-) -> bool:
+def pointwise_stabilizer_check(ids, work: TetBall) -> bool:
     """True iff only the identity fixes every listed one-sided vertex.
 
-    Tests all elements whose destination lies within ``dst_radius`` of the
-    root; that is sufficient because an element fixing the root star
-    pointwise already has the identity destination.
+    Tests all elements whose destination lies within the work radius minus
+    the radius of the listed vertices' domain; that is sufficient because an
+    element fixing the root star pointwise already has the identity
+    destination.
     """
-    return _first_fixer(ids, work, dst_radius) is None
+    return _first_fixer(ids, work) is None
 
 
-def _first_fixer(ids, work: TetBall, dst_radius: int | None) -> OrderedTet | None:
-    """The destination of the first non-identity element, in ``ordered_tets``
-    order, that fixes every listed vertex; None if there is none.
+def _first_fixer(ids, work: TetBall) -> OrderedTet | None:
+    """The destination of the first non-identity element, in the order of
+    ``ordered_tets`` in ``tests/oracles.py``, that fixes every listed vertex;
+    None if there is none.
 
     All candidates are propagated as one batch.
     """
     ids = sorted(ids)
     domain_radius = max(work.vertex_depth(v) for v in ids)
-    if dst_radius is None:
-        dst_radius = work.radius - domain_radius
+    dst_radius = work.radius - domain_radius
     if dst_radius < 1:
         raise ValueError("work ball too small to test any non-identity element")
     domain = generate_ball(domain_radius, cap=max(domain_radius, work.radius))
@@ -358,7 +334,7 @@ def _stabilizer_report(level: int, ids, work: TetBall) -> dict:
     """The pointwise stabilizer of ``ids``; a failure names the first non-identity fixer."""
     fixers = []
     if not pointwise_stabilizer_check(ids, work):
-        fixers.append({"element": str(_first_fixer(ids, work, None)), "error": "nontrivial fixer"})
+        fixers.append({"element": str(_first_fixer(ids, work)), "error": "nontrivial fixer"})
     check = f"pointwise_stabilizer_level_{level}"
     return _level_report(level, work.radius, len(fixers), 0, fixers, check=check)
 
@@ -404,7 +380,8 @@ def _level_report(level, radius, found, expected, witnesses, check=None) -> dict
 def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> list:
     """Witnesses, in row order, of the maps that are not the restriction of one new element.
 
-    A row's element is read off its root images (as in ``element_of_map``).
+    A row's element is read off its root images (as in ``element_of_map`` in
+    ``tests/oracles.py``).
     A row whose root images span no tetrahedron, or whose element an earlier
     row already had, is a witness; the other rows are propagated as one
     batch and compared with the map.

@@ -63,38 +63,6 @@ def is_address(word: str) -> bool:
     return all(word[i] != word[i + 1] for i in range(len(word) - 1))
 
 
-def neighbor(addr: str, face: int) -> str:
-    """Address of the tetrahedron across ``face``.
-
-    Appends the face letter, except that crossing the face named by the last
-    letter backtracks to the parent.
-    """
-    if face not in (0, 1, 2, 3):
-        raise ValueError(f"face must be in 0..3, got {face}")
-    letter = ALPHABET[face]
-    if addr and addr[-1] == letter:
-        return addr[:-1]
-    return addr + letter
-
-
-def tree_distance(a: str, b: str) -> int:
-    """Path distance between two addresses in the 4-regular tree."""
-    k = 0
-    while k < min(len(a), len(b)) and a[k] == b[k]:
-        k += 1
-    return (len(a) - k) + (len(b) - k)
-
-
-def tree_path(a: str, b: str) -> list[str]:
-    """The geodesic from a to b in the tree, as a list of addresses."""
-    k = 0
-    while k < min(len(a), len(b)) and a[k] == b[k]:
-        k += 1
-    up = [a[:i] for i in range(len(a), k - 1, -1)]
-    down = [b[:i] for i in range(k + 1, len(b) + 1)]
-    return up + down
-
-
 class TetBall:
     """All tetrahedra within tree distance ``radius`` of the root, immutable.
 
@@ -146,9 +114,6 @@ class TetBall:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edge(self, v: int, w: int) -> bool:
-        return 0 <= v < self.n_vertices and w in self.neighbors(v)
-
     @cached_property
     def indptr(self) -> np.ndarray:
         return self._csr[0]
@@ -187,10 +152,6 @@ class TetBall:
     def vertex_depth(self, v: int) -> int:
         """Length of the shortest address among the tetrahedra containing v."""
         return int(self.table.depth[self.support(v)].min())
-
-    def in_margin(self, v: int) -> bool:
-        """True iff v lies in a tetrahedron strictly inside the ball."""
-        return self.vertex_depth(v) <= self.radius - 1
 
 
 # The 12 ordered pairs of distinct slots, as two index rows.
@@ -370,25 +331,6 @@ def _unfold(radius: int) -> dict:
     return tets
 
 
-def link(ball: TetBall, v: int) -> dict:
-    """The link of v: adjacency among the neighbours of v.
-
-    Two neighbours are joined exactly when they are adjacent to each other
-    (equivalently, co-resident with v in a tetrahedron of the ball).
-    """
-    if not 0 <= v < ball.n_vertices:
-        raise ValueError(f"unknown vertex {v}")
-    nbrs = set(ball.neighbors(v).tolist())
-    return {u: set(ball.neighbors(u).tolist()) & nbrs for u in nbrs}
-
-
-def support_connected(ball: TetBall, v: int) -> bool:
-    """Whether the tetrahedra containing v form a subtree of the address tree:
-    exactly one of them (the root counts) has its parent outside the set."""
-    rows = ball.support(v)
-    return np.count_nonzero(~np.isin(ball.table.parent[rows], rows)) == 1
-
-
 def _slope_pair(p: int, q: int) -> tuple[int, int]:
     """The canonical integer pair of a primitive vector: q > 0, or (1, 0)."""
     if q < 0 or (q == 0 and p < 0):
@@ -473,43 +415,10 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
     return labels
 
 
-def link_slope_labeling(ball: TetBall, v: int, base_tri: tuple[int, int, int]) -> dict:
-    """Label the link of v by Farey slopes, realizing the link isomorphism.
-
-    ``base_tri`` is an ordered triple of neighbours of v spanning a triangle
-    of the link; it receives (0/1, 1/0, 1/1).  The labeling is extended over
-    the whole in-ball link by matching link unfolds with Farey unfolds (see
-    ``_link_labels``).
-
-    Returns a dict vertex -> Slope covering every in-ball neighbour of v.
-    Raises ValueError if base_tri is not a link triangle and RuntimeError if
-    the ball's link fails to match the Farey complex (a model violation).
-    """
-    return {u: Slope(p, q) for u, (p, q) in _link_labels(ball, v, base_tri).items()}
-
-
-def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
-    """Addresses of the tetrahedra of the ball containing the triangle ``tri``.
-
-    Interior triangles have exactly two cofaces and those are tree-adjacent;
-    at the boundary one coface may be cut off.
-    """
-    tri = tuple(tri)
-    if len(set(tri)) != 3:
-        raise ValueError("a triangle has 3 distinct vertices")
-    a, b, c = tri
-    for x, y in ((a, b), (a, c), (b, c)):
-        if not ball.has_edge(x, y):
-            raise ValueError(f"{tri} is not a triangle: {x} and {y} are not adjacent")
-    rows = np.intersect1d(np.intersect1d(ball.support(a), ball.support(b)), ball.support(c))
-    if not len(rows):
-        raise ValueError(f"{tri} is not a triangle of the ball")
-    return tuple(sorted(ball.table.addrs[t] for t in rows.tolist()))
-
-
 def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
-    """``triangle_cofaces`` of the face of each listed row opposite its listed slot, in order,
-    read off one grouped pass over the ball's faces (``_face_groups``)."""
+    """The sorted addresses of the rows holding the face of each listed row opposite its listed
+    slot, in order, read off one grouped pass over the ball's faces (``_face_groups``); the
+    per-triangle oracle is ``triangle_cofaces`` in ``tests/oracles.py``."""
     group, members, bounds = _face_groups(ball.table)
     return [_coface_addrs(ball.table, members, bounds, g) for g in group[rows, slots].tolist()]
 
@@ -577,16 +486,6 @@ def ball_to_json(ball: TetBall) -> dict:
     }
 
 
-def ball_to_dot(ball: TetBall) -> str:
-    lines = [f"graph tetball_{ball.radius} {{", "  node [shape=circle];"]
-    for v in ball.vertices():
-        lines.append(f"  {v};")
-    for v, w in ball.edges().tolist():
-        lines.append(f"  {v} -- {w};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Structural verification
 
@@ -647,7 +546,8 @@ def _reduced(table: TetTable) -> bool:
 
 def _support_tops(ball: TetBall) -> np.ndarray:
     """For each vertex, how many rows holding it have no parent holding it: 1 exactly
-    when its support is a subtree (``support_connected`` for every vertex at once)."""
+    when its support is a subtree (``support_connected`` in ``tests/oracles.py`` for
+    every vertex at once)."""
     verts, parent = ball.table.verts, ball.table.parent
     indptr, t = ball._support
     v = np.repeat(np.arange(ball.n_vertices), np.diff(indptr))

@@ -22,7 +22,6 @@ from crosscap3.rigidity import (
     compose,
     image_of_ordered_tet,
     inverse,
-    ordered_tets,
     rigidity_reports,
 )
 from crosscap3.tet_tree import (
@@ -30,6 +29,7 @@ from crosscap3.tet_tree import (
     link_labeling_report,
     structural_report as tet_structural,
 )
+from oracles import ordered_tets
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

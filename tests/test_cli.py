@@ -257,6 +257,34 @@ class TestFarey:
     def test_negative_slope_after_double_dash(self, capsys):
         assert run(capsys, "farey", "adjacent", "--", "1/0", "-1/1") == (0, "true\n", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("adjacent", "1_0/1", "0/1"),
+            ("adjacent", "١/٢", "0/1"),  # Arabic-Indic digits
+            ("adjacent", " 1/2", "0/1"),
+            ("adjacent", "1/2 ", "0/1"),
+            ("adjacent", "+1/2", "0/1"),
+            ("adjacent", "1/+2", "0/1"),
+            ("adjacent", "1/2/3", "0/1"),
+            ("adjacent", "1/", "0/1"),
+            ("mediant", "--1/1", "0/1"),
+            ("ball", "1_0"),
+            ("ball", "+1"),
+            ("ball", " 1"),
+            ("ball", "١"),
+            ("ball", "-1"),
+        ],
+    )
+    def test_rejects_loose_integers(self, capsys, argv):
+        # int() would read each of these; only ASCII digits with an optional
+        # leading minus on a slope side (none on a radius) are accepted.
+        code, out, err = run(capsys, "farey", "--", *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_signed_denominator(self, capsys):
+        assert run(capsys, "farey", "mediant", "1/-2", "0/1") == (0, "-1/3\n", "")
+
 
 class TestErrors:
     def test_radius_cap(self, capsys):

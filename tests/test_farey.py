@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscap3.errors import CodomainTooSmallError, RadiusCapError
+from crosscap3.errors import RadiusCapError
 from crosscap3.farey import (
     BASE_TRIANGLE,
     Slope,
@@ -11,15 +11,12 @@ from crosscap3.farey import (
     farey_ball,
     mat_det,
     mat_inverse,
-    mat_mul,
     mediant,
-    mobius_apply,
-    ordered_triangle_map,
     triangle,
     triangle_matrix,
-    triangle_pair_matrix,
     triangle_unfold,
 )
+from oracles import mat_mul, mobius_apply
 
 
 def s(text):
@@ -142,7 +139,7 @@ class TestCommonNeighbors:
     def test_brute_force_agreement_on_patch(self):
         # Every adjacent pair of a radius-3 window: the formula matches a scan
         # over a box big enough to contain both candidates.
-        patch = farey_ball(None, 3)
+        patch = farey_ball(3)
         slopes = sorted(patch.vertices())
         bound = 2 * max(max(abs(v.num), v.den) for v in slopes) + 1
         box = all_slopes(bound)
@@ -168,7 +165,7 @@ class TestUnfold:
     def test_involution(self):
         from itertools import combinations
 
-        patch = farey_ball(None, 3)
+        patch = farey_ball(3)
         for tri in patch.triangles:
             for pair in combinations(sorted(tri), 2):
                 edge = frozenset(pair)
@@ -183,11 +180,11 @@ class TestUnfold:
 
 class TestFareyBall:
     def test_counts(self):
-        assert len(farey_ball(None, 0)) == 1
-        assert len(farey_ball(None, 1)) == 4
-        assert len(farey_ball(None, 3)) == 22
+        assert len(farey_ball(0)) == 1
+        assert len(farey_ball(1)) == 4
+        assert len(farey_ball(3)) == 22
         for n in range(6):
-            assert len(farey_ball(None, n)) == 3 * 2**n - 2
+            assert len(farey_ball(n)) == 3 * 2**n - 2
 
     def test_radius_one_matches_hand_unfolding(self):
         base = BASE_TRIANGLE
@@ -197,18 +194,16 @@ class TestFareyBall:
             for c in brute_common_neighbors(x, y, 3):
                 if c not in base:
                     expected.add(frozenset(edge | {c}))
-        assert farey_ball(None, 1).triangles == frozenset(expected)
+        assert farey_ball(1).triangles == frozenset(expected)
 
     def test_cap(self):
         with pytest.raises(RadiusCapError):
-            farey_ball(None, 17)
-        with pytest.raises(RadiusCapError):
-            farey_ball(None, 3, cap=2)
+            farey_ball(17)
 
     def test_edge_cofaces(self):
         # Non-base edges of the patch lie in 1 or 2 patch triangles, and the
         # full-complex cofaces are exactly the common-neighbour completions.
-        patch = farey_ball(None, 2)
+        patch = farey_ball(2)
         for edge in patch.edges():
             x, y = edge
             full = {frozenset(edge | {c}) for c in common_neighbors(x, y)}
@@ -217,8 +212,8 @@ class TestFareyBall:
             assert inside <= full
 
     def test_interior_edges_have_both_cofaces(self):
-        big = farey_ball(None, 3)
-        small = farey_ball(None, 2)
+        big = farey_ball(3)
+        small = farey_ball(2)
         for edge in small.edges():
             # In a strictly larger window every radius-2 edge shows both cofaces.
             x, y = edge
@@ -228,89 +223,9 @@ class TestFareyBall:
 
 
 # ---------------------------------------------------------------------------
-# Ordered triangle maps and the Mobius oracle
+# The Mobius oracle
 
 BASE_ORDER = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
-
-
-class TestOrderedTriangleMap:
-    def test_identity(self):
-        patch = farey_ball(None, 2)
-        m = ordered_triangle_map(BASE_ORDER, BASE_ORDER, patch)
-        assert m == {v: v for v in patch.vertices()}
-
-    def test_swap_example(self):
-        patch = farey_ball(None, 2)
-        dst = (s("1/0"), s("0/1"), s("1/1"))
-        m = ordered_triangle_map(BASE_ORDER, dst, patch)
-        assert m[s("0/1")] == s("1/0")
-        assert m[s("1/0")] == s("0/1")
-        assert m[s("1/1")] == s("1/1")
-        assert m[s("1/2")] == s("2/1")
-        oracle = triangle_pair_matrix(BASE_ORDER, dst)
-        for v, img in m.items():
-            assert img == mobius_apply(oracle, v)
-
-    def test_preserves_adjacency_both_ways(self):
-        patch = farey_ball(None, 2)
-        dst = (s("1/1"), s("1/2"), s("2/3"))
-        m = ordered_triangle_map(BASE_ORDER, dst, patch)
-        verts = sorted(patch.vertices())
-        assert len(set(m.values())) == len(verts)
-        for i, a in enumerate(verts):
-            for b in verts[i + 1 :]:
-                assert farey_adjacent(a, b) == farey_adjacent(m[a], m[b])
-
-    def test_matches_mobius_oracle(self):
-        patch = farey_ball(None, 3)
-        sources = [BASE_ORDER, (s("1/1"), s("0/1"), s("1/2"))]
-        targets = [
-            (s("1/0"), s("1/1"), s("2/1")),
-            (s("-1/1"), s("0/1"), s("-1/2")),
-            (s("2/3"), s("1/2"), s("3/5")),
-        ]
-        for src in sources:
-            for dst in targets:
-                m = ordered_triangle_map(src, dst, patch)
-                oracle = triangle_pair_matrix(src, dst)
-                for v, img in m.items():
-                    assert img == mobius_apply(oracle, v)
-
-    def test_inverse_composes_to_identity(self):
-        patch = farey_ball(None, 2)
-        dst = (s("1/2"), s("1/1"), s("2/3"))
-        fwd = ordered_triangle_map(BASE_ORDER, dst, patch)
-        image_patch = farey_ball(triangle(*dst), 2)
-        back = ordered_triangle_map(dst, BASE_ORDER, image_patch)
-        for v, img in fwd.items():
-            assert back[img] == v
-
-    def test_simple_transitivity(self):
-        # Distinct ordered destinations give maps differing on the base triple.
-        patch = farey_ball(None, 2)
-        from itertools import permutations
-
-        seen = {}
-        for tri in patch.triangles:
-            for dst in permutations(sorted(tri)):
-                m = ordered_triangle_map(BASE_ORDER, dst, patch)
-                key = tuple(m[v] for v in BASE_ORDER)
-                assert key == dst
-                assert key not in seen
-                seen[key] = m
-
-    def test_codomain_too_small(self):
-        patch = farey_ball(None, 1)
-        tiny = farey_ball(None, 0)
-        dst = (s("0/1"), s("1/1"), s("1/2"))
-        with pytest.raises(CodomainTooSmallError):
-            ordered_triangle_map(BASE_ORDER, dst, patch, codomain=tiny)
-
-    def test_src_must_lie_in_domain(self):
-        patch = farey_ball(None, 1)
-        far = (s("2/3"), s("1/2"), s("3/5"))
-        with pytest.raises(ValueError):
-            ordered_triangle_map(far, BASE_ORDER, patch)
 
 
 class TestMobius:
@@ -345,9 +260,9 @@ class TestMobius:
 
 class TestPatchJson:
     def test_schema_and_determinism(self):
-        patch = farey_ball(None, 1)
+        patch = farey_ball(1)
         data = patch.to_json()
         assert data["radius"] == 1
         assert ["0/1", "1/0", "1/1"] in data["triangles"]
-        assert data == farey_ball(None, 1).to_json()
+        assert data == farey_ball(1).to_json()
         assert len(data["triangles"]) == 4

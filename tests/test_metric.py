@@ -8,25 +8,23 @@ import pytest
 from conftest import coresidence_sets, support_sets
 from crosscap3 import metric
 from crosscap3.cli import main
-from crosscap3.errors import BudgetError, MarginError
+from crosscap3.errors import BudgetError
 from crosscap3.metric import (
     HYPERBOLICITY_FIELDS,
     SAMPLE_BLOCK,
     DistanceTable,
     TreeComparisonReport,
     all_pairs_distances,
-    bottleneck_triangle,
     check_bottleneck_property,
     check_distance_stability,
     check_subdivision_isometry,
     hyperbolicity_reports,
-    interval,
-    separates,
     thinness_report,
     tree_comparison,
 )
 from crosscap3.metric import _chunk_thinness, _point_to_interval, _sampled_triples, _thinness_exhaustive
-from crosscap3.tet_tree import BLOCK_ELEMS, tree_distance
+from crosscap3.tet_tree import BLOCK_ELEMS
+from oracles import MarginError, bottleneck_triangle, has_edge, in_margin, interval, separates, tree_distance
 
 
 def floyd_warshall(vertices, adjacency):
@@ -168,7 +166,7 @@ class TestBottleneckTriangle:
 
     def test_contains_p_and_separates_everywhere(self, ball, dtable):
         b, t = ball(3), dtable(3)
-        margin = [v for v in b.vertices() if b.in_margin(v)]
+        margin = [v for v in b.vertices() if in_margin(b, v)]
         checked = 0
         for i, x in enumerate(margin):
             for y in margin[i + 1 :]:
@@ -318,13 +316,13 @@ class TestBatchedBottleneckScan:
         assert report.ok
         assert (report.pairs_checked, report.neighborhood_checked, report.worst_margin) == (pairs, nbhd, 1.5)
         x, y, p, p2, faces = (np.concatenate(a).tolist() for a in zip(*metric._bottleneck_blocks(t)))
-        margin = [v for v in b.vertices() if b.in_margin(v)]
+        margin = [v for v in b.vertices() if in_margin(b, v)]
         assert list(zip(x, y)) == [(u, v) for i, u in enumerate(margin) for v in margin[i + 1 :] if t.d(u, v) >= 3]
         for xi, yi, pi, p2i, face in zip(x, y, p, p2, faces):
             half = t.d(xi, yi) // 2
             between = interval(t, xi, yi)
             assert pi == min(v for v in between if t.d(xi, v) == half)
-            assert p2i == min(v for v in between if t.d(xi, v) == half + 1 and b.has_edge(pi, v))
+            assert p2i == min(v for v in between if t.d(xi, v) == half + 1 and has_edge(b, pi, v))
             assert set(face) - {-1} == bottleneck_triangle(t, xi, yi, pi)
         (tri_closed, *tri_checks), (nbhd_closed, *nbhd_checks) = calls
         adj = coresidence_sets(b)
@@ -501,10 +499,11 @@ class TestThinness:
         assert thinness_report(ctable(1)).bound == 3.0
 
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_sample_cap_must_be_positive(self, dtable, cap):
+    def test_sample_cap_must_be_positive(self, monkeypatch, dtable, cap):
         # Sampling no triples would pass the bound vacuously.
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
         with pytest.raises(ValueError, match="sample cap"):
-            thinness_report(dtable(1), triple_threshold=0, sample_cap=cap)
+            thinness_report(dtable(1), sample_cap=cap)
 
     def test_witness_is_attaining(self, ctable):
         t = ctable(1)
@@ -524,11 +523,12 @@ class TestThinness:
                 side = interval(t, x, z) | interval(t, y, z)
                 assert all(p in side for p in interval(t, x, y))
 
-    def test_sampling_deterministic_and_bounded(self, dtable):
+    def test_sampling_deterministic_and_bounded(self, monkeypatch, dtable):
         t = dtable(2)
         full = thinness_report(t)
-        a = thinness_report(t, triple_threshold=0, sample_cap=500, seed=3)
-        b = thinness_report(t, triple_threshold=0, sample_cap=500, seed=3)
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
+        a = thinness_report(t, sample_cap=500, seed=3)
+        b = thinness_report(t, sample_cap=500, seed=3)
         assert not a.exhaustive
         assert a.max_value == b.max_value and a.witness == b.witness
         assert a.max_value <= full.max_value
@@ -556,30 +556,34 @@ def plain_sampled_thinness(table, samples, seed):
 class TestSampledThinness:
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     @pytest.mark.parametrize("graph", ["tet", "curve"])
-    def test_matches_plain_loop(self, dtable, ctable, radius, graph):
+    def test_matches_plain_loop(self, monkeypatch, dtable, ctable, radius, graph):
         # Caps 7 and 5000 are not multiples of any chunk size used here.
         t = (dtable if graph == "tet" else ctable)(radius)
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
         for seed in (0, 3, 17):
             for cap in (1, 7, 5000):
-                rep = thinness_report(t, triple_threshold=0, sample_cap=cap, seed=seed)
+                rep = thinness_report(t, sample_cap=cap, seed=seed)
                 assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, cap, seed)
 
-    def test_pruned_sample_matches_plain_loop(self, ctable):
+    def test_pruned_sample_matches_plain_loop(self, monkeypatch, ctable):
         # Once the maximum reaches 3, only triples with d(x, y) >= 8 are scored.
         t = ctable(5)
-        rep = thinness_report(t, triple_threshold=0, sample_cap=20_000, seed=5)
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
+        rep = thinness_report(t, sample_cap=20_000, seed=5)
         assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 20_000, 5)
         assert rep.triples_scored < rep.triples_examined // 2
 
-    def test_prune_fires(self, ctable):
-        rep = thinness_report(ctable(5), triple_threshold=0, sample_cap=50_000, seed=1)
+    def test_prune_fires(self, monkeypatch, ctable):
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
+        rep = thinness_report(ctable(5), sample_cap=50_000, seed=1)
         assert rep.triples_examined == 50_000
         assert rep.triples_scored < 50_000 // 4
 
-    def test_exhaustive_table_over_budget(self, ctable):
+    def test_exhaustive_table_over_budget(self, monkeypatch, ctable):
         # 650 vertices: the n^3 int16 table would take about 524 MiB.
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 10**12)
         with pytest.raises(BudgetError):
-            thinness_report(ctable(4), triple_threshold=10**12)
+            thinness_report(ctable(4))
 
 
 @pytest.mark.parametrize("n", [3, 20, 21, 22, 23, 56, 488, 1946])

@@ -15,12 +15,10 @@ from crosscap3.rigidity import (
     OrderedTet,
     check_map,
     compose,
-    element_of_map,
     enumerate_locally_injective,
     image_of_ordered_tet,
     induction_step_report,
     inverse,
-    ordered_tets,
     pointwise_stabilizer_check,
     propagate_map,
     rigidity_reports,
@@ -32,7 +30,8 @@ from crosscap3.rigidity import (
     _stabilizer_report,
     _with_pairs,
 )
-from crosscap3.tet_tree import ALPHABET, TetBall, generate_ball, is_address, neighbor, triangle_cofaces
+from crosscap3.tet_tree import ALPHABET, TetBall, generate_ball, is_address
+from oracles import element_of_map, has_edge, neighbor, ordered_tets, triangle_cofaces
 
 
 def elem(address, verts):
@@ -230,12 +229,12 @@ class TestPropagate:
             images = pm.vertices
             assert len(set(images.values())) == len(images)
             for u, w in domain.edges():
-                assert codomain.has_edge(images[u], images[w])
+                assert has_edge(codomain, images[u], images[w])
             # Non-adjacent pairs stay non-adjacent.
             for u in domain.vertices():
                 for w in domain.vertices():
-                    if u < w and not domain.has_edge(u, w):
-                        assert not codomain.has_edge(images[u], images[w])
+                    if u < w and not has_edge(domain, u, w):
+                        assert not has_edge(codomain, images[u], images[w])
             for addr, c_addr in pm.tets.items():
                 assert {images[v] for v in domain.tets[addr]} == set(
                     codomain.tets[c_addr]
@@ -804,7 +803,7 @@ class TestStabilizers:
     @pytest.mark.parametrize("ids", [[0], [0, 1], range(4), range(8)])
     def test_first_fixer_matches_the_loop(self, ball, ids):
         work = ball(3)
-        fixer = _first_fixer(ids, work, None)
+        fixer = _first_fixer(ids, work)
         assert fixer == first_fixer_loop(list(ids), work)
         assert pointwise_stabilizer_check(ids, work) == (fixer is None)
 

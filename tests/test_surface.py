@@ -1,0 +1,79 @@
+"""The package keeps no public function that only tests or the exports use.
+
+Every public module-level function of ``src/crosscap3`` must be referenced
+by name from code that runs: module-level code, a class body, or a function
+that is itself referenced that way, in some module other than ``__init__``.
+A function that is referenced only from functions nothing runs counts as
+unused too, so a dead helper cannot keep its own helpers alive.  The
+references are read with ``ast``; an import alone is not a reference.
+Reference implementations that only tests call belong in
+``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "crosscap3"
+
+# Library API that no CLI command calls, kept in the package on purpose.
+ALLOWED = {
+    "compose",  # the group operations, which the benchmark's group-law stream calls
+    "inverse",
+    "image_of_ordered_tet",
+    "propagate_map",  # the propagated vertex map of one element
+    "check_distance_stability",  # window stability of distances, acceptance criterion 4
+}
+
+
+def _names(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unused_public_functions(src: Path = SRC) -> list:
+    """The public module-level functions that nothing reachable references, as ``module.name``."""
+    functions = {}  # name -> the names its body references
+    public = []
+    roots = set(ALLOWED)
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.setdefault(node.name, set()).update(_names(node) - {node.name})
+                if not node.name.startswith("_"):
+                    public.append((path.stem, node.name))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    live, todo = set(), [n for n in roots if n in functions]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += [n for n in functions[name] if n in functions]
+    return [f"{module}.{name}" for module, name in public if name not in live]
+
+
+def test_every_public_function_is_used_in_the_package():
+    unused = unused_public_functions()
+    assert not unused, f"{len(unused)} public functions only tests or the exports use: {', '.join(unused)}"
+
+
+def test_allowlist_names_existing_functions():
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert ALLOWED <= defined
+
+
+def test_a_chain_of_dead_functions_is_found(tmp_path):
+    # ``helper`` is referenced only by ``dead``, which nothing references.
+    (tmp_path / "mod.py").write_text(
+        "def dead():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\ndef used():\n    return 2\n\n\nVALUE = used()\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import dead, helper, used\n")
+    assert unused_public_functions(tmp_path) == ["mod.dead", "mod.helper"]

@@ -17,7 +17,6 @@ from crosscap3.farey import (
     common_neighbors,
     farey_adjacent,
     mat_inverse,
-    mobius_apply,
     triangle_matrix,
 )
 from crosscap3.tet_tree import (
@@ -26,18 +25,20 @@ from crosscap3.tet_tree import (
     TetTable,
     _slope_pair,
     _unfold,
-    ball_to_dot,
     ball_to_json,
     count_checks,
     four_cliques,
     generate_ball,
     is_address,
-    link,
     link_labeling_report,
-    link_slope_labeling,
-    neighbor,
     radius_cap,
     structural_report,
+)
+from oracles import (
+    has_edge,
+    link_slope_labeling,
+    mobius_apply,
+    neighbor,
     support_connected,
     tree_distance,
     tree_path,
@@ -197,28 +198,31 @@ class TestGenerateBall:
 # ---------------------------------------------------------------------------
 # Links
 
+def link_edges(b, v):
+    """The edges of the link of v: the triangles of the ball through v, without v."""
+    tri = b.triangles[(b.triangles == v).any(axis=1)]
+    return {frozenset(row) - {v} for row in tri.tolist()}
+
+
 class TestLink:
     def test_root_ball_link_is_triangle(self, ball):
-        lk = link(ball(0), 0)
-        assert set(lk) == {1, 2, 3}
-        assert all(lk[u] == {1, 2, 3} - {u} for u in lk)
+        assert ball(0).neighbors(0).tolist() == [1, 2, 3]
+        assert link_edges(ball(0), 0) == {frozenset(e) for e in ((1, 2), (1, 3), (2, 3))}
 
     def test_radius_one_link(self, ball):
-        lk = link(ball(1), 0)
-        assert len(lk) == 6
-        assert sum(len(nbrs) for nbrs in lk.values()) // 2 == 9
+        assert len(ball(1).neighbors(0)) == 6
+        assert len(link_edges(ball(1), 0)) == 9
 
     def test_fresh_vertex_link_is_creating_face(self, ball):
         b = ball(2)
         # Vertex 8 is created by tetrahedron "01" = (4, 8, 2, 3).
         assert b.tets["01"] == (4, 8, 2, 3)
-        lk = link(b, 8)
-        assert set(lk) == {4, 2, 3}
-        assert all(lk[u] == {4, 2, 3} - {u} for u in lk)
+        assert b.neighbors(8).tolist() == [2, 3, 4]
+        assert link_edges(b, 8) == {frozenset(e) for e in ((2, 3), (2, 4), (3, 4))}
 
     def test_unknown_vertex(self, ball):
-        with pytest.raises(ValueError):
-            link(ball(0), 99)
+        with pytest.raises(IndexError):
+            ball(0).neighbors(99)
 
 
 class TestLinkLabeling:
@@ -242,9 +246,8 @@ class TestLinkLabeling:
             labels = link_slope_labeling(b, v, base)
             assert set(labels) == set(b.neighbors(v).tolist())
             assert len(set(labels.values())) == len(labels)
-            for u, nbrs in link(b, v).items():
-                for w in nbrs:
-                    assert farey_adjacent(labels[u], labels[w])
+            for u, w in link_edges(b, v):
+                assert farey_adjacent(labels[u], labels[w])
 
     def test_rejects_non_link_triangle(self, ball):
         with pytest.raises(ValueError):
@@ -306,7 +309,7 @@ def ball_with_extra_link_edges(radius, v, count=1):
     b = generate_ball(radius)
     members = b.neighbors(v).tolist()
     x = members[0]
-    return with_edges(b, add=[(x, y) for y in [u for u in members[1:] if not b.has_edge(x, u)][:count]])
+    return with_edges(b, add=[(x, y) for y in [u for u in members[1:] if not has_edge(b, x, u)][:count]])
 
 
 def flag_vertices(monkeypatch, *vertices):
@@ -948,9 +951,3 @@ class TestSerialization:
         a = json.dumps(ball_to_json(ball(2)))
         b = json.dumps(ball_to_json(generate_ball(2)))
         assert a == b
-
-    def test_dot_output(self, ball):
-        dot = ball_to_dot(ball(0))
-        assert dot.startswith("graph tetball_0 {")
-        assert "node [shape=circle];" in dot
-        assert "0 -- 1;" in dot
