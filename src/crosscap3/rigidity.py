@@ -15,6 +15,14 @@ element is a batch of one.  The group operations on single elements
 keeps one slot in every tetrahedron (``TetTable.colour``), so an element is
 a reduced word and a slot permutation, and each operation a closed form.
 
+``OrderedTet`` is the tuple (address, verts) and ``MappingClassElement``
+the tuple (dst,), so equality and hashing run in C; an element therefore
+also equals the plain tuple of its fields.  The public constructor checks
+for 4 distinct vertices, and every group operation checks each input
+against its ball (``_slot_order``).  Their results are built unvalidated:
+a result's vertices are a row of the ball in permuted order, and
+``TetTable.colour`` has proven every row distinct.
+
 This module also enumerates the locally injective simplicial maps of the
 root star and verifies mechanically that each is the restriction of a unique
 propagated element.  The level-n set of the rigid exhaustion, the union of
@@ -26,8 +34,8 @@ query on the source ball's CSR adjacency, ``tet_tree.common_neighbors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,52 +44,72 @@ from .errors import CodomainTooSmallError, RadiusCapError
 from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
 
 
-@dataclass(frozen=True, slots=True)
-class OrderedTet:
-    """A tetrahedron address with its 4 vertex ids listed in slot order."""
+class OrderedTet(tuple):
+    """A tetrahedron address with its 4 vertex ids listed in slot order, as the tuple (address, verts)."""
 
-    address: str
-    verts: tuple
+    __slots__ = ()
+    address = property(itemgetter(0))
+    verts = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if len(self.verts) != 4 or len(set(self.verts)) != 4:
+    def __new__(cls, address: str, verts: tuple) -> "OrderedTet":
+        if len(verts) != 4 or len(set(verts)) != 4:
             raise ValueError("an ordered tetrahedron lists 4 distinct vertices")
+        return tuple.__new__(cls, (address, verts))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"OrderedTet(address={self[0]!r}, verts={self[1]!r})"
 
 
 ROOT_TET = OrderedTet("", (0, 1, 2, 3))
+# Builds a group operation's result without the check in ``OrderedTet.__new__``: its vertices are a
+# row of the ball permuted by pi o sigma (or pi^-1), and ``TetTable.colour`` has proven every row distinct.
+_new = tuple.__new__
 PERMUTATIONS = np.array(list(permutations(range(4))), dtype=np.int64)
 # The str.translate table relabelling face letters by each slot permutation pi, and pi^-1.
 _RELABEL = {pi: str.maketrans(ALPHABET, "".join(ALPHABET[f] for f in pi)) for pi in permutations(range(4))}
 _INVERSE = {pi: tuple(sorted(range(4), key=pi.__getitem__)) for pi in _RELABEL}
 
 
-@dataclass(frozen=True, slots=True)
-class MappingClassElement:
-    """The element sending the identity-ordered root tetrahedron to ``dst``."""
+class MappingClassElement(tuple):
+    """The element sending the identity-ordered root tetrahedron to ``dst``, as the tuple (dst,)."""
 
-    dst: OrderedTet
+    __slots__ = ()
+    dst = property(itemgetter(0))
+
+    def __new__(cls, dst: OrderedTet) -> "MappingClassElement":
+        return tuple.__new__(cls, (dst,))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"MappingClassElement(dst={self[0]!r})"
 
     @classmethod
     def identity(cls) -> "MappingClassElement":
-        return cls(ROOT_TET)
+        return _new(cls, (ROOT_TET,))
 
     def is_identity(self) -> bool:
-        return self.dst == ROOT_TET
+        return self[0] == ROOT_TET
 
 
 def _slot_order(tets: dict, colour: list, otet: OrderedTet, role: str) -> tuple:
     """The slot pi[k] of the k-th vertex of ``otet`` in its tetrahedron of ``tets``, once they are known
     to match; ``colour`` is the ball's ``TetTable.colour``, fetched by the caller once per operation."""
-    slots = tets.get(otet.address)
+    address, verts = otet
+    slots = tets.get(address)
     if slots is None:
-        raise CodomainTooSmallError(f"{role} tetrahedron {otet.address!r} is not in the ball")
-    a, b, c, d = otet.verts
+        raise CodomainTooSmallError(f"{role} tetrahedron {address!r} is not in the ball")
+    a, b, c, d = verts
     try:
         pi = (colour[a], colour[b], colour[c], colour[d])
     except (IndexError, TypeError):
         pi = None
     if pi is None or slots[pi[0]] != a or slots[pi[1]] != b or slots[pi[2]] != c or slots[pi[3]] != d:
-        raise ValueError(f"{role} vertices {otet.verts} do not match tetrahedron {otet.address!r}")
+        raise ValueError(f"{role} vertices {verts} do not match tetrahedron {address!r}")
     return pi
 
 
@@ -161,7 +189,7 @@ def image_of_ordered_tet(element: MappingClassElement, otet: OrderedTet, work: T
     with its slots at pi o sigma; pi(w) relabels w letterwise, reduce cancels equal letters at the
     junction.  Raises CodomainTooSmallError for a tetrahedron outside ``work``, ValueError for
     vertices off their tetrahedron or a malformed ``work`` (see ``TetTable.colour``)."""
-    return _image(element.dst, otet, work)
+    return _image(element[0], otet, work)
 
 
 def _image(dst: OrderedTet, otet: OrderedTet, work: TetBall) -> OrderedTet:
@@ -169,7 +197,7 @@ def _image(dst: OrderedTet, otet: OrderedTet, work: TetBall) -> OrderedTet:
     directly, so that a composition is one call of a public function."""
     tets, colour = work.tets, work.table.colour
     pi, sigma = _slot_order(tets, colour, dst, "destination"), _slot_order(tets, colour, otet, "source")
-    c, w = dst.address, otet.address
+    c, w = dst[0], otet[0]
     u = w.translate(_RELABEL[pi])
     k, stop = 0, min(len(c), len(u))
     while k < stop and c[-1 - k] == u[k]:
@@ -178,24 +206,26 @@ def _image(dst: OrderedTet, otet: OrderedTet, work: TetBall) -> OrderedTet:
     image = tets.get(addr)
     if image is None:  # so is a tetrahedron on the path to it: the ball holds every prefix of its words
         raise CodomainTooSmallError(f"image left the codomain ball on the way to {addr!r}")
-    return OrderedTet(addr, (image[pi[sigma[0]]], image[pi[sigma[1]]], image[pi[sigma[2]]], image[pi[sigma[3]]]))
+    verts = (image[pi[sigma[0]]], image[pi[sigma[1]]], image[pi[sigma[2]]], image[pi[sigma[3]]])
+    return _new(OrderedTet, (addr, verts))
 
 
 def compose(a: MappingClassElement, b: MappingClassElement, work: TetBall) -> MappingClassElement:
     """The element acting as ``a`` followed by ``b``: b's image of a's destination."""
-    return MappingClassElement(_image(b.dst, a.dst, work))
+    return _new(MappingClassElement, (_image(b[0], a[0], work),))
 
 
 def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
     """The element undoing ``element``; needs work radius >= |dst address|.  The inverse of
     (c, pi) is (pi^-1(reverse(c)), pi^-1): that tetrahedron, its slots listed in pi^-1 order."""
-    dst = element.dst
+    dst = element[0]
     inv = _INVERSE[_slot_order(work.tets, work.table.colour, dst, "destination")]
-    addr = dst.address[::-1].translate(_RELABEL[inv])
+    addr = dst[0][::-1].translate(_RELABEL[inv])
     slots = work.tets.get(addr)
     if slots is None:
         raise CodomainTooSmallError("work ball too small to invert")
-    return MappingClassElement(OrderedTet(addr, (slots[inv[0]], slots[inv[1]], slots[inv[2]], slots[inv[3]])))
+    verts = (slots[inv[0]], slots[inv[1]], slots[inv[2]], slots[inv[3]])
+    return _new(MappingClassElement, (_new(OrderedTet, (addr, verts)),))
 
 
 # ---------------------------------------------------------------------------

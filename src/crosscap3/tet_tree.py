@@ -112,6 +112,7 @@ class TetBall:
         return len(self.indices) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
+        self._check_id(v)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
@@ -139,6 +140,7 @@ class TetBall:
 
     def support(self, v: int) -> np.ndarray:
         """The rows holding v, ascending."""
+        self._check_id(v)
         indptr, rows = self._support
         return rows[indptr[v] : indptr[v + 1]]
 
@@ -152,6 +154,11 @@ class TetBall:
     def vertex_depth(self, v: int) -> int:
         """Length of the shortest address among the tetrahedra containing v."""
         return int(self.table.depth[self.support(v)].min())
+
+    def _check_id(self, v: int) -> None:
+        """Raise ValueError naming v unless it is a vertex id of the ball; a negative id would wrap."""
+        if not 0 <= v < self.n_vertices:
+            raise ValueError(f"vertex id {v} is not in 0..{self.n_vertices - 1}")
 
 
 # The 12 ordered pairs of distinct slots, as two index rows.
@@ -353,8 +360,6 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
     the link fails to match the Farey complex; each message names the
     tetrahedra, vertices or labels at fault.
     """
-    if not 0 <= v < ball.n_vertices:
-        raise ValueError(f"unknown vertex {v}")
     a, b, c = base
     if len({a, b, c}) != 3 or not {a, b, c} <= set(ball.neighbors(v).tolist()):
         raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")

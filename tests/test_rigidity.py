@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -184,6 +186,37 @@ def star_union(level, ball):
     return frozenset(ones), frozenset(twos)
 
 
+short_addresses = st.text(alphabet=ALPHABET, max_size=4).filter(is_address)
+elements = st.tuples(short_addresses, st.integers(0, 23))
+
+
+def word_of_steps(first, steps):
+    """The reduced word that starts with letter ``first`` and whose next letters each add a step
+    of 1 to 3 to the one before, mod 4."""
+    letters = [first]
+    for step in steps:
+        letters.append((letters[-1] + step) % 4)
+    return "".join(ALPHABET[f] for f in letters)
+
+
+# Destinations of length 1 to 8; ``elements`` covers the root.
+long_addresses = st.builds(word_of_steps, st.integers(0, 3), st.lists(st.integers(1, 3), max_size=7))
+long_elements = st.tuples(long_addresses, st.integers(0, 23))
+
+
+def drawn(work, element):
+    """The element with destination address ``element[0]``, its slots in permutation ``element[1]``."""
+    addr, p = element
+    return elem(addr, [work.tets[addr][i] for i in PERMUTATIONS[p]])
+
+
+def rebuilt(x):
+    """``x`` built again from its fields by the validating constructors."""
+    if type(x) is MappingClassElement:
+        return MappingClassElement(rebuilt(x.dst))
+    return OrderedTet(x.address, x.verts)
+
+
 class TestOrderedTet:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,6 +228,56 @@ class TestOrderedTet:
         e = MappingClassElement.identity()
         assert e.is_identity()
         assert e.dst == ROOT_TET
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements, elements, elements)
+    def test_results_are_exact_and_valid(self, ball, a, b, c):
+        # The operations build their results unvalidated; each must still be exactly what the
+        # validating constructors build from its fields, with Python int vertex ids.
+        work = ball(8)
+        assume(len(a[0]) + len(b[0]) + len(c[0]) <= work.radius)
+        a, b, c = (drawn(work, x) for x in (a, b, c))
+        ident = MappingClassElement.identity()
+        ai, bi, ab, bc = inverse(a, work), inverse(b, work), compose(a, b, work), compose(b, c, work)
+        results = [ident, ai, bi, ab, bc, inverse(ab, work), compose(bi, ai, work), compose(a, ident, work)]
+        results += [compose(ident, a, work), compose(a, ai, work), compose(ai, a, work), compose(ab, c, work)]
+        results.append(compose(a, bc, work))
+        for e in results:
+            assert type(e) is MappingClassElement and type(e.dst) is OrderedTet
+            assert e == rebuilt(e) and all(type(v) is int for v in e.dst.verts)
+        image = image_of_ordered_tet(a, c.dst, work)
+        assert type(image) is OrderedTet and image == rebuilt(image)
+
+    def test_repr(self):
+        # Witnesses print elements, so the dataclass-style repr is part of the artifacts.
+        otet = OrderedTet("01", (0, 1, 2, 4))
+        assert repr(otet) == str(otet) == "OrderedTet(address='01', verts=(0, 1, 2, 4))"
+        element = "MappingClassElement(dst=OrderedTet(address='01', verts=(0, 1, 2, 4)))"
+        assert repr(MappingClassElement(otet)) == str(MappingClassElement(otet)) == element
+
+    def test_hash_follows_equality(self, ball):
+        work = ball(4)
+        pool = [MappingClassElement(otet) for otet in ordered_tets(work, max_length=1)]
+        ident = MappingClassElement.identity()
+        again = [compose(e, ident, work) for e in pool] + [inverse(inverse(e, work), work) for e in pool]
+        assert again == pool + pool
+        assert [hash(e) for e in again] == [hash(e) for e in pool + pool]
+        assert len(set(pool + again)) == len(pool) == 120
+        assert {e.dst for e in again} == {e.dst for e in pool}
+        e = pool[37]
+        assert hash(compose(e, inverse(e, work), work)) == hash(ident)
+
+    def test_equals_plain_tuples(self):
+        # Elements are tuples: they compare and hash as the plain tuple of their fields.
+        assert ROOT_TET == ("", (0, 1, 2, 3)) and hash(ROOT_TET) == hash(("", (0, 1, 2, 3)))
+        assert MappingClassElement.identity() == (ROOT_TET,)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copy_round_trip(self, ball, protocol):
+        e = elem("01", ball(2).tets["01"][::-1])
+        for x in (e, e.dst, MappingClassElement.identity()):
+            for y in (pickle.loads(pickle.dumps(x, protocol)), copy.copy(x), copy.deepcopy(x)):
+                assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
 class TestPropagate:
@@ -473,10 +556,6 @@ class TestGroupOpPreconditions:
             propagate_map(MappingClassElement(far), ball(0), work)
 
 
-short_addresses = st.text(alphabet=ALPHABET, max_size=4).filter(is_address)
-elements = st.tuples(short_addresses, st.integers(0, 23))
-
-
 class TestGroupLawProperty:
     @settings(max_examples=60, deadline=None)
     @given(elements, elements, elements)
@@ -484,7 +563,7 @@ class TestGroupLawProperty:
         # Destinations of length <= 4; every product fits the radius-8 ball.
         work = ball(8)
         assume(len(a[0]) + len(b[0]) + len(c[0]) <= work.radius)
-        a, b, c = (elem(addr, [work.tets[addr][i] for i in PERMUTATIONS[p]]) for addr, p in (a, b, c))
+        a, b, c = (drawn(work, x) for x in (a, b, c))
         ident = MappingClassElement.identity()
         assert compose(a, ident, work) == a == compose(ident, a, work)
         ai, bi, ab = inverse(a, work), inverse(b, work), compose(a, b, work)
@@ -493,6 +572,18 @@ class TestGroupLawProperty:
         assert compose(ab, c, work) == compose(a, compose(b, c, work), work)
         assert image_of_ordered_tet(a, ROOT_TET, work) == a.dst
         assert len(inverse(a, work).dst.address) == len(a.dst.address)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_elements)
+    def test_laws_of_one_long_element(self, ball, a):
+        # Destinations of length up to 8; every tetrahedron these laws reach is no farther out than a's.
+        work = ball(8)
+        a = drawn(work, a)
+        ai = inverse(a, work)
+        assert inverse(ai, work) == a
+        assert compose(a, ai, work).is_identity() and compose(ai, a, work).is_identity()
+        assert image_of_ordered_tet(a, ROOT_TET, work) == a.dst
+        assert len(ai.dst.address) == len(a.dst.address)
 
 
 class TestStarUnion:
@@ -828,6 +919,11 @@ class TestStabilizers:
     def test_work_too_small(self, ball):
         with pytest.raises(ValueError):
             pointwise_stabilizer_check(ball(1).vertices(), ball(1))
+
+    @pytest.mark.parametrize("ids", [[-1], [0, 56]])
+    def test_unknown_vertex(self, ball, ids):
+        with pytest.raises(ValueError, match=f"vertex id {ids[-1]} is not in 0..55"):
+            pointwise_stabilizer_check(ids, ball(3))
 
 
 @pytest.fixture(scope="module")

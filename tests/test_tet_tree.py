@@ -221,8 +221,12 @@ class TestLink:
         assert link_edges(b, 8) == {frozenset(e) for e in ((2, 3), (2, 4), (3, 4))}
 
     def test_unknown_vertex(self, ball):
-        with pytest.raises(IndexError):
-            ball(0).neighbors(99)
+        # Ids outside 0..n_vertices-1 are refused by name; a negative one would wrap.
+        b = ball(1)
+        for v in (99, -1, b.n_vertices):
+            for query in (b.neighbors, b.support, b.vertex_depth):
+                with pytest.raises(ValueError, match=f"vertex id {v} is not in 0..7"):
+                    query(v)
 
 
 class TestLinkLabeling:
