@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import curve_graph, farey, metric, rigidity, tet_tree
@@ -120,9 +119,7 @@ def cmd_farey(args) -> int:
         noun = "radius" if args.query == "ball" else "slopes"
         raise ValueError(f"farey {args.query} takes {want} {noun}, got {len(args.args)}")
     if args.query == "ball":
-        if not re.fullmatch("[0-9]+", args.args[0]):
-            raise ValueError(f"farey ball radius must be a nonnegative integer, got {args.args[0]!r}")
-        patch = farey.farey_ball(int(args.args[0]))
+        patch = farey.farey_ball(tet_tree.ascii_int(args.args[0]))
         _write(args.out, _dump_json(patch.to_json()))
         return 0
     slopes = [farey.Slope.from_string(s) for s in args.args]
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, *, radius=None, formats=()):
         p = sub.add_parser(name, help=help)
         if radius is not None:
-            p.add_argument("--radius", type=int, default=radius)
+            p.add_argument("--radius", type=tet_tree.ascii_int, default=radius)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
@@ -170,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
         radius=3,
         formats=("json", "csv"),
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-cap", type=int, dest="sample_cap", default=metric.DEFAULT_SAMPLE_CAP)
+    p.add_argument("--seed", type=tet_tree.ascii_int, default=0)
+    p.add_argument("--sample-cap", type=tet_tree.ascii_int, dest="sample_cap", default=metric.DEFAULT_SAMPLE_CAP)
 
     p = command("rigidity", cmd_rigidity, "map enumeration, stabilizer, and forcing checks")
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=tet_tree.ascii_int, default=2)
 
     command("stats", cmd_stats, "counts versus closed forms", radius=3)
 

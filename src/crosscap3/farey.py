@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable
 
 from .errors import RadiusCapError
 
@@ -85,9 +84,6 @@ class Slope:
 #: A Farey triangle is a frozenset of three pairwise adjacent slopes.
 FareyTriangle = frozenset
 
-#: An ordered Farey triangle is a tuple of three distinct pairwise adjacent slopes.
-OrderedTriangle = tuple
-
 BASE_TRIANGLE: FareyTriangle = frozenset(
     (Slope(0, 1), Slope(1, 0), Slope(1, 1))
 )
@@ -132,15 +128,6 @@ def triangle(a: Slope, b: Slope, c: Slope) -> FareyTriangle:
     t = frozenset((a, b, c))
     if len(t) != 3:
         raise ValueError("triangle vertices must be distinct")
-    return t
-
-
-def validate_ordered_triangle(t: Iterable[Slope]) -> OrderedTriangle:
-    """Check that t is a sequence of 3 distinct pairwise adjacent slopes."""
-    t = tuple(t)
-    if len(t) != 3:
-        raise ValueError("ordered triangle needs exactly 3 slopes")
-    triangle(*t)
     return t
 
 
@@ -223,41 +210,3 @@ def farey_ball(radius: int) -> FareyPatch:
                 nxt.append((other, edge))
         frontier = nxt
     return FareyPatch(radius, frozenset(triangles))
-
-
-# ---------------------------------------------------------------------------
-# Fractional-linear (Mobius) action, used to cross-validate link labels; the
-# action on slopes itself (``mobius_apply``) is in ``tests/oracles.py``.
-
-Matrix = tuple  # ((a, b), (c, d)) with integer entries and determinant +-1
-
-
-def mat_det(m: Matrix) -> int:
-    (a, b), (c, d) = m
-    return a * d - b * c
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    det = mat_det(m)
-    if abs(det) != 1:
-        raise ValueError(f"matrix determinant must be +-1, got {det}")
-    (a, b), (c, d) = m
-    if det == 1:
-        return ((d, -b), (-c, a))
-    return ((-d, b), (c, -a))
-
-
-def triangle_matrix(t: OrderedTriangle) -> Matrix:
-    """The integer matrix sending (0/1, 1/0, 1/1) to ``t`` slot-wise.
-
-    Unique up to global sign; its Mobius action (``mobius_apply`` in
-    ``tests/oracles.py``) realizes the ordered triangle correspondence, so it
-    cross-checks the two link labellings of ``tet_tree.link_labeling_report``.
-    """
-    a, b, c = validate_ordered_triangle(t)
-    if c == Slope.of(a.num + b.num, a.den + b.den):
-        return ((b.num, a.num), (b.den, a.den))
-    if c == Slope.of(a.num - b.num, a.den - b.den):
-        return ((b.num, -a.num), (b.den, -a.den))
-    raise ValueError(f"({a}, {b}, {c}) is not an ordered Farey triangle")
-

@@ -17,11 +17,12 @@ a reduced word and a slot permutation, and each operation a closed form.
 
 ``OrderedTet`` is the tuple (address, verts) and ``MappingClassElement``
 the tuple (dst,), so equality and hashing run in C; an element therefore
-also equals the plain tuple of its fields.  The public constructor checks
-for 4 distinct vertices, and every group operation checks each input
-against its ball (``_slot_order``).  Their results are built unvalidated:
-a result's vertices are a row of the ball in permuted order, and
-``TetTable.colour`` has proven every row distinct.
+also equals the plain tuple of its fields.  The public constructor stores
+the vertices as a tuple of ints and checks for 4 distinct ones, and every
+group operation checks each input against its ball (``_slot_order``).
+Their results are built unvalidated: a result's vertices are a row of the
+ball in permuted order, and ``TetTable.colour`` has proven every row
+distinct.
 
 This module also enumerates the locally injective simplicial maps of the
 root star and verifies mechanically that each is the restriction of a unique
@@ -34,6 +35,7 @@ query on the source ball's CSR adjacency, ``tet_tree.common_neighbors``.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -51,7 +53,8 @@ class OrderedTet(tuple):
     address = property(itemgetter(0))
     verts = property(itemgetter(1))
 
-    def __new__(cls, address: str, verts: tuple) -> "OrderedTet":
+    def __new__(cls, address: str, verts) -> "OrderedTet":
+        verts = tuple(map(operator.index, verts))  # ints only, so a list or numpy row hashes and compares as a tuple
         if len(verts) != 4 or len(set(verts)) != 4:
             raise ValueError("an ordered tetrahedron lists 4 distinct vertices")
         return tuple.__new__(cls, (address, verts))
@@ -310,7 +313,7 @@ def _first_fixer(ids, work: TetBall) -> OrderedTet | None:
     dst_radius = work.radius - domain_radius
     if dst_radius < 1:
         raise ValueError("work ball too small to test any non-identity element")
-    domain = generate_ball(domain_radius, cap=max(domain_radius, work.radius))
+    domain = generate_ball(domain_radius)
     table = work.table
     rows = [table.rows[a] for a in sorted(work.tets, key=lambda a: (len(a), a)) if len(a) <= dst_radius]
     dst = np.repeat(rows, len(PERMUTATIONS))

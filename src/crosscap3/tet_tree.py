@@ -18,19 +18,27 @@ CSR arrays read off those rows, and the address strings and the
 address -> vertices dict are built only when something asks for them
 (witnesses, serialization, the group operations), never by ``verify`` on a
 well-formed ball.
+
+``link_labeling_report`` labels every vertex link by Farey slopes in one
+pass over the table (``_link_pass``), from two bases per vertex, and writes
+one record per vertex a check fails on: a crossing that does not unfold like
+the Farey complex (naming the row), labels that are not injective, labels
+that do not cover the adjacency, or a second labelling that is not the
+Mobius image of the first; then it scores link edges against Farey
+adjacency.  A ball not shaped like a generated one has no link labelled:
+every vertex gets a record naming the first row that breaks the shape.  The
+per-vertex breadth-first labelling is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+import re
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .errors import BudgetError, RadiusCapError
-from .farey import Slope, mat_inverse, triangle_matrix
 
 ALPHABET = "0123"
 DEFAULT_RADIUS_CAP = 8
@@ -46,14 +54,26 @@ BLOCK_ELEMS = 1 << 16
 LABEL_LIMIT = 1 << 31
 
 
+def ascii_int(text: str) -> int:
+    """The integer ``text`` spells as ``-?[0-9]+``; ValueError for anything else, such as
+    the non-ASCII digits, ``_``, ``+`` and surrounding spaces that ``int`` also reads."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 def radius_cap() -> int:
     """The configured ball-radius cap (overridable via the environment)."""
     value = os.environ.get(RADIUS_CAP_ENV)
     if not value:
         return DEFAULT_RADIUS_CAP
-    if not value.isdecimal():
+    try:
+        cap = ascii_int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
         raise RadiusCapError(f"{RADIUS_CAP_ENV} must be a nonnegative integer, got {value!r}")
-    return int(value)
+    return cap
 
 
 def is_address(word: str) -> bool:
@@ -273,16 +293,15 @@ class TetTable:
         return colour.tolist()
 
 
-def generate_ball(radius: int, *, cap: int | None = None) -> TetBall:
+def generate_ball(radius: int) -> TetBall:
     """Generate the ball of the given tree radius.
 
     Deterministic: addresses are visited breadth-first in lexicographic
     order and fresh vertex ids count up from 4, so the result is identical
     across runs.  Counts: 2*3**n - 1 tetrahedra, 2*3**n + 2 vertices,
-    6*3**n edges.
+    6*3**n edges.  Raises RadiusCapError above ``radius_cap()``.
     """
-    if cap is None:
-        cap = radius_cap()
+    cap = radius_cap()
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
@@ -336,88 +355,6 @@ def _unfold(radius: int) -> dict:
                 nxt.append(addr + letter)
         frontier = nxt
     return tets
-
-
-def _slope_pair(p: int, q: int) -> tuple[int, int]:
-    """The canonical integer pair of a primitive vector: q > 0, or (1, 0)."""
-    if q < 0 or (q == 0 and p < 0):
-        return -p, -q
-    return p, q
-
-
-def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
-    """Label the link of v by Farey slopes, as canonical integer pairs (p, q).
-
-    ``base`` is an ordered triple of neighbours of v spanning a triangle of
-    the link; it receives (0/1, 1/0, 1/1).  The labelling is extended over
-    the tetrahedra containing v, a subtree of the address tree, breadth
-    first.  Crossing from one tetrahedron to the next keeps a pair x, y of
-    the link and replaces one vertex, whose label is forced to be the other
-    common neighbour of the pair.  For adjacent primitive labels x and y
-    those are x + y and x - y, again primitive, so no gcd is needed.
-
-    Raises ValueError if ``base`` is not a link triangle and RuntimeError if
-    the link fails to match the Farey complex; each message names the
-    tetrahedra, vertices or labels at fault.
-    """
-    a, b, c = base
-    if len({a, b, c}) != 3 or not {a, b, c} <= set(ball.neighbors(v).tolist()):
-        raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")
-    table = ball.table
-    rows = ball.support(v)
-    members = set(rows.tolist())
-    cofaces = members.intersection(*(ball.support(x).tolist() for x in base))
-    if len(cofaces) != 1:
-        raise ValueError(
-            f"base triple {base} of vertex {v} has cofaces {sorted(table.addrs[t] for t in cofaces)}, not exactly one"
-        )
-    # The tree neighbours of each member: its parent, then its children in face order.
-    verts, near = {}, {}
-    for t, vs, p, f, across in zip(
-        rows.tolist(), table.verts[rows].tolist(), table.parent[rows].tolist(),
-        table.face[rows].tolist(), table.nbr[rows].tolist(),
-    ):
-        verts[t], near[t] = set(vs), [p] + [across[k] for k in range(4) if k != f]
-    labels = {a: (0, 1), b: (1, 0), c: (1, 1)}
-    seen = set(cofaces)
-    queue = deque(cofaces)
-    while queue:
-        t = queue.popleft()
-        here = verts[t]
-        for nb in near[t]:
-            if nb not in members or nb in seen:
-                continue
-            there = verts[nb]
-            dropped, added, shared = here - there, there - here, here & there
-            if len(dropped) != 1 or len(added) != 1 or len(shared) != 3:
-                raise RuntimeError(
-                    f"tetrahedra {table.addrs[t]!r} and {table.addrs[nb]!r} of vertex {v} share no link triangle"
-                )
-            (d,), (e,) = dropped, added
-            x, y = shared - {v}
-            (p, q), (r, s) = labels[x], labels[y]
-            if abs(p * s - q * r) != 1:
-                raise RuntimeError(f"labels {p}/{q} of {x} and {r}/{s} of {y} are not Farey neighbours")
-            # Labels have q >= 0, so only x - y may need its sign fixed.
-            plus, minus = (p + r, q + s), _slope_pair(p - r, q - s)
-            if labels[d] == plus:
-                new = minus
-            elif labels[d] == minus:
-                new = plus
-            else:
-                raise RuntimeError(
-                    f"link does not unfold like the Farey complex: {d} is not "
-                    f"a common neighbour of {x} and {y} in {table.addrs[t]!r}"
-                )
-            if labels.setdefault(e, new) != new:
-                raise RuntimeError(f"link labeling is inconsistent at {e} from {table.addrs[nb]!r}")
-            seen.add(nb)
-            queue.append(nb)
-    if len(seen) != len(members):
-        raise RuntimeError(f"support of vertex {v} is not tree-connected")
-    if len(set(labels.values())) != len(labels):
-        raise RuntimeError(f"link labeling of vertex {v} is not injective")
-    return labels
 
 
 def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
@@ -612,27 +549,6 @@ def structural_report(ball: TetBall) -> list[dict]:
     return checks
 
 
-def _base_triple(ball: TetBall, v: int, t: int) -> tuple:
-    """The other three vertices of row t, in slot order."""
-    return tuple(x for x in ball.table.verts[t].tolist() if x != v)
-
-
-def _mobius_mismatch(labels: dict, relabels: dict, base: tuple):
-    """The first vertex whose relabel is not the Mobius image of its label, or None.
-
-    The matrix sends the labels of ``base`` to (0/1, 1/0, 1/1), so it must
-    carry the whole first labelling onto the labelling from ``base``.
-    """
-    (a, b), (c, d) = mat_inverse(triangle_matrix(tuple(Slope(*labels[x]) for x in base)))
-    for u, (p, q) in labels.items():
-        # The image is primitive, so it equals the canonical relabel up to sign.
-        image = (a * p + b * q, c * p + d * q)
-        relabel = relabels.get(u)
-        if relabel != image and relabel != (-image[0], -image[1]):
-            return u
-    return None
-
-
 def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndarray) -> list[tuple]:
     """Link pairs of a block of m vertices of equal degree k where edge and Farey adjacency differ.
 
@@ -657,7 +573,7 @@ def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndar
     for key in np.setxor1d(np.concatenate(farey), edges, assume_unique=True).tolist():
         g, ij = divmod(key, k * k)
         i, j = divmod(ij, k)
-        out.append((int(vs[g]), 1, i, j, f"edge mismatch at ({members[g, i]}, {members[g, j]})"))
+        out.append((int(vs[g]), 2, i, j, f"edge mismatch at ({members[g, i]}, {members[g, j]})"))
     return out
 
 
@@ -672,13 +588,14 @@ _KEPT = np.array([[[k for k in range(4) if k not in (j, c)][:2] for c in range(4
 
 
 def _canonical(pairs: np.ndarray) -> np.ndarray:
-    """``_slope_pair`` on every row of an (N x 2) int64 array, in place."""
+    """The canonical pair of every row of an (N x 2) int64 array, in place: q > 0, or (1, 0)."""
     pairs[(pairs[:, 1] < 0) | ((pairs[:, 1] == 0) & (pairs[:, 0] < 0))] *= -1
     return pairs
 
 
 def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_link_labels``'s crossing rule for N links at once: cross slot c in the link at slot j.
+    """The crossing rule of ``_link_labels`` (``tests/oracles.py``) for N links at once: cross slot c
+    in the link at slot j.
 
     ``src`` (N x 4 x 2) holds the labels of the other slots before the
     crossing and is updated in place: the kept pair x, y keeps its labels
@@ -696,8 +613,8 @@ def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return new, ok
 
 
-def _link_shape(table: TetTable, n: int) -> tuple | None:
-    """Where each vertex's links start, or None for a ball not shaped like a generated one.
+def _link_shape(table: TetTable, n: int) -> tuple | str:
+    """Where each vertex's links start or, for a ball not shaped like a generated one, why not.
 
     A generated ball has every non-root address a reduced word whose parent
     is in the ball and differs from it in exactly one slot, and every vertex
@@ -706,15 +623,22 @@ def _link_shape(table: TetTable, n: int) -> tuple | None:
     containing v are a subtree below its birth row, all with v at one slot.
     Returns (born, cross, last, slot): ``born`` (T x 4) marks birth slots,
     ``cross`` (T,) is the slot each row changes, ``last`` (n,) the last row
-    of each vertex's support in address order and ``slot`` (n,) its slot.
+    of each vertex's support in address order and ``slot`` (n,) its slot;
+    for any other ball, ``_shape_fault``'s message.
     """
-    verts, parent, face = table.verts, table.parent, table.face
-    if not _reduced(table) or verts.min() < 0 or verts.max() >= n:
-        return None
+    verts, parent, face, depth = table.verts, table.parent, table.face, table.depth
+    child = np.flatnonzero(depth > 0)
+    p = parent[child]
     born = np.ones(verts.shape, dtype=bool)
-    born[1:] = verts[1:] != verts[parent[1:]]
-    if (born[1:].sum(axis=1) != 1).any() or (np.bincount(verts[born], minlength=n) != 1).any():
-        return None
+    born[child] = (verts[child] != verts[p]) & (p >= 0)[:, None]
+    # Why each row breaks the shape, an index into _SHAPE_FAULTS (0 if it does not); the last assignment wins.
+    why = np.zeros(len(verts), dtype=np.int64)
+    why[child[born[child].sum(axis=1) != 1]] = 4
+    why[child[(face[child] < 0) | (face[child] == face[p])]] = 3
+    why[child[p < 0]] = 2
+    why[(verts < 0).any(axis=1)] = 1
+    if why.any() or (np.bincount(verts[born], minlength=n) != 1).any():
+        return _shape_fault(table, born, why, n)
     anc = table.ancestors  # address order: by the faces crossed from the root, shorter first
     order = np.lexsort(np.where(anc >= 0, face[anc], -1).T[::-1])
     rank = np.empty(len(order), dtype=np.int64)
@@ -726,117 +650,165 @@ def _link_shape(table: TetTable, n: int) -> tuple | None:
     return born, born.argmax(axis=1), order[last], slot
 
 
+_SHAPE_FAULTS = (
+    "",
+    "holds a negative vertex id",
+    "has no parent in the ball",
+    "is not a reduced word",
+    "does not change exactly one slot of its parent",
+)
+
+
+def _shape_fault(table: TetTable, born: np.ndarray, why: np.ndarray, n: int) -> str:
+    """The first row in address order that breaks the generated shape, and how: by a fault of
+    ``_SHAPE_FAULTS`` (``why``), or by a birth of a vertex already born in an earlier row.
+    With no such row, the least vertex id in no row."""
+    addrs, seen = table.addrs, set()
+    faults = {t: _SHAPE_FAULTS[k] for t, k in enumerate(why.tolist()) if k}
+    for t, v in zip(np.nonzero(born)[0].tolist(), table.verts[born].tolist()):
+        if v in seen:
+            faults.setdefault(t, f"reuses vertex {v}")
+        seen.add(v)
+    if faults:
+        t = min(faults, key=addrs.__getitem__)
+        return f"tetrahedron {addrs[t]!r} {faults[t]}"
+    return f"vertex {min(set(range(n)) - seen)} is in no tetrahedron"
+
+
 def _slot_labels(
-    table: TetTable, born: np.ndarray, cross: np.ndarray, j: int, start: np.ndarray, flagged: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label the link of the vertex at slot j of every row, as ``_link_labels`` does.
+    table: TetTable, born: np.ndarray, cross: np.ndarray, j: int, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label the link of the vertex at slot j of every row, as ``_link_labels`` in ``tests/oracles.py`` does.
 
     ``start`` gives, for each birth row of slot j in order, the row whose
     other three slots get (0/1, 1/0, 1/1).  The labelling walks up from
     there to the birth row, then crosses into every other row from its
     parent, depth by depth.  Returns ``labels`` (T x 4 x 2), ``labels[t, k]``
-    being the label of slot k, and the rows that got a label of at least
-    ``LABEL_LIMIT``; marks in ``flagged`` the vertices a crossing check
-    failed on.
+    being the label of slot k, and two masks of the rows entered by a
+    crossing: those that got a label of at least ``LABEL_LIMIT``, and those
+    the crossing check failed on.
     """
-    verts, parent = table.verts, table.parent
-    owner = verts[:, j]
+    verts, parent, depth = table.verts, table.parent, table.depth
     labels = np.zeros((len(verts), 4, 2), dtype=np.int32)
     labels[start] = _SEED[j]
     done = np.zeros(len(verts), dtype=bool)
     done[start] = True
-    big = np.zeros(len(verts), dtype=bool)
+    big, bad = np.zeros(len(verts), dtype=bool), np.zeros(len(verts), dtype=bool)
     birth = np.flatnonzero(born[:, j])
-    depth = table.depth
     at = start.copy()
     live = np.flatnonzero(at != birth)
     for _ in range(int(depth.max())):  # each walk reaches its birth row within the depth
         child = at[live]
         src = labels[child]
-        _, ok = _cross(src, j, cross[child])
-        at[live] = parent[child]
-        labels[at[live]] = src
-        done[at[live]] = True
-        flagged[owner[child][~ok]] = True
-        live = live[at[live] != birth[live]]
+        new, ok = _cross(src, j, cross[child])
+        t = at[live] = parent[child]
+        labels[t], done[t] = src, True
+        big[t], bad[t] = np.abs(new).max(axis=1) >= LABEL_LIMIT, ~ok
+        live = live[t != birth[live]]
     for d in range(1, int(depth.max()) + 1):
         t = np.flatnonzero((depth == d) & ~done)
         src = labels[parent[t]]
         new, ok = _cross(src, j, cross[t])
         labels[t] = src
-        flagged[owner[t][~ok]] = True
-        big[t] = np.abs(new).max(axis=1) >= LABEL_LIMIT
-    return labels, big
+        big[t], bad[t] = np.abs(new).max(axis=1) >= LABEL_LIMIT, ~ok
+    return labels, big, bad
 
 
 def _mobius_flags(labels: np.ndarray, relabels: np.ndarray, base: np.ndarray, j: int) -> np.ndarray:
-    """The rows whose slot-j link relabels are not the Mobius image of their labels, up to sign.
+    """Where the slot-j link relabels are not the Mobius image of their labels, up to sign: a
+    (T x 3) mask over the other slots of each row, in ``_OTHER_SLOTS[j]`` order.
 
     The matrix sends the first labels a, b, c of the second base, row
     ``base[t]``, to (0/1, 1/0, 1/1): ``triangle_matrix``, then
-    ``mat_inverse``, on every row at once.  A row is also returned when
-    a, b, c are not an ordered Farey triangle.
+    ``mat_inverse`` (both in ``tests/oracles.py``), on every row at once.
+    Every slot of a row is marked when a, b, c are not an ordered Farey
+    triangle.
     """
-    a, b, c = (labels[base, k].astype(np.int64) for k in _OTHER_SLOTS[j])
+    others = _OTHER_SLOTS[j]
+    a, b, c = (labels[base, k].astype(np.int64) for k in others)
     is_plus, is_minus = (c == _canonical(a + b)).all(axis=1), (c == _canonical(a - b)).all(axis=1)
     sign = np.where(is_plus, 1, -1)
     det = sign * (b[:, 0] * a[:, 1] - a[:, 0] * b[:, 1])
-    p, q, r, s = labels[:, :, 0], labels[:, :, 1], relabels[:, :, 0], relabels[:, :, 1]
+    p, q, r, s = labels[:, others, 0], labels[:, others, 1], relabels[:, others, 0], relabels[:, others, 1]
     # The inverse is det * ((sign a_q, -sign a_p), (-b_q, b_p)).
     image_p = (det * sign)[:, None] * (a[:, 1:] * p - a[:, :1] * q)
     image_q = det[:, None] * (b[:, :1] * q - b[:, 1:] * p)
     same = ((r == image_p) & (s == image_q)) | ((r == -image_p) & (s == -image_q))
-    return ~(is_plus | is_minus) | (np.abs(det) != 1) | ~same.all(axis=1)
+    return (~(is_plus | is_minus) | (np.abs(det) != 1))[:, None] | ~same
 
 
-def _link_pass(ball: TetBall) -> tuple | None:
-    """Label every vertex link from both bases at once and flag the vertices a check fails on.
+def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | None]:
+    """Label every vertex link from both bases at once and write a record for each check that fails.
 
-    None if ``_link_shape`` finds the ball not shaped like a generated one;
-    otherwise (flagged, over, labels, relabels): ``flagged`` (n,) marks the
-    vertices a check fails on, ``over`` those with a first label of at
-    least ``LABEL_LIMIT``, and ``labels`` and ``relabels`` (2E x 2) are the
-    first and second label of each link member, in the order of
-    ``ball.indices``.  The checks are the crossings, the Mobius check, and
-    that each vertex's labels are one per neighbour in each labelling,
-    injective, and cover exactly its adjacency.  A vertex keeps one slot
-    in every row, so all of it runs a slot at a time.
+    Returns (failures, labels, relabels).  ``labels`` and ``relabels``
+    (2E x 2) are the first and second label of each link member, in the
+    order of ``ball.indices``; ``failures`` holds at most one record
+    (vertex, kind, 0, 0, message) per vertex, the first that applies of:
+    kind 0, its link is not labelled, because a crossing check fails
+    (naming the first row it fails on entering, in table order) or its
+    first labels are not injective; kind 1, its labels do not cover exactly
+    its adjacency; kind 3, a relabel is not the Mobius image of its label
+    (naming the least such member).  A vertex keeps one slot in every row,
+    so all of it runs a slot at a time.  Each neighbour of a vertex gets
+    one label in each labelling: their common rows are a subtree, which the
+    labelling enters once and crosses only at the other two slots.
+
+    A ball ``_link_shape`` rejects has no link labelled: every vertex gets
+    a kind-0 record naming the fault, and both label arrays are None.  A
+    label of at least ``LABEL_LIMIT`` in either labelling raises
+    BudgetError for the least vertex holding one, before any record.
     """
     n, table = ball.n_vertices, ball.table
     shape = _link_shape(table, n)
-    if shape is None:
-        return None
+    if isinstance(shape, str):
+        return [(v, 0, 0, 0, f"ball is not shaped like a generated one: {shape}") for v in range(n)], None, None
     born, cross, last, slot = shape
-    flagged = np.zeros(n, dtype=bool)
+    rows = len(table.verts)
+    crossing = np.full(n, rows)  # the first row a crossing check fails on entering
+    mobius = np.full(n, n)  # the least member failing the Mobius check
     over = np.full(n, LABEL_LIMIT <= 1)
+    repeated, uncovered = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     csr = _edge_keys(ball)
     first, second = np.zeros((len(csr), 2), dtype=np.int32), np.zeros((len(csr), 2), dtype=np.int32)
     for j, others in enumerate(_OTHER_SLOTS):
         owner = table.verts[:, j]
         birth = np.flatnonzero(born[:, j])
-        labels, big = _slot_labels(table, born, cross, j, birth, flagged)
-        over[owner[big]] = True
-        relabels, _ = _slot_labels(table, born, cross, j, last[owner[birth]], flagged)
-        flagged[owner[_mobius_flags(labels, relabels, last[owner], j)]] = True
+        labels, big, bad = _slot_labels(table, born, cross, j, birth)
+        relabels, big2, bad2 = _slot_labels(table, born, cross, j, last[owner[birth]])
+        over[owner[big | big2]] = True
+        bad = np.flatnonzero(bad | bad2)
+        np.minimum.at(crossing, owner[bad], bad)
+        t, k = np.nonzero(_mobius_flags(labels, relabels, last[owner], j))
+        np.minimum.at(mobius, owner[t], table.verts[t, others[k]])
         key = (owner[:, None] * n + table.verts[:, others]).ravel()
         order = np.argsort(key)
         key = key[order]
-        one, two = labels[:, others].reshape(-1, 2)[order], relabels[:, others].reshape(-1, 2)[order]
-        repeat = key[1:] == key[:-1]
-        clash = repeat & ((one[1:] != one[:-1]).any(axis=1) | (two[1:] != two[:-1]).any(axis=1))
-        flagged[key[1:][clash] // n] = True
-        distinct = np.r_[True, ~repeat]
-        key, one, two = key[distinct], one[distinct], two[distinct]
+        distinct = np.r_[True, key[1:] != key[:-1]]
+        key = key[distinct]
+        one, two = (x[:, others].reshape(-1, 2)[order][distinct] for x in (labels, relabels))
         v = key // n
         order = np.lexsort((one[:, 1], one[:, 0], v))
         same = (v[order][1:] == v[order][:-1]) & (one[order][1:] == one[order][:-1]).all(axis=1)
-        flagged[v[order][1:][same]] = True
+        repeated[v[order][1:][same]] = True
         mine = np.flatnonzero(slot[csr // n] == j)
         if len(key) != len(mine) or (key != csr[mine]).any():
-            flagged[np.setxor1d(key, csr[mine], assume_unique=True) // n] = True
+            uncovered[np.setxor1d(key, csr[mine], assume_unique=True) // n] = True
         at = np.minimum(np.searchsorted(key, csr[mine]), len(key) - 1)
         first[mine], second[mine] = one[at], two[at]
-    return flagged, over, first, second
+    if over.any():
+        raise BudgetError(f"a link label of vertex {over.argmax()} reaches {LABEL_LIMIT}, the limit of the pair check")
+    failures = []
+    for v in np.flatnonzero((crossing < rows) | repeated | uncovered | (mobius < n)).tolist():
+        if crossing[v] < rows:
+            row = table.addrs[crossing[v]]
+            failures.append((v, 0, 0, 0, f"link of vertex {v} does not unfold like the Farey complex into {row!r}"))
+        elif repeated[v]:
+            failures.append((v, 0, 0, 0, f"link labeling of vertex {v} is not injective"))
+        elif uncovered[v]:
+            failures.append((v, 1, 0, 0, "labeling does not cover the link"))
+        else:
+            failures.append((v, 3, 0, 0, f"Mobius cross-check failed at {mobius[v]}"))
+    return failures, first, second
 
 
 def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
@@ -853,46 +825,6 @@ def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
     return v, i * (indptr[v + 1] - indptr[v]) + j
 
 
-def _check_vertex(ball: TetBall, v: int, failures: list) -> tuple[bool, tuple | None]:
-    """The per-vertex link check of v by ``_link_labels`` breadth-first searches.
-
-    Appends v's labelling, coverage, relabelling and Mobius failures and
-    raises BudgetError for a label over ``LABEL_LIMIT``.  Returns whether the
-    first labelling succeeded and v's (v, members, labels, edge keys) entry,
-    arrays after v, which ``_edge_mismatches`` scores as a block of one, or
-    None when v has no pair check.
-    """
-    rows = sorted(ball.support(v).tolist(), key=ball.table.addrs.__getitem__)
-    try:
-        labels = _link_labels(ball, v, _base_triple(ball, v, rows[0]))
-    except (RuntimeError, ValueError) as exc:
-        failures.append((v, 0, 0, 0, str(exc)))
-        return False, None
-    members = ball.neighbors(v)
-    if labels.keys() != set(members.tolist()):
-        failures.append((v, 0, 0, 0, "labeling does not cover the link"))
-        return True, None
-    other_base = _base_triple(ball, v, rows[-1])
-    try:
-        relabels = _link_labels(ball, v, other_base)
-    except (RuntimeError, ValueError) as exc:
-        failures.append((v, 0, 0, 0, f"relabelling from base {other_base}: {exc}"))
-    else:
-        u = _mobius_mismatch(labels, relabels, other_base)
-        if u is not None:
-            failures.append((v, 2, 0, 0, f"Mobius cross-check failed at {u}"))
-    row = [labels[u] for u in members.tolist()]
-    if max(map(abs, chain.from_iterable(row))) >= LABEL_LIMIT:
-        raise BudgetError(f"a link label of vertex {v} reaches {LABEL_LIMIT}, the limit of the pair check")
-    # The link edge (i, j), i < j, for each neighbour x_j of each member x_i.
-    k = len(members)
-    i = np.repeat(np.arange(k), np.diff(ball.indptr)[members])
-    x = np.concatenate([ball.neighbors(u) for u in members.tolist()])
-    j = np.minimum(np.searchsorted(members, x), k - 1)
-    hit = (members[j] == x) & (i < j)
-    return True, (v, members, np.array(row, dtype=np.int64), i[hit] * k + j[hit])
-
-
 def link_labeling_report(ball: TetBall) -> list[dict]:
     """Check that every in-ball link labels injectively onto a Farey subcomplex.
 
@@ -906,44 +838,49 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
     j holds the labels of the other three slots in the link of
     ``verts[t, j]``.  In a ball shaped like a generated one the tetrahedra
     containing v are the subtree below its birth row that keeps v at its
-    slot, and ``_link_labels``'s breadth-first search from a base row of that
-    subtree reaches every other row from its tree neighbour nearer the base,
-    by a crossing that keeps two labels and forces the third.  From the
-    birth row that neighbour is the parent; from the last row it is the
-    child on the path up to the birth row, then the parent off that path.
-    The pass makes exactly those crossings, so its labels are the search's.
+    slot, and the breadth-first search ``_link_labels`` of
+    ``tests/oracles.py`` from a base row of that subtree reaches every other
+    row from its tree neighbour nearer the base, by a crossing that keeps
+    two labels and forces the third.  From the birth row that neighbour is
+    the parent; from the last row it is the child on the path up to the
+    birth row, then the parent off that path.  The pass makes exactly those
+    crossings, so its labels are the search's.
 
-    The pass flags every vertex on which a crossing, the Mobius check,
-    uniqueness or injectivity of its labels, or coverage of its adjacency
-    fails; those vertices, and every vertex of a ball not shaped like a
-    generated one, take the per-vertex searches of ``_check_vertex``, which
-    write their records and score their pairs one vertex at a time.  The
-    vertices the pass clears are scored one degree class at a time, in
-    blocks of about ``BLOCK_ELEMS`` pairs, on members, labels and link
-    edges (``_link_edges``) sliced from CSR order.  A label over
-    ``LABEL_LIMIT`` raises BudgetError for the least vertex holding one.
-    Failures are listed by vertex, and within a vertex labelling or
-    coverage failures first, then edge mismatches in pair order, then the
-    Mobius cross-check.
+    The pass writes one record per vertex a check fails on: a crossing
+    check, naming the row it fails on entering; injectivity of its labels;
+    coverage of its adjacency; or the Mobius check, naming a member.  A
+    ball not shaped like a generated one has no link labelled: every vertex
+    gets a record naming the first row in address order that breaks the
+    shape (a missing parent, an unreduced address, a reused vertex, or
+    other than one slot changed), and ``vertices_checked`` is 0.  Every
+    vertex whose labels are injective and cover its adjacency is scored for
+    edge mismatches one degree class at a time, in blocks of about
+    ``BLOCK_ELEMS`` pairs, on members, labels and link edges
+    (``_link_edges``) sliced from CSR order.  A label over ``LABEL_LIMIT``
+    raises BudgetError for the least vertex holding one.  Failures are
+    listed by vertex, and within a vertex labelling or coverage failures
+    first, then edge mismatches in pair order, then the Mobius cross-check;
+    ``vertices_checked`` counts the labelled links.
     """
+    failures, vertices_checked = _link_failures(ball)
+    return [
+        {
+            "name": "link_labelings",
+            "ok": not failures,
+            "vertices_checked": vertices_checked,
+            "failures": [{"vertex": f[0], "error": f[4]} for f in failures[:5]],
+        }
+    ]
+
+
+def _link_failures(ball: TetBall) -> tuple[list, int]:
+    """Every failure of ``link_labeling_report`` as (vertex, kind, i, j, message), in order, and the
+    number of labelled links."""
     n = ball.n_vertices
-    failures = []  # (vertex, kind, i, j, message)
-    found = _link_pass(ball)
-    if found is None:
-        flagged, over, labels = np.ones(n, dtype=bool), np.zeros(n, dtype=bool), None
-    else:
-        flagged, over, labels, _ = found
-    cleared = np.flatnonzero(~flagged)
-    stop = int(cleared[over[cleared]].min(initial=n))  # the least cleared vertex over the limit
-    vertices_checked = len(cleared)
-    for v in np.flatnonzero(flagged[:stop]).tolist():
-        labelled, entry = _check_vertex(ball, v, failures)
-        vertices_checked += labelled
-        if entry is not None:
-            v, members, row, keys = entry
-            failures += _edge_mismatches([v], members[None], row[None], keys)
-    if stop < n:
-        raise BudgetError(f"a link label of vertex {stop} reaches {LABEL_LIMIT}, the limit of the pair check")
+    failures, labels, _ = _link_pass(ball)
+    unscored = np.zeros(n, dtype=bool)
+    unscored[[f[0] for f in failures if f[1] < 2]] = True
+    cleared = np.flatnonzero(~unscored)
     if len(cleared):
         indptr, degree = ball.indptr, np.diff(ball.indptr)
         vs = cleared[np.argsort(degree[cleared], kind="stable")]  # by degree, then vertex
@@ -951,7 +888,7 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
         pos = np.full(n, -1)
         pos[vs] = np.arange(len(vs))
         owner, keys = _link_edges(ball)
-        at = pos[owner]  # each link edge's owner by its place in vs, -1 if flagged
+        at = pos[owner]  # each link edge's owner by its place in vs, -1 if unscored
         order = np.argsort(at)
         at, keys = at[order], keys[order]
         lo = 0
@@ -964,11 +901,4 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
             failures += _edge_mismatches(block, ball.indices[col], labels[col], (at[e0:e1] - lo) * k * k + keys[e0:e1])
             lo = hi
     failures.sort(key=lambda f: f[:4])
-    return [
-        {
-            "name": "link_labelings",
-            "ok": not failures,
-            "vertices_checked": vertices_checked,
-            "failures": [{"vertex": f[0], "error": f[4]} for f in failures[:5]],
-        }
-    ]
+    return failures, n - len({f[0] for f in failures if f[1] == 0})

@@ -3,20 +3,20 @@
 Each function here is the plain, one-item-at-a-time form of something
 ``crosscap3`` computes in bulk: tree walks on addresses, per-triangle
 cofaces, per-vertex link labels, per-pair bottleneck triangles and
-separation, the Mobius action on slopes, and the ordered tetrahedra in
-order.  None of it is called by the package itself.
+separation, the Mobius action on slopes with the matrices of ordered Farey
+triangles, and the ordered tetrahedra in order.  None of it is called by the package itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 
-from crosscap3 import tet_tree
 from crosscap3.curve_graph import CurveGraphBall
-from crosscap3.farey import Matrix, Slope, mat_det
+from crosscap3.farey import Slope, triangle
 from crosscap3.metric import DistanceTable, _tet_ball
 from crosscap3.rigidity import ROOT_TET, MappingClassElement, OrderedTet
 from crosscap3.tet_tree import ALPHABET, TetBall
@@ -80,20 +80,101 @@ def support_connected(ball: TetBall, v: int) -> bool:
     return np.count_nonzero(~np.isin(ball.table.parent[rows], rows)) == 1
 
 
+def _slope_pair(p: int, q: int) -> tuple[int, int]:
+    """The canonical integer pair of a primitive vector: q > 0, or (1, 0)."""
+    if q < 0 or (q == 0 and p < 0):
+        return -p, -q
+    return p, q
+
+
+def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
+    """Label the link of v by Farey slopes, as canonical integer pairs (p, q).
+
+    ``base`` is an ordered triple of neighbours of v spanning a triangle of
+    the link; it receives (0/1, 1/0, 1/1).  The labelling is extended over
+    the tetrahedra containing v, a subtree of the address tree, breadth
+    first.  Crossing from one tetrahedron to the next keeps a pair x, y of
+    the link and replaces one vertex, whose label is forced to be the other
+    common neighbour of the pair.  For adjacent primitive labels x and y
+    those are x + y and x - y, again primitive, so no gcd is needed.
+
+    Raises ValueError if ``base`` is not a link triangle and RuntimeError if
+    the link fails to match the Farey complex; each message names the
+    tetrahedra, vertices or labels at fault.
+    """
+    a, b, c = base
+    if len({a, b, c}) != 3 or not {a, b, c} <= set(ball.neighbors(v).tolist()):
+        raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")
+    table = ball.table
+    rows = ball.support(v)
+    members = set(rows.tolist())
+    cofaces = members.intersection(*(ball.support(x).tolist() for x in base))
+    if len(cofaces) != 1:
+        raise ValueError(
+            f"base triple {base} of vertex {v} has cofaces {sorted(table.addrs[t] for t in cofaces)}, not exactly one"
+        )
+    # The tree neighbours of each member: its parent, then its children in face order.
+    verts, near = {}, {}
+    for t, vs, p, f, across in zip(
+        rows.tolist(), table.verts[rows].tolist(), table.parent[rows].tolist(),
+        table.face[rows].tolist(), table.nbr[rows].tolist(),
+    ):
+        verts[t], near[t] = set(vs), [p] + [across[k] for k in range(4) if k != f]
+    labels = {a: (0, 1), b: (1, 0), c: (1, 1)}
+    seen = set(cofaces)
+    queue = deque(cofaces)
+    while queue:
+        t = queue.popleft()
+        here = verts[t]
+        for nb in near[t]:
+            if nb not in members or nb in seen:
+                continue
+            there = verts[nb]
+            dropped, added, shared = here - there, there - here, here & there
+            if len(dropped) != 1 or len(added) != 1 or len(shared) != 3:
+                raise RuntimeError(
+                    f"tetrahedra {table.addrs[t]!r} and {table.addrs[nb]!r} of vertex {v} share no link triangle"
+                )
+            (d,), (e,) = dropped, added
+            x, y = shared - {v}
+            (p, q), (r, s) = labels[x], labels[y]
+            if abs(p * s - q * r) != 1:
+                raise RuntimeError(f"labels {p}/{q} of {x} and {r}/{s} of {y} are not Farey neighbours")
+            # Labels have q >= 0, so only x - y may need its sign fixed.
+            plus, minus = (p + r, q + s), _slope_pair(p - r, q - s)
+            if labels[d] == plus:
+                new = minus
+            elif labels[d] == minus:
+                new = plus
+            else:
+                raise RuntimeError(
+                    f"link does not unfold like the Farey complex: {d} is not "
+                    f"a common neighbour of {x} and {y} in {table.addrs[t]!r}"
+                )
+            if labels.setdefault(e, new) != new:
+                raise RuntimeError(f"link labeling is inconsistent at {e} from {table.addrs[nb]!r}")
+            seen.add(nb)
+            queue.append(nb)
+    if len(seen) != len(members):
+        raise RuntimeError(f"support of vertex {v} is not tree-connected")
+    if len(set(labels.values())) != len(labels):
+        raise RuntimeError(f"link labeling of vertex {v} is not injective")
+    return labels
+
+
 def link_slope_labeling(ball: TetBall, v: int, base_tri: tuple[int, int, int]) -> dict:
     """Label the link of v by Farey slopes, realizing the link isomorphism.
 
     ``base_tri`` is an ordered triple of neighbours of v spanning a triangle
     of the link; it receives (0/1, 1/0, 1/1).  The labeling is extended over
     the whole in-ball link by matching link unfolds with Farey unfolds (see
-    ``tet_tree._link_labels``).
+    ``_link_labels``).
 
     Returns a dict vertex -> Slope covering every in-ball neighbour of v.
     Raises ValueError if base_tri is not a link triangle and RuntimeError if
     the ball's link fails to match the Farey complex (a model violation).
     """
-    # Looked up at call time, so that a test patching ``tet_tree._link_labels`` reaches it.
-    return {u: Slope(p, q) for u, (p, q) in tet_tree._link_labels(ball, v, base_tri).items()}
+    return {u: Slope(p, q) for u, (p, q) in _link_labels(ball, v, base_tri).items()}
 
 
 def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
@@ -199,7 +280,13 @@ def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassEleme
 
 
 # ---------------------------------------------------------------------------
-# The Mobius action on slopes
+# The Mobius action on slopes, and the matrices of ordered Farey triangles
+
+Matrix = tuple  # ((a, b), (c, d)) with integer entries and determinant +-1
+
+#: An ordered Farey triangle is a tuple of three distinct pairwise adjacent slopes.
+OrderedTriangle = tuple
+
 
 def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
     (a, b), (c, d) = m1
@@ -213,3 +300,42 @@ def mobius_apply(m: Matrix, s: Slope) -> Slope:
         raise ValueError(f"matrix determinant must be +-1, got {mat_det(m)}")
     (a, b), (c, d) = m
     return Slope.of(a * s.num + b * s.den, c * s.num + d * s.den)
+
+
+def mat_det(m: Matrix) -> int:
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def mat_inverse(m: Matrix) -> Matrix:
+    det = mat_det(m)
+    if abs(det) != 1:
+        raise ValueError(f"matrix determinant must be +-1, got {det}")
+    (a, b), (c, d) = m
+    if det == 1:
+        return ((d, -b), (-c, a))
+    return ((-d, b), (c, -a))
+
+
+def triangle_matrix(t: OrderedTriangle) -> Matrix:
+    """The integer matrix sending (0/1, 1/0, 1/1) to ``t`` slot-wise.
+
+    Unique up to global sign; its Mobius action (``mobius_apply``) realizes
+    the ordered triangle correspondence, which is the reference for the
+    Mobius cross-check of ``tet_tree.link_labeling_report``.
+    """
+    a, b, c = validate_ordered_triangle(t)
+    if c == Slope.of(a.num + b.num, a.den + b.den):
+        return ((b.num, a.num), (b.den, a.den))
+    if c == Slope.of(a.num - b.num, a.den - b.den):
+        return ((b.num, -a.num), (b.den, -a.den))
+    raise ValueError(f"({a}, {b}, {c}) is not an ordered Farey triangle")
+
+
+def validate_ordered_triangle(t: Iterable[Slope]) -> OrderedTriangle:
+    """Check that t is a sequence of 3 distinct pairwise adjacent slopes."""
+    t = tuple(t)
+    if len(t) != 3:
+        raise ValueError("ordered triangle needs exactly 3 slopes")
+    triangle(*t)
+    return t

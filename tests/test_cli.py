@@ -324,6 +324,28 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:") and "CROSSCAP3_RADIUS_CAP" in err
 
+    @pytest.mark.parametrize("spelling", ["٣", "1_0", "+2", " 2"])
+    @pytest.mark.parametrize("where", ["--radius", "--level", "--seed", "--sample-cap", "CROSSCAP3_RADIUS_CAP"])
+    def test_rejects_loose_integers(self, capsys, monkeypatch, where, spelling):
+        # int() reads each spelling (an Arabic-Indic 3, then 10, 2 and 2); every integer
+        # input takes ASCII digits only, with a leading minus allowed on the options.
+        # ``TestFarey.test_rejects_loose_integers`` has the same spellings of the ball radius.
+        argv = {
+            "--radius": ["stats", "--radius", spelling],
+            "--level": ["rigidity", "--level", spelling],
+            "--seed": ["hyperbolicity", "--radius", "1", "--seed", spelling],
+            "--sample-cap": ["hyperbolicity", "--radius", "1", "--sample-cap", spelling],
+            "CROSSCAP3_RADIUS_CAP": ["stats", "--radius", "1"],
+        }[where]
+        if where == "CROSSCAP3_RADIUS_CAP":
+            monkeypatch.setenv(where, spelling)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an option's value itself
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and "error:" in out.err
+
     def test_bad_sample_cap(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "1", "--sample-cap", "0")
         assert code == 2 and err.startswith("error:")

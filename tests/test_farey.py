@@ -9,14 +9,11 @@ from crosscap3.farey import (
     common_neighbors,
     farey_adjacent,
     farey_ball,
-    mat_det,
-    mat_inverse,
     mediant,
     triangle,
-    triangle_matrix,
     triangle_unfold,
 )
-from oracles import mat_mul, mobius_apply
+from oracles import mat_det, mat_inverse, mat_mul, mobius_apply, triangle_matrix
 
 
 def s(text):

@@ -224,6 +224,19 @@ class TestOrderedTet:
         with pytest.raises(ValueError):
             OrderedTet("", (0, 1, 2))
 
+    @pytest.mark.parametrize("verts", [[0, 1, 2, 3], np.arange(4)], ids=["list", "numpy row"])
+    def test_vertices_are_stored_as_a_tuple_of_ints(self, ball, verts):
+        # A list never equals the tuple in ROOT_TET and does not hash; a numpy row holds numpy ints.
+        e = MappingClassElement(OrderedTet("", verts))
+        assert e == MappingClassElement.identity() and hash(e) == hash(MappingClassElement.identity())
+        assert type(e.dst.verts) is tuple and all(type(v) is int for v in e.dst.verts)
+        assert e.is_identity() and compose(e, e, ball(2)).is_identity()
+
+    @pytest.mark.parametrize("verts", [(0.0, 1.0, 2.0, 3.0), "0123"], ids=["float", "str"])
+    def test_rejects_vertices_that_are_not_ints(self, verts):
+        with pytest.raises(TypeError):
+            OrderedTet("", verts)
+
     def test_identity(self):
         e = MappingClassElement.identity()
         assert e.is_identity()

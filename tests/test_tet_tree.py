@@ -12,18 +12,11 @@ from hypothesis import strategies as st
 from conftest import adjacency_sets, coresidence_sets, support_sets, with_edges
 from crosscap3 import cli, tet_tree
 from crosscap3.errors import BudgetError, RadiusCapError
-from crosscap3.farey import (
-    Slope,
-    common_neighbors,
-    farey_adjacent,
-    mat_inverse,
-    triangle_matrix,
-)
+from crosscap3.farey import Slope, common_neighbors, farey_adjacent
 from crosscap3.tet_tree import (
     ALPHABET,
     TetBall,
     TetTable,
-    _slope_pair,
     _unfold,
     ball_to_json,
     count_checks,
@@ -35,14 +28,18 @@ from crosscap3.tet_tree import (
     structural_report,
 )
 from oracles import (
+    _link_labels,
+    _slope_pair,
     has_edge,
     link_slope_labeling,
+    mat_inverse,
     mobius_apply,
     neighbor,
     support_connected,
     tree_distance,
     tree_path,
     triangle_cofaces,
+    triangle_matrix,
 )
 
 
@@ -154,8 +151,8 @@ class TestGenerateBall:
     def test_verify_builds_no_strings_or_sets(self, monkeypatch):
         made = []
 
-        def generate(radius, **kwargs):
-            made.append(generate_ball(radius, **kwargs))
+        def generate(radius):
+            made.append(generate_ball(radius))
             return made[-1]
 
         monkeypatch.setattr(tet_tree, "generate_ball", generate)
@@ -177,8 +174,6 @@ class TestGenerateBall:
     def test_radius_cap(self):
         with pytest.raises(RadiusCapError):
             generate_ball(radius_cap() + 1)
-        with pytest.raises(RadiusCapError):
-            generate_ball(3, cap=2)
         with pytest.raises(ValueError):
             generate_ball(-1)
 
@@ -269,8 +264,9 @@ class TestLinkLabeling:
             link_slope_labeling(ball(1), 0, (5, 6, 7))
 
 
-def slope_loop_report(ball):
-    """The link labelling report as one loop over Slope pairs: the reference."""
+def slope_loop_failures(ball):
+    """Every failure of the link labelling report as (vertex, error), and the number of
+    labelled links, by one loop over Slope pairs: the reference."""
     failures = []
     vertices_checked = 0
     adjacency, support = adjacency_sets(ball), support_sets(ball)
@@ -279,33 +275,44 @@ def slope_loop_report(ball):
         try:
             labels = link_slope_labeling(ball, v, base)
         except (RuntimeError, ValueError) as exc:
-            failures.append({"vertex": v, "error": str(exc)})
+            failures.append((v, str(exc)))
             continue
         vertices_checked += 1
         nbrs = adjacency[v]
         if set(labels) != nbrs:
-            failures.append({"vertex": v, "error": "labeling does not cover the link"})
+            failures.append((v, "labeling does not cover the link"))
             continue
         members = sorted(nbrs)
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 if (y in adjacency[x]) != farey_adjacent(labels[x], labels[y]):
-                    failures.append({"vertex": v, "error": f"edge mismatch at ({x}, {y})"})
+                    failures.append((v, f"edge mismatch at ({x}, {y})"))
         other_base = tuple(x for x in ball.tets[max(support[v])] if x != v)
         relabels = link_slope_labeling(ball, v, other_base)
         m = mat_inverse(triangle_matrix(tuple(labels[x] for x in other_base)))
         for u, slope in labels.items():
             if relabels[u] != mobius_apply(m, slope):
-                failures.append({"vertex": v, "error": f"Mobius cross-check failed at {u}"})
+                failures.append((v, f"Mobius cross-check failed at {u}"))
                 break
+    return failures, vertices_checked
+
+
+def slope_loop_report(ball):
+    """The link labelling report as one loop over Slope pairs: the reference."""
+    failures, vertices_checked = slope_loop_failures(ball)
     return [
         {
             "name": "link_labelings",
             "ok": not failures,
             "vertices_checked": vertices_checked,
-            "failures": failures[:5],
+            "failures": [{"vertex": v, "error": error} for v, error in failures[:5]],
         }
     ]
+
+
+def pass_failures(ball):
+    """Every failure of ``link_labeling_report`` as (vertex, error), untruncated."""
+    return [(f[0], f[4]) for f in tet_tree._link_failures(ball)[0]]
 
 
 def ball_with_extra_link_edges(radius, v, count=1):
@@ -316,16 +323,14 @@ def ball_with_extra_link_edges(radius, v, count=1):
     return with_edges(b, add=[(x, y) for y in [u for u in members[1:] if not has_edge(b, x, u)][:count]])
 
 
-def flag_vertices(monkeypatch, *vertices):
-    """Make the table pass flag ``vertices``, so they take the per-vertex searches."""
-    link_pass = tet_tree._link_pass
+def base_of(ball, v, addr):
+    """The other three vertices of the tetrahedron at ``addr``, in slot order: a base triple of v."""
+    return tuple(x for x in ball.tets[addr] if x != v)
 
-    def flagging(ball_):
-        flagged, *rest = link_pass(ball_)
-        flagged[list(vertices)] = True
-        return (flagged, *rest)
 
-    monkeypatch.setattr(tet_tree, "_link_pass", flagging)
+# A seed for the links at slot 0 that is not a Farey triangle: (0/1, 1/0, 2/1).
+BAD_SEED = tet_tree._SEED.copy()
+BAD_SEED[0, 3] = (2, 1)
 
 
 class TestLinkLabelingReport:
@@ -366,54 +371,94 @@ class TestLinkLabelingReport:
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         assert link_labeling_report(b) == want
 
-    def test_swapped_vertices_name_the_tetrahedra(self, ball):
-        tets = dict(ball(3).tets)
-        a, c = list(tets["01"]), list(tets["32"])
-        a[1], c[2] = c[2], a[1]
-        tets["01"], tets["32"] = tuple(a), tuple(c)
-        (report,) = link_labeling_report(TetBall(3, tets))
-        assert not report["ok"]
-        assert report["failures"][:2] == [
-            {"vertex": 0, "error": "tetrahedra '32' and '321' of vertex 0 share no link triangle"},
-            {"vertex": 1, "error": "tetrahedra '32' and '320' of vertex 1 share no link triangle"},
+    def test_swapped_vertices_name_the_tetrahedra(self):
+        # After the swap '010' differs from '01' in two slots: no link is labelled.
+        fault = "tetrahedron '010' does not change exactly one slot of its parent"
+        error = f"ball is not shaped like a generated one: {fault}"
+        assert link_labeling_report(ball_with_swapped_vertices()) == [
+            {
+                "name": "link_labelings",
+                "ok": False,
+                "vertices_checked": 0,
+                "failures": [{"vertex": v, "error": error} for v in range(5)],
+            }
         ]
 
-    def test_relabelling_failure_is_a_record(self, ball, monkeypatch):
-        b = ball(2)
-        labels_of = tet_tree._link_labels
-        second = tuple(x for x in b.tets[max(support_sets(b)[7])] if x != 7)
+    def test_crossing_failure_names_the_row(self, monkeypatch):
+        # Every crossing out of a slot-0 seed fails; a vertex at slot 0 in more than one
+        # row gets one record, naming the first row entered by a failing crossing.
+        monkeypatch.setattr(tet_tree, "_SEED", BAD_SEED)
+        b = generate_ball(2)
+        failures, checked = tet_tree._link_failures(b)
+        assert [f for f in failures if f[1] == 0] == [
+            (0, 0, 0, 0, "link of vertex 0 does not unfold like the Farey complex into ''"),
+            (4, 0, 0, 0, "link of vertex 4 does not unfold like the Farey complex into '0'"),
+        ]
+        assert checked == b.n_vertices - 2
 
-        def failing(ball_, v, base):
-            if v == 7 and base == second:
-                raise RuntimeError("broken")
-            return labels_of(ball_, v, base)
+    def test_relabelling_failure_is_a_record(self, monkeypatch):
+        # The bad seed in the second labelling of slot 0 only: the walk up from the last
+        # row of each slot-0 vertex fails, and the first labelling stays clean.
+        b = generate_ball(2)
+        slot_labels, calls = tet_tree._slot_labels, []
 
-        monkeypatch.setattr(tet_tree, "_link_labels", failing)
-        flag_vertices(monkeypatch, 7)
-        (report,) = link_labeling_report(b)
-        assert report["failures"] == [{"vertex": 7, "error": f"relabelling from base {second}: broken"}]
-        assert report["vertices_checked"] == b.n_vertices
+        def corrupted(table, born, cross, j, start):
+            calls.append(j)
+            with monkeypatch.context() as m:
+                if calls == [0, 0]:
+                    m.setattr(tet_tree, "_SEED", BAD_SEED)
+                return slot_labels(table, born, cross, j, start)
+
+        monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
+        failures, checked = tet_tree._link_failures(b)
+        crossings = {f[0]: f[4] for f in failures if f[1] == 0}
+        assert sorted(crossings) == [v for v in b.vertices() if b.table.colour[v] == 0 and len(b.support(v)) > 1]
+        assert crossings[4] == "link of vertex 4 does not unfold like the Farey complex into '0'"
+        assert checked == b.n_vertices - len(crossings)
+
+    def test_injectivity_failure_is_a_record(self, ball, monkeypatch):
+        # Member 2 of the link of vertex 0 takes member 1's first label 0/1 in every row:
+        # only the injectivity check and the Mobius check can notice, and injectivity wins.
+        slot_labels, calls = tet_tree._slot_labels, []
+
+        def corrupted(table, born, cross, j, start):
+            labels, big, bad = slot_labels(table, born, cross, j, start)
+            calls.append(j)
+            if calls == [0]:
+                labels[(table.verts[:, 0] == 0) & (table.verts[:, 2] == 2), 2] = (0, 1)
+            return labels, big, bad
+
+        monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
+        b = ball(3)
+        assert tet_tree._link_failures(b) == (
+            [(0, 0, 0, 0, "link labeling of vertex 0 is not injective")],
+            b.n_vertices - 1,
+        )
 
     def test_mobius_failure_follows_the_edge_mismatches(self, monkeypatch):
-        # Two labels swapped in the relabelling of vertex 0 break the Mobius
-        # cross-check; both implementations read the same relabelling.
+        # The second labels of the two greatest members x < y of the link of vertex 0 are
+        # swapped in every row: only the Mobius check notices, and its record follows the
+        # edge mismatches of the extra edges, which are the slope loop's.
         b = ball_with_extra_link_edges(3, 0, 2)
-        labels_of = tet_tree._link_labels
-        second = tuple(x for x in b.tets[max(support_sets(b)[0])] if x != 0)
+        x, y = b.neighbors(0).tolist()[-2:]
+        slot_labels, calls = tet_tree._slot_labels, []
 
-        def swapped(ball_, v, base):
-            labels = labels_of(ball_, v, base)
-            if v == 0 and base == second:
-                x, y = sorted(labels)[-2:]
-                labels[x], labels[y] = labels[y], labels[x]
-            return labels
+        def swapped(table, born, cross, j, start):
+            labels, big, bad = slot_labels(table, born, cross, j, start)
+            calls.append(j)
+            if calls == [0, 0]:
+                mine, colour = table.verts[:, 0] == 0, table.colour
+                at = {u: mine & (table.verts[:, colour[u]] == u) for u in (x, y)}
+                first = {u: labels[at[u], colour[u]][0].copy() for u in (x, y)}
+                labels[at[x], colour[x]], labels[at[y], colour[y]] = first[y], first[x]
+            return labels, big, bad
 
-        monkeypatch.setattr(tet_tree, "_link_labels", swapped)
-        flag_vertices(monkeypatch, 0)
-        (report,) = link_labeling_report(b)
-        assert [report] == slope_loop_report(b)
-        errors = [f["error"] for f in report["failures"] if f["vertex"] == 0]
-        assert [e.split(" at ")[0] for e in errors] == ["edge mismatch"] * 2 + ["Mobius cross-check failed"]
+        monkeypatch.setattr(tet_tree, "_slot_labels", swapped)
+        want, _ = slope_loop_failures(b)
+        at = max(i for i, (v, _) in enumerate(want) if v == 0) + 1
+        want.insert(at, (0, f"Mobius cross-check failed at {x}"))
+        assert pass_failures(b) == want
+        assert [e.split(" at ")[0] for v, e in want if v == 0] == ["edge mismatch"] * 2 + ["Mobius cross-check failed"]
 
     def test_label_limit_raises(self, ball, monkeypatch):
         # The radius-1 link of vertex 0 reaches the label 2/1.
@@ -424,19 +469,26 @@ class TestLinkLabelingReport:
             link_labeling_report(ball(1))
 
     @pytest.mark.parametrize("flags", [(), (0,), (1,), (2, 3), "all"])
-    def test_label_limit_names_the_least_vertex(self, ball, monkeypatch, flags):
-        # Flagged vertices are checked one at a time and cleared ones by
-        # degree class; the error names the least over-limit vertex of both.
-        b = ball(2)
-        monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 3)
+    def test_label_limit_names_the_least_vertex(self, monkeypatch, flags):
+        # The error comes before any record: it names the least vertex holding a label
+        # over the limit in either labelling, also when the listed vertices (or all of
+        # them) fail the coverage check because one of their edges is cut.
+        b = generate_ball(2)
         support = support_sets(b)
-        over = []
-        for v in b.vertices():
-            base = tet_tree._base_triple(b, v, b.table.rows[min(support[v])])
-            if max(abs(x) for label in tet_tree._link_labels(b, v, base).values() for x in label) >= 3:
-                over.append(v)
+        over = sorted(
+            {
+                v
+                for v in b.vertices()
+                for addr in (min(support[v]), max(support[v]))
+                if max(abs(x) for label in _link_labels(b, v, base_of(b, v, addr)).values() for x in label) >= 3
+            }
+        )
         assert over == [0, 1, 2, 3]
-        flag_vertices(monkeypatch, *(b.vertices() if flags == "all" else flags))
+        cut = b.edges().tolist() if flags == "all" else [(v, int(b.neighbors(v)[-1])) for v in flags]
+        with_edges(b, remove=cut)
+        uncovered = {f[0] for f in tet_tree._link_failures(b)[0] if f[1] == 1}
+        assert set(b.vertices() if flags == "all" else flags) <= uncovered
+        monkeypatch.setattr(tet_tree, "LABEL_LIMIT", 3)
         with pytest.raises(BudgetError, match=f"of vertex {over[0]} reaches"):
             link_labeling_report(b)
 
@@ -493,66 +545,99 @@ MALFORMED = {
 }
 
 
-# The malformed balls on which every vertex takes the per-vertex searches.
-NOT_SHAPED = {"swapped", "missing_parent", "missing_root_child", "reused_dropped", "reused_other", "moved_inner"}
-
-
-def table_entry(b, link_pass, edges, v):
-    """The pair-check entry of v as the table pass gives it, as plain lists."""
-    lo, hi = b.indptr[v], b.indptr[v + 1]
-    owner, keys = edges
-    return v, b.indices[lo:hi].tolist(), [tuple(x) for x in link_pass[2][lo:hi].tolist()], sorted(keys[owner == v].tolist())
+# The malformed balls ``_link_shape`` rejects, with the first row that breaks the shape.
+NOT_SHAPED = {
+    "missing_parent": "tetrahedron '010' has no parent in the ball",
+    "missing_root_child": "tetrahedron '20' has no parent in the ball",
+    "moved_inner": "tetrahedron '010' does not change exactly one slot of its parent",
+    "reused_dropped": "tetrahedron '01' does not change exactly one slot of its parent",
+    "reused_other": "tetrahedron '01' reuses vertex 5",
+    "swapped": "tetrahedron '010' does not change exactly one slot of its parent",
+}
 
 
 class TestLinkPass:
     @pytest.mark.parametrize("radius", range(7))
     def test_labels_match_both_searches(self, ball, radius):
         b = ball(radius)
-        flagged, over, labels, relabels = tet_tree._link_pass(b)
-        assert not flagged.any() and not over.any()
+        failures, labels, relabels = tet_tree._link_pass(b)
+        assert not failures
         support = support_sets(b)
         for v in b.vertices():
             lo, hi = b.indptr[v], b.indptr[v + 1]
             members = b.indices[lo:hi].tolist()
             for table, addr in ((labels, min(support[v])), (relabels, max(support[v]))):
-                found = tet_tree._link_labels(b, v, tet_tree._base_triple(b, v, b.table.rows[addr]))
+                found = _link_labels(b, v, base_of(b, v, addr))
                 assert [found[u] for u in members] == [tuple(x) for x in table[lo:hi].tolist()]
 
     @pytest.mark.parametrize("radius", range(7))
     def test_clean_ball_takes_no_search(self, ball, monkeypatch, radius):
+        # The pass reads the table and the CSR arrays whole: no query per vertex.
         def no_search(*args):
-            raise AssertionError("per-vertex search on a clean ball")
+            raise AssertionError("per-vertex query on a clean ball")
 
-        monkeypatch.setattr(tet_tree, "_link_labels", no_search)
-        (report,) = link_labeling_report(ball(radius))
-        assert report["ok"] and report["vertices_checked"] == ball(radius).n_vertices
+        b = ball(radius)
+        for name in ("neighbors", "support", "vertex_depth"):
+            monkeypatch.setattr(TetBall, name, no_search)
+        (report,) = link_labeling_report(b)
+        assert report["ok"] and report["vertices_checked"] == b.n_vertices
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_ball_matches_slope_loop(self, name):
+        # On a shaped ball the pass fails on exactly the slope loop's vertices, with its edge
+        # mismatches; on any other ball no link is labelled and every vertex has the record
+        # naming the fault, so again every vertex the slope loop fails on has a record.
         b = MALFORMED[name]()
         (report,) = link_labeling_report(b)
+        failures, (want, _) = pass_failures(b), slope_loop_failures(b)
         assert not report["ok"]
-        assert [report] == slope_loop_report(b)
+        if name in NOT_SHAPED:
+            error = f"ball is not shaped like a generated one: {NOT_SHAPED[name]}"
+            assert report["vertices_checked"] == 0
+            assert report["failures"][0] == {"vertex": 0, "error": error}
+            assert failures == [(v, error) for v in b.vertices()]
+            assert {v for v, _ in want} <= {v for v, _ in failures}
+        else:
+            assert {v for v, _ in failures} == {v for v, _ in want}
+
+            def edge(records):
+                return [(v, e) for v, e in records if e.startswith("edge mismatch")]
+
+            assert edge(failures) == edge(want)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_cleared_vertices_pass_the_per_vertex_check(self, name):
-        # The pass clears a vertex only if the per-vertex searches find
-        # nothing on it and give the same pair-check entry.
+        # The pass clears a vertex only if the per-vertex searches from both bases
+        # give its labels; on a ball it rejects it labels no link.
         b = MALFORMED[name]()
-        link_pass = tet_tree._link_pass(b)
-        assert (link_pass is None) == (name in NOT_SHAPED)
-        if link_pass is None:
+        failures, labels, relabels = tet_tree._link_pass(b)
+        flagged = {f[0] for f in failures}
+        if name in NOT_SHAPED:
+            assert labels is None and relabels is None and flagged == set(b.vertices())
             return
-        edges = tet_tree._link_edges(b)
-        cleared = np.flatnonzero(~link_pass[0]).tolist()
+        cleared = sorted(set(b.vertices()) - flagged)
         assert 0 < len(cleared) < b.n_vertices
+        support = support_sets(b)
         for v in cleared:
-            failures = []
-            labelled, (u, members, row, keys) = tet_tree._check_vertex(b, v, failures)
-            assert labelled and not failures
-            assert keys.dtype == np.int64
-            entry = (u, members.tolist(), [tuple(x) for x in row.tolist()], sorted(keys.tolist()))
-            assert entry == table_entry(b, link_pass, edges, v)
+            lo, hi = b.indptr[v], b.indptr[v + 1]
+            members = b.indices[lo:hi].tolist()
+            for table, addr in ((labels, min(support[v])), (relabels, max(support[v]))):
+                found = link_slope_labeling(b, v, base_of(b, v, addr))
+                assert [found[u] for u in members] == [Slope(*x) for x in table[lo:hi].tolist()]
+
+    @pytest.mark.parametrize(
+        "tets, fault",
+        [
+            ({"": (-1, 1, 2, 3)}, "tetrahedron '' holds a negative vertex id"),
+            ({"": (0, 1, 2, 3), "0": (4, 1, 2, 3), "00": (5, 1, 2, 3)}, "tetrahedron '00' is not a reduced word"),
+            ({"": (0, 1, 2, 3), "4": (0, 1, 2, 4)}, "tetrahedron '4' is not a reduced word"),
+            ({a: vs for a, vs in _unfold(1).items() if a != "2"}, "vertex 6 is in no tetrahedron"),
+        ],
+    )
+    def test_other_shape_faults(self, tets, fault):
+        b = TetBall(2, tets)
+        error = f"ball is not shaped like a generated one: {fault}"
+        assert tet_tree._link_failures(b) == ([(v, 0, 0, 0, error) for v in b.vertices()], 0)
 
     def test_second_labelling_is_checked_at_every_slot(self, ball, monkeypatch):
         # Relabel one neighbour of each root vertex consistently in every
@@ -560,17 +645,17 @@ class TestLinkPass:
         slot_labels = tet_tree._slot_labels
         calls = []
 
-        def corrupted(table, born, cross, j, start, flagged):
-            labels, big = slot_labels(table, born, cross, j, start, flagged)
+        def corrupted(table, born, cross, j, start):
+            labels, big, bad = slot_labels(table, born, cross, j, start)
             calls.append(j)
             if calls.count(j) == 2:
                 k = (j + 1) % 4
                 labels[(table.verts[:, j] == j) & (table.verts[:, k] == k), k] = (7, 3)
-            return labels, big
+            return labels, big, bad
 
         monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
-        flagged, over, labels, relabels = tet_tree._link_pass(ball(3))
-        assert np.flatnonzero(flagged).tolist() == [0, 1, 2, 3]
+        failures, labels, relabels = tet_tree._link_pass(ball(3))
+        assert failures == [(j, 3, 0, 0, f"Mobius cross-check failed at {(j + 1) % 4}") for j in range(4)]
         assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
