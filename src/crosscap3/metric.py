@@ -20,7 +20,14 @@ at most floor(d(x, y) / 2).  The bound is exact, not sampled.  Both scans
 skip a triple (or an (x, y) pair) whose bound is at most the running
 maximum: it cannot be the first to exceed it, so the maximum and the
 witness are those of the full scan.  Skipped triples still count as
-examined.
+examined.  In the same way, x, y and z lie in the union of the other two
+intervals, so only a b of I(x, y) farther than the running maximum from
+all three can raise it.  The exhaustive scan gathers only the b far from
+x and y.  The sampler scores the triples left after the bound in two
+stages.  Stage 1 decides, for a chunk of triples, only whether each one's
+thinness exceeds the running maximum, pairing just the middle of I(x, y),
+the b far from all three, with the union.  Stage 2 scores the few flagged
+triples in full and takes their first maximum, which is the chunk's.
 
 The bottleneck property (Manning's criterion for a quasi-tree) asks that
 every far-apart pair be separated by a triangle near a geodesic midpoint.
@@ -36,9 +43,9 @@ point-to-interval table is filled one distance level at a time along every
 source's BFS DAG (each interval is its endpoint plus the intervals of the
 endpoint's predecessors), the sampled triples are replayed from
 ``random.Random.getrandbits`` in blocks (the stream of ``random.sample``,
-pinned by an oracle test), and the triples left after the bound are scored
-a chunk at a time.  Tables whose size would exceed ``MAX_TABLE_BYTES`` are
-refused with ``BudgetError`` before allocation.
+pinned by an oracle test), and the triples left after the bound go
+through both stages a chunk at a time.  Tables whose size would exceed
+``MAX_TABLE_BYTES`` are refused with ``BudgetError`` before allocation.
 """
 
 from __future__ import annotations
@@ -429,9 +436,11 @@ def thinness_report(table: DistanceTable, *, sample_cap: int = DEFAULT_SAMPLE_CA
 
     ``triples_examined`` counts every triple the scan covers, whether scored
     or ruled out by the exact bound floor(d(x, y) / 2).  ``triples_scored``
-    counts those actually scored: sampled triples, or on the exhaustive path
-    the (x, y, z) with x < y and z not an endpoint, n - 2 per scored pair,
-    out of 3 * ``triples_examined``.  It is not part of any artifact.
+    counts those past the bound: on the sampled path the triples that
+    stage 1 tests against the running maximum (stage 2 rescores the few it
+    flags), or on the exhaustive path the (x, y, z) with x < y and z not an
+    endpoint, n - 2 per scored pair, out of 3 * ``triples_examined``.  It is
+    not part of any artifact.
     """
     _check_sample_cap(sample_cap)
     n = len(table)
@@ -513,7 +522,10 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
     table is the only large allocation.  Then every pair x < y whose bound
     floor(d(x, y) / 2) exceeds the running maximum is scored against every
     z, and the witness (x, y, z, p) is the first maximum in pair order, then
-    p in I(x, y) and z in row-major order.
+    p in I(x, y) and z in row-major order.  Only the p farther than the
+    running maximum from x and from y are gathered: x lies in I(x, z) and y
+    in I(y, z), so no other p can exceed it.  The bound leaves at least one
+    such p, at distance maximum + 1 from x on a geodesic.
     """
     n = d.shape[0]
     point_to_interval = _point_to_interval(d)
@@ -525,7 +537,8 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
             if d[x, y] // 2 <= best:  # the bound: this pair cannot raise the maximum
                 continue
             scored += n - 2
-            between = np.nonzero(d[x] + d[y] == d[x, y])[0]
+            dx, dy = d[x], d[y]
+            between = np.nonzero((dx + dy == d[x, y]) & (dx > best) & (dy > best))[0]
             vals = np.minimum(
                 point_to_interval[between, x, :], point_to_interval[between, y, :]
             )
@@ -546,29 +559,59 @@ def _triple_thinness(d: np.ndarray, x: int, y: int, z: int) -> tuple[int, int]:
     return int(vals[i]), int(between[i])
 
 
-def _chunk_thinness(d: np.ndarray, xyz: np.ndarray) -> np.ndarray:
-    """Thinness of every triple (row) of ``xyz``, as ``_triple_thinness`` values.
+def _union_distances(
+    d: np.ndarray, xyz: np.ndarray, rows: np.ndarray, mid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """d(b, I(x, z) | I(y, z)) for every b marked in row t of the (t, n) mask ``mid``, and that t.
 
-    The (b, u) pairs of all triples, b in I(x, y) and u in I(x, z) | I(y, z),
-    are laid out flat, grouped by triple and then by b; a min per b and a max
-    per triple reduce them.  Every interval holds its endpoints, so no group
-    is empty.
+    ``rows`` (3, t, n) holds the distance rows d[x], d[y], d[z].  The
+    (b, u) pairs of all triples, u in the union, are laid out flat, grouped
+    by triple and then by b, in row-major order of ``mid``; a min per b
+    reduces them.  Every interval holds its endpoints, so no group is empty.
     """
     n = d.shape[0]
-    t = len(xyz)
     x, y, z = xyz.T
-    dx, dy, dz = d[x], d[y], d[z]
-    tb, b = np.divmod(np.flatnonzero(dx + dy == d[x, y][:, None]), n)
+    dx, dy, dz = rows
+    tb, b = np.divmod(np.flatnonzero(mid), n)
     side = (dx + dz == d[x, z][:, None]) | (dy + dz == d[y, z][:, None])
     tu, u = np.divmod(np.flatnonzero(side), n)
-    n_u = np.bincount(tu, minlength=t)
+    n_u = np.bincount(tu, minlength=len(xyz))
     width = n_u[tb]  # products of each b: the size of its triple's union
     seg = np.cumsum(width) - width
     first_u = (np.cumsum(n_u) - n_u)[tb]
     cols = u[np.arange(width.sum()) - np.repeat(seg - first_u, width)]
-    per_b = np.minimum.reduceat(d[np.repeat(b, width), cols], seg)
-    n_b = np.bincount(tb, minlength=t)
+    return tb, np.minimum.reduceat(d[np.repeat(b, width), cols], seg)
+
+
+def _chunk_thinness(d: np.ndarray, xyz: np.ndarray) -> np.ndarray:
+    """Thinness of every triple (row) of ``xyz``, as ``_triple_thinness`` values.
+
+    Every b of I(x, y) is scored against the union (``_union_distances``),
+    and a max per triple reduces them.
+    """
+    x, y, _ = xyz.T
+    dx, dy, _ = rows = d[xyz.T]
+    tb, per_b = _union_distances(d, xyz, rows, dx + dy == d[x, y][:, None])
+    n_b = np.bincount(tb, minlength=len(xyz))
     return np.maximum.reduceat(per_b, np.cumsum(n_b) - n_b)
+
+
+def _chunk_exceeds(d: np.ndarray, xyz: np.ndarray, best: int) -> np.ndarray:
+    """Whether the thinness of each triple (row) of ``xyz`` exceeds ``best``: ``_chunk_thinness(d, xyz) > best``.
+
+    x, y and z all lie in U = I(x, z) | I(y, z), so a b of I(x, y) within
+    ``best`` of any of them is within ``best`` of U.  Only the middle of
+    I(x, y), the b farther than ``best`` from all three, is scored against
+    U, and a triple exceeds ``best`` exactly when one of them is farther
+    than ``best`` from every u.
+    """
+    x, y, _ = xyz.T
+    dx, dy, dz = rows = d[xyz.T]
+    mid = (dx + dy == d[x, y][:, None]) & (dx > best) & (dy > best) & (dz > best)
+    tb, per_b = _union_distances(d, xyz, rows, mid)
+    out = np.zeros(len(xyz), dtype=bool)
+    out[tb[per_b > best]] = True
+    return out
 
 
 def _group_draws(draws: np.ndarray, want: int) -> tuple[np.ndarray, int]:
@@ -650,8 +693,11 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
     ``random.Random(seed).sample(range(n), 3)``, replayed in blocks by
     ``_sampled_triples``.  A triple whose bound floor(d(x, y) / 2) is at
     most the running maximum cannot be the first to exceed it, so it is
-    skipped; the rest are scored in chunks of at most ``BLOCK_ELEMS // n``.
-    Returns the maximum, the witness and the number of triples scored.
+    skipped; the rest are taken in chunks of at most ``BLOCK_ELEMS // n``.
+    Stage 1 (``_chunk_exceeds``) flags the triples of a chunk whose
+    thinness exceeds the maximum; stage 2 scores only those, and the first
+    of their maxima is the chunk's first maximum.  Returns the maximum, the
+    witness and the number of triples past the bound.
     """
     n = d.shape[0]
     chunk = max(1, BLOCK_ELEMS // n)
@@ -662,12 +708,14 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
         live = xyz[d[xyz[:, 0], xyz[:, 1]] // 2 > best]
         while len(live):
             part, live = live[:chunk], live[chunk:]
-            vals = _chunk_thinness(d, part)
             scored += len(part)
-            i = int(vals.argmax())
-            if vals[i] > best:
+            hit = part[_chunk_exceeds(d, part, best)]
+            if len(hit):
+                # The first maximum of the part is the first maximum of its hits.
+                vals = _chunk_thinness(d, hit)
+                i = int(vals.argmax())
                 best = int(vals[i])
-                witness = tuple(int(v) for v in part[i])
+                witness = tuple(int(v) for v in hit[i])
                 live = live[d[live[:, 0], live[:, 1]] // 2 > best]
     if best >= 0:
         witness += (_triple_thinness(d, *witness)[1],)

@@ -432,15 +432,20 @@ def ball_to_json(ball: TetBall) -> dict:
 # Structural verification
 
 def count_checks(ball: TetBall) -> list[dict]:
-    """Tetrahedron, vertex and edge counts against their closed forms in the radius."""
-    n = ball.radius
+    """Tetrahedron, vertex and edge counts against their closed forms in the radius.
+
+    The vertex and edge counts read ids 0..max off the CSR; on a ball holding
+    a negative id they fail with ``_negative_id``'s error instead.
+    """
+    n, error = ball.radius, _negative_id(ball.table)
+    found = {"tet_count": len(ball.table.verts)}
+    if error is None:
+        found.update(vertex_count=ball.n_vertices, edge_count=ball.n_edges())
     return [
-        {"name": name, "ok": found == want, "found": found, "expected": want}
-        for name, found, want in (
-            ("tet_count", len(ball.table.verts), 2 * 3**n - 1),
-            ("vertex_count", ball.n_vertices, 2 * 3**n + 2),
-            ("edge_count", ball.n_edges(), 6 * 3**n),
-        )
+        {"name": name, "ok": found[name] == want, "found": found[name], "expected": want}
+        if name in found
+        else {"name": name, "ok": False, "error": error}
+        for name, want in (("tet_count", 2 * 3**n - 1), ("vertex_count", 2 * 3**n + 2), ("edge_count", 6 * 3**n))
     ]
 
 
@@ -513,7 +518,12 @@ def _prefix_stable(ball: TetBall) -> bool:
 
 
 def structural_report(ball: TetBall) -> list[dict]:
-    """Run the structural invariant checks for one ball; one dict per check."""
+    """Run the structural invariant checks for one ball; one dict per check.
+
+    The vertex and edge counts, the clique check and the support check
+    index arrays by vertex id; on a ball holding a negative id each of them
+    fails with an error naming the first such row in address order instead.
+    """
     n = ball.radius
     checks = count_checks(ball)
 
@@ -522,24 +532,12 @@ def structural_report(ball: TetBall) -> list[dict]:
     bad_addr = [a for a in (table.addrs[t] for t in rows) if not is_address(a) or len(a) > n]
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})
 
-    cliques = four_cliques(ball)
-    listed = np.sort(table.verts, axis=1)
-    listed = listed[np.lexsort(listed.T[::-1])]
-    listed = listed[np.r_[True, (listed[1:] != listed[:-1]).any(axis=1)]]
-    # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
-    five = cliques[np.unique(common_neighbors(ball, cliques)[0])]
-    checks.append(
-        {
-            "name": "four_cliques_are_tets",
-            "ok": np.array_equal(cliques, listed) and not len(five),
-            "cliques": len(cliques),
-            "tets": len(listed),
-            "five_cliques": five[:5].tolist(),
-        }
-    )
-
-    disconnected = np.flatnonzero(_support_tops(ball) != 1)
-    checks.append({"name": "supports_tree_connected", "ok": not len(disconnected), "bad": disconnected[:5].tolist()})
+    error = _negative_id(table)
+    if error:
+        by_id = ("four_cliques_are_tets", "supports_tree_connected")
+        checks += [{"name": k, "ok": False, "error": error} for k in by_id]
+    else:
+        checks += _clique_and_support_checks(ball)
 
     checks.append({"name": "prefix_stable", "ok": _prefix_stable(ball)})
 
@@ -547,6 +545,33 @@ def structural_report(ball: TetBall) -> list[dict]:
     checks.append({"name": "interior_triangle_cofaces", "ok": not faults, "bad": bad_cofaces})
 
     return checks
+
+
+def _negative_id(table: TetTable) -> str | None:
+    """The error naming the first row in address order that holds a negative vertex id, if one does."""
+    rows = np.flatnonzero((table.verts < 0).any(axis=1)).tolist()
+    return f"tetrahedron {min(table.addrs[t] for t in rows)!r} holds a negative vertex id" if rows else None
+
+
+def _clique_and_support_checks(ball: TetBall) -> list[dict]:
+    """The ``four_cliques_are_tets`` and ``supports_tree_connected`` records of ``structural_report``."""
+    cliques = four_cliques(ball)
+    listed = np.sort(ball.table.verts, axis=1)
+    listed = listed[np.lexsort(listed.T[::-1])]
+    listed = listed[np.r_[True, (listed[1:] != listed[:-1]).any(axis=1)]]
+    # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
+    five = cliques[np.unique(common_neighbors(ball, cliques)[0])]
+    disconnected = np.flatnonzero(_support_tops(ball) != 1)
+    return [
+        {
+            "name": "four_cliques_are_tets",
+            "ok": np.array_equal(cliques, listed) and not len(five),
+            "cliques": len(cliques),
+            "tets": len(listed),
+            "five_cliques": five[:5].tolist(),
+        },
+        {"name": "supports_tree_connected", "ok": not len(disconnected), "bad": disconnected[:5].tolist()},
+    ]
 
 
 def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndarray) -> list[tuple]:

@@ -22,7 +22,13 @@ from crosscap3.metric import (
     thinness_report,
     tree_comparison,
 )
-from crosscap3.metric import _chunk_thinness, _point_to_interval, _sampled_triples, _thinness_exhaustive
+from crosscap3.metric import (
+    _chunk_exceeds,
+    _chunk_thinness,
+    _point_to_interval,
+    _sampled_triples,
+    _thinness_exhaustive,
+)
 from crosscap3.tet_tree import BLOCK_ELEMS
 from oracles import MarginError, bottleneck_triangle, has_edge, in_margin, interval, separates, tree_distance
 
@@ -505,13 +511,21 @@ class TestThinness:
         with pytest.raises(ValueError, match="sample cap"):
             thinness_report(dtable(1), sample_cap=cap)
 
-    def test_witness_is_attaining(self, ctable):
+    def test_witness_is_attaining(self, ctable, metric_named):
         t = ctable(1)
         report = thinness_report(t)
         x, y, z, p = report.witness
         side = interval(t, x, z) | interval(t, y, z)
         assert p in interval(t, x, y)
         assert min(t.d(p, q) for q in side) == report.max_value
+        # On K_{3,3} the maximum is found while the running maximum is -1,
+        # so every p of I(x, y) is gathered, x (which does not attain) first.
+        for name in MANY_GEODESICS:
+            d = metric_named(name)
+            value, (x, y, z, p), _ = _thinness_exhaustive(d)
+            side = (d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z])
+            assert d[x, p] + d[p, y] == d[x, y]
+            assert d[p, side].min() == value
 
     def test_endpoint_triples_contribute_zero(self, dtable):
         # With z equal to an endpoint the side intervals absorb every p.
@@ -569,9 +583,28 @@ class TestSampledThinness:
         # Once the maximum reaches 3, only triples with d(x, y) >= 8 are scored.
         t = ctable(5)
         monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
-        rep = thinness_report(t, sample_cap=20_000, seed=5)
-        assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 20_000, 5)
-        assert rep.triples_scored < rep.triples_examined // 2
+        for seed in (5, 2, 11):
+            rep = thinness_report(t, sample_cap=20_000, seed=seed)
+            assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 20_000, seed)
+            assert rep.triples_scored < rep.triples_examined // 2
+
+    @pytest.mark.parametrize("block", [1, 7, pytest.param(BLOCK_ELEMS, id="default")])
+    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
+    @pytest.mark.parametrize("graph", ["tet", "curve"])
+    def test_stage_one_flags_exactly_the_triples_above_best(self, monkeypatch, dtable, ctable, graph, radius, block):
+        # On the sampler's chunks at this block size, every row's flag is
+        # whether its thinness exceeds best, whether or not its bound could.
+        monkeypatch.setattr(metric, "BLOCK_ELEMS", block)
+        d = (dtable if graph == "tet" else ctable)(radius).dist
+        n = len(d)
+        rng = random.Random(radius)
+        xyz = np.array([rng.sample(range(n), 3) for _ in range(300 if block == BLOCK_ELEMS else 60)])
+        chunk = max(1, metric.BLOCK_ELEMS // n)
+        parts = [xyz[a : a + chunk] for a in range(0, len(xyz), chunk)]
+        vals = [_chunk_thinness(d, part) for part in parts]
+        for best in range(-1, 5):
+            for part, v in zip(parts, vals):
+                assert np.array_equal(_chunk_exceeds(d, part, best), v > best)
 
     def test_prune_fires(self, monkeypatch, ctable):
         monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)

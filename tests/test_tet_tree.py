@@ -1019,6 +1019,25 @@ class TestStructuralReport:
         assert not check["ok"]
         assert check["five_cliques"] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]]
 
+    @pytest.mark.parametrize(
+        "tets, row",
+        [
+            ({"": (-1, 1, 2, 3)}, ""),
+            ({"": (-4, -3, -2, -1)}, ""),
+            ({**generate_ball(1).tets, "2": (-2, 1, 2, 3), "1": (0, 6, 2, -7)}, "1"),
+        ],
+    )
+    def test_negative_id_is_a_record(self, tets, row):
+        # The checks that index by vertex id fail naming the first such row
+        # in address order; the others run as on any dict-built ball.
+        radius = 1 if len(tets) > 1 else 0
+        checks = {c["name"]: c for c in structural_report(TetBall(radius, tets))}
+        assert list(checks) == [c["name"] for c in structural_report(generate_ball(radius))]
+        error = f"tetrahedron {row!r} holds a negative vertex id"
+        for name in ("vertex_count", "edge_count", "four_cliques_are_tets", "supports_tree_connected"):
+            assert checks[name] == {"name": name, "ok": False, "error": error}
+        assert checks["tet_count"] == {"name": "tet_count", "ok": True, "found": len(tets), "expected": len(tets)}
+
     @pytest.mark.parametrize("radius", range(4))
     def test_starts_with_the_count_checks(self, ball, radius):
         counts = count_checks(ball(radius))
