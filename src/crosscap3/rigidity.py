@@ -31,6 +31,14 @@ the stars of the tetrahedra within tree distance n - 1, is the subdivision
 of the radius n - 1 ball; maps of it are int arrays with one column per
 domain curve id.  Candidate images of both levels come from one batched
 query on the source ball's CSR adjacency, ``tet_tree.common_neighbors``.
+
+Every per-map pass (scoring, extension by two-sided images, completion,
+propagation and comparison, and the stabilizer candidates) runs in row
+blocks of about ``BLOCK_ELEMS`` elements, in row order, so its scratch
+memory does not grow with the number of maps.  Only the map arrays
+themselves stay whole, one row per map; ``rigidity_reports`` refuses with
+BudgetError a level whose maps of the root star would exceed
+``MAX_TABLE_BYTES``.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError, RadiusCapError
-from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
+from .metric import _check_budget
+from .tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
 
 
 class OrderedTet(tuple):
@@ -131,7 +140,7 @@ class VertexMap:
 
     def apply_curve(self, domain: CurveGraphBall, codomain: CurveGraphBall) -> np.ndarray:
         """Images in ``codomain`` of all ids of ``domain``, the subdivision of this map's domain."""
-        return _with_pairs(np.array([self.vertices[v] for v in domain.one_sided()]), domain, codomain)
+        return _with_pairs(np.array([[self.vertices[v] for v in domain.one_sided()]]), domain, codomain)[0]
 
 
 def _propagate(domain: TetBall, codomain: TetBall, dst: np.ndarray, slots: np.ndarray) -> tuple:
@@ -234,11 +243,23 @@ def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
 # ---------------------------------------------------------------------------
 # Locally injective simplicial maps
 
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering ``range(rows)`` in order, of about ``BLOCK_ELEMS`` elements
+    at ``width`` elements a row; at least one slice, maybe empty."""
+    step = max(1, BLOCK_ELEMS // max(width, 1))
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, max(rows, 1), step)]
+
+
 def _with_pairs(one: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> np.ndarray:
-    """Maps given on the one-sided ids of ``domain`` (last axis), extended to
+    """Maps given on the one-sided ids of ``domain`` (one row each), extended to
     every id: a two-sided vertex goes to the one its endpoints' images determine."""
     u, w = domain.ends.T
-    return np.concatenate([one, cg.pair_ids(one[..., u], one[..., w])], axis=-1)
+    k = one.shape[1]
+    out = np.zeros((len(one), k + len(u)), dtype=np.int64)
+    out[:, :k] = one
+    for block in _blocks(len(one), len(u)):
+        out[block, k:] = cg.pair_ids(one[block, u], one[block, w])
+    return out
 
 
 def check_map(domain: CurveGraphBall, maps: np.ndarray, cg: CurveGraphBall) -> tuple[np.ndarray, np.ndarray]:
@@ -249,20 +270,24 @@ def check_map(domain: CurveGraphBall, maps: np.ndarray, cg: CurveGraphBall) -> t
     from its own image.  A row with an image outside cg is neither.
     """
     size = len(cg.vertices)
-    valid = ((maps >= 0) & (maps < size)).all(axis=1)
-    maps = np.where(valid[:, None], maps, 0)
     rows, cols = cg.entries()
     edge_keys = rows * size + cols  # ascending: rows are sorted
     src, dst = domain.entries()
-    keys = maps[:, src] * size + maps[:, dst]
-    pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-    simplicial = valid & (edge_keys[pos] == keys).all(axis=1)
     distinct = []  # id pairs whose images must differ
     for i in domain.vertices:
         nbrs = domain.neighbors(i).tolist()
         distinct += [(i, j) for j in nbrs] + list(combinations(nbrs, 2))
     a, b = np.array(distinct).T
-    locally_injective = valid & (maps[:, a] != maps[:, b]).all(axis=1)
+    simplicial = np.zeros(len(maps), dtype=bool)
+    locally_injective = np.zeros(len(maps), dtype=bool)
+    for block in _blocks(len(maps), max(len(src), len(a))):
+        m = maps[block]
+        valid = ((m >= 0) & (m < size)).all(axis=1)
+        m = np.where(valid[:, None], m, 0)
+        keys = m[:, src] * size + m[:, dst]
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        simplicial[block] = valid & (edge_keys[pos] == keys).all(axis=1)
+        locally_injective[block] = valid & (m[:, a] != m[:, b]).all(axis=1)
     return simplicial, locally_injective
 
 
@@ -306,7 +331,8 @@ def _first_fixer(ids, work: TetBall) -> OrderedTet | None:
     ``ordered_tets`` in ``tests/oracles.py``, that fixes every listed vertex;
     None if there is none.
 
-    All candidates are propagated as one batch.
+    The candidates are propagated in blocks of destinations, in that order,
+    and the search stops at the first block holding a fixer.
     """
     ids = sorted(ids)
     domain_radius = max(work.vertex_depth(v) for v in ids)
@@ -315,16 +341,18 @@ def _first_fixer(ids, work: TetBall) -> OrderedTet | None:
         raise ValueError("work ball too small to test any non-identity element")
     domain = generate_ball(domain_radius)
     table = work.table
-    rows = [table.rows[a] for a in sorted(work.tets, key=lambda a: (len(a), a)) if len(a) <= dst_radius]
-    dst = np.repeat(rows, len(PERMUTATIONS))
-    slots = table.verts[rows][:, PERMUTATIONS].reshape(-1, 4)
-    _, images = _propagate(domain, work, dst, slots)
-    identity = (dst == table.rows[ROOT_TET.address]) & (slots == ROOT_TET.verts).all(axis=1)
-    fixes = (images[:, ids] == ids).all(axis=1) & ~identity
-    if not fixes.any():
-        return None
-    i = int(np.argmax(fixes))
-    return OrderedTet(table.addrs[dst[i]], tuple(slots[i].tolist()))
+    addrs = table.addrs
+    rows = np.array(sorted(np.flatnonzero(table.depth <= dst_radius).tolist(), key=lambda t: (len(addrs[t]), addrs[t])))
+    for block in _blocks(len(rows), len(PERMUTATIONS) * domain.n_vertices):
+        dst = np.repeat(rows[block], len(PERMUTATIONS))
+        slots = table.verts[rows[block]][:, PERMUTATIONS].reshape(-1, 4)
+        _, images = _propagate(domain, work, dst, slots)
+        identity = (table.depth[dst] == 0) & (slots == ROOT_TET.verts).all(axis=1)
+        fixes = (images[:, ids] == ids).all(axis=1) & ~identity
+        if fixes.any():
+            i = int(np.argmax(fixes))
+            return OrderedTet(addrs[dst[i]], tuple(slots[i].tolist()))
+    return None
 
 
 def rigidity_reports(level: int) -> list[dict]:
@@ -342,17 +370,21 @@ def rigidity_reports(level: int) -> list[dict]:
     enumerated once and extended for level 2.  Reports come in this order:
     levels 1 and 2, forcing levels 2..level, then the pointwise stabilizers
     of the level-1 and level-2 star unions.  A work ball over the radius cap
-    raises RadiusCapError naming the level.
+    raises RadiusCapError naming the level, and a level whose maps of the
+    root star, 24 per tetrahedron of the curve graph's ball, would exceed
+    ``MAX_TABLE_BYTES`` raises BudgetError naming it, before any ball is built.
     """
     if level < 1:
         raise ValueError(f"rigidity level must be at least 1, got {level}")
     radius, cap = max(level + 1, 3), radius_cap()
     if radius > cap:
         raise RadiusCapError(f"rigidity level {level} needs a work ball of radius {radius}, over the radius cap {cap}")
+    star = subdivide(generate_ball(0))
+    n_maps = 24 * (2 * 3**max(level, 2) - 1)  # a ball of radius r holds 2 * 3^r - 1 tetrahedra
+    _check_budget(f"rigidity level {level} with {n_maps} maps of the root star", (n_maps, len(star.vertices)), np.int64)
     work = generate_ball(radius)
     cg = subdivide(generate_ball(max(level, 2)))
     ball = cg.source
-    star = subdivide(generate_ball(0))
     maps = enumerate_locally_injective(star, cg)
     witnesses = _match_propagated(maps, star, cg)
     reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.table.verts), witnesses)]
@@ -414,20 +446,22 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
     """Witnesses, in row order, of the maps that are not the restriction of one new element.
 
     A row's element is read off its root images (as in ``element_of_map`` in
-    ``tests/oracles.py``).
+    ``tests/oracles.py``), their tetrahedron found by ``TetTable.rows_of``.
     A row whose root images span no tetrahedron, or whose element an earlier
-    row already had, is a witness; the other rows are propagated as one
-    batch and compared with the map.
+    row already had, is a witness; the other rows are propagated in blocks
+    and compared with the map.
     """
     table = cg.source.table
     roots = maps[:, list(ROOT_TET.verts)]
-    dst = np.array([table.by_verts.get(tuple(r), -1) for r in np.sort(roots, axis=1).tolist()], dtype=np.int64)
+    dst = table.rows_of(roots)
     duplicate = np.ones(len(maps), dtype=bool)
     duplicate[np.unique(roots, axis=0, return_index=True)[1]] = False
-    fresh = (dst >= 0) & ~duplicate
-    _, images = _propagate(domain.source, cg.source, dst[fresh], roots[fresh])
+    fresh = np.flatnonzero((dst >= 0) & ~duplicate)
     mismatch = np.zeros(len(maps), dtype=bool)
-    mismatch[fresh] = (_with_pairs(images, domain, cg) != maps[fresh]).any(axis=1)
+    for block in _blocks(len(fresh), maps.shape[1]):
+        rows = fresh[block]
+        _, images = _propagate(domain.source, cg.source, dst[rows], roots[rows])
+        mismatch[rows] = (_with_pairs(images, domain, cg) != maps[rows]).any(axis=1)
     witnesses = []
     for i in np.flatnonzero((dst < 0) | duplicate | mismatch).tolist():
         imgs = roots[i].tolist()
@@ -441,27 +475,32 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
 
 def _check_level_two(base_maps: np.ndarray, cg: CurveGraphBall) -> dict:
     """The level-2 record.  Face f of each base image (one query per face) must have one common
-    neighbour besides slot f's image; the first face with none drops a map, one with several makes a witness."""
+    neighbour besides slot f's image; the first face with none drops a map, one with several makes a witness.
+    The bases are completed and checked in row blocks, in order; the good completed maps are then matched."""
     ball = cg.source
     domain = subdivide(generate_ball(1))
-    base = base_maps[:, :4]
-    one = np.pad(base, ((0, 0), (0, 4)), constant_values=-1)  # domain id 4 + f lies across face f
-    counts = np.empty((len(base), 4), dtype=np.int64)
-    for face in range(4):
-        row, v = common_neighbors(ball, np.delete(base, face, axis=1))
-        fresh = v != base[row, face]
-        counts[:, face] = np.bincount(row[fresh], minlength=len(base))
-        one[row[fresh], 4 + face] = v[fresh]
-    forced = (counts == 1).all(axis=1)
-    stop = (counts != 1).argmax(axis=1)  # first face not forced
-    several = counts[np.arange(len(base)), stop] > 1
-    maps = _with_pairs(one[forced], domain, cg)
-    simplicial, locally_injective = check_map(domain, maps, cg)
-    good = np.zeros(len(base), dtype=bool)
-    good[forced] = simplicial & locally_injective
-    bad = np.flatnonzero(forced & ~good | several).tolist()
-    errors = ["completed map invalid" if forced[b] else f"face {stop[b]} not forced" for b in bad]
-    witnesses = [{"base": tuple(base[b].tolist()), "error": e} for b, e in zip(bad, errors)]
+    found, witnesses, good_maps = 0, [], []
+    for block in _blocks(len(base_maps), len(domain.vertices)):
+        base = base_maps[block, :4]
+        one = np.pad(base, ((0, 0), (0, 4)), constant_values=-1)  # domain id 4 + f lies across face f
+        counts = np.empty((len(base), 4), dtype=np.int64)
+        for face in range(4):
+            row, v = common_neighbors(ball, np.delete(base, face, axis=1))
+            fresh = v != base[row, face]
+            counts[:, face] = np.bincount(row[fresh], minlength=len(base))
+            one[row[fresh], 4 + face] = v[fresh]
+        forced = (counts == 1).all(axis=1)
+        stop = (counts != 1).argmax(axis=1)  # first face not forced
+        several = counts[np.arange(len(base)), stop] > 1
+        maps = _with_pairs(one[forced], domain, cg)
+        simplicial, locally_injective = check_map(domain, maps, cg)
+        good = np.zeros(len(base), dtype=bool)
+        good[forced] = simplicial & locally_injective
+        bad = np.flatnonzero(forced & ~good | several).tolist()
+        errors = ["completed map invalid" if forced[b] else f"face {stop[b]} not forced" for b in bad]
+        witnesses += [{"base": tuple(base[b].tolist()), "error": e} for b, e in zip(bad, errors)]
+        found += int(good.sum())
+        good_maps.append(maps[good[forced]])
     expected = 24 * int((ball.table.depth < ball.radius).sum())
-    witnesses += _match_propagated(maps[good[forced]], domain, cg)
-    return _level_report(2, ball.radius, int(good.sum()), expected, witnesses)
+    witnesses += _match_propagated(np.concatenate(good_maps), domain, cg)
+    return _level_report(2, ball.radius, found, expected, witnesses)

@@ -202,9 +202,9 @@ class TetTable:
     ``depth``, the address lengths.  Built on first use: ``addrs[t]``, the
     address of row t, read off ``parent``/``face`` in row order, and
     ``rows``, its inverse; ``nbr`` (T x 4), the row across each face, -1
-    outside the ball; ``by_verts``, sorted vertex 4-tuple -> row; ``born``,
-    each vertex's creation row; ``ancestors``; and ``colour``, each vertex's
-    slot, which the group operations read.  ``from_tets`` keeps the
+    outside the ball; the sorted vertex-set keys that ``rows_of`` searches;
+    ``born``, each vertex's creation row; ``ancestors``; and ``colour``, each
+    vertex's slot, which the group operations read.  ``from_tets`` keeps the
     addresses of a dict, where ``parent`` is also -1 for a missing parent
     address and ``face`` for a last letter that is not a face, so a
     malformed ball still builds a table.
@@ -248,8 +248,19 @@ class TetTable:
         return nbr
 
     @cached_property
-    def by_verts(self) -> dict:
-        return {tuple(v): t for t, v in enumerate(np.sort(self.verts, axis=1).tolist())}
+    def _vertex_sets(self) -> tuple:
+        """Every row's vertex set as a ``_vertex_set_keys`` key, ascending, and the rows in that order."""
+        keys = _vertex_set_keys(self.verts)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    def rows_of(self, quads) -> np.ndarray:
+        """The row holding exactly the 4 vertices of each row of ``quads`` (R x 4, in any order);
+        -1 where no row does, and the last such row where several do."""
+        keys, order = self._vertex_sets
+        want = _vertex_set_keys(quads)
+        pos = np.searchsorted(keys, want, side="right") - 1
+        return np.where((pos >= 0) & (keys[pos] == want), order[pos], -1)
 
     @cached_property
     def born(self) -> np.ndarray:
@@ -291,6 +302,13 @@ class TetTable:
         if (colour[verts] != np.arange(4)).any() or ((verts[child] != verts[p]) & (np.arange(4) != f[:, None])).any():
             raise ValueError("ball holds a vertex at two slots or a tetrahedron that changes a slot off its face")
         return colour.tolist()
+
+
+def _vertex_set_keys(quads) -> np.ndarray:
+    """Each row of an (R x 4) int array, sorted, as one structured scalar of four int64 fields; such
+    scalars sort and compare field by field, so no key is packed into one integer that could overflow."""
+    fields = [(name, np.int64) for name in "abcd"]
+    return np.ascontiguousarray(np.sort(np.asarray(quads, dtype=np.int64).reshape(-1, 4), axis=1)).view(fields).ravel()
 
 
 def generate_ball(radius: int) -> TetBall:

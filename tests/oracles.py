@@ -265,6 +265,11 @@ def ordered_tets(ball: TetBall, max_length: int | None = None):
             yield OrderedTet(addr, perm)
 
 
+def by_verts(table) -> dict:
+    """Reference for ``TetTable.rows_of``: sorted vertex 4-tuple -> row, the last row where several share one."""
+    return {tuple(v): t for t, v in enumerate(np.sort(table.verts, axis=1).tolist())}
+
+
 def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassElement:
     """Read off the element whose propagation restricts to ``mapping``.
 
@@ -273,7 +278,7 @@ def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassEleme
     """
     imgs = tuple(int(mapping[s]) for s in ROOT_TET.verts)
     table = cg.source.table
-    row = table.by_verts.get(tuple(sorted(imgs)))
+    row = by_verts(table).get(tuple(sorted(imgs)))
     if row is None:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
     return MappingClassElement(OrderedTet(table.addrs[row], imgs))

@@ -306,6 +306,14 @@ class TestErrors:
         with pytest.raises(RadiusCapError, match=want):
             rigidity.rigidity_reports(9)
 
+    def test_rigidity_level_over_the_budget(self, capsys, monkeypatch):
+        # Level 6 holds 24 * 1457 maps of 10 ids, 2.7 MiB; it is refused before any ball is built.
+        monkeypatch.setattr(metric, "MAX_TABLE_BYTES", 1 << 20)
+        code, out, err = run(capsys, "rigidity", "--level", "6")
+        assert code == 2 and out == ""
+        want = "rigidity level 6 with 34968 maps of the root star needs 2 MiB, over the 1 MiB table budget"
+        assert err == f"error: {want}\n"
+
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_rigidity_level_below_one(self, capsys, level):
         code, out, err = run(capsys, "rigidity", "--level", level)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacency_sets, with_edges
+from crosscap3 import metric, rigidity
 from crosscap3.curve_graph import subdivide
-from crosscap3.errors import CodomainTooSmallError
+from crosscap3.errors import BudgetError, CodomainTooSmallError
 from crosscap3.rigidity import (
     ROOT_TET,
     PERMUTATIONS,
@@ -32,8 +34,8 @@ from crosscap3.rigidity import (
     _stabilizer_report,
     _with_pairs,
 )
-from crosscap3.tet_tree import ALPHABET, TetBall, generate_ball, is_address
-from oracles import element_of_map, has_edge, neighbor, ordered_tets, triangle_cofaces
+from crosscap3.tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, TetTable, generate_ball, is_address
+from oracles import by_verts, element_of_map, has_edge, neighbor, ordered_tets, triangle_cofaces
 
 
 def elem(address, verts):
@@ -386,9 +388,10 @@ class TestBatchedPropagation:
         b = ball(3)
         table = b.table
         assert table.addrs == list(b.tets)
+        rows = by_verts(table)
         for t, addr in enumerate(table.addrs):
             assert table.verts[t].tolist() == list(b.tets[addr])
-            assert table.by_verts[tuple(sorted(b.tets[addr]))] == t
+            assert rows[tuple(sorted(b.tets[addr]))] == t
             for face in range(4):
                 nxt = table.nbr[t, face]
                 assert (nxt >= 0) == (neighbor(addr, face) in b.tets)
@@ -989,3 +992,162 @@ class TestLevelChecks:
     def test_induction_level_out_of_range(self, ball):
         with pytest.raises(ValueError):
             induction_step_report(4, ball(3))
+
+
+class TestVertexSetLookup:
+    def test_matches_the_dict(self, ball):
+        # Every row, its vertices in reverse and in shuffled order, then random sets that mostly miss.
+        table = ball(4).table
+        rng = np.random.default_rng(2)
+        shuffled = np.array([rng.permutation(v) for v in table.verts])
+        misses = rng.integers(-2, ball(4).n_vertices + 2, size=(500, 4))
+        quads = np.concatenate([table.verts[:, ::-1], shuffled, misses, table.verts[:5, [0, 1, 2, 2]]])
+        ref = by_verts(table)
+        assert table.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
+        assert table.rows_of(quads[:0]).tolist() == []
+
+    def test_shared_vertex_set_gives_the_last_row(self):
+        verts = np.array([[3, 2, 1, 0], [5, 6, 7, 8], [0, 1, 2, 3], [0, 1, 2, 4]])
+        table = TetTable(verts, np.full(4, -1), np.full(4, -1), np.zeros(4, dtype=np.int64))
+        assert table.rows_of([[1, 0, 3, 2], [8, 7, 6, 5], [4, 3, 2, 1]]).tolist() == [2, 1, -1]
+        assert by_verts(table)[(0, 1, 2, 3)] == 2
+
+    def test_ids_past_a_packed_key(self):
+        # Four ids near 2^42 would overflow any int64 key packed as ((a n + b) n + c) n + d.
+        big = [1 << 40, 1 << 41, 7, 1 << 42]
+        table = TetTable(np.array([[0, 1, 2, 3], big]), np.full(2, -1), np.full(2, -1), np.zeros(2, dtype=np.int64))
+        assert table.rows_of([big[::-1], [1 << 42, 7, 1 << 41, (1 << 40) + 1]]).tolist() == [1, -1]
+
+
+def perturbed(maps, n_ids, seed):
+    """A copy of ``maps`` where every third row has two entries swapped, an entry moved or one out of range."""
+    rng = np.random.default_rng(seed)
+    bent = maps.copy()
+    for m in bent[::3]:
+        i, j = rng.choice(m.shape[0], 2, replace=False)
+        kind = rng.integers(3)
+        if kind == 0:
+            m[[i, j]] = m[[j, i]]
+        else:
+            m[i] = rng.integers(-1, n_ids + 1) if kind == 1 else m[j]
+    return bent
+
+
+def corrupted(maps, domain):
+    """The first 90 rows of ``maps`` with a duplicate, a swapped two-sided image and root images
+    spanning no tetrahedron, repeated every 30 rows so that blocks of 1, 7 and 64 rows split them."""
+    bad = maps[:90].copy()
+    a, b = domain.pair_ids([0, 0], [1, 2])
+    for k in range(0, 90, 30):
+        bad[k + 4] = bad[k + 1]
+        bad[k + 7, [a, b]] = bad[k + 7, [b, a]]
+        bad[k + 9, 3] = bad[k + 9, 2]
+        bad[k + 12, 0] = -1
+    return bad
+
+
+class TestBlockSize:
+    """The per-map passes give the same output at every block size; ``rigidity`` reads its own
+    ``BLOCK_ELEMS`` name at call time, so that is the one patched."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, cgraph, ball):
+        cg = cgraph(3)
+        star = subdivide(generate_ball(0))
+        base = enumerate_locally_injective(star, cg)
+        domain, level_two = level_two_maps(cg)
+        rng = np.random.default_rng(7)
+        shuffled = base[rng.choice(len(base), 200)]
+        shuffled[:, :4] = shuffled[:, rng.permutation(4)]
+        mixed = np.concatenate([rng.integers(0, cg.n_one, size=(200, base.shape[1])), base[:300], shuffled])
+        return {
+            "cg": cg,
+            "star": star,
+            "domain": domain,
+            "work": ball(3),
+            "level_one": perturbed(base[:300], len(cg.vertices), 1),
+            "level_two": perturbed(level_two, len(cg.vertices), 2),
+            "bad_one": corrupted(base, star),
+            "bad_two": corrupted(level_two, domain),
+            "mixed": mixed,
+        }
+
+    FIXED = ([0], [0, 1], range(4), range(8))  # the first two have fixers
+
+    @classmethod
+    def outputs(cls, x):
+        cg, star, domain = x["cg"], x["star"], x["domain"]
+        one, two = x["level_one"], x["level_two"]
+        return {
+            "check_map": [check_map(star, one, cg), check_map(domain, two, cg)],
+            "with_pairs": [_with_pairs(one[:, :4], star, cg), _with_pairs(two[:, :8], domain, cg)],
+            "match": [_match_propagated(x["bad_one"], star, cg), _match_propagated(x["bad_two"], domain, cg)],
+            "level_two": _check_level_two(x["mixed"], cg),
+            "first_fixer": [_first_fixer(ids, x["work"]) for ids in cls.FIXED],
+            "reports": [rigidity_reports(level) for level in range(1, 4)],
+        }
+
+    @pytest.fixture(scope="class")
+    def want(self, inputs):
+        return self.outputs(inputs)
+
+    def test_default_outputs_match_the_loops(self, inputs, want):
+        cg, star, domain = inputs["cg"], inputs["star"], inputs["domain"]
+        adj = {i: set(cg.neighbors(i).tolist()) for i in cg.vertices}
+        maps = (inputs["level_one"], inputs["level_two"])
+        for dom, bent, (simplicial, loc_inj) in zip((star, domain), maps, want["check_map"]):
+            loop = [loop_check_map(dom, m, adj) for m in bent.tolist()]
+            assert list(zip(simplicial.tolist(), loc_inj.tolist())) == loop
+            assert not simplicial.all() and simplicial.any()
+        assert want["match"] == [match_loop(inputs["bad_one"], star, cg), match_loop(inputs["bad_two"], domain, cg)]
+        kinds = {"duplicate element", "propagation mismatch", "no unique tetrahedron"}
+        assert all({w["error"] for w in witnesses} == kinds for witnesses in want["match"])
+        assert want["level_two"] == level_two_loop(inputs["mixed"], cg)
+        assert want["first_fixer"] == [first_fixer_loop(list(ids), inputs["work"]) for ids in self.FIXED]
+
+    @pytest.mark.parametrize("block", [1, 7, 64, pytest.param(BLOCK_ELEMS, id="default")])
+    def test_block_size_does_not_change_any_result(self, monkeypatch, inputs, want, block):
+        monkeypatch.setattr(rigidity, "BLOCK_ELEMS", block)
+        got = self.outputs(inputs)
+        for key in ("check_map", "with_pairs"):
+            assert all(np.array_equal(g, w) for g, w in zip(got[key], want[key])), key
+        for key in ("match", "level_two", "first_fixer", "reports"):
+            assert got[key] == want[key], key
+
+    def test_level_five_matches_one_block(self, monkeypatch, reports):
+        # At the default, level 5 splits every per-map pass; one block per pass is the unsplit run.
+        want = list(reports(5).values())
+        monkeypatch.setattr(rigidity, "BLOCK_ELEMS", 1 << 40)
+        assert rigidity_reports(5) == want
+
+
+class TestMemory:
+    def test_level_five_traced_peak(self):
+        # numpy reports its allocations to tracemalloc, so the peak is the same on every run:
+        # 18.7 MiB when every per-map pass held all maps at once, 6.6 MiB in row blocks.
+        rigidity_reports(5)
+        tracemalloc.start()
+        try:
+            rigidity_reports(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+
+class TestBudget:
+    def test_level_over_the_budget_is_refused_before_any_ball(self, monkeypatch):
+        # Level 2 holds 24 * 17 maps of 10 ids (32,640 bytes), level 3 24 * 53 (101,760 bytes).
+        built = []
+
+        def generate(radius):
+            built.append(radius)
+            return generate_ball(radius)
+
+        monkeypatch.setattr(metric, "MAX_TABLE_BYTES", 1 << 16)
+        monkeypatch.setattr(rigidity, "generate_ball", generate)
+        assert len(rigidity_reports(2)) == 5
+        built.clear()
+        with pytest.raises(BudgetError, match="^rigidity level 3 with 1272 maps of the root star needs 0 MiB"):
+            rigidity_reports(3)
+        assert built == [0]  # the star alone
