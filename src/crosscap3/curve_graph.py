@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tet_tree import TetBall, common_neighbors
+from .tet_tree import TetBall, _check_id, _edge_pos, common_neighbors
 
 
 class CurveGraphBall:
@@ -27,7 +27,10 @@ class CurveGraphBall:
 
     ``ends`` (m x 2, each row ordered) holds the endpoints of the two-sided
     vertices, and ``indptr``/``indices`` the adjacency as CSR with sorted
-    rows.  ``vertices`` is the range of all ids.
+    rows.  ``subdivide`` lays out the one-sided rows as the source's rows,
+    each neighbour replaced by the two-sided id of that edge, so an edge of
+    the source and its two-sided vertex share a CSR position (``pair_ids``).
+    ``vertices`` is the range of all ids.
     """
 
     def __init__(self, source: TetBall, ends: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
@@ -37,7 +40,6 @@ class CurveGraphBall:
         self.indices = indices
         self.n_one = source.n_vertices
         self.vertices = range(self.n_one + len(ends))
-        self._pair_keys = ends[:, 0] * self.n_one + ends[:, 1]
 
     def __repr__(self) -> str:
         return f"CurveGraphBall(radius={self.source.radius}, vertices={len(self.vertices)})"
@@ -53,6 +55,7 @@ class CurveGraphBall:
         return np.repeat(np.arange(len(self.vertices)), self.degrees()), self.indices
 
     def neighbors(self, i: int) -> np.ndarray:
+        _check_id(i, len(self.vertices))
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def one_sided(self) -> range:
@@ -64,15 +67,12 @@ class CurveGraphBall:
     def pair_ids(self, a, b) -> np.ndarray:
         """Ids of the two-sided vertices of the pairs (a, b), in either order.
 
-        -1 where a and b are not two joined vertices of the source ball.
+        -1 where a and b are not two joined vertices of the source ball.  The
+        id sits in this CSR at the source edge's position, by the layout of
+        ``subdivide``.
         """
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys = lo * self.n_one + hi
-        pos = np.minimum(np.searchsorted(self._pair_keys, keys), len(self._pair_keys) - 1)
-        # With hi < n, no pair outside 0 <= lo < hi < n shares a key with an edge.
-        found = (self._pair_keys[pos] == keys) & (hi < self.n_one)
-        return np.where(found, self.n_one + pos, -1)
+        pos = _edge_pos(self.source, a, b)
+        return np.where(pos >= 0, self.indices[pos], -1)
 
 
 def subdivide(ball: TetBall) -> CurveGraphBall:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide, vertex_name
 from .errors import BudgetError
-from .tet_tree import BLOCK_ELEMS, TetBall, generate_ball
+from .tet_tree import BLOCK_ELEMS, TetBall, _check_id, generate_ball
 
 # The paper's bounds: interval thinness of the tetrahedron graph and of the
 # curve graph, and the distance of a bottleneck triangle from the midpoint.
@@ -90,6 +90,8 @@ class DistanceTable:
         self.source = source
 
     def d(self, u: int, v: int) -> int:
+        _check_id(u, len(self))
+        _check_id(v, len(self))
         return int(self.dist[u, v])
 
     def __len__(self) -> int:
@@ -358,7 +360,7 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
     """
     ball = _tet_ball(table)
     dist, n = table.dist, len(table)
-    pairs, errors, index, kept = 0, {}, {}, []
+    pairs, errors, kept = 0, {}, []
     for x, y, p, p2, faces in _bottleneck_blocks(table):
         # A triangle through p: one slot of the face is -1, and p is in another.
         good = (np.minimum(faces, 0).sum(axis=1) == -1) & (faces == p[:, None]).any(axis=1)
@@ -378,16 +380,14 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
         twice = 2 * np.where(odd[:, None], np.minimum(dist[p, tri], dist[p2, tri]), dist[p, tri]).max(axis=1) + odd
         # The endpoints survive the deletion when both are 2 or more from the triangle.
         live = (dist[x[:, None], tri].min(axis=1) > 1) & (dist[y[:, None], tri].min(axis=1) > 1)
-        # Distinct triangles, numbered in order of first use; the keys reach
-        # n^3, so they need the int64 of the faces.
-        keys = ((lo * n + tri[:, 1]) * n + hi).tolist()
-        inv = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
-        kept.append((pairs + g, x, y, inv, twice, live))
+        # Each triangle as one key; the keys reach n^3, so they need the int64 of the faces.
+        kept.append((pairs + g, x, y, (lo * n + tri[:, 1]) * n + hi, twice, live))
         pairs += len(faces)
     if not kept:
         return BottleneckReport(pairs_checked=0, worst_margin=0.0, neighborhood_checked=0)
-    i, x, y, inv, twice, live = map(np.concatenate, zip(*kept))
-    tris = np.column_stack(np.unravel_index(np.fromiter(index, dtype=np.int64, count=len(index)), (n, n, n)))
+    i, x, y, keys, twice, live = map(np.concatenate, zip(*kept))
+    keys, inv = np.unique(keys, return_inverse=True)  # the distinct triangles, and each pair's
+    tris = np.column_stack(np.unravel_index(keys, (n, n, n)))
     cut = _separated(ball, tris, inv, x, y, closed=False)
     for k in np.flatnonzero(~cut).tolist():
         errors[int(i[k])] = (x[k], y[k], "triangle does not separate")

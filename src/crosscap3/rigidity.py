@@ -53,6 +53,7 @@ from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError, RadiusCapError
 from .metric import _check_budget
 from .tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
+from .tet_tree import _edge_pos
 
 
 class OrderedTet(tuple):
@@ -270,8 +271,6 @@ def check_map(domain: CurveGraphBall, maps: np.ndarray, cg: CurveGraphBall) -> t
     from its own image.  A row with an image outside cg is neither.
     """
     size = len(cg.vertices)
-    rows, cols = cg.entries()
-    edge_keys = rows * size + cols  # ascending: rows are sorted
     src, dst = domain.entries()
     distinct = []  # id pairs whose images must differ
     for i in domain.vertices:
@@ -283,10 +282,7 @@ def check_map(domain: CurveGraphBall, maps: np.ndarray, cg: CurveGraphBall) -> t
     for block in _blocks(len(maps), max(len(src), len(a))):
         m = maps[block]
         valid = ((m >= 0) & (m < size)).all(axis=1)
-        m = np.where(valid[:, None], m, 0)
-        keys = m[:, src] * size + m[:, dst]
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        simplicial[block] = valid & (edge_keys[pos] == keys).all(axis=1)
+        simplicial[block] = (_edge_pos(cg, m[:, src], m[:, dst]) >= 0).all(axis=1)
         locally_injective[block] = valid & (m[:, a] != m[:, b]).all(axis=1)
     return simplicial, locally_injective
 
@@ -446,7 +442,9 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
     """Witnesses, in row order, of the maps that are not the restriction of one new element.
 
     A row's element is read off its root images (as in ``element_of_map`` in
-    ``tests/oracles.py``), their tetrahedron found by ``TetTable.rows_of``.
+    ``tests/oracles.py``), their tetrahedron found by ``TetTable.rows_of``:
+    the creation row of the youngest image, if it holds exactly those images,
+    which on the generated ball of ``cg`` finds every such tetrahedron.
     A row whose root images span no tetrahedron, or whose element an earlier
     row already had, is a witness; the other rows are propagated in blocks
     and compared with the map.

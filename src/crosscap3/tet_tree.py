@@ -132,7 +132,7 @@ class TetBall:
         return len(self.indices) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
-        self._check_id(v)
+        _check_id(v, self.n_vertices)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
@@ -160,7 +160,7 @@ class TetBall:
 
     def support(self, v: int) -> np.ndarray:
         """The rows holding v, ascending."""
-        self._check_id(v)
+        _check_id(v, self.n_vertices)
         indptr, rows = self._support
         return rows[indptr[v] : indptr[v + 1]]
 
@@ -175,10 +175,11 @@ class TetBall:
         """Length of the shortest address among the tetrahedra containing v."""
         return int(self.table.depth[self.support(v)].min())
 
-    def _check_id(self, v: int) -> None:
-        """Raise ValueError naming v unless it is a vertex id of the ball; a negative id would wrap."""
-        if not 0 <= v < self.n_vertices:
-            raise ValueError(f"vertex id {v} is not in 0..{self.n_vertices - 1}")
+
+def _check_id(v: int, n: int) -> None:
+    """Raise ValueError naming v unless it is a vertex id in 0..n-1; a negative id would wrap."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex id {v} is not in 0..{n - 1}")
 
 
 # The 12 ordered pairs of distinct slots, as two index rows.
@@ -202,12 +203,11 @@ class TetTable:
     ``depth``, the address lengths.  Built on first use: ``addrs[t]``, the
     address of row t, read off ``parent``/``face`` in row order, and
     ``rows``, its inverse; ``nbr`` (T x 4), the row across each face, -1
-    outside the ball; the sorted vertex-set keys that ``rows_of`` searches;
-    ``born``, each vertex's creation row; ``ancestors``; and ``colour``, each
-    vertex's slot, which the group operations read.  ``from_tets`` keeps the
-    addresses of a dict, where ``parent`` is also -1 for a missing parent
-    address and ``face`` for a last letter that is not a face, so a
-    malformed ball still builds a table.
+    outside the ball; ``born``, each vertex's creation row, which ``rows_of``
+    reads; ``ancestors``; and ``colour``, each vertex's slot, which the group
+    operations read.  ``from_tets`` keeps the addresses of a dict, where
+    ``parent`` is also -1 for a missing parent address and ``face`` for a
+    last letter that is not a face, so a malformed ball still builds a table.
     """
 
     def __init__(self, verts: np.ndarray, parent: np.ndarray, face: np.ndarray, depth: np.ndarray):
@@ -247,20 +247,18 @@ class TetTable:
         nbr[self.parent[child], self.face[child]] = child
         return nbr
 
-    @cached_property
-    def _vertex_sets(self) -> tuple:
-        """Every row's vertex set as a ``_vertex_set_keys`` key, ascending, and the rows in that order."""
-        keys = _vertex_set_keys(self.verts)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
-
     def rows_of(self, quads) -> np.ndarray:
-        """The row holding exactly the 4 vertices of each row of ``quads`` (R x 4, in any order);
-        -1 where no row does, and the last such row where several do."""
-        keys, order = self._vertex_sets
-        want = _vertex_set_keys(quads)
-        pos = np.searchsorted(keys, want, side="right") - 1
-        return np.where((pos >= 0) & (keys[pos] == want), order[pos], -1)
+        """A row holding exactly the 4 vertices of each row of ``quads`` (R x 4, in any order), -1 where
+        none is found: the creation row (``born``) of the quad's youngest vertex, if its vertices are the
+        quad's.  In a generated table each row's youngest vertex is the one it created (3 for the root),
+        so this is exact; on any other table it can miss a row, but never returns a wrong one."""
+        quads = np.sort(np.asarray(quads, dtype=np.int64).reshape(-1, 4), axis=1)
+        top = quads[:, 3]
+        born = np.r_[self.born, len(self.verts)]  # the last entry stands for an id in no row
+        row = born[np.where((top >= 0) & (top < len(born) - 1), top, -1)]
+        held = row < len(self.verts)
+        held[held] = (np.sort(self.verts[row[held]], axis=1) == quads[held]).all(axis=1)
+        return np.where(held, row, -1)
 
     @cached_property
     def born(self) -> np.ndarray:
@@ -302,13 +300,6 @@ class TetTable:
         if (colour[verts] != np.arange(4)).any() or ((verts[child] != verts[p]) & (np.arange(4) != f[:, None])).any():
             raise ValueError("ball holds a vertex at two slots or a tetrahedron that changes a slot off its face")
         return colour.tolist()
-
-
-def _vertex_set_keys(quads) -> np.ndarray:
-    """Each row of an (R x 4) int array, sorted, as one structured scalar of four int64 fields; such
-    scalars sort and compare field by field, so no key is packed into one integer that could overflow."""
-    fields = [(name, np.int64) for name in "abcd"]
-    return np.ascontiguousarray(np.sort(np.asarray(quads, dtype=np.int64).reshape(-1, 4), axis=1)).view(fields).ravel()
 
 
 def generate_ball(radius: int) -> TetBall:
@@ -390,14 +381,24 @@ def _edge_keys(graph) -> np.ndarray:
     return np.repeat(np.arange(n), np.diff(indptr)) * n + graph.indices
 
 
+def _edge_pos(graph, a, b) -> np.ndarray:
+    """The CSR position of each directed edge (a, b) of a TetBall or a CurveGraphBall; -1 where there
+    is no such edge or an id lies outside 0..n-1, where (0, n) would otherwise match the key of (1, 0).
+    The keys are built from the CSR as it stands, on every call."""
+    keys, n = _edge_keys(graph), len(graph.indptr) - 1
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    want = a * n + b
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = (keys[pos] == want) & (a >= 0) & (a < n) & (b >= 0) & (b < n)
+    return np.where(hit, pos, -1)
+
+
 def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
     """Every vertex adjacent to all of a row of ``verts`` (R x k ids), as (row, v) arrays in order.
 
     Works on a TetBall or a CurveGraphBall.  A row expands the neighbours of its vertex of
     least degree (root vertices reach degree 768 at radius 8), ``BLOCK_ELEMS`` at a time."""
-    indptr, n = graph.indptr, len(graph.indptr) - 1
-    degree = np.diff(indptr)
-    keys = _edge_keys(graph)
+    indptr, degree = graph.indptr, np.diff(graph.indptr)
     base = verts[np.arange(len(verts)), degree[verts].argmin(axis=1)]
     count = degree[base]
     end = np.cumsum(count)
@@ -409,8 +410,7 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
         row = np.repeat(np.arange(r0, r1), np.minimum(end[r0:r1], p1) - np.maximum(start[r0:r1], p0))
         v = graph.indices[indptr[base[row]] + np.arange(p0, p1) - start[row]]
         for col in verts.T:
-            want = col[row] * n + v
-            hit = keys[np.minimum(np.searchsorted(keys, want), len(keys) - 1)] == want
+            hit = _edge_pos(graph, col[row], v) >= 0
             row, v = row[hit], v[hit]
         found.append((row, v))
     rows, vs = zip(*found)
@@ -422,15 +422,15 @@ def four_cliques(ball: TetBall) -> np.ndarray:
 
     Read off ``ball.triangles``: two rows (a, b, c) and (a, b, d), c < d, of
     one run of equal (a, b) span a 4-clique exactly when c and d are
-    adjacent, found by one ``searchsorted`` on the directed edge keys."""
-    tri, keys, n = ball.triangles, _edge_keys(ball), len(ball.indptr) - 1
+    adjacent, found by one ``_edge_pos`` lookup."""
+    tri = ball.triangles
     start = np.flatnonzero(np.r_[True, (tri[1:, :2] != tri[:-1, :2]).any(axis=1)])
     end = np.r_[start[1:], len(tri)]
     later = np.repeat(end, end - start) - np.arange(len(tri)) - 1  # rows after each in its run
     first = np.repeat(np.arange(len(tri)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     c, d = tri[first, 2], tri[second, 2]
-    keep = keys[np.minimum(np.searchsorted(keys, c * n + d), len(keys) - 1)] == c * n + d
+    keep = _edge_pos(ball, c, d) >= 0
     return np.column_stack([tri[first[keep]], d[keep]])
 
 
@@ -860,11 +860,9 @@ def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
     Read off ``ball.triangles``: the triangle (a, b, c) is the link edge
     (b, c) of a, (a, c) of b and (a, b) of c.  Each vertex holds each of its
     link edges once; the order is the triangles' within each role."""
-    indptr, keys = ball.indptr, _edge_keys(ball)
-    n = len(indptr) - 1
-    a, b, c = ball.triangles.T
+    indptr, (a, b, c) = ball.indptr, ball.triangles.T
     v, x, y = np.concatenate([a, b, c]), np.concatenate([b, a, a]), np.concatenate([c, c, b])
-    i, j = (np.searchsorted(keys, v * n + u) - indptr[v] for u in (x, y))
+    i, j = (_edge_pos(ball, v, u) - indptr[v] for u in (x, y))
     return v, i * (indptr[v + 1] - indptr[v]) + j
 
 

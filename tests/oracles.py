@@ -4,7 +4,8 @@ Each function here is the plain, one-item-at-a-time form of something
 ``crosscap3`` computes in bulk: tree walks on addresses, per-triangle
 cofaces, per-vertex link labels, per-pair bottleneck triangles and
 separation, the Mobius action on slopes with the matrices of ordered Farey
-triangles, and the ordered tetrahedra in order.  None of it is called by the package itself.
+triangles, the ordered tetrahedra in order, and the row and two-sided id
+lookups by search.  None of it is called by the package itself.
 """
 
 from __future__ import annotations
@@ -266,8 +267,21 @@ def ordered_tets(ball: TetBall, max_length: int | None = None):
 
 
 def by_verts(table) -> dict:
-    """Reference for ``TetTable.rows_of``: sorted vertex 4-tuple -> row, the last row where several share one."""
+    """Reference for ``TetTable.rows_of`` on a generated table: sorted vertex 4-tuple -> row, the last
+    row where several share one."""
     return {tuple(v): t for t, v in enumerate(np.sort(table.verts, axis=1).tolist())}
+
+
+def pair_ids_by_keys(cg: CurveGraphBall, a, b) -> np.ndarray:
+    """Reference for ``CurveGraphBall.pair_ids``: a binary search of the ordered endpoint pairs
+    ``ends`` as keys lo * n + hi, independent of the CSR."""
+    keys = cg.ends[:, 0] * cg.n_one + cg.ends[:, 1]
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    want = lo * cg.n_one + hi
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    # With hi < n, no pair outside 0 <= lo < hi < n shares a key with an edge.
+    return np.where((keys[pos] == want) & (hi < cg.n_one), cg.n_one + pos, -1)
 
 
 def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassElement:

@@ -14,6 +14,7 @@ from crosscap3.curve_graph import (
     vertex_name,
 )
 from crosscap3.tet_tree import generate_ball
+from oracles import pair_ids_by_keys
 
 
 def with_edges(cg, *pairs, remove=()):
@@ -68,6 +69,13 @@ class TestSubdivide:
         for i in cg.vertices:
             assert cg.neighbors(i).tolist() == sorted(oracle[i])
 
+    def test_unknown_vertex(self, cgraph):
+        # Ids outside the curve graph are refused by name; a negative one would wrap.
+        cg = cgraph(1)
+        for i in (-1, len(cg.vertices), 99):
+            with pytest.raises(ValueError, match=f"vertex id {i} is not in 0..25"):
+                cg.neighbors(i)
+
     def test_two_sided_adjacency_is_endpoint_pair(self, cgraph):
         cg = cgraph(2)
         for t in cg.two_sided():
@@ -103,6 +111,20 @@ class TestDeterminedVertex:
         assert cgraph(1).pair_ids([0, 0], [1, 4]).tolist() == [cgraph(1).n_one, -1]
         # Ids that are not ball vertices determine nothing; -n + (n + 1) is the key of (0, 1).
         assert cgraph(1).pair_ids([-1, 0, -1], [1, cgraph(1).n_one, cgraph(1).n_one + 1]).tolist() == [-1] * 3
+
+    @pytest.mark.parametrize("radius", range(9))
+    def test_pair_ids_match_the_ends(self, cgraph, radius):
+        # Every pair in both orders, random pairs and ids outside 0..n-1, against a dict of the
+        # ordered ends and against the search of the ends as keys.
+        cg = cgraph(radius)
+        n, rng = cg.n_one, np.random.default_rng(radius)
+        ids = {(u, w): cg.n_one + k for k, (u, w) in enumerate(cg.ends.tolist())}
+        a, b = np.concatenate(
+            [cg.ends, cg.ends[:, ::-1], rng.integers(-2, n + 2, size=(3000, 2)), [[0, n], [n, 0], [-1, 1], [-n, 1]]]
+        ).T
+        want = [ids.get((min(x, y), max(x, y)), -1) for x, y in zip(a.tolist(), b.tolist())]
+        assert cg.pair_ids(a, b).tolist() == want == pair_ids_by_keys(cg, a, b).tolist()
+        assert cg.pair_ids(a.reshape(2, -1), b.reshape(2, -1)).tolist() == np.reshape(want, (2, -1)).tolist()
 
 
 class TestTetStar:

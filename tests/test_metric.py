@@ -73,6 +73,14 @@ class TestDistances:
         assert t.d(0, 1) == 1
         assert t.d(0, 4) == 2  # fresh vertex of tetrahedron "0"
 
+    def test_unknown_vertex(self, dtable, ctable):
+        # -1 would wrap to the last vertex, whose distance from 0 on the radius-1 ball is 1.
+        for table in (dtable(1), ctable(1)):
+            n = len(table)
+            for u, v, bad in ((-1, 0, -1), (0, -1, -1), (n, 0, n), (0, n, n)):
+                with pytest.raises(ValueError, match=f"vertex id {bad} is not in 0..{n - 1}"):
+                    table.d(u, v)
+
     def test_agrees_with_floyd_warshall(self, ball, cgraph, curve_oracle):
         b = ball(1)
         oracle = floyd_warshall(list(b.vertices()), coresidence_sets(b))

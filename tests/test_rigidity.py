@@ -1006,17 +1006,45 @@ class TestVertexSetLookup:
         assert table.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
         assert table.rows_of(quads[:0]).tolist() == []
 
-    def test_shared_vertex_set_gives_the_last_row(self):
-        verts = np.array([[3, 2, 1, 0], [5, 6, 7, 8], [0, 1, 2, 3], [0, 1, 2, 4]])
-        table = TetTable(verts, np.full(4, -1), np.full(4, -1), np.zeros(4, dtype=np.int64))
-        assert table.rows_of([[1, 0, 3, 2], [8, 7, 6, 5], [4, 3, 2, 1]]).tolist() == [2, 1, -1]
-        assert by_verts(table)[(0, 1, 2, 3)] == 2
+    @pytest.mark.parametrize("radius", range(9))
+    def test_every_generated_table(self, ball, radius):
+        # Each row in shuffled slot order, random sets that mostly miss, repeated and negative ids.
+        table = ball(radius).table
+        n, rng = ball(radius).n_vertices, np.random.default_rng(radius)
+        shuffled = np.take_along_axis(table.verts, rng.random(table.verts.shape).argsort(axis=1), axis=1)
+        misses = rng.integers(-2, n + 2, size=(2000, 4))
+        near = table.verts[rng.integers(len(table.verts), size=500)]
+        near[np.arange(500), rng.integers(4, size=500)] = rng.integers(-3, n + 3, size=500)
+        quads = np.concatenate([shuffled, misses, near, -table.verts[:3], table.verts[:3, [0, 1, 2, 2]]])
+        ref = by_verts(table)
+        assert table.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
+        assert (table.rows_of(shuffled) == np.arange(len(table.verts))).all()
 
-    def test_ids_past_a_packed_key(self):
-        # Four ids near 2^42 would overflow any int64 key packed as ((a n + b) n + c) n + d.
-        big = [1 << 40, 1 << 41, 7, 1 << 42]
-        table = TetTable(np.array([[0, 1, 2, 3], big]), np.full(2, -1), np.full(2, -1), np.zeros(2, dtype=np.int64))
-        assert table.rows_of([big[::-1], [1 << 42, 7, 1 << 41, (1 << 40) + 1]]).tolist() == [1, -1]
+    def test_other_tables_give_no_wrong_row(self, ball):
+        # Rows out of generation order, or repeating a vertex set: a row may be missed, never misnamed.
+        verts = ball(3).table.verts[np.random.default_rng(3).permutation(53)]
+        shared = np.array([[3, 2, 1, 0], [5, 6, 7, 8], [0, 1, 2, 3], [0, 1, 2, 4]])
+        for v in (verts, shared):
+            table = TetTable(v, np.full(len(v), -1), np.full(len(v), -1), np.zeros(len(v), dtype=np.int64))
+            quads = np.concatenate([v, v[:, ::-1]])
+            found = table.rows_of(quads)
+            hit = found >= 0
+            assert (np.sort(v[found[hit]], axis=1) == np.sort(quads[hit], axis=1)).all()
+            assert hit.any()
+
+    def test_ids_near_two_to_the_42(self, ball):
+        # No array sized by the largest id: numpy reports its allocations to tracemalloc.
+        table = ball(4).table
+        big = [[1 << 40, 1 << 41, 7, 1 << 42], [0, 1, 2, (1 << 42) + 3], [1 << 42, -(1 << 42), 1, 2]]
+        table.born  # built before the trace
+        tracemalloc.start()
+        try:
+            found = table.rows_of(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.tolist() == [-1, -1, -1]
+        assert peak < 1 << 20
 
 
 def perturbed(maps, n_ids, seed):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adjacency_sets, coresidence_sets, support_sets, with_edges
+from conftest import adjacency_sets, coresidence_sets, subdivide_oracle, support_sets, with_edges
 from crosscap3 import cli, tet_tree
 from crosscap3.errors import BudgetError, RadiusCapError
 from crosscap3.farey import Slope, common_neighbors, farey_adjacent
@@ -858,6 +858,53 @@ class TestCommonNeighbors:
         cliques = four_cliques(ball(4))
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", 5)
         assert np.array_equal(four_cliques(generate_ball(4)), cliques)  # a fresh ball: triangles are cached
+
+
+def edge_positions(adjacency):
+    """Reference for ``tet_tree._edge_pos``: (a, b) -> its position in the CSR of the sorted rows of
+    ``adjacency`` (a list of sets), counted from the sets alone."""
+    pos, start = {}, 0
+    for a, row in enumerate(adjacency):
+        pos.update(((a, b), start + k) for k, b in enumerate(sorted(row)))
+        start += len(row)
+    return pos
+
+
+def check_edge_pos(graph, adjacency, seed):
+    """``_edge_pos`` on every directed edge of ``adjacency``, random pairs and ids outside 0..n-1."""
+    n, want = len(adjacency), edge_positions(adjacency)
+    rng = np.random.default_rng(seed)
+    pairs = np.concatenate(
+        [
+            np.array(list(want), dtype=np.int64).reshape(-1, 2),
+            rng.integers(-2, n + 2, size=(2000, 2)),
+            [[0, n], [n, 0], [-1, 1], [1, -1], [n - 1, n], [0, -n], [1 << 42, 0], [0, 1 << 42]],
+        ]
+    )
+    pos = tet_tree._edge_pos(graph, pairs[:, 0], pairs[:, 1])
+    assert pos.tolist() == [want.get((a, b), -1) for a, b in pairs.tolist()]
+    # (a - 1, n + b) has the key of the edge (a, b): (0, n) that of (1, 0) on a ball.
+    a, b = next(e for e in want if e[0] >= 1)
+    assert tet_tree._edge_pos(graph, a - 1, n + b) == -1
+    grid = pairs[:12].reshape(3, 4, 2)
+    assert tet_tree._edge_pos(graph, grid[..., 0], grid[..., 1]).tolist() == pos[:12].reshape(3, 4).tolist()
+
+
+class TestEdgePos:
+    @pytest.mark.parametrize("radius", range(9))
+    def test_matches_the_adjacency_sets(self, ball, cgraph, radius):
+        # The curve adjacency comes from ball.edges(), not from the curve CSR.
+        check_edge_pos(ball(radius), coresidence_sets(ball(radius)), radius)
+        curve = subdivide_oracle(ball(radius))
+        check_edge_pos(cgraph(radius), [curve[i] for i in range(len(curve))], radius)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED) + ["five_clique"])
+    def test_reads_the_csr_as_edited(self, ball, name):
+        # Malformed and edited balls: the positions are those of the CSR as it stands.
+        b = named_ball(ball, name)
+        check_edge_pos(b, adjacency_sets(b), 1)
+        with_edges(b, add=[(0, b.n_vertices - 1)], remove=[(0, 1)])
+        check_edge_pos(b, adjacency_sets(b), 2)
 
 
 class TestSupport:
