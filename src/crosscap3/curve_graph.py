@@ -17,20 +17,21 @@ two one-sided vertices intersecting once and no edges at all.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .tet_tree import TetBall, _check_id, _edge_pos, common_neighbors
+from .tet_tree import TetBall, _check_id, _edge_keys, _edge_pos, common_neighbors
 
 
 class CurveGraphBall:
     """The subdivision of a TetBall's 1-skeleton over integer ids; immutable after build.
 
     ``ends`` (m x 2, each row ordered) holds the endpoints of the two-sided
-    vertices, and ``indptr``/``indices`` the adjacency as CSR with sorted
-    rows.  ``subdivide`` lays out the one-sided rows as the source's rows,
-    each neighbour replaced by the two-sided id of that edge, so an edge of
-    the source and its two-sided vertex share a CSR position (``pair_ids``).
-    ``vertices`` is the range of all ids.
+    vertices, in the order of ``source.edges()``, and ``indptr``/``indices``
+    the adjacency as CSR with sorted rows.  ``vertices`` is the range of all
+    ids.  The edge index ``_edge_pos`` searches is built from the CSR on the
+    first edge query.
     """
 
     def __init__(self, source: TetBall, ends: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
@@ -64,15 +65,22 @@ class CurveGraphBall:
     def two_sided(self) -> range:
         return self.vertices[self.n_one :]
 
-    def pair_ids(self, a, b) -> np.ndarray:
-        """Ids of the two-sided vertices of the pairs (a, b), in either order.
+    _keys = cached_property(_edge_keys)
 
-        -1 where a and b are not two joined vertices of the source ball.  The
-        id sits in this CSR at the source edge's position, by the layout of
-        ``subdivide``.
-        """
-        pos = _edge_pos(self.source, a, b)
-        return np.where(pos >= 0, self.indices[pos], -1)
+    def pair_ids(self, a, b) -> np.ndarray:
+        """Ids of the two-sided vertices of the pairs (a, b), in either order; -1 where a and b are not
+        two joined vertices of the source ball.  Read off the source alone: the id of edge (lo, hi),
+        lo < hi, is ``n_one`` + its rank among the source's CSR entries (v, w), v < w (``ends`` order)."""
+        lo = np.minimum(a, b)
+        pos = _edge_pos(self.source, lo, np.maximum(a, b))
+        return np.where(pos >= 0, self.n_one + pos - self._lower.take(lo, mode="clip"), -1)
+
+    @cached_property
+    def _lower(self) -> np.ndarray:
+        """``_lower[v]``: the source CSR entries (u, w), w < u <= v, which precede those (v, w), w > v."""
+        indptr, indices = self.source.indptr, self.source.indices
+        tail = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        return np.cumsum(np.bincount(tail[indices < tail], minlength=len(indptr) - 1))
 
 
 def subdivide(ball: TetBall) -> CurveGraphBall:

@@ -83,6 +83,13 @@ def is_address(word: str) -> bool:
     return all(word[i] != word[i + 1] for i in range(len(word) - 1))
 
 
+def _edge_keys(graph) -> np.ndarray:
+    """The directed edges of a CSR graph as keys ``v * n + w``, ascending since its rows are sorted."""
+    indptr = graph.indptr
+    n = len(indptr) - 1
+    return np.repeat(np.arange(n), np.diff(indptr)) * n + graph.indices
+
+
 class TetBall:
     """All tetrahedra within tree distance ``radius`` of the root, immutable.
 
@@ -155,8 +162,11 @@ class TetBall:
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         n, verts = self.n_vertices, self.table.verts
-        keys = _distinct(verts[:, _PAIRS[0]] * n + verts[:, _PAIRS[1]])
+        self._keys = keys = _distinct(verts[:, _PAIRS[0]] * n + verts[:, _PAIRS[1]])
         return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+
+    # The edge index: the keys ``_csr`` reads the CSR from, or, once dropped, read off ``indptr``/``indices``.
+    _keys = cached_property(_edge_keys)
 
     def support(self, v: int) -> np.ndarray:
         """The rows holding v, ascending."""
@@ -323,7 +333,7 @@ def _grow(radius: int) -> TetTable:
 
     Each row of a level spawns a child across every face but the one it was
     entered by; row t >= 1 puts the fresh vertex t + 3 at its crossed slot.
-    ``_unfold`` is the address-dict oracle."""
+    ``_unfold`` in ``tests/oracles.py`` is the address-dict oracle."""
     total = 2 * 3**radius - 1
     verts = np.empty((total, 4), dtype=np.int64)
     verts[0] = np.arange(4)
@@ -343,29 +353,6 @@ def _grow(radius: int) -> TetTable:
     return TetTable(verts, parent, face, depth)
 
 
-def _unfold(radius: int) -> dict:
-    """The address -> vertex-tuple dict of the generated ball of this radius."""
-    tets = {"": (0, 1, 2, 3)}
-    frontier = [""]
-    next_id = 4
-    for _ in range(radius):
-        nxt = []
-        for addr in frontier:
-            verts = tets[addr]
-            skip = addr[-1] if addr else None
-            for face in range(4):
-                letter = ALPHABET[face]
-                if letter == skip:
-                    continue
-                child = list(verts)
-                child[face] = next_id
-                next_id += 1
-                tets[addr + letter] = tuple(child)
-                nxt.append(addr + letter)
-        frontier = nxt
-    return tets
-
-
 def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
     """The sorted addresses of the rows holding the face of each listed row opposite its listed
     slot, in order, read off one grouped pass over the ball's faces (``_face_groups``); the
@@ -374,20 +361,15 @@ def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
     return [_coface_addrs(ball.table, members, bounds, g) for g in group[rows, slots].tolist()]
 
 
-def _edge_keys(graph) -> np.ndarray:
-    """The directed edges of a CSR graph as keys ``v * n + w``, ascending since its rows are sorted."""
-    indptr = graph.indptr
-    n = len(indptr) - 1
-    return np.repeat(np.arange(n), np.diff(indptr)) * n + graph.indices
-
-
 def _edge_pos(graph, a, b) -> np.ndarray:
     """The CSR position of each directed edge (a, b) of a TetBall or a CurveGraphBall; -1 where there
     is no such edge or an id lies outside 0..n-1, where (0, n) would otherwise match the key of (1, 0).
-    The keys are built from the CSR as it stands, on every call."""
-    keys, n = _edge_keys(graph), len(graph.indptr) - 1
+    The one search of directed edges, in the graph's index ``_keys``; a ball's CSR, read first, makes it."""
+    n, keys = len(graph.indptr) - 1, graph._keys
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     want = a * n + b
+    if not len(keys):  # a graph with no edges has no last key to clamp to
+        return np.full(want.shape, -1)
     pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     hit = (keys[pos] == want) & (a >= 0) & (a < n) & (b >= 0) & (b < n)
     return np.where(hit, pos, -1)
@@ -524,7 +506,7 @@ def _prefix_stable(ball: TetBall) -> bool:
     """Whether the ball holds the generated ball of radius n - 1, at the same addresses.
 
     A ball whose first rows repeat that ball's table row for row holds it;
-    in any other row order the address dicts are compared."""
+    otherwise each row of that table is looked up by address in ``ball.tets``."""
     n, table = ball.radius, ball.table
     if n == 0:
         return True
@@ -532,7 +514,7 @@ def _prefix_stable(ball: TetBall) -> bool:
     m = len(small.verts)
     if all(np.array_equal(getattr(small, k), getattr(table, k)[:m]) for k in ("verts", "parent", "face", "depth")):
         return True
-    return all(ball.tets.get(a) == verts for a, verts in _unfold(n - 1).items())
+    return all(ball.tets.get(a) == verts for a, verts in zip(small.addrs, map(tuple, small.verts.tolist())))
 
 
 def structural_report(ball: TetBall) -> list[dict]:
@@ -664,10 +646,10 @@ def _link_shape(table: TetTable, n: int) -> tuple | str:
     id in 0..n-1 has exactly one birth row: the root, or a row that does not
     inherit it at the same slot from its parent.  Then the tetrahedra
     containing v are a subtree below its birth row, all with v at one slot.
-    Returns (born, cross, last, slot): ``born`` (T x 4) marks birth slots,
-    ``cross`` (T,) is the slot each row changes, ``last`` (n,) the last row
-    of each vertex's support in address order and ``slot`` (n,) its slot;
-    for any other ball, ``_shape_fault``'s message.
+    Returns (born, cross, last): ``born`` (T x 4) marks birth slots,
+    ``cross`` (T,) is the slot each row changes and ``last`` (n,) the last
+    row of each vertex's support in address order; for any other ball,
+    ``_shape_fault``'s message.
     """
     verts, parent, face, depth = table.verts, table.parent, table.face, table.depth
     child = np.flatnonzero(depth > 0)
@@ -688,9 +670,7 @@ def _link_shape(table: TetTable, n: int) -> tuple | str:
     rank[order] = np.arange(len(order))
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, verts.ravel(), np.repeat(rank, 4))
-    slot = np.empty(n, dtype=np.int64)
-    slot[verts[born]] = np.nonzero(born)[1]
-    return born, born.argmax(axis=1), order[last], slot
+    return born, born.argmax(axis=1), order[last]
 
 
 _SHAPE_FAULTS = (
@@ -794,7 +774,11 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     (naming the least such member).  A vertex keeps one slot in every row,
     so all of it runs a slot at a time.  Each neighbour of a vertex gets
     one label in each labelling: their common rows are a subtree, which the
-    labelling enters once and crosses only at the other two slots.
+    labelling enters once and crosses only at the other two slots.  Every
+    (vertex, member) pair of a row writes its labels at the CSR slot
+    ``_edge_pos`` gives it; the vertex is uncovered when a pair has no edge
+    or a slot of its CSR row is never written.  Injectivity is decided after
+    the slots, by one sort of the written first labels.
 
     A ball ``_link_shape`` rejects has no link labelled: every vertex gets
     a kind-0 record naming the fault, and both label arrays are None.  A
@@ -805,14 +789,15 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     shape = _link_shape(table, n)
     if isinstance(shape, str):
         return [(v, 0, 0, 0, f"ball is not shaped like a generated one: {shape}") for v in range(n)], None, None
-    born, cross, last, slot = shape
+    born, cross, last = shape
     rows = len(table.verts)
     crossing = np.full(n, rows)  # the first row a crossing check fails on entering
     mobius = np.full(n, n)  # the least member failing the Mobius check
     over = np.full(n, LABEL_LIMIT <= 1)
     repeated, uncovered = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    csr = _edge_keys(ball)
-    first, second = np.zeros((len(csr), 2), dtype=np.int32), np.zeros((len(csr), 2), dtype=np.int32)
+    tail = np.repeat(np.arange(n), np.diff(ball.indptr))  # the vertex of each CSR slot
+    first, second = np.zeros((len(tail), 2), dtype=np.int32), np.zeros((len(tail), 2), dtype=np.int32)
+    written = np.zeros(len(tail), dtype=bool)
     for j, others in enumerate(_OTHER_SLOTS):
         owner = table.verts[:, j]
         birth = np.flatnonzero(born[:, j])
@@ -823,21 +808,17 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
         np.minimum.at(crossing, owner[bad], bad)
         t, k = np.nonzero(_mobius_flags(labels, relabels, last[owner], j))
         np.minimum.at(mobius, owner[t], table.verts[t, others[k]])
-        key = (owner[:, None] * n + table.verts[:, others]).ravel()
-        order = np.argsort(key)
-        key = key[order]
-        distinct = np.r_[True, key[1:] != key[:-1]]
-        key = key[distinct]
-        one, two = (x[:, others].reshape(-1, 2)[order][distinct] for x in (labels, relabels))
-        v = key // n
-        order = np.lexsort((one[:, 1], one[:, 0], v))
-        same = (v[order][1:] == v[order][:-1]) & (one[order][1:] == one[order][:-1]).all(axis=1)
-        repeated[v[order][1:][same]] = True
-        mine = np.flatnonzero(slot[csr // n] == j)
-        if len(key) != len(mine) or (key != csr[mine]).any():
-            uncovered[np.setxor1d(key, csr[mine], assume_unique=True) // n] = True
-        at = np.minimum(np.searchsorted(key, csr[mine]), len(key) - 1)
-        first[mine], second[mine] = one[at], two[at]
+        pos = _edge_pos(ball, owner[:, None], table.verts[:, others])
+        hit = pos >= 0
+        uncovered[owner[~hit.all(axis=1)]] = True
+        first[pos[hit]], second[pos[hit]] = labels[:, others][hit], relabels[:, others][hit]
+        written[pos[hit]] = True
+    uncovered[tail[~written]] = True
+    # Injectivity: sorted by vertex, then label, a repeated label sits next to its twin.
+    at = np.flatnonzero(written)
+    at = at[np.lexsort((first[at, 1], first[at, 0], tail[at]))]
+    same = (tail[at[1:]] == tail[at[:-1]]) & (first[at[1:]] == first[at[:-1]]).all(axis=1)
+    repeated[tail[at[1:][same]]] = True
     if over.any():
         raise BudgetError(f"a link label of vertex {over.argmax()} reaches {LABEL_LIMIT}, the limit of the pair check")
     failures = []

@@ -100,7 +100,8 @@ def with_edges(b, add=(), remove=()):
     """``b`` with the edges ``add`` joined and ``remove`` cut in its CSR adjacency.
 
     The tetrahedra stay as they are, so the ball is a fault the adjacency
-    checks must find.  The triangles cached from the old CSR are dropped.
+    checks must find.  The triangles and the edge index built from the old
+    CSR are dropped.
     Returns ``b``.
     """
     adjacency = adjacency_sets(b)
@@ -112,5 +113,6 @@ def with_edges(b, add=(), remove=()):
         adjacency[y].discard(x)
     b.indptr = np.cumsum([0] + [len(a) for a in adjacency])
     b.indices = np.array([w for a in adjacency for w in sorted(a)], dtype=np.int64)
-    vars(b).pop("triangles", None)
+    for name in ("triangles", "_keys"):
+        vars(b).pop(name, None)
     return b

@@ -1,11 +1,12 @@
 """Reference implementations that the tests check the fast paths against.
 
 Each function here is the plain, one-item-at-a-time form of something
-``crosscap3`` computes in bulk: tree walks on addresses, per-triangle
-cofaces, per-vertex link labels, per-pair bottleneck triangles and
-separation, the Mobius action on slopes with the matrices of ordered Farey
-triangles, the ordered tetrahedra in order, and the row and two-sided id
-lookups by search.  None of it is called by the package itself.
+``crosscap3`` computes in bulk: the address dict of a generated ball, tree
+walks on addresses, per-triangle cofaces, per-vertex link labels, per-pair
+bottleneck triangles and separation, the Mobius action on slopes with the
+matrices of ordered Farey triangles, the ordered tetrahedra in order, and
+the row and two-sided id lookups by search.  None of it is called by the
+package itself.
 """
 
 from __future__ import annotations
@@ -29,6 +30,29 @@ class MarginError(ValueError):
 
 # ---------------------------------------------------------------------------
 # The address tree
+
+def _unfold(radius: int) -> dict:
+    """The address -> vertex-tuple dict of the generated ball of this radius."""
+    tets = {"": (0, 1, 2, 3)}
+    frontier = [""]
+    next_id = 4
+    for _ in range(radius):
+        nxt = []
+        for addr in frontier:
+            verts = tets[addr]
+            skip = addr[-1] if addr else None
+            for face in range(4):
+                letter = ALPHABET[face]
+                if letter == skip:
+                    continue
+                child = list(verts)
+                child[face] = next_id
+                next_id += 1
+                tets[addr + letter] = tuple(child)
+                nxt.append(addr + letter)
+        frontier = nxt
+    return tets
+
 
 def neighbor(addr: str, face: int) -> str:
     """Address of the tetrahedron across ``face``.

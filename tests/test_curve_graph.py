@@ -126,6 +126,14 @@ class TestDeterminedVertex:
         assert cg.pair_ids(a, b).tolist() == want == pair_ids_by_keys(cg, a, b).tolist()
         assert cg.pair_ids(a.reshape(2, -1), b.reshape(2, -1)).tolist() == np.reshape(want, (2, -1)).tolist()
 
+    def test_pair_ids_read_the_source_alone(self, cgraph):
+        # An extra edge at one-sided row 5 shifts every later position of the curve CSR;
+        # the ids of the source's edges do not move.
+        cg = with_edges(cgraph(2), (cgraph(2).pair_ids(0, 1), 5))
+        a, b = cg.ends.T
+        assert len(cg.ends) == 54 and cg.degrees()[5] == cgraph(2).degrees()[5] + 1
+        assert cg.pair_ids(a, b).tolist() == pair_ids_by_keys(cg, a, b).tolist() == list(cg.two_sided())
+
 
 class TestTetStar:
     def test_root_star(self, cgraph):

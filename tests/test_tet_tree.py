@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import adjacency_sets, coresidence_sets, subdivide_oracle, support_sets, with_edges
 from crosscap3 import cli, tet_tree
+from crosscap3.curve_graph import subdivide
 from crosscap3.errors import BudgetError, RadiusCapError
 from crosscap3.farey import Slope, common_neighbors, farey_adjacent
 from crosscap3.tet_tree import (
     ALPHABET,
     TetBall,
     TetTable,
-    _unfold,
     ball_to_json,
     count_checks,
     four_cliques,
@@ -30,6 +30,7 @@ from crosscap3.tet_tree import (
 from oracles import (
     _link_labels,
     _slope_pair,
+    _unfold,
     has_edge,
     link_slope_labeling,
     mat_inverse,
@@ -905,6 +906,32 @@ class TestEdgePos:
         check_edge_pos(b, adjacency_sets(b), 1)
         with_edges(b, add=[(0, b.n_vertices - 1)], remove=[(0, 1)])
         check_edge_pos(b, adjacency_sets(b), 2)
+
+    def test_graph_without_edges(self):
+        # An empty index has no last key: every query is a miss, also through pair_ids.
+        b = generate_ball(0)
+        with_edges(b, remove=b.edges().tolist())
+        assert b.n_edges() == 0
+        assert tet_tree._edge_pos(b, [0], [1]).tolist() == [-1]
+        assert tet_tree._edge_pos(b, [[0, 1], [2, 4]], [[1, 0], [3, -1]]).tolist() == [[-1, -1], [-1, -1]]
+        assert subdivide(b).pair_ids(0, 1) == -1
+
+    def test_verify_builds_one_index_per_graph(self, monkeypatch):
+        # Every edge query of a verify run searches an index its graph built once: one for
+        # the ball and one for its curve graph, however many queries the checks make.
+        edge_pos, searched = tet_tree._edge_pos, []
+
+        def spy(graph, a, b):
+            pos = edge_pos(graph, a, b)
+            searched.append((graph, graph._keys))
+            return pos
+
+        monkeypatch.setattr(tet_tree, "_edge_pos", spy)
+        assert cli.run_verify(8)["ok"]
+        graphs = {id(g): type(g).__name__ for g, _ in searched}
+        assert len(searched) > 20
+        assert sorted(graphs.values()) == ["CurveGraphBall", "TetBall"]
+        assert len({id(keys) for _, keys in searched}) == 2
 
 
 class TestSupport:
