@@ -44,8 +44,9 @@ source's BFS DAG (each interval is its endpoint plus the intervals of the
 endpoint's predecessors), the sampled triples are replayed from
 ``random.Random.getrandbits`` in blocks (the stream of ``random.sample``,
 pinned by an oracle test), and the triples left after the bound go
-through both stages a chunk at a time.  Tables whose size would exceed
-``MAX_TABLE_BYTES`` are refused with ``BudgetError`` before allocation.
+through both stages a chunk at a time.  Block sizes come from
+``tet_tree._blocks`` and ``_block_rows``, and ``tet_tree._check_budget``
+refuses a table over ``MAX_TABLE_BYTES`` with ``BudgetError`` before allocation.
 """
 
 from __future__ import annotations
@@ -53,13 +54,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide, vertex_name
-from .errors import BudgetError
-from .tet_tree import BLOCK_ELEMS, TetBall, _check_id, generate_ball
+from .tet_tree import TetBall, _block_rows, _blocks, _check_budget, _check_id, generate_ball
 
 # The paper's bounds: interval thinness of the tetrahedron graph and of the
 # curve graph, and the distance of a bottleneck triangle from the midpoint.
@@ -70,10 +70,6 @@ BOTTLENECK_BOUND = 1.5
 TRIPLE_THRESHOLD = 10_000_000
 DEFAULT_SAMPLE_CAP = 1_000_000
 SAMPLE_BLOCK = 4096  # sampled triples drawn and bounded at a time
-# Largest distance table (n^2) or exhaustive-thinness table (n^3) allocated.
-# The radius-7 curve table (612 MB) and the radius-8 ball table (344 MB) are
-# refused; the radius-6 curve table (68 MB) is not.
-MAX_TABLE_BYTES = 256 << 20
 
 
 class DistanceTable:
@@ -96,14 +92,6 @@ class DistanceTable:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def _check_budget(what: str, shape: tuple, dtype) -> None:
-    need = prod(shape) * np.dtype(dtype).itemsize
-    if need > MAX_TABLE_BYTES:
-        raise BudgetError(
-            f"{what} needs {need >> 20} MiB, over the {MAX_TABLE_BYTES >> 20} MiB table budget"
-        )
 
 
 def all_pairs_distances(graph) -> DistanceTable:
@@ -131,12 +119,10 @@ def all_pairs_distances(graph) -> DistanceTable:
     diag = np.arange(n)
     frontier.view(np.uint8)[diag, diag >> 3] = (1 << (diag & 7)).astype(np.uint8)
     packed = -(-n // 8)
-    rows = max(1, BLOCK_ELEMS // n)
     for level in range(1, n):
         new = np.empty_like(frontier)
-        for a in range(0, n, rows):
-            block = slice(a, a + rows)
-            lo, hi = starts[a], ends[block][-1]
+        for block in _blocks(n, n):
+            lo, hi = starts[block.start], ends[block][-1]
             np.bitwise_or.reduceat(frontier[cols[lo:hi]], starts[block] - lo, axis=0, out=new[block])
             # The table is the seen set: keep only sources not yet reached.
             bits = np.unpackbits(new[block].view(np.uint8), axis=1, count=n, bitorder="little")
@@ -163,33 +149,43 @@ def _tet_ball(table: DistanceTable) -> TetBall:
 @dataclass
 class SubdivisionReport:
     pairs_checked: int
+    violating: int
     violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violating
 
 
 def check_subdivision_isometry(dd: DistanceTable, dc: DistanceTable) -> SubdivisionReport:
     """Verify the curve-graph metric is the doubled tetrahedron-ball metric.
 
     For one-sided vertices u, v: d_curve(u, v) = 2 d(u, v); a two-sided
-    vertex sits at distance 1 past the nearer of its two endpoints.
+    vertex sits at distance 1 past the nearer of its two endpoints.  A
+    checked pair, one-sided u < v or (two-sided, one-sided), fails when
+    either of its two entries is off; ``violating`` counts them, and any
+    nonzero one-sided diagonal entry.  ``violations`` holds the first five
+    of each kind, ``("one_sided", u, v)`` then ``("two_sided", (u, w), v)``.
+    Curve rows are compared in blocks, a one-sided v as the pair (v, v) at 0.
     """
     cg = dc.source
     if not isinstance(cg, CurveGraphBall) or cg.source is not dd.source:
         raise ValueError("tables must come from a ball and its own subdivision")
     n = len(dd)
-    violations = []
-    bad = np.argwhere(dc.dist[:n, :n] != 2 * dd.dist)
-    for ui, vi in bad[:5]:
-        violations.append(("one_sided", int(ui), int(vi)))
-    for k, (u, w) in enumerate(cg.ends.tolist()):
-        row = dc.dist[n + k, :n]
-        if not np.array_equal(row, np.minimum(2 * dd.dist[u], 2 * dd.dist[w]) + 1):
-            violations.append(("two_sided", (u, w)))
-    pairs = n * (n - 1) // 2 + n * len(cg.ends)
-    return SubdivisionReport(pairs_checked=pairs, violations=violations)
+    ends = np.concatenate([np.repeat(np.arange(n), 2).reshape(n, 2), cg.ends])
+    violating, one, two = 0, [], []
+    for block in _blocks(len(ends), n):
+        r = np.arange(block.start, block.stop)[:, None]
+        want = 2 * np.minimum(*dd.dist[ends[block].T]) + (r >= n)
+        off = (dc.dist[block, :n] != want) | (dc.dist[:n, block].T != want)  # either entry of the pair
+        t, v = np.nonzero(off & ((r >= n) | (r <= np.arange(n))))
+        t += block.start
+        violating += len(t)
+        for k in np.flatnonzero(t < n)[: 5 - len(one)].tolist():
+            one.append(("one_sided", int(t[k]), int(v[k])))
+        for k in np.flatnonzero(t >= n)[: 5 - len(two)].tolist():
+            two.append(("two_sided", tuple(ends[t[k]].tolist()), int(v[k])))
+    return SubdivisionReport(n * (n - 1) // 2 + n * len(cg.ends), violating, one + two)
 
 
 def check_distance_stability(small: DistanceTable, big: DistanceTable) -> dict:
@@ -272,21 +268,21 @@ def _bottleneck_faces(table: DistanceTable, x: np.ndarray, y: np.ndarray, p: np.
 def _bottleneck_blocks(table: DistanceTable):
     """The scan's pairs and what it builds on them, a block at a time.
 
-    Yields arrays x, y, p, p2 and faces over blocks of at most
-    ``BLOCK_ELEMS // n`` of the in-margin pairs at distance >= 3, in
-    x-then-y order: p is the least vertex of I(x, y) at distance floor(d/2)
-    from x, p2 the least neighbour of p one step further on (used for odd
-    d), and faces those of ``_bottleneck_faces``.  A vertex is in the
-    margin when its creation row lies strictly inside the ball.
+    Yields arrays x, y, p, p2 and faces over the ``_blocks`` of the
+    in-margin pairs at distance >= 3, n elements a pair (at least one
+    block, maybe empty), in x-then-y order: p is the least vertex of
+    I(x, y) at distance floor(d/2) from x, p2 the least neighbour of p one
+    step further on (used for odd d), and faces those of
+    ``_bottleneck_faces``.  A vertex is in the margin when its creation row
+    lies strictly inside the ball.
     """
     ball = _tet_ball(table)
     tab, dist = ball.table, table.dist
     margin = np.flatnonzero(tab.depth[tab.born] <= ball.radius - 1)
     a, b = np.nonzero((dist[np.ix_(margin, margin)] >= 3) & (margin[:, None] < margin))
     x, y = margin[a], margin[b]
-    step = max(1, BLOCK_ELEMS // len(dist))
-    for lo in range(0, len(x), step):
-        xs, ys = x[lo : lo + step], y[lo : lo + step]
+    for block in _blocks(len(x), len(dist)):
+        xs, ys = x[block], y[block]
         dx, dy = dist[xs], dist[ys]
         dxy = dist[xs, ys][:, None]
         half = dxy // 2
@@ -319,9 +315,8 @@ def _separated(
     rank[used] = np.arange(len(used))
     tris, inv = tris[used], rank[inv]
     out = np.empty(len(inv), dtype=bool)
-    step = max(1, BLOCK_ELEMS // len(cols))
-    for k0 in range(0, len(tris), step):
-        block = tris[k0 : k0 + step]
+    for part in _blocks(len(tris), len(cols)):
+        k0, block = part.start, tris[part]
         blocked = np.zeros((len(block), n), dtype=bool)
         blocked[np.arange(len(block))[:, None], block] = True
         if closed:
@@ -383,8 +378,6 @@ def check_bottleneck_property(table: DistanceTable) -> BottleneckReport:
         # Each triangle as one key; the keys reach n^3, so they need the int64 of the faces.
         kept.append((pairs + g, x, y, (lo * n + tri[:, 1]) * n + hi, twice, live))
         pairs += len(faces)
-    if not kept:
-        return BottleneckReport(pairs_checked=0, worst_margin=0.0, neighborhood_checked=0)
     i, x, y, keys, twice, live = map(np.concatenate, zip(*kept))
     keys, inv = np.unique(keys, return_inverse=True)  # the distinct triangles, and each pair's
     tris = np.column_stack(np.unravel_index(keys, (n, n, n)))
@@ -443,22 +436,14 @@ def thinness_report(table: DistanceTable, *, sample_cap: int = DEFAULT_SAMPLE_CA
     not part of any artifact.
     """
     _check_sample_cap(sample_cap)
-    n = len(table)
-    d = table.dist
-    total = comb(n, 3)
-    if total <= TRIPLE_THRESHOLD:
-        value, witness, scored = _thinness_exhaustive(d)
-        examined = total
-        exhaustive = True
-    else:
-        value, witness, scored = _thinness_sampled(d, sample_cap, seed)
-        examined = sample_cap
-        exhaustive = False
+    d, total = table.dist, comb(len(table), 3)
+    exhaustive = total <= TRIPLE_THRESHOLD
+    value, witness, scored = _thinness_exhaustive(d) if exhaustive else _thinness_sampled(d, sample_cap, seed)
     return ThinnessReport(
         bound=TET_THINNESS_BOUND if isinstance(table.source, TetBall) else CURVE_THINNESS_BOUND,
         max_value=value,
         witness=tuple(int(i) for i in witness),
-        triples_examined=examined,
+        triples_examined=total if exhaustive else sample_cap,
         exhaustive=exhaustive,
         triples_scored=scored,
     )
@@ -475,7 +460,7 @@ def _point_to_interval(d: np.ndarray) -> np.ndarray:
 
     The table is filled one distance level at a time, for all sources x at
     once, from the adjacency ``d == 1``.  A level's pairs x < z are taken in
-    blocks of ``BLOCK_ELEMS // n``; their predecessors are folded in with
+    ``_blocks`` of n elements a pair; their predecessors are folded in with
     one ``np.minimum`` per predecessor rank (a pair with fewer predecessors
     folds its last one in again, which leaves the minimum as it is), and
     each row is written for (x, z) and (z, x).  The rows are stored as
@@ -492,11 +477,10 @@ def _point_to_interval(d: np.ndarray) -> np.ndarray:
     a[diag, diag] = d
     rows, nbrs = np.nonzero(d == 1)
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    step = max(1, BLOCK_ELEMS // n)
     for level in range(1, int(d.max()) + 1):
         xs, zs = np.nonzero(np.triu(d == level))
-        for lo in range(0, len(xs), step):
-            x, z = xs[lo : lo + step], zs[lo : lo + step]
+        for block in _blocks(len(xs), n):
+            x, z = xs[block], zs[block]
             acc = d[z]
             # The predecessors w[first[k] : last[k] + 1] of pair k: the
             # neighbours of z[k] one step nearer x[k], at least one each.
@@ -529,9 +513,7 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
     """
     n = d.shape[0]
     point_to_interval = _point_to_interval(d)
-    best = -1
-    witness = (0, 0, 0, 0)
-    scored = 0
+    best, witness, scored = -1, (0, 0, 0, 0), 0
     for x in range(n):
         for y in range(x + 1, n):
             if d[x, y] // 2 <= best:  # the bound: this pair cannot raise the maximum
@@ -693,17 +675,15 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
     ``random.Random(seed).sample(range(n), 3)``, replayed in blocks by
     ``_sampled_triples``.  A triple whose bound floor(d(x, y) / 2) is at
     most the running maximum cannot be the first to exceed it, so it is
-    skipped; the rest are taken in chunks of at most ``BLOCK_ELEMS // n``.
+    skipped; the rest are taken in chunks of ``_block_rows(n)``.
     Stage 1 (``_chunk_exceeds``) flags the triples of a chunk whose
     thinness exceeds the maximum; stage 2 scores only those, and the first
     of their maxima is the chunk's first maximum.  Returns the maximum, the
     witness and the number of triples past the bound.
     """
     n = d.shape[0]
-    chunk = max(1, BLOCK_ELEMS // n)
-    best = -1
-    witness = (0, 0, 0, 0)
-    scored = 0
+    chunk = _block_rows(n)
+    best, witness, scored = -1, (0, 0, 0, 0), 0
     for xyz in _sampled_triples(n, samples, seed):
         live = xyz[d[xyz[:, 0], xyz[:, 1]] // 2 > best]
         while len(live):
@@ -750,9 +730,8 @@ def tree_comparison(table: DistanceTable) -> TreeComparisonReport:
     # found[d, t]: some pair u < v has ball distance d and tree distance t.
     found = np.zeros((int(table.dist.max()) + 1, 2 * width + 1), dtype=bool)
     v = np.arange(n)
-    rows = max(1, BLOCK_ELEMS // (n * max(width, 1)))
-    for a in range(0, n, rows):
-        u = v[a : a + rows]
+    for block in _blocks(n, n * max(width, 1)):
+        u = v[block]
         agree = np.logical_and.accumulate(letters[u, None, :] == letters[None, :, :], axis=2)
         # Padding agrees with padding, so cut the common prefix at the shorter address.
         common = np.minimum(agree.sum(axis=2), np.minimum.outer(depth[u], depth))
@@ -798,7 +777,7 @@ def hyperbolicity_reports(radius: int, *, sample_cap: int = DEFAULT_SAMPLE_CAP, 
         rows.append((name, rep.triples_examined, rep.max_value, witness, rep.bound, rep.ok))
     sub = check_subdivision_isometry(dd, dc)
     witness = str(sub.violations[:1])
-    rows.append(("subdivision_isometry", sub.pairs_checked, len(sub.violations), witness, 0, sub.ok))
+    rows.append(("subdivision_isometry", sub.pairs_checked, sub.violating, witness, 0, sub.ok))
     if radius >= 2:
         bot = check_bottleneck_property(dd)
         witness = str(bot.failures[:1])

@@ -33,12 +33,12 @@ domain curve id.  Candidate images of both levels come from one batched
 query on the source ball's CSR adjacency, ``tet_tree.common_neighbors``.
 
 Every per-map pass (scoring, extension by two-sided images, completion,
-propagation and comparison, and the stabilizer candidates) runs in row
-blocks of about ``BLOCK_ELEMS`` elements, in row order, so its scratch
-memory does not grow with the number of maps.  Only the map arrays
-themselves stay whole, one row per map; ``rigidity_reports`` refuses with
-BudgetError a level whose maps of the root star would exceed
-``MAX_TABLE_BYTES``.
+propagation and comparison, and the stabilizer candidates) runs in the
+row blocks of ``tet_tree._blocks``, about ``BLOCK_ELEMS`` elements each,
+in row order, so its scratch memory does not grow with the number of maps.
+Only the map arrays themselves stay whole, one row per map;
+``rigidity_reports`` refuses with BudgetError (``tet_tree._check_budget``)
+a level whose maps of the root star would exceed ``MAX_TABLE_BYTES``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError, RadiusCapError
-from .metric import _check_budget
-from .tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
-from .tet_tree import _edge_pos
+from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
+from .tet_tree import _blocks, _check_budget, _edge_pos
 
 
 class OrderedTet(tuple):
@@ -154,9 +153,17 @@ def _propagate(domain: TetBall, codomain: TetBall, dst: np.ndarray, slots: np.nd
     face that drops the image of slot f, and the fresh vertex goes to the
     fresh vertex.  Raises CodomainTooSmallError when an image leaves the
     codomain: its radius must be at least the domain radius plus the tree
-    distance of dst from the root.
+    distance of dst from the root.  Raises ValueError naming the first
+    negative domain id, or else the least id below ``domain.n_vertices``
+    that no domain row holds: neither would get an image.
     """
     dom, cod = domain.table, codomain.table
+    ids = dom.verts.ravel()
+    held = np.zeros(domain.n_vertices, dtype=bool)
+    held[ids[ids >= 0]] = True
+    bad = np.concatenate([ids[ids < 0], np.flatnonzero(~held)])
+    if len(bad):
+        raise ValueError(f"domain vertex id {bad[0]} is {'negative' if bad[0] < 0 else 'in no domain tetrahedron'}")
     tets = np.empty((len(dst), len(dom.verts)), dtype=np.int64)
     images = np.empty((len(dst), domain.n_vertices), dtype=np.int64)
     tets[:, 0] = dst
@@ -243,13 +250,6 @@ def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
 
 # ---------------------------------------------------------------------------
 # Locally injective simplicial maps
-
-def _blocks(rows: int, width: int) -> list[slice]:
-    """Consecutive slices covering ``range(rows)`` in order, of about ``BLOCK_ELEMS`` elements
-    at ``width`` elements a row; at least one slice, maybe empty."""
-    step = max(1, BLOCK_ELEMS // max(width, 1))
-    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, max(rows, 1), step)]
-
 
 def _with_pairs(one: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBall) -> np.ndarray:
     """Maps given on the one-sided ids of ``domain`` (one row each), extended to

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import re
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -43,15 +44,35 @@ from .errors import BudgetError, RadiusCapError
 ALPHABET = "0123"
 DEFAULT_RADIUS_CAP = 8
 RADIUS_CAP_ENV = "CROSSCAP3_RADIUS_CAP"
-# Elements per scratch block of numpy work: a block of link pairs here, and
-# in ``metric`` one BFS level's unpacked bits, a chunk of sampled triples, a
-# block of bottleneck pairs or of blocked sets, or a block of
-# tree-comparison rows.  It keeps the scratch memory of each far
-# below that of the n^2 distance table.
+# The memory policy of every module, read at call time by the helpers below.
+# Elements per scratch block of every blocked pass here, in ``metric`` and in
+# ``rigidity``: far below the tables the passes work on.
 BLOCK_ELEMS = 1 << 16
+# Largest table allocated whole: n^2 distances, n^3 point-to-interval distances
+# or rigidity's maps of the root star.  The radius-7 curve table (612 MB) and the
+# radius-8 ball table (344 MB) are refused; the radius-6 curve table (68 MB) is not.
+MAX_TABLE_BYTES = 256 << 20
 # Link labels are checked for Farey adjacency in int64; below this bound the
 # products |p s - q r| of two label entries cannot overflow.
 LABEL_LIMIT = 1 << 31
+
+
+def _check_budget(what: str, shape: tuple, dtype) -> None:
+    """BudgetError naming ``what`` when a ``shape`` table of ``dtype`` exceeds ``MAX_TABLE_BYTES``."""
+    need = prod(shape) * np.dtype(dtype).itemsize
+    if need > MAX_TABLE_BYTES:
+        raise BudgetError(f"{what} needs {need >> 20} MiB, over the {MAX_TABLE_BYTES >> 20} MiB table budget")
+
+
+def _block_rows(width: int) -> int:
+    """Rows per scratch block at ``width`` elements a row: ``BLOCK_ELEMS // width``, at least 1."""
+    return max(1, BLOCK_ELEMS // max(width, 1))
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``_block_rows(width)`` rows covering ``range(rows)`` in order; at least one, maybe empty."""
+    step = _block_rows(width)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, max(rows, 1), step)]
 
 
 def ascii_int(text: str) -> int:
@@ -386,8 +407,8 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
     end = np.cumsum(count)
     start, total = end - count, int(count.sum())  # row r's candidates are start[r]:end[r]
     found = []
-    for p0 in range(0, max(total, 1), BLOCK_ELEMS):  # at least one block, maybe empty
-        p1 = min(p0 + BLOCK_ELEMS, total)
+    for block in _blocks(total, 1):
+        p0, p1 = block.start, block.stop
         r0, r1 = np.searchsorted(end, p0, side="right"), np.searchsorted(start, p1)  # the rows the block covers
         row = np.repeat(np.arange(r0, r1), np.minimum(end[r0:r1], p1) - np.maximum(start[r0:r1], p0))
         v = graph.indices[indptr[base[row]] + np.arange(p0, p1) - start[row]]
@@ -586,13 +607,12 @@ def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndar
     """
     m, k = members.shape
     p, q = labels[..., 0].astype(np.int64), labels[..., 1].astype(np.int64)
-    rows = max(1, BLOCK_ELEMS // (m * k))
     farey = []
-    for r0 in range(0, k, rows):
-        det = p[:, r0 : r0 + rows, None] * q[:, None, :] - q[:, r0 : r0 + rows, None] * p[:, None, :]
+    for block in _blocks(k, m * k):
+        det = p[:, block, None] * q[:, None, :] - q[:, block, None] * p[:, None, :]
         g, ij = np.divmod(np.flatnonzero(np.abs(det) == 1), det.shape[1] * k)
         i, j = np.divmod(ij, k)
-        i += r0
+        i += block.start
         farey.append(((g * k + i) * k + j)[i < j])
     out = []
     for key in np.setxor1d(np.concatenate(farey), edges, assume_unique=True).tolist():
@@ -916,7 +936,7 @@ def _link_failures(ball: TetBall) -> tuple[list, int]:
         lo = 0
         while lo < len(vs):
             k = int(degree[lo])
-            hi = min(int(np.searchsorted(degree, k, side="right")), lo + max(1, BLOCK_ELEMS // (k * k)))
+            hi = min(int(np.searchsorted(degree, k, side="right")), lo + _block_rows(k * k))
             block = vs[lo:hi]
             col = indptr[block][:, None] + np.arange(k)
             e0, e1 = np.searchsorted(at, [lo, hi])

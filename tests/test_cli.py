@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import crosscap3
-from crosscap3 import metric, rigidity
+from crosscap3 import metric, rigidity, tet_tree
 from crosscap3.cli import main
 from crosscap3.errors import RadiusCapError
 
@@ -308,7 +308,7 @@ class TestErrors:
 
     def test_rigidity_level_over_the_budget(self, capsys, monkeypatch):
         # Level 6 holds 24 * 1457 maps of 10 ids, 2.7 MiB; it is refused before any ball is built.
-        monkeypatch.setattr(metric, "MAX_TABLE_BYTES", 1 << 20)
+        monkeypatch.setattr(tet_tree, "MAX_TABLE_BYTES", 1 << 20)
         code, out, err = run(capsys, "rigidity", "--level", "6")
         assert code == 2 and out == ""
         want = "rigidity level 6 with 34968 maps of the root star needs 2 MiB, over the 1 MiB table budget"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import coresidence_sets, support_sets
-from crosscap3 import metric
+from crosscap3 import metric, tet_tree
 from crosscap3.cli import main
 from crosscap3.errors import BudgetError
 from crosscap3.metric import (
@@ -163,6 +163,33 @@ class TestSubdivisionIsometry:
         for n in range(4):
             report = check_subdivision_isometry(dtable(n), ctable(n))
             assert report.ok, report.violations
+            assert (report.violating, report.violations) == (0, [])
+
+    def test_counts_every_violating_pair(self, dtable, ctable):
+        # Every off-diagonal one-sided entry raised by 2: all 190 pairs u < v of the 20 vertices fail.
+        td, tc = dtable(2), ctable(2)
+        n = len(td)
+        dist = tc.dist.copy()
+        dist[:n, :n] += 2 * (1 - np.eye(n, dtype=dist.dtype))
+        report = check_subdivision_isometry(td, DistanceTable(dist, tc.source))
+        assert (n, report.violating, report.ok) == (20, 190, False)
+        assert report.violations == [("one_sided", 0, v) for v in range(1, 6)]
+
+    def test_counts_two_sided_pairs(self, dtable, ctable):
+        # Two whole two-sided rows, one more entry of a third, one pair wrong only in its
+        # (one-sided, two-sided) entry, and one one-sided pair wrong only below the diagonal.
+        td, tc = dtable(2), ctable(2)
+        n, ends = len(td), tc.source.ends.tolist()
+        dist = tc.dist.copy()
+        dist[n + 3, :n] += 1
+        dist[n + 7, :n] -= 1
+        dist[n + 9, 4] += 1
+        dist[6, n + 1] += 1
+        dist[9, 2] += 1
+        report = check_subdivision_isometry(td, DistanceTable(dist, tc.source))
+        assert report.violating == 2 * n + 3
+        two = [("two_sided", tuple(ends[1]), 6)] + [("two_sided", tuple(ends[3]), v) for v in range(4)]
+        assert report.violations == [("one_sided", 2, 9)] + two
 
     def test_rejects_mismatched_sources(self, dtable, ctable):
         with pytest.raises(ValueError):
@@ -462,7 +489,7 @@ class TestExhaustiveThinness:
     def test_block_size_does_not_change_the_table(self, monkeypatch, metric_named, block):
         tables = [metric_named(name) for name in ("tet-3", "curve-1", *MANY_GEODESICS)]
         want = [(_point_to_interval(d), _thinness_exhaustive(d)) for d in tables]
-        monkeypatch.setattr(metric, "BLOCK_ELEMS", block)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         for d, (table, result) in zip(tables, want):
             assert np.array_equal(_point_to_interval(d), table)
             assert _thinness_exhaustive(d) == result
@@ -495,7 +522,7 @@ class TestThinness:
         d, n = t.dist, len(t)
         rng = random.Random(radius)
         xyz = np.array([rng.sample(range(n), 3) for _ in range(5000)])
-        chunk = max(1, BLOCK_ELEMS // n)
+        chunk = tet_tree._block_rows(n)
         vals = np.concatenate([_chunk_thinness(d, xyz[a : a + chunk]) for a in range(0, len(xyz), chunk)])
         assert (vals <= d[xyz[:, 0], xyz[:, 1]] // 2).all()
 
@@ -602,12 +629,12 @@ class TestSampledThinness:
     def test_stage_one_flags_exactly_the_triples_above_best(self, monkeypatch, dtable, ctable, graph, radius, block):
         # On the sampler's chunks at this block size, every row's flag is
         # whether its thinness exceeds best, whether or not its bound could.
-        monkeypatch.setattr(metric, "BLOCK_ELEMS", block)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         d = (dtable if graph == "tet" else ctable)(radius).dist
         n = len(d)
         rng = random.Random(radius)
         xyz = np.array([rng.sample(range(n), 3) for _ in range(300 if block == BLOCK_ELEMS else 60)])
-        chunk = max(1, metric.BLOCK_ELEMS // n)
+        chunk = tet_tree._block_rows(n)
         parts = [xyz[a : a + chunk] for a in range(0, len(xyz), chunk)]
         vals = [_chunk_thinness(d, part) for part in parts]
         for best in range(-1, 5):
@@ -690,6 +717,33 @@ class TestTreeComparison:
 
 
 class TestHyperbolicityReports:
+    def test_isometry_row_counts_every_violating_pair(self, monkeypatch):
+        # The curve table as the isometry check sees it, every off-diagonal one-sided entry raised by 2.
+        check = metric.check_subdivision_isometry
+
+        def raised(dd, dc):
+            n = len(dd)
+            dc.dist[:n, :n] += 2 * (1 - np.eye(n, dtype=dc.dist.dtype))
+            return check(dd, dc)
+
+        monkeypatch.setattr(metric, "check_subdivision_isometry", raised)
+        (row,) = [r for r in hyperbolicity_reports(2) if r["name"] == "subdivision_isometry"]
+        assert (row["examined"], row["worst"], row["ok"]) == (1270, 190, False)
+        assert row["witness"] == "[('one_sided', 0, 1)]"
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    def test_block_size_does_not_change_any_row(self, monkeypatch, sampled):
+        # Every blocked pass of the suite reads tet_tree.BLOCK_ELEMS at call time: the distance
+        # BFS, the interval table or the sampler's chunks, the isometry rows, the bottleneck
+        # scan and its blocked sets, and the tree comparison.
+        if sampled:
+            monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
+        want = [hyperbolicity_reports(r, sample_cap=2000) for r in (2, 3)]
+        assert all(row["name"].endswith("_sampled") == sampled for row in (want[0][0], want[1][1]))
+        for block in (1, 7):
+            monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
+            assert [hyperbolicity_reports(r, sample_cap=2000) for r in (2, 3)] == want, block
+
     @pytest.mark.parametrize("radius", [1, 2])
     def test_rows(self, radius):
         rows = hyperbolicity_reports(radius)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacency_sets, with_edges
-from crosscap3 import metric, rigidity
+from crosscap3 import rigidity, tet_tree
 from crosscap3.curve_graph import subdivide
 from crosscap3.errors import BudgetError, CodomainTooSmallError
 from crosscap3.rigidity import (
@@ -312,6 +312,14 @@ class TestPropagate:
             propagate_map(elem("", (0, 1, 2, 4)), ball(0), ball(1))
         with pytest.raises(CodomainTooSmallError):
             propagate_map(elem("000", (0, 1, 2, 3)), ball(0), ball(1))
+
+    @pytest.mark.parametrize(
+        "verts, named", [((0, 1, 2, 5), "3 is in no"), ((0, 1, 2, -1), "-1 is negative")], ids=["unheld", "negative"]
+    )
+    def test_every_domain_id_gets_an_image(self, ball, verts, named):
+        # Ids 3 and 4 of the first domain lie in no tetrahedron, and -1 indexes the last image column.
+        with pytest.raises(ValueError, match=f"^domain vertex id {named}"):
+            propagate_map(MappingClassElement.identity(), TetBall(0, {"": verts}), ball(1))
 
     def test_codomain_too_small(self, ball):
         # Destination at distance 2 with a radius-2 domain needs radius 4.
@@ -1075,8 +1083,9 @@ def corrupted(maps, domain):
 
 
 class TestBlockSize:
-    """The per-map passes give the same output at every block size; ``rigidity`` reads its own
-    ``BLOCK_ELEMS`` name at call time, so that is the one patched."""
+    """The per-map passes give the same output at every block size.  Every blocked pass reads
+    ``tet_tree.BLOCK_ELEMS`` at call time, so that one binding is patched, and it splits
+    ``common_neighbors`` as well as the per-map passes."""
 
     @pytest.fixture(scope="class")
     def inputs(self, cgraph, ball):
@@ -1135,7 +1144,7 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("block", [1, 7, 64, pytest.param(BLOCK_ELEMS, id="default")])
     def test_block_size_does_not_change_any_result(self, monkeypatch, inputs, want, block):
-        monkeypatch.setattr(rigidity, "BLOCK_ELEMS", block)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         got = self.outputs(inputs)
         for key in ("check_map", "with_pairs"):
             assert all(np.array_equal(g, w) for g, w in zip(got[key], want[key])), key
@@ -1145,7 +1154,7 @@ class TestBlockSize:
     def test_level_five_matches_one_block(self, monkeypatch, reports):
         # At the default, level 5 splits every per-map pass; one block per pass is the unsplit run.
         want = list(reports(5).values())
-        monkeypatch.setattr(rigidity, "BLOCK_ELEMS", 1 << 40)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", 1 << 40)
         assert rigidity_reports(5) == want
 
 
@@ -1172,7 +1181,7 @@ class TestBudget:
             built.append(radius)
             return generate_ball(radius)
 
-        monkeypatch.setattr(metric, "MAX_TABLE_BYTES", 1 << 16)
+        monkeypatch.setattr(tet_tree, "MAX_TABLE_BYTES", 1 << 16)
         monkeypatch.setattr(rigidity, "generate_ball", generate)
         assert len(rigidity_reports(2)) == 5
         built.clear()

@@ -1,4 +1,5 @@
-"""The package keeps no public function that only tests or the exports use.
+"""The package keeps no public function that only tests or the exports use, and one home
+for its memory limits.
 
 Every public module-level function of ``src/crosscap3`` must be referenced
 by name from code that runs: module-level code, a class body, or a function
@@ -8,6 +9,10 @@ unused too, so a dead helper cannot keep its own helpers alive.  The
 references are read with ``ast``; an import alone is not a reference.
 Reference implementations that only tests call belong in
 ``tests/oracles.py``.
+
+The scratch block size and the table budget are bound in ``tet_tree``
+alone, with the helpers that apply them; every other module takes its
+block sizes and budget checks from those helpers.
 """
 
 import ast
@@ -77,3 +82,43 @@ def test_a_chain_of_dead_functions_is_found(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from .mod import dead, helper, used\n")
     assert unused_public_functions(tmp_path) == ["mod.dead", "mod.helper"]
+
+
+LIMITS = {"BLOCK_ELEMS", "MAX_TABLE_BYTES"}
+HELPERS = {"_blocks", "_block_rows", "_check_budget"}
+
+
+def limit_bindings(src: Path = SRC) -> list:
+    """``module.name`` for each memory limit that a module other than ``tet_tree`` binds, imports
+    or reads off another module, and each block or budget helper it defines or assigns."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "tet_tree":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {n for alias in node.names for n in (alias.name, alias.asname)} & LIMITS
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name} & HELPERS
+            elif isinstance(node, ast.Name):
+                names = {node.id} & (LIMITS | HELPERS if isinstance(node.ctx, ast.Store) else LIMITS)
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & LIMITS
+            else:
+                continue
+            found |= {f"{path.stem}.{name}" for name in names}
+    return sorted(found)
+
+
+def test_only_tet_tree_binds_the_memory_limits():
+    assert limit_bindings() == []
+
+
+def test_a_second_binding_is_found(tmp_path):
+    (tmp_path / "tet_tree.py").write_text("BLOCK_ELEMS = 1\n\n\ndef _blocks(rows, width):\n    return []\n")
+    (tmp_path / "mod.py").write_text(
+        "from .tet_tree import BLOCK_ELEMS as B\nfrom . import tet_tree\n\nMAX_TABLE_BYTES = 2\n"
+        "STEP = tet_tree.BLOCK_ELEMS\n\n\ndef _blocks(rows, width):\n    return []\n"
+    )
+    (tmp_path / "other.py").write_text("from .tet_tree import _blocks\n\n_check_budget = None\n")
+    assert limit_bindings(tmp_path) == ["mod.BLOCK_ELEMS", "mod.MAX_TABLE_BYTES", "mod._blocks", "other._check_budget"]

@@ -729,7 +729,7 @@ def link_edges_loop(b):
     tail = np.repeat(np.arange(n), degree)
     csr = tail * n + indices
     found = []
-    step = max(1, tet_tree.BLOCK_ELEMS // 8)
+    step = tet_tree._block_rows(8)
     for e0 in range(0, max(len(indices), 1), step):
         e = np.arange(e0, min(e0 + step, len(indices)))
         row, y = tet_tree.common_neighbors(b, np.column_stack([tail[e], indices[e]]))
