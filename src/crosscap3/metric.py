@@ -245,23 +245,22 @@ def _bottleneck_faces(table: DistanceTable, x: np.ndarray, y: np.ndarray, p: np.
     holding q form a subtree topped by q's creation row s, so the tree path
     from s to the creation row g of y (which lacks q) leaves them once:
     climbing to the parent of s, or, when g lies below s, at the first row
-    without q on the way down (read off ``TetTable.ancestors``).  Returns
+    without q on the way down (read off ``TetBall.ancestors``).  Returns
     the vertices of that cut row (B x 4), -1 where the row before the cut
     lacks them, so a triangle is the other three; like
     ``bottleneck_triangle``, unchecked.
     """
     ball, d = table.source, table.dist
-    tab = ball.table
     dxp, dpy = d[x, p], d[p, y]
     q = _least_neighbor(ball, p, lambda i, w: (d[x[i], w] == dxp[i] - 1) & (d[y[i], w] == dpy[i] + 1))
-    s, g = tab.born[q], tab.born[y]
-    b, ds = np.arange(len(q)), tab.depth[s]
-    down = tab.ancestors[g]  # the rows from the root to g
+    s, g = ball.born[q], ball.born[y]
+    b, ds = np.arange(len(q)), ball.depth[s]
+    down = ball.ancestors[g]  # the rows from the root to g
     below = down[b, ds] == s
-    lacks = (tab.verts[down] != q[:, None, None]).all(axis=2)
+    lacks = (ball.verts[down] != q[:, None, None]).all(axis=2)
     k = (lacks & (down >= 0) & (np.arange(down.shape[1]) > ds[:, None])).argmax(axis=1)
-    face = tab.verts[np.where(below, down[b, k], tab.parent[s])]
-    before = tab.verts[np.where(below, down[b, k - 1], s)]
+    face = ball.verts[np.where(below, down[b, k], ball.parent[s])]
+    before = ball.verts[np.where(below, down[b, k - 1], s)]
     return np.where((face[:, :, None] == before[:, None, :]).any(axis=2), face, -1)
 
 
@@ -276,9 +275,8 @@ def _bottleneck_blocks(table: DistanceTable):
     ``_bottleneck_faces``.  A vertex is in the margin when its creation row
     lies strictly inside the ball.
     """
-    ball = _tet_ball(table)
-    tab, dist = ball.table, table.dist
-    margin = np.flatnonzero(tab.depth[tab.born] <= ball.radius - 1)
+    ball, dist = _tet_ball(table), table.dist
+    margin = np.flatnonzero(ball.depth[ball.born] <= ball.radius - 1)
     a, b = np.nonzero((dist[np.ix_(margin, margin)] >= 3) & (margin[:, None] < margin))
     x, y = margin[a], margin[b]
     for block in _blocks(len(x), len(dist)):
@@ -718,14 +716,14 @@ def tree_comparison(table: DistanceTable) -> TreeComparisonReport:
     """Empirical comparison of ball distances with tree distances.
 
     Each vertex is assigned the address of its creation row
-    (``TetTable.born``), the least address in its support; the report gives
+    (``TetBall.born``), the least address in its support; the report gives
     min/max of d_ball - d_tree over all pairs and of the ratio over pairs
     with positive tree distance.  These are window statistics only; no
     constant for the infinite complex is claimed.
     """
-    tab = _tet_ball(table).table
-    anc, depth = tab.ancestors[tab.born], tab.depth[tab.born]
-    letters = np.where(anc >= 0, tab.face[anc], -1)[:, 1:]  # the faces crossed from the root, -1 past the depth
+    ball = _tet_ball(table)
+    anc, depth = ball.ancestors[ball.born], ball.depth[ball.born]
+    letters = np.where(anc >= 0, ball.face[anc], -1)[:, 1:]  # the faces crossed from the root, -1 past the depth
     n, width = letters.shape
     # found[d, t]: some pair u < v has ball distance d and tree distance t.
     found = np.zeros((int(table.dist.max()) + 1, 2 * width + 1), dtype=bool)

@@ -7,22 +7,23 @@ is mapped, the neighbour across each face has exactly one possible image
 to the fresh vertex.  Elements are therefore represented extensionally as
 ordered destination tetrahedra and realized by propagation over a window.
 
-Propagation runs in batches over the integer tetrahedron tables of the
-balls (``TetBall.table``): M elements walk the domain rows together, and
-each face crossing is a few array operations over all of them.  A single
-element is a batch of one.  The group operations on single elements
-(``image_of_ordered_tet``, ``compose``, ``inverse``) need no walk: a vertex
-keeps one slot in every tetrahedron (``TetTable.colour``), so an element is
-a reduced word and a slot permutation, and each operation a closed form.
+Propagation runs in batches over the integer rows of the balls
+(``TetBall``): M elements walk the domain rows together, parents first (by
+depth, from the root row), and each face crossing is a few array
+operations over all of them.  A single element is a batch of one.  The
+group operations on single elements (``image_of_ordered_tet``,
+``compose``, ``inverse``) need no walk: a vertex keeps one slot in every
+tetrahedron (``TetBall.colour``), so an element is a reduced word and a
+slot permutation, and each operation a closed form.
 
 ``OrderedTet`` is the tuple (address, verts) and ``MappingClassElement``
 the tuple (dst,), so equality and hashing run in C; an element therefore
-also equals the plain tuple of its fields.  The public constructor stores
-the vertices as a tuple of ints and checks for 4 distinct ones, and every
-group operation checks each input against its ball (``_slot_order``).
-Their results are built unvalidated: a result's vertices are a row of the
-ball in permuted order, and ``TetTable.colour`` has proven every row
-distinct.
+also equals the plain tuple of its fields.  The public constructor checks
+that the address is a reduced word (``is_address``), stores the vertices
+as a tuple of ints and checks for 4 distinct ones, and every group
+operation checks each input against its ball (``_slot_order``).  Their
+results are built unvalidated: a result's vertices are a row of the ball
+in permuted order, and ``TetBall.colour`` has proven every row distinct.
 
 This module also enumerates the locally injective simplicial maps of the
 root star and verifies mechanically that each is the restriction of a unique
@@ -51,7 +52,7 @@ import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import CodomainTooSmallError, RadiusCapError
-from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, radius_cap
+from .tet_tree import ALPHABET, TetBall, common_neighbors, face_cofaces, generate_ball, is_address, radius_cap
 from .tet_tree import _blocks, _check_budget, _edge_pos
 
 
@@ -63,6 +64,8 @@ class OrderedTet(tuple):
     verts = property(itemgetter(1))
 
     def __new__(cls, address: str, verts) -> "OrderedTet":
+        if not isinstance(address, str) or not is_address(address):
+            raise ValueError(f"an ordered tetrahedron's address is a reduced word over 0..3, got {address!r}")
         verts = tuple(map(operator.index, verts))  # ints only, so a list or numpy row hashes and compares as a tuple
         if len(verts) != 4 or len(set(verts)) != 4:
             raise ValueError("an ordered tetrahedron lists 4 distinct vertices")
@@ -77,7 +80,7 @@ class OrderedTet(tuple):
 
 ROOT_TET = OrderedTet("", (0, 1, 2, 3))
 # Builds a group operation's result without the check in ``OrderedTet.__new__``: its vertices are a
-# row of the ball permuted by pi o sigma (or pi^-1), and ``TetTable.colour`` has proven every row distinct.
+# row of the ball permuted by pi o sigma (or pi^-1), and ``TetBall.colour`` has proven every row distinct.
 _new = tuple.__new__
 PERMUTATIONS = np.array(list(permutations(range(4))), dtype=np.int64)
 # The str.translate table relabelling face letters by each slot permutation pi, and pi^-1.
@@ -110,7 +113,7 @@ class MappingClassElement(tuple):
 
 def _slot_order(tets: dict, colour: list, otet: OrderedTet, role: str) -> tuple:
     """The slot pi[k] of the k-th vertex of ``otet`` in its tetrahedron of ``tets``, once they are known
-    to match; ``colour`` is the ball's ``TetTable.colour``, fetched by the caller once per operation."""
+    to match; ``colour`` is the ball's ``TetBall.colour``, fetched by the caller once per operation."""
     address, verts = otet
     slots = tets.get(address)
     if slots is None:
@@ -149,37 +152,40 @@ def _propagate(domain: TetBall, codomain: TetBall, dst: np.ndarray, slots: np.nd
     ``dst`` (M,) holds the codomain rows of the destinations and ``slots``
     (M x 4) their vertices in slot order.  Returns the codomain row of every
     domain row (M x T) and the image of every domain vertex id (M x V).
-    Domain rows are walked parents first; crossing face f crosses the image
-    face that drops the image of slot f, and the fresh vertex goes to the
-    fresh vertex.  Raises CodomainTooSmallError when an image leaves the
-    codomain: its radius must be at least the domain radius plus the tree
-    distance of dst from the root.  Raises ValueError naming the first
-    negative domain id, or else the least id below ``domain.n_vertices``
-    that no domain row holds: neither would get an image.
+    Domain rows are walked parents first, in a stable sort by depth from
+    the root row; crossing face f crosses the image face that drops the
+    image of slot f, and the fresh vertex goes to the fresh vertex.  Raises
+    CodomainTooSmallError when an image leaves the codomain: its radius
+    must be at least the domain radius plus the tree distance of dst from
+    the root.  Raises ValueError naming the first negative domain id, or
+    else the least id below ``domain.n_vertices`` that no domain row holds:
+    neither would get an image.  ``TetBall.colour`` then raises ValueError
+    for a domain with an unreduced address or a missing parent.
     """
-    dom, cod = domain.table, codomain.table
-    ids = dom.verts.ravel()
+    ids = domain.verts.ravel()
     held = np.zeros(domain.n_vertices, dtype=bool)
     held[ids[ids >= 0]] = True
     bad = np.concatenate([ids[ids < 0], np.flatnonzero(~held)])
     if len(bad):
         raise ValueError(f"domain vertex id {bad[0]} is {'negative' if bad[0] < 0 else 'in no domain tetrahedron'}")
-    tets = np.empty((len(dst), len(dom.verts)), dtype=np.int64)
+    domain.colour  # refuses an unreduced address or a missing parent
+    root, *order = np.argsort(domain.depth, kind="stable").tolist()
+    tets = np.empty((len(dst), len(domain.verts)), dtype=np.int64)
     images = np.empty((len(dst), domain.n_vertices), dtype=np.int64)
-    tets[:, 0] = dst
-    images[:, dom.verts[0]] = slots
-    for t in range(1, len(dom.verts)):
-        face, parent = dom.face[t], tets[:, dom.parent[t]]
-        crossed = images[:, dom.verts[dom.parent[t], face]]
-        pos = (cod.verts[parent] == crossed[:, None]).argmax(axis=1)
-        nxt = cod.nbr[parent, pos]
+    tets[:, root] = dst
+    images[:, domain.verts[root]] = slots
+    for t in order:
+        face, parent = domain.face[t], tets[:, domain.parent[t]]
+        crossed = images[:, domain.verts[domain.parent[t], face]]
+        pos = (codomain.verts[parent] == crossed[:, None]).argmax(axis=1)
+        nxt = codomain.nbr[parent, pos]
         if (nxt < 0).any():
             i = int(np.argmax(nxt < 0))
             raise CodomainTooSmallError(
-                f"image left the codomain ball at {cod.addrs[parent[i]]!r} across face {pos[i]}"
+                f"image left the codomain ball at {codomain.addrs[parent[i]]!r} across face {pos[i]}"
             )
         tets[:, t] = nxt
-        images[:, dom.verts[t, face]] = cod.verts[nxt, pos]
+        images[:, domain.verts[t, face]] = codomain.verts[nxt, pos]
     return tets, images
 
 
@@ -191,15 +197,14 @@ def propagate_map(element: MappingClassElement, domain: TetBall, codomain: TetBa
     generated.
     """
     dst = element.dst
-    _slot_order(codomain.tets, codomain.table.colour, dst, "destination")
-    cod = codomain.table
-    tets, images = _propagate(domain, codomain, np.array([cod.rows[dst.address]]), np.array([dst.verts]))
+    _slot_order(codomain.tets, codomain.colour, dst, "destination")
+    tets, images = _propagate(domain, codomain, np.array([codomain.rows[dst.address]]), np.array([dst.verts]))
     return VertexMap(
         element,
         domain,
         codomain,
         dict(enumerate(images[0].tolist())),
-        {a: cod.addrs[c] for a, c in zip(domain.table.addrs, tets[0].tolist())},
+        {a: codomain.addrs[c] for a, c in zip(domain.addrs, tets[0].tolist())},
     )
 
 
@@ -208,14 +213,14 @@ def image_of_ordered_tet(element: MappingClassElement, otet: OrderedTet, work: T
     ``verts[f]``, and ``otet`` = (w, vertices at slots sigma), the tetrahedron at reduce(c pi(w))
     with its slots at pi o sigma; pi(w) relabels w letterwise, reduce cancels equal letters at the
     junction.  Raises CodomainTooSmallError for a tetrahedron outside ``work``, ValueError for
-    vertices off their tetrahedron or a malformed ``work`` (see ``TetTable.colour``)."""
+    vertices off their tetrahedron or a malformed ``work`` (see ``TetBall.colour``)."""
     return _image(element[0], otet, work)
 
 
 def _image(dst: OrderedTet, otet: OrderedTet, work: TetBall) -> OrderedTet:
     """``image_of_ordered_tet`` under the element with destination ``dst``; ``compose`` calls it
     directly, so that a composition is one call of a public function."""
-    tets, colour = work.tets, work.table.colour
+    tets, colour = work.tets, work.colour
     pi, sigma = _slot_order(tets, colour, dst, "destination"), _slot_order(tets, colour, otet, "source")
     c, w = dst[0], otet[0]
     u = w.translate(_RELABEL[pi])
@@ -239,7 +244,7 @@ def inverse(element: MappingClassElement, work: TetBall) -> MappingClassElement:
     """The element undoing ``element``; needs work radius >= |dst address|.  The inverse of
     (c, pi) is (pi^-1(reverse(c)), pi^-1): that tetrahedron, its slots listed in pi^-1 order."""
     dst = element[0]
-    inv = _INVERSE[_slot_order(work.tets, work.table.colour, dst, "destination")]
+    inv = _INVERSE[_slot_order(work.tets, work.colour, dst, "destination")]
     addr = dst[0][::-1].translate(_RELABEL[inv])
     slots = work.tets.get(addr)
     if slots is None:
@@ -335,15 +340,13 @@ def _first_fixer(ids, work: TetBall) -> OrderedTet | None:
     dst_radius = work.radius - domain_radius
     if dst_radius < 1:
         raise ValueError("work ball too small to test any non-identity element")
-    domain = generate_ball(domain_radius)
-    table = work.table
-    addrs = table.addrs
-    rows = np.array(sorted(np.flatnonzero(table.depth <= dst_radius).tolist(), key=lambda t: (len(addrs[t]), addrs[t])))
+    domain, addrs = generate_ball(domain_radius), work.addrs
+    rows = np.array(sorted(np.flatnonzero(work.depth <= dst_radius).tolist(), key=lambda t: (len(addrs[t]), addrs[t])))
     for block in _blocks(len(rows), len(PERMUTATIONS) * domain.n_vertices):
         dst = np.repeat(rows[block], len(PERMUTATIONS))
-        slots = table.verts[rows[block]][:, PERMUTATIONS].reshape(-1, 4)
+        slots = work.verts[rows[block]][:, PERMUTATIONS].reshape(-1, 4)
         _, images = _propagate(domain, work, dst, slots)
-        identity = (table.depth[dst] == 0) & (slots == ROOT_TET.verts).all(axis=1)
+        identity = (work.depth[dst] == 0) & (slots == ROOT_TET.verts).all(axis=1)
         fixes = (images[:, ids] == ids).all(axis=1) & ~identity
         if fixes.any():
             i = int(np.argmax(fixes))
@@ -383,7 +386,7 @@ def rigidity_reports(level: int) -> list[dict]:
     ball = cg.source
     maps = enumerate_locally_injective(star, cg)
     witnesses = _match_propagated(maps, star, cg)
-    reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.table.verts), witnesses)]
+    reports = [_level_report(1, ball.radius, len(maps), 24 * len(ball.verts), witnesses)]
     if level >= 2:
         reports.append(_check_level_two(maps, cg))
     reports += [induction_step_report(k, work) for k in range(2, level + 1)]
@@ -412,13 +415,12 @@ def induction_step_report(level: int, work: TetBall) -> dict:
     """
     if not 1 <= level <= work.radius:
         raise ValueError(f"level must be within the work radius {work.radius}")
-    table = work.table
-    shell = sorted(np.flatnonzero(table.depth == level).tolist(), key=table.addrs.__getitem__)
-    face = table.face[shell]
+    shell = sorted(np.flatnonzero(work.depth == level).tolist(), key=work.addrs.__getitem__)
+    face = work.face[shell]
     # With the parent a coface, its apex is the one vertex off the shared face.
-    coincide = (table.verts[table.parent[shell]] == table.verts[shell, face][:, None]).any(axis=1).tolist()
+    coincide = (work.verts[work.parent[shell]] == work.verts[shell, face][:, None]).any(axis=1).tolist()
     witnesses = []
-    for addr, cof, same in zip((table.addrs[t] for t in shell), face_cofaces(work, shell, face), coincide):
+    for addr, cof, same in zip((work.addrs[t] for t in shell), face_cofaces(work, shell, face), coincide):
         if set(cof) != {addr, addr[:-1]}:
             witnesses.append({"tet": addr, "cofaces": list(cof)})
         elif same:
@@ -442,23 +444,23 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
     """Witnesses, in row order, of the maps that are not the restriction of one new element.
 
     A row's element is read off its root images (as in ``element_of_map`` in
-    ``tests/oracles.py``), their tetrahedron found by ``TetTable.rows_of``:
+    ``tests/oracles.py``), their tetrahedron found by ``TetBall.rows_of``:
     the creation row of the youngest image, if it holds exactly those images,
     which on the generated ball of ``cg`` finds every such tetrahedron.
     A row whose root images span no tetrahedron, or whose element an earlier
     row already had, is a witness; the other rows are propagated in blocks
     and compared with the map.
     """
-    table = cg.source.table
+    ball = cg.source
     roots = maps[:, list(ROOT_TET.verts)]
-    dst = table.rows_of(roots)
+    dst = ball.rows_of(roots)
     duplicate = np.ones(len(maps), dtype=bool)
     duplicate[np.unique(roots, axis=0, return_index=True)[1]] = False
     fresh = np.flatnonzero((dst >= 0) & ~duplicate)
     mismatch = np.zeros(len(maps), dtype=bool)
     for block in _blocks(len(fresh), maps.shape[1]):
         rows = fresh[block]
-        _, images = _propagate(domain.source, cg.source, dst[rows], roots[rows])
+        _, images = _propagate(domain.source, ball, dst[rows], roots[rows])
         mismatch[rows] = (_with_pairs(images, domain, cg) != maps[rows]).any(axis=1)
     witnesses = []
     for i in np.flatnonzero((dst < 0) | duplicate | mismatch).tolist():
@@ -467,7 +469,7 @@ def _match_propagated(maps: np.ndarray, domain: CurveGraphBall, cg: CurveGraphBa
             witnesses.append({"images": imgs, "error": "no unique tetrahedron"})
         else:
             error = "duplicate element" if duplicate[i] else "propagation mismatch"
-            witnesses.append({"element": str(OrderedTet(table.addrs[dst[i]], tuple(imgs))), "error": error})
+            witnesses.append({"element": str(OrderedTet(ball.addrs[dst[i]], tuple(imgs))), "error": error})
     return witnesses
 
 
@@ -499,6 +501,6 @@ def _check_level_two(base_maps: np.ndarray, cg: CurveGraphBall) -> dict:
         witnesses += [{"base": tuple(base[b].tolist()), "error": e} for b, e in zip(bad, errors)]
         found += int(good.sum())
         good_maps.append(maps[good[forced]])
-    expected = 24 * int((ball.table.depth < ball.radius).sum())
+    expected = 24 * int((ball.depth < ball.radius).sum())
     witnesses += _match_propagated(np.concatenate(good_maps), domain, cg)
     return _level_report(2, ball.radius, found, expected, witnesses)

@@ -12,15 +12,15 @@ its predecessor); the empty word is the root.  Because generation is a
 lexicographic breadth-first walk, vertex ids and serializations are
 canonical: regenerating a ball always yields the same bytes.
 
-A ball is held as integer arrays (``TetTable``): each row's vertices,
-parent, crossed face and depth.  The adjacency and the vertex supports are
-CSR arrays read off those rows, and the address strings and the
-address -> vertices dict are built only when something asks for them
-(witnesses, serialization, the group operations), never by ``verify`` on a
+A ball (``TetBall``) is its integer rows: each row's vertices, parent,
+crossed face and depth.  The adjacency and the vertex supports are CSR
+arrays read off those rows, and the address strings and the address ->
+vertices dict are built only when something asks for them (witnesses,
+serialization, the group operations), never by ``verify`` on a
 well-formed ball.
 
 ``link_labeling_report`` labels every vertex link by Farey slopes in one
-pass over the table (``_link_pass``), from two bases per vertex, and writes
+pass over the rows (``_link_pass``), from two bases per vertex, and writes
 one record per vertex a check fails on: a crossing that does not unfold like
 the Farey complex (naming the row), labels that are not injective, labels
 that do not cover the adjacency, or a second labelling that is not the
@@ -99,9 +99,7 @@ def radius_cap() -> int:
 
 def is_address(word: str) -> bool:
     """True iff word is a reduced address: letters in 0..3, no immediate repeats."""
-    if any(ch not in ALPHABET for ch in word):
-        return False
-    return all(word[i] != word[i + 1] for i in range(len(word) - 1))
+    return re.fullmatch(r"(?:([0-3])(?!\1))*", word) is not None
 
 
 def _edge_keys(graph) -> np.ndarray:
@@ -112,150 +110,52 @@ def _edge_keys(graph) -> np.ndarray:
 
 
 class TetBall:
-    """All tetrahedra within tree distance ``radius`` of the root, immutable.
+    """All tetrahedra within tree distance ``radius`` of the root, as rows of integer arrays, immutable.
 
-    ``table`` (a ``TetTable``), the tetrahedra as integer rows, is the
-    primary form.  Built from it on first use: ``indptr``/``indices``, the
-    adjacency (co-residence in a tetrahedron of the ball, which equals edge
-    restriction to the ball) as CSR with sorted rows; ``triangles``, the
-    3-cliques of that CSR (read from it alone, not from ``table``), which
-    ``four_cliques`` and the link edges are read off; ``support(v)``, the
-    rows holding v; and ``tets``, the address -> vertex-tuple dict.
-    ``TetBall(radius, tets)`` builds a ball from such a dict, which need not
-    be a generated one.
+    The rows come in generation order, four arrays: ``verts`` (T x 4), each
+    row's vertex ids in slot order; ``parent`` and ``face``, the row a
+    non-root tetrahedron was unfolded from and the face it crossed (-1 for
+    the root), so in a generated ball walking the rows in order visits every
+    parent first; and ``depth``, the address lengths.  Built on first use:
+    ``addrs[t]``, the address of row t, read off ``parent``/``face`` in row
+    order, ``rows``, its inverse, and ``tets``, the address -> vertex-tuple
+    dict; ``nbr`` (T x 4), the row across each face, -1 outside the ball;
+    ``born``, each vertex's creation row, which ``rows_of`` reads;
+    ``ancestors``; ``colour``, each vertex's slot, which the group
+    operations read; ``indptr``/``indices``, the adjacency (co-residence in
+    a tetrahedron of the ball, which equals edge restriction to the ball) as
+    CSR with sorted rows; ``triangles``, the 3-cliques of that CSR (read
+    from it alone, not from the rows), which ``four_cliques`` and the link
+    edges are read off; and ``support(v)``, the rows holding v.
+
+    ``from_rows`` builds a ball from its four arrays.  ``TetBall(radius,
+    tets)`` builds one from an address -> vertices dict, which need not be a
+    generated ball: it keeps the dict's addresses, and ``parent`` is also -1
+    for a missing parent address and ``face`` for a last letter that is not
+    a face, so a malformed ball still builds.
     """
 
     def __init__(self, radius: int, tets: dict):
-        self.radius = radius
-        self.table = TetTable.from_tets(tets)
-        self.tets = tets
+        addrs = list(tets)
+        rows = {a: t for t, a in enumerate(addrs)}
+        self.radius, self.tets, self.addrs, self.rows = radius, tets, addrs, rows
+        self.verts = np.array(list(tets.values()), dtype=np.int64).reshape(-1, 4)
+        self.parent = np.array([rows.get(a[:-1], -1) if a else -1 for a in addrs], dtype=np.int64)
+        self.face = np.array([ALPHABET.find(a[-1]) if a else -1 for a in addrs], dtype=np.int64)
+        self.depth = np.fromiter(map(len, addrs), dtype=np.int64, count=len(addrs))
 
     @classmethod
-    def from_table(cls, radius: int, table: "TetTable") -> "TetBall":
+    def from_rows(cls, radius: int, verts, parent, face, depth) -> "TetBall":
         ball = cls.__new__(cls)
-        ball.radius, ball.table = radius, table
+        ball.radius, ball.verts, ball.parent, ball.face, ball.depth = radius, verts, parent, face, depth
         return ball
 
     def __repr__(self) -> str:
-        return f"TetBall(radius={self.radius}, tets={len(self.table.verts)})"
+        return f"TetBall(radius={self.radius}, tets={len(self.verts)})"
 
     @cached_property
     def tets(self) -> dict:
-        return dict(zip(self.table.addrs, map(tuple, self.table.verts.tolist())))
-
-    @cached_property
-    def n_vertices(self) -> int:
-        return int(self.table.verts.max()) + 1
-
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
-    def edges(self) -> np.ndarray:
-        """Every edge (v, w) with v < w, as an E x 2 array in lexicographic order."""
-        tail = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
-        keep = tail < self.indices
-        return np.column_stack([tail[keep], self.indices[keep]])
-
-    def n_edges(self) -> int:
-        return len(self.indices) // 2
-
-    def neighbors(self, v: int) -> np.ndarray:
-        _check_id(v, self.n_vertices)
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        return self._csr[0]
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        return self._csr[1]
-
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        """Every 3-clique of the CSR adjacency as an ascending row, in lexicographic
-        order: each edge (a, b), a < b, extended by the common neighbours c > b."""
-        edges = self.edges()
-        row, c = common_neighbors(self, edges)
-        above = c > edges[row, 1]
-        return np.column_stack([edges[row[above]], c[above]])
-
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        n, verts = self.n_vertices, self.table.verts
-        self._keys = keys = _distinct(verts[:, _PAIRS[0]] * n + verts[:, _PAIRS[1]])
-        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
-
-    # The edge index: the keys ``_csr`` reads the CSR from, or, once dropped, read off ``indptr``/``indices``.
-    _keys = cached_property(_edge_keys)
-
-    def support(self, v: int) -> np.ndarray:
-        """The rows holding v, ascending."""
-        _check_id(v, self.n_vertices)
-        indptr, rows = self._support
-        return rows[indptr[v] : indptr[v + 1]]
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        verts = self.table.verts
-        t = len(verts)
-        keys = _distinct(verts * t + np.arange(t)[:, None])
-        return np.searchsorted(keys, np.arange(self.n_vertices + 1) * t), keys % t
-
-    def vertex_depth(self, v: int) -> int:
-        """Length of the shortest address among the tetrahedra containing v."""
-        return int(self.table.depth[self.support(v)].min())
-
-
-def _check_id(v: int, n: int) -> None:
-    """Raise ValueError naming v unless it is a vertex id in 0..n-1; a negative id would wrap."""
-    if not 0 <= v < n:
-        raise ValueError(f"vertex id {v} is not in 0..{n - 1}")
-
-
-# The 12 ordered pairs of distinct slots, as two index rows.
-_PAIRS = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of ``keys``, ascending: ``np.unique`` by one sort, which
-    is several times faster than its hashing on the edge keys of a radius-8 ball."""
-    keys = np.sort(keys, axis=None)
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
-
-
-class TetTable:
-    """A ball's tetrahedra as rows of integer arrays, in generation order.
-
-    The table is four arrays: ``verts`` (T x 4), each row's vertex ids in
-    slot order; ``parent`` and ``face``, the row a non-root tetrahedron was
-    unfolded from and the face it crossed (-1 for the root), so in a
-    generated ball walking the rows in order visits every parent first; and
-    ``depth``, the address lengths.  Built on first use: ``addrs[t]``, the
-    address of row t, read off ``parent``/``face`` in row order, and
-    ``rows``, its inverse; ``nbr`` (T x 4), the row across each face, -1
-    outside the ball; ``born``, each vertex's creation row, which ``rows_of``
-    reads; ``ancestors``; and ``colour``, each vertex's slot, which the group
-    operations read.  ``from_tets`` keeps the addresses of a dict, where
-    ``parent`` is also -1 for a missing parent address and ``face`` for a
-    last letter that is not a face, so a malformed ball still builds a table.
-    """
-
-    def __init__(self, verts: np.ndarray, parent: np.ndarray, face: np.ndarray, depth: np.ndarray):
-        self.verts, self.parent, self.face, self.depth = verts, parent, face, depth
-
-    @classmethod
-    def from_tets(cls, tets: dict) -> "TetTable":
-        addrs = list(tets)
-        rows = {a: t for t, a in enumerate(addrs)}
-        table = cls(
-            np.array(list(tets.values()), dtype=np.int64).reshape(-1, 4),
-            np.array([rows.get(a[:-1], -1) if a else -1 for a in addrs], dtype=np.int64),
-            np.array([ALPHABET.find(a[-1]) if a else -1 for a in addrs], dtype=np.int64),
-            np.fromiter(map(len, addrs), dtype=np.int64, count=len(addrs)),
-        )
-        table.addrs, table.rows = addrs, rows
-        return table
+        return dict(zip(self.addrs, map(tuple, self.verts.tolist())))
 
     @cached_property
     def addrs(self) -> list[str]:
@@ -281,8 +181,8 @@ class TetTable:
     def rows_of(self, quads) -> np.ndarray:
         """A row holding exactly the 4 vertices of each row of ``quads`` (R x 4, in any order), -1 where
         none is found: the creation row (``born``) of the quad's youngest vertex, if its vertices are the
-        quad's.  In a generated table each row's youngest vertex is the one it created (3 for the root),
-        so this is exact; on any other table it can miss a row, but never returns a wrong one."""
+        quad's.  In a generated ball each row's youngest vertex is the one it created (3 for the root),
+        so this is exact; on any other ball it can miss a row, but never returns a wrong one."""
         quads = np.sort(np.asarray(quads, dtype=np.int64).reshape(-1, 4), axis=1)
         top = quads[:, 3]
         born = np.r_[self.born, len(self.verts)]  # the last entry stands for an id in no row
@@ -332,6 +232,85 @@ class TetTable:
             raise ValueError("ball holds a vertex at two slots or a tetrahedron that changes a slot off its face")
         return colour.tolist()
 
+    @cached_property
+    def n_vertices(self) -> int:
+        return int(self.verts.max()) + 1
+
+    def vertices(self) -> range:
+        return range(self.n_vertices)
+
+    def edges(self) -> np.ndarray:
+        """Every edge (v, w) with v < w, as an E x 2 array in lexicographic order."""
+        tail = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
+        keep = tail < self.indices
+        return np.column_stack([tail[keep], self.indices[keep]])
+
+    def n_edges(self) -> int:
+        return len(self.indices) // 2
+
+    def neighbors(self, v: int) -> np.ndarray:
+        _check_id(v, self.n_vertices)
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """Every 3-clique of the CSR adjacency as an ascending row, in lexicographic
+        order: each edge (a, b), a < b, extended by the common neighbours c > b."""
+        edges = self.edges()
+        row, c = common_neighbors(self, edges)
+        above = c > edges[row, 1]
+        return np.column_stack([edges[row[above]], c[above]])
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        n, verts = self.n_vertices, self.verts
+        self._keys = keys = _distinct(verts[:, _PAIRS[0]] * n + verts[:, _PAIRS[1]])
+        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+
+    # The edge index: the keys ``_csr`` reads the CSR from, or, once dropped, read off ``indptr``/``indices``.
+    _keys = cached_property(_edge_keys)
+
+    def support(self, v: int) -> np.ndarray:
+        """The rows holding v, ascending."""
+        _check_id(v, self.n_vertices)
+        indptr, rows = self._support
+        return rows[indptr[v] : indptr[v + 1]]
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        t = len(self.verts)
+        keys = _distinct(self.verts * t + np.arange(t)[:, None])
+        return np.searchsorted(keys, np.arange(self.n_vertices + 1) * t), keys % t
+
+    def vertex_depth(self, v: int) -> int:
+        """Length of the shortest address among the tetrahedra containing v."""
+        return int(self.depth[self.support(v)].min())
+
+
+def _check_id(v: int, n: int) -> None:
+    """Raise ValueError naming v unless it is a vertex id in 0..n-1; a negative id would wrap."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex id {v} is not in 0..{n - 1}")
+
+
+# The 12 ordered pairs of distinct slots, as two index rows.
+_PAIRS = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: ``np.unique`` by one sort, which
+    is several times faster than its hashing on the edge keys of a radius-8 ball."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
 
 def generate_ball(radius: int) -> TetBall:
     """Generate the ball of the given tree radius.
@@ -346,11 +325,11 @@ def generate_ball(radius: int) -> TetBall:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
         raise RadiusCapError(f"radius {radius} exceeds cap {cap}")
-    return TetBall.from_table(radius, _grow(radius))
+    return _grow(radius)
 
 
-def _grow(radius: int) -> TetTable:
-    """The table of the generated ball of this radius, one level at a time.
+def _grow(radius: int) -> TetBall:
+    """The generated ball of this radius, one level at a time.
 
     Each row of a level spawns a child across every face but the one it was
     entered by; row t >= 1 puts the fresh vertex t + 3 at its crossed slot.
@@ -371,15 +350,15 @@ def _grow(radius: int) -> TetTable:
         verts[t, f] = t + 3
         parent[t], face[t], depth[t] = p, f, d
         lo, hi = hi, hi + len(p)
-    return TetTable(verts, parent, face, depth)
+    return TetBall.from_rows(radius, verts, parent, face, depth)
 
 
 def face_cofaces(ball: TetBall, rows, slots) -> list[tuple[str, ...]]:
     """The sorted addresses of the rows holding the face of each listed row opposite its listed
     slot, in order, read off one grouped pass over the ball's faces (``_face_groups``); the
     per-triangle oracle is ``triangle_cofaces`` in ``tests/oracles.py``."""
-    group, members, bounds = _face_groups(ball.table)
-    return [_coface_addrs(ball.table, members, bounds, g) for g in group[rows, slots].tolist()]
+    group, members, bounds = _face_groups(ball)
+    return [_coface_addrs(ball, members, bounds, g) for g in group[rows, slots].tolist()]
 
 
 def _edge_pos(graph, a, b) -> np.ndarray:
@@ -441,10 +420,9 @@ def four_cliques(ball: TetBall) -> np.ndarray:
 # Serialization
 
 def ball_to_json(ball: TetBall) -> dict:
-    table = ball.table
     return {
         "radius": ball.radius,
-        "tets": [{"addr": addr, "verts": verts} for addr, verts in zip(table.addrs, table.verts.tolist())],
+        "tets": [{"addr": addr, "verts": verts} for addr, verts in zip(ball.addrs, ball.verts.tolist())],
         "edges": ball.edges().tolist(),
     }
 
@@ -458,8 +436,8 @@ def count_checks(ball: TetBall) -> list[dict]:
     The vertex and edge counts read ids 0..max off the CSR; on a ball holding
     a negative id they fail with ``_negative_id``'s error instead.
     """
-    n, error = ball.radius, _negative_id(ball.table)
-    found = {"tet_count": len(ball.table.verts)}
+    n, error = ball.radius, _negative_id(ball)
+    found = {"tet_count": len(ball.verts)}
     if error is None:
         found.update(vertex_count=ball.n_vertices, edge_count=ball.n_edges())
     return [
@@ -470,12 +448,12 @@ def count_checks(ball: TetBall) -> list[dict]:
     ]
 
 
-def _face_groups(table: TetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _face_groups(ball: TetBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The faces of all rows grouped by sorted vertex triple: (group, members, bounds), ``group[t, i]``
     the group of row t's face opposite slot i and ``members[bounds[g]:bounds[g + 1]]`` the rows
     holding group g's triangle, ascending; a row with a repeated vertex counts once in a group."""
-    tri = np.sort(table.verts[:, _OTHER_SLOTS], axis=2).reshape(-1, 3)
-    row = np.repeat(np.arange(len(table.verts)), 4)
+    tri = np.sort(ball.verts[:, _OTHER_SLOTS], axis=2).reshape(-1, 3)
+    row = np.repeat(np.arange(len(ball.verts)), 4)
     order = np.lexsort((row, tri[:, 2], tri[:, 1], tri[:, 0]))
     tri, row = tri[order], row[order]
     start = np.r_[True, (tri[1:] != tri[:-1]).any(axis=1)]
@@ -485,38 +463,35 @@ def _face_groups(table: TetTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return group.reshape(-1, 4), row[keep], np.r_[np.flatnonzero(start[keep]), np.count_nonzero(keep)]
 
 
-def _coface_addrs(table: TetTable, members: np.ndarray, bounds: np.ndarray, g: int) -> tuple[str, ...]:
+def _coface_addrs(ball: TetBall, members: np.ndarray, bounds: np.ndarray, g: int) -> tuple[str, ...]:
     """The sorted addresses of the rows holding the triangle of face group g."""
-    return tuple(sorted(table.addrs[r] for r in members[bounds[g] : bounds[g + 1]].tolist()))
+    return tuple(sorted(ball.addrs[r] for r in members[bounds[g] : bounds[g + 1]].tolist()))
 
 
 def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
     """Faces of tetrahedra inside the ball whose triangle does not lie in exactly two
     tetrahedra, one the parent of the other: their count and the first five as
     (addr, i, cofaces), cofaces being the sorted addresses holding the triangle."""
-    table = ball.table
-    group, members, bounds = _face_groups(table)
+    group, members, bounds = _face_groups(ball)
     r1, r2 = members[bounds[:-1]], members[np.minimum(bounds[:-1] + 1, len(members) - 1)]
-    pair_ok = (np.diff(bounds) == 2) & ((table.parent[r1] == r2) | (table.parent[r2] == r1))
-    faults = np.argwhere(~pair_ok[group] & (table.depth < ball.radius)[:, None])
-    witnesses = [
-        (table.addrs[t], i, _coface_addrs(table, members, bounds, group[t, i])) for t, i in faults[:5].tolist()
-    ]
+    pair_ok = (np.diff(bounds) == 2) & ((ball.parent[r1] == r2) | (ball.parent[r2] == r1))
+    faults = np.argwhere(~pair_ok[group] & (ball.depth < ball.radius)[:, None])
+    witnesses = [(ball.addrs[t], i, _coface_addrs(ball, members, bounds, group[t, i])) for t, i in faults[:5].tolist()]
     return len(faults), witnesses
 
 
-def _reduced(table: TetTable) -> bool:
+def _reduced(ball: TetBall) -> bool:
     """Whether the arrays show every address to be a reduced word: the root's is
     empty, and every other row has a parent and adds a face letter other than its."""
-    parent, face = table.parent[1:], table.face[1:]
-    return table.depth[0] == 0 and (parent >= 0).all() and (face >= 0).all() and (face != table.face[parent]).all()
+    parent, face = ball.parent[1:], ball.face[1:]
+    return ball.depth[0] == 0 and (parent >= 0).all() and (face >= 0).all() and (face != ball.face[parent]).all()
 
 
 def _support_tops(ball: TetBall) -> np.ndarray:
     """For each vertex, how many rows holding it have no parent holding it: 1 exactly
     when its support is a subtree (``support_connected`` in ``tests/oracles.py`` for
     every vertex at once)."""
-    verts, parent = ball.table.verts, ball.table.parent
+    verts, parent = ball.verts, ball.parent
     indptr, t = ball._support
     v = np.repeat(np.arange(ball.n_vertices), np.diff(indptr))
     top = (parent[t] < 0) | (verts[parent[t]] != v[:, None]).all(axis=1)
@@ -526,16 +501,16 @@ def _support_tops(ball: TetBall) -> np.ndarray:
 def _prefix_stable(ball: TetBall) -> bool:
     """Whether the ball holds the generated ball of radius n - 1, at the same addresses.
 
-    A ball whose first rows repeat that ball's table row for row holds it;
-    otherwise each row of that table is looked up by address in ``ball.tets``."""
-    n, table = ball.radius, ball.table
+    A ball whose first rows repeat that ball's rows one for one holds it;
+    otherwise each of those rows is looked up by address in ``ball.tets``."""
+    n = ball.radius
     if n == 0:
         return True
     small = _grow(n - 1)
     m = len(small.verts)
-    if all(np.array_equal(getattr(small, k), getattr(table, k)[:m]) for k in ("verts", "parent", "face", "depth")):
+    if all(np.array_equal(getattr(small, k), getattr(ball, k)[:m]) for k in ("verts", "parent", "face", "depth")):
         return True
-    return all(ball.tets.get(a) == verts for a, verts in zip(small.addrs, map(tuple, small.verts.tolist())))
+    return all(ball.tets.get(a) == verts for a, verts in small.tets.items())
 
 
 def structural_report(ball: TetBall) -> list[dict]:
@@ -548,12 +523,11 @@ def structural_report(ball: TetBall) -> list[dict]:
     n = ball.radius
     checks = count_checks(ball)
 
-    table = ball.table
-    rows = np.flatnonzero(table.depth > n) if _reduced(table) else range(len(table.verts))
-    bad_addr = [a for a in (table.addrs[t] for t in rows) if not is_address(a) or len(a) > n]
+    rows = np.flatnonzero(ball.depth > n) if _reduced(ball) else range(len(ball.verts))
+    bad_addr = [a for a in (ball.addrs[t] for t in rows) if not is_address(a) or len(a) > n]
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})
 
-    error = _negative_id(table)
+    error = _negative_id(ball)
     if error:
         by_id = ("four_cliques_are_tets", "supports_tree_connected")
         checks += [{"name": k, "ok": False, "error": error} for k in by_id]
@@ -568,16 +542,16 @@ def structural_report(ball: TetBall) -> list[dict]:
     return checks
 
 
-def _negative_id(table: TetTable) -> str | None:
+def _negative_id(ball: TetBall) -> str | None:
     """The error naming the first row in address order that holds a negative vertex id, if one does."""
-    rows = np.flatnonzero((table.verts < 0).any(axis=1)).tolist()
-    return f"tetrahedron {min(table.addrs[t] for t in rows)!r} holds a negative vertex id" if rows else None
+    rows = np.flatnonzero((ball.verts < 0).any(axis=1)).tolist()
+    return f"tetrahedron {min(ball.addrs[t] for t in rows)!r} holds a negative vertex id" if rows else None
 
 
 def _clique_and_support_checks(ball: TetBall) -> list[dict]:
     """The ``four_cliques_are_tets`` and ``supports_tree_connected`` records of ``structural_report``."""
     cliques = four_cliques(ball)
-    listed = np.sort(ball.table.verts, axis=1)
+    listed = np.sort(ball.verts, axis=1)
     listed = listed[np.lexsort(listed.T[::-1])]
     listed = listed[np.r_[True, (listed[1:] != listed[:-1]).any(axis=1)]]
     # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
@@ -658,7 +632,7 @@ def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return new, ok
 
 
-def _link_shape(table: TetTable, n: int) -> tuple | str:
+def _link_shape(ball: TetBall, n: int) -> tuple | str:
     """Where each vertex's links start or, for a ball not shaped like a generated one, why not.
 
     A generated ball has every non-root address a reduced word whose parent
@@ -671,7 +645,7 @@ def _link_shape(table: TetTable, n: int) -> tuple | str:
     row of each vertex's support in address order; for any other ball,
     ``_shape_fault``'s message.
     """
-    verts, parent, face, depth = table.verts, table.parent, table.face, table.depth
+    verts, parent, face, depth = ball.verts, ball.parent, ball.face, ball.depth
     child = np.flatnonzero(depth > 0)
     p = parent[child]
     born = np.ones(verts.shape, dtype=bool)
@@ -683,8 +657,8 @@ def _link_shape(table: TetTable, n: int) -> tuple | str:
     why[child[p < 0]] = 2
     why[(verts < 0).any(axis=1)] = 1
     if why.any() or (np.bincount(verts[born], minlength=n) != 1).any():
-        return _shape_fault(table, born, why, n)
-    anc = table.ancestors  # address order: by the faces crossed from the root, shorter first
+        return _shape_fault(ball, born, why, n)
+    anc = ball.ancestors  # address order: by the faces crossed from the root, shorter first
     order = np.lexsort(np.where(anc >= 0, face[anc], -1).T[::-1])
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
@@ -702,13 +676,13 @@ _SHAPE_FAULTS = (
 )
 
 
-def _shape_fault(table: TetTable, born: np.ndarray, why: np.ndarray, n: int) -> str:
+def _shape_fault(ball: TetBall, born: np.ndarray, why: np.ndarray, n: int) -> str:
     """The first row in address order that breaks the generated shape, and how: by a fault of
     ``_SHAPE_FAULTS`` (``why``), or by a birth of a vertex already born in an earlier row.
     With no such row, the least vertex id in no row."""
-    addrs, seen = table.addrs, set()
+    addrs, seen = ball.addrs, set()
     faults = {t: _SHAPE_FAULTS[k] for t, k in enumerate(why.tolist()) if k}
-    for t, v in zip(np.nonzero(born)[0].tolist(), table.verts[born].tolist()):
+    for t, v in zip(np.nonzero(born)[0].tolist(), ball.verts[born].tolist()):
         if v in seen:
             faults.setdefault(t, f"reuses vertex {v}")
         seen.add(v)
@@ -719,7 +693,7 @@ def _shape_fault(table: TetTable, born: np.ndarray, why: np.ndarray, n: int) -> 
 
 
 def _slot_labels(
-    table: TetTable, born: np.ndarray, cross: np.ndarray, j: int, start: np.ndarray
+    ball: TetBall, born: np.ndarray, cross: np.ndarray, j: int, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label the link of the vertex at slot j of every row, as ``_link_labels`` in ``tests/oracles.py`` does.
 
@@ -731,7 +705,7 @@ def _slot_labels(
     crossing: those that got a label of at least ``LABEL_LIMIT``, and those
     the crossing check failed on.
     """
-    verts, parent, depth = table.verts, table.parent, table.depth
+    verts, parent, depth = ball.verts, ball.parent, ball.depth
     labels = np.zeros((len(verts), 4, 2), dtype=np.int32)
     labels[start] = _SEED[j]
     done = np.zeros(len(verts), dtype=bool)
@@ -788,7 +762,7 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     order of ``ball.indices``; ``failures`` holds at most one record
     (vertex, kind, 0, 0, message) per vertex, the first that applies of:
     kind 0, its link is not labelled, because a crossing check fails
-    (naming the first row it fails on entering, in table order) or its
+    (naming the first row it fails on entering, in row order) or its
     first labels are not injective; kind 1, its labels do not cover exactly
     its adjacency; kind 3, a relabel is not the Mobius image of its label
     (naming the least such member).  A vertex keeps one slot in every row,
@@ -805,12 +779,12 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     label of at least ``LABEL_LIMIT`` in either labelling raises
     BudgetError for the least vertex holding one, before any record.
     """
-    n, table = ball.n_vertices, ball.table
-    shape = _link_shape(table, n)
+    n = ball.n_vertices
+    shape = _link_shape(ball, n)
     if isinstance(shape, str):
         return [(v, 0, 0, 0, f"ball is not shaped like a generated one: {shape}") for v in range(n)], None, None
     born, cross, last = shape
-    rows = len(table.verts)
+    rows = len(ball.verts)
     crossing = np.full(n, rows)  # the first row a crossing check fails on entering
     mobius = np.full(n, n)  # the least member failing the Mobius check
     over = np.full(n, LABEL_LIMIT <= 1)
@@ -819,16 +793,16 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     first, second = np.zeros((len(tail), 2), dtype=np.int32), np.zeros((len(tail), 2), dtype=np.int32)
     written = np.zeros(len(tail), dtype=bool)
     for j, others in enumerate(_OTHER_SLOTS):
-        owner = table.verts[:, j]
+        owner = ball.verts[:, j]
         birth = np.flatnonzero(born[:, j])
-        labels, big, bad = _slot_labels(table, born, cross, j, birth)
-        relabels, big2, bad2 = _slot_labels(table, born, cross, j, last[owner[birth]])
+        labels, big, bad = _slot_labels(ball, born, cross, j, birth)
+        relabels, big2, bad2 = _slot_labels(ball, born, cross, j, last[owner[birth]])
         over[owner[big | big2]] = True
         bad = np.flatnonzero(bad | bad2)
         np.minimum.at(crossing, owner[bad], bad)
         t, k = np.nonzero(_mobius_flags(labels, relabels, last[owner], j))
-        np.minimum.at(mobius, owner[t], table.verts[t, others[k]])
-        pos = _edge_pos(ball, owner[:, None], table.verts[:, others])
+        np.minimum.at(mobius, owner[t], ball.verts[t, others[k]])
+        pos = _edge_pos(ball, owner[:, None], ball.verts[:, others])
         hit = pos >= 0
         uncovered[owner[~hit.all(axis=1)]] = True
         first[pos[hit]], second[pos[hit]] = labels[:, others][hit], relabels[:, others][hit]
@@ -844,7 +818,7 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
     failures = []
     for v in np.flatnonzero((crossing < rows) | repeated | uncovered | (mobius < n)).tolist():
         if crossing[v] < rows:
-            row = table.addrs[crossing[v]]
+            row = ball.addrs[crossing[v]]
             failures.append((v, 0, 0, 0, f"link of vertex {v} does not unfold like the Farey complex into {row!r}"))
         elif repeated[v]:
             failures.append((v, 0, 0, 0, f"link labeling of vertex {v} is not injective"))
@@ -876,7 +850,7 @@ def link_labeling_report(ball: TetBall) -> list[dict]:
     label pairs (both directions), and the second labelling must be the
     Mobius image of the first under the matrix its base images determine.
 
-    ``_link_pass`` labels every link at once on ``ball.table``: row t, slot
+    ``_link_pass`` labels every link at once on the ball's rows: row t, slot
     j holds the labels of the other three slots in the link of
     ``verts[t, j]``.  In a ball shaped like a generated one the tetrahedra
     containing v are the subtree below its birth row that keeps v at its

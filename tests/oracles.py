@@ -102,7 +102,7 @@ def support_connected(ball: TetBall, v: int) -> bool:
     """Whether the tetrahedra containing v form a subtree of the address tree:
     exactly one of them (the root counts) has its parent outside the set."""
     rows = ball.support(v)
-    return np.count_nonzero(~np.isin(ball.table.parent[rows], rows)) == 1
+    return np.count_nonzero(~np.isin(ball.parent[rows], rows)) == 1
 
 
 def _slope_pair(p: int, q: int) -> tuple[int, int]:
@@ -130,19 +130,18 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
     a, b, c = base
     if len({a, b, c}) != 3 or not {a, b, c} <= set(ball.neighbors(v).tolist()):
         raise ValueError(f"base triple {base} must be 3 distinct neighbours of vertex {v}")
-    table = ball.table
     rows = ball.support(v)
     members = set(rows.tolist())
     cofaces = members.intersection(*(ball.support(x).tolist() for x in base))
     if len(cofaces) != 1:
         raise ValueError(
-            f"base triple {base} of vertex {v} has cofaces {sorted(table.addrs[t] for t in cofaces)}, not exactly one"
+            f"base triple {base} of vertex {v} has cofaces {sorted(ball.addrs[t] for t in cofaces)}, not exactly one"
         )
     # The tree neighbours of each member: its parent, then its children in face order.
     verts, near = {}, {}
     for t, vs, p, f, across in zip(
-        rows.tolist(), table.verts[rows].tolist(), table.parent[rows].tolist(),
-        table.face[rows].tolist(), table.nbr[rows].tolist(),
+        rows.tolist(), ball.verts[rows].tolist(), ball.parent[rows].tolist(),
+        ball.face[rows].tolist(), ball.nbr[rows].tolist(),
     ):
         verts[t], near[t] = set(vs), [p] + [across[k] for k in range(4) if k != f]
     labels = {a: (0, 1), b: (1, 0), c: (1, 1)}
@@ -158,7 +157,7 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
             dropped, added, shared = here - there, there - here, here & there
             if len(dropped) != 1 or len(added) != 1 or len(shared) != 3:
                 raise RuntimeError(
-                    f"tetrahedra {table.addrs[t]!r} and {table.addrs[nb]!r} of vertex {v} share no link triangle"
+                    f"tetrahedra {ball.addrs[t]!r} and {ball.addrs[nb]!r} of vertex {v} share no link triangle"
                 )
             (d,), (e,) = dropped, added
             x, y = shared - {v}
@@ -174,10 +173,10 @@ def _link_labels(ball: TetBall, v: int, base: tuple[int, int, int]) -> dict:
             else:
                 raise RuntimeError(
                     f"link does not unfold like the Farey complex: {d} is not "
-                    f"a common neighbour of {x} and {y} in {table.addrs[t]!r}"
+                    f"a common neighbour of {x} and {y} in {ball.addrs[t]!r}"
                 )
             if labels.setdefault(e, new) != new:
-                raise RuntimeError(f"link labeling is inconsistent at {e} from {table.addrs[nb]!r}")
+                raise RuntimeError(f"link labeling is inconsistent at {e} from {ball.addrs[nb]!r}")
             seen.add(nb)
             queue.append(nb)
     if len(seen) != len(members):
@@ -218,7 +217,7 @@ def triangle_cofaces(ball: TetBall, tri) -> tuple[str, ...]:
     rows = np.intersect1d(np.intersect1d(ball.support(a), ball.support(b)), ball.support(c))
     if not len(rows):
         raise ValueError(f"{tri} is not a triangle of the ball")
-    return tuple(sorted(ball.table.addrs[t] for t in rows.tolist()))
+    return tuple(sorted(ball.addrs[t] for t in rows.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def bottleneck_triangle(table: DistanceTable, x: int, y: int, p: int) -> frozens
         raise ValueError(f"{p} does not lie on a geodesic from {x} to {y}")
     nbrs = ball.neighbors(p)
     q = int(nbrs[(table.dist[x, nbrs] == dxp - 1) & (table.dist[y, nbrs] == dpy + 1)].min())
-    start, goal = (min(ball.table.addrs[t] for t in ball.support(v).tolist()) for v in (q, y))
+    start, goal = (min(ball.addrs[t] for t in ball.support(v).tolist()) for v in (q, y))
     path = tree_path(start, goal)
     cut = next(i for i, addr in enumerate(path) if q not in ball.tets[addr])
     return frozenset(ball.tets[path[cut]]) & frozenset(ball.tets[path[cut - 1]])
@@ -290,10 +289,10 @@ def ordered_tets(ball: TetBall, max_length: int | None = None):
             yield OrderedTet(addr, perm)
 
 
-def by_verts(table) -> dict:
-    """Reference for ``TetTable.rows_of`` on a generated table: sorted vertex 4-tuple -> row, the last
+def by_verts(ball) -> dict:
+    """Reference for ``TetBall.rows_of`` on a generated ball: sorted vertex 4-tuple -> row, the last
     row where several share one."""
-    return {tuple(v): t for t, v in enumerate(np.sort(table.verts, axis=1).tolist())}
+    return {tuple(v): t for t, v in enumerate(np.sort(ball.verts, axis=1).tolist())}
 
 
 def pair_ids_by_keys(cg: CurveGraphBall, a, b) -> np.ndarray:
@@ -315,11 +314,11 @@ def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassEleme
     map whose domain contains the root tetrahedron.
     """
     imgs = tuple(int(mapping[s]) for s in ROOT_TET.verts)
-    table = cg.source.table
-    row = by_verts(table).get(tuple(sorted(imgs)))
+    ball = cg.source
+    row = by_verts(ball).get(tuple(sorted(imgs)))
     if row is None:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
-    return MappingClassElement(OrderedTet(table.addrs[row], imgs))
+    return MappingClassElement(OrderedTet(ball.addrs[row], imgs))
 
 
 # ---------------------------------------------------------------------------

@@ -380,7 +380,7 @@ class TestBatchedBottleneckScan:
         # the verdicts include both outcomes, unlike those of a passing scan.
         b = ball(3)
         adj = coresidence_sets(b)
-        faces = b.table.verts[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+        faces = b.verts[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
         tris = np.unique(np.sort(faces, axis=1), axis=0)
         rng = random.Random(7)
         queries, want = [], []

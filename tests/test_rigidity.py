@@ -34,7 +34,7 @@ from crosscap3.rigidity import (
     _stabilizer_report,
     _with_pairs,
 )
-from crosscap3.tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, TetTable, generate_ball, is_address
+from crosscap3.tet_tree import ALPHABET, BLOCK_ELEMS, TetBall, generate_ball, is_address
 from oracles import by_verts, element_of_map, has_edge, neighbor, ordered_tets, triangle_cofaces
 
 
@@ -225,6 +225,11 @@ class TestOrderedTet:
             OrderedTet("", (0, 1, 2, 2))
         with pytest.raises(ValueError):
             OrderedTet("", (0, 1, 2))
+        # No ball holds such an address, so growing the ball would not help: ValueError, not
+        # CodomainTooSmallError, before any group operation sees it.
+        for address in ("xyz", "000", "00", "4", "01 ", 1, None, ["0"]):
+            with pytest.raises(ValueError, match="reduced word"):
+                OrderedTet(address, (0, 1, 2, 3))
 
     @pytest.mark.parametrize("verts", [[0, 1, 2, 3], np.arange(4)], ids=["list", "numpy row"])
     def test_vertices_are_stored_as_a_tuple_of_ints(self, ball, verts):
@@ -311,7 +316,7 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate_map(elem("", (0, 1, 2, 4)), ball(0), ball(1))
         with pytest.raises(CodomainTooSmallError):
-            propagate_map(elem("000", (0, 1, 2, 3)), ball(0), ball(1))
+            propagate_map(elem("01", (0, 1, 2, 3)), ball(0), ball(1))
 
     @pytest.mark.parametrize(
         "verts, named", [((0, 1, 2, 5), "3 is in no"), ((0, 1, 2, -1), "-1 is negative")], ids=["unheld", "negative"]
@@ -320,6 +325,31 @@ class TestPropagate:
         # Ids 3 and 4 of the first domain lie in no tetrahedron, and -1 indexes the last image column.
         with pytest.raises(ValueError, match=f"^domain vertex id {named}"):
             propagate_map(MappingClassElement.identity(), TetBall(0, {"": verts}), ball(1))
+
+    @pytest.mark.parametrize(
+        "tets, ids",
+        [
+            ({"0": (4, 1, 2, 3), "": (0, 1, 2, 3)}, {}),
+            ({"": (0, 1, 2, 3), "01": (4, 5, 2, 3), "0": (4, 1, 2, 3)}, {5: 8}),
+        ],
+        ids=["root_last", "child_before_parent"],
+    )
+    def test_walks_rows_parents_first(self, ball, tets, ids):
+        # Dict-built domains whose rows do not come parents first.  ``ids`` renames a domain id
+        # to the codomain's id at its place, where the single-path oracle reads the vertices.
+        domain, codomain = TetBall(1, tets), ball(3)
+        named = TetBall(1, {a: tuple(ids.get(v, v) for v in verts) for a, verts in tets.items()})
+        for e in (MappingClassElement.identity(), elem("1", codomain.tets["1"][::-1])):
+            pm = propagate_map(e, domain, codomain)
+            want = walk_images(e, named, codomain)
+            assert pm.vertices == {v: want[ids.get(v, v)] for v in domain.vertices()}
+            images = {a: image_of_ordered_tet(e, OrderedTet(a, v), codomain).address for a, v in named.tets.items()}
+            assert pm.tets == images
+
+    def test_refuses_an_unreduced_domain(self, ball):
+        # Crossing face 0 twice returns to the root: no reduced word addresses "00".
+        with pytest.raises(ValueError, match="unreduced address"):
+            propagate_map(MappingClassElement.identity(), tampered(3, {"00": (0, 1, 2, 3)}), ball(4))
 
     def test_codomain_too_small(self, ball):
         # Destination at distance 2 with a radius-2 domain needs radius 4.
@@ -379,40 +409,38 @@ class TestBatchedPropagation:
     def test_matches_single_path_walker(self, ball):
         # Every element with a destination of length <= 2, against image_of_ordered_tet.
         domain, work = ball(2), ball(4)
-        table = work.table
-        rows = [table.rows[a] for a in work.tets if len(a) <= 2]
+        rows = [work.rows[a] for a in work.tets if len(a) <= 2]
         dst = np.repeat(rows, 24)
-        slots = table.verts[rows][:, PERMUTATIONS].reshape(-1, 4)
+        slots = work.verts[rows][:, PERMUTATIONS].reshape(-1, 4)
         tets, images = _propagate(domain, work, dst, slots)
         assert tets.shape == (24 * 17, 17) and images.shape == (24 * 17, domain.n_vertices)
         for i, (d, s) in enumerate(zip(dst.tolist(), slots.tolist())):
-            e = elem(table.addrs[d], s)
+            e = elem(work.addrs[d], s)
             for t, (addr, verts) in enumerate(domain.tets.items()):
                 img = image_of_ordered_tet(e, OrderedTet(addr, verts), work)
-                assert img.address == table.addrs[tets[i, t]]
+                assert img.address == work.addrs[tets[i, t]]
                 assert img.verts == tuple(images[i, list(verts)].tolist())
 
     def test_table(self, ball):
         b = ball(3)
-        table = b.table
-        assert table.addrs == list(b.tets)
-        rows = by_verts(table)
-        for t, addr in enumerate(table.addrs):
-            assert table.verts[t].tolist() == list(b.tets[addr])
+        assert b.addrs == list(b.tets)
+        rows = by_verts(b)
+        for t, addr in enumerate(b.addrs):
+            assert b.verts[t].tolist() == list(b.tets[addr])
             assert rows[tuple(sorted(b.tets[addr]))] == t
             for face in range(4):
-                nxt = table.nbr[t, face]
+                nxt = b.nbr[t, face]
                 assert (nxt >= 0) == (neighbor(addr, face) in b.tets)
                 if nxt >= 0:
-                    assert table.addrs[nxt] == neighbor(addr, face)
+                    assert b.addrs[nxt] == neighbor(addr, face)
 
     def test_batch_leaving_codomain_raises(self, ball):
         # Destinations at distance 2 with a radius-2 domain leave the radius-3 codomain.
         work = ball(3)
-        rows = [work.table.rows[a] for a in ("", "0", "01")]
+        rows = [work.rows[a] for a in ("", "0", "01")]
         with pytest.raises(CodomainTooSmallError):
-            _propagate(ball(2), work, np.array(rows), work.table.verts[rows])
-        _propagate(ball(2), work, np.array(rows[:2]), work.table.verts[rows[:2]])
+            _propagate(ball(2), work, np.array(rows), work.verts[rows])
+        _propagate(ball(2), work, np.array(rows[:2]), work.verts[rows[:2]])
 
 
 class TestSinglePathImages:
@@ -1005,49 +1033,49 @@ class TestLevelChecks:
 class TestVertexSetLookup:
     def test_matches_the_dict(self, ball):
         # Every row, its vertices in reverse and in shuffled order, then random sets that mostly miss.
-        table = ball(4).table
+        b = ball(4)
         rng = np.random.default_rng(2)
-        shuffled = np.array([rng.permutation(v) for v in table.verts])
-        misses = rng.integers(-2, ball(4).n_vertices + 2, size=(500, 4))
-        quads = np.concatenate([table.verts[:, ::-1], shuffled, misses, table.verts[:5, [0, 1, 2, 2]]])
-        ref = by_verts(table)
-        assert table.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
-        assert table.rows_of(quads[:0]).tolist() == []
+        shuffled = np.array([rng.permutation(v) for v in b.verts])
+        misses = rng.integers(-2, b.n_vertices + 2, size=(500, 4))
+        quads = np.concatenate([b.verts[:, ::-1], shuffled, misses, b.verts[:5, [0, 1, 2, 2]]])
+        ref = by_verts(b)
+        assert b.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
+        assert b.rows_of(quads[:0]).tolist() == []
 
     @pytest.mark.parametrize("radius", range(9))
     def test_every_generated_table(self, ball, radius):
         # Each row in shuffled slot order, random sets that mostly miss, repeated and negative ids.
-        table = ball(radius).table
-        n, rng = ball(radius).n_vertices, np.random.default_rng(radius)
-        shuffled = np.take_along_axis(table.verts, rng.random(table.verts.shape).argsort(axis=1), axis=1)
+        b = ball(radius)
+        n, rng = b.n_vertices, np.random.default_rng(radius)
+        shuffled = np.take_along_axis(b.verts, rng.random(b.verts.shape).argsort(axis=1), axis=1)
         misses = rng.integers(-2, n + 2, size=(2000, 4))
-        near = table.verts[rng.integers(len(table.verts), size=500)]
+        near = b.verts[rng.integers(len(b.verts), size=500)]
         near[np.arange(500), rng.integers(4, size=500)] = rng.integers(-3, n + 3, size=500)
-        quads = np.concatenate([shuffled, misses, near, -table.verts[:3], table.verts[:3, [0, 1, 2, 2]]])
-        ref = by_verts(table)
-        assert table.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
-        assert (table.rows_of(shuffled) == np.arange(len(table.verts))).all()
+        quads = np.concatenate([shuffled, misses, near, -b.verts[:3], b.verts[:3, [0, 1, 2, 2]]])
+        ref = by_verts(b)
+        assert b.rows_of(quads).tolist() == [ref.get(tuple(sorted(q)), -1) for q in quads.tolist()]
+        assert (b.rows_of(shuffled) == np.arange(len(b.verts))).all()
 
     def test_other_tables_give_no_wrong_row(self, ball):
         # Rows out of generation order, or repeating a vertex set: a row may be missed, never misnamed.
-        verts = ball(3).table.verts[np.random.default_rng(3).permutation(53)]
+        verts = ball(3).verts[np.random.default_rng(3).permutation(53)]
         shared = np.array([[3, 2, 1, 0], [5, 6, 7, 8], [0, 1, 2, 3], [0, 1, 2, 4]])
         for v in (verts, shared):
-            table = TetTable(v, np.full(len(v), -1), np.full(len(v), -1), np.zeros(len(v), dtype=np.int64))
+            b = TetBall.from_rows(0, v, np.full(len(v), -1), np.full(len(v), -1), np.zeros(len(v), dtype=np.int64))
             quads = np.concatenate([v, v[:, ::-1]])
-            found = table.rows_of(quads)
+            found = b.rows_of(quads)
             hit = found >= 0
             assert (np.sort(v[found[hit]], axis=1) == np.sort(quads[hit], axis=1)).all()
             assert hit.any()
 
     def test_ids_near_two_to_the_42(self, ball):
         # No array sized by the largest id: numpy reports its allocations to tracemalloc.
-        table = ball(4).table
+        b = ball(4)
         big = [[1 << 40, 1 << 41, 7, 1 << 42], [0, 1, 2, (1 << 42) + 3], [1 << 42, -(1 << 42), 1, 2]]
-        table.born  # built before the trace
+        b.born  # built before the trace
         tracemalloc.start()
         try:
-            found = table.rows_of(big)
+            found = b.rows_of(big)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import deque
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,6 @@ from crosscap3.farey import Slope, common_neighbors, farey_adjacent
 from crosscap3.tet_tree import (
     ALPHABET,
     TetBall,
-    TetTable,
     ball_to_json,
     count_checks,
     four_cliques,
@@ -63,6 +63,13 @@ addresses = st.text(alphabet=ALPHABET, max_size=6).filter(is_address)
 # Addresses and the tree
 
 class TestNeighbor:
+    def test_is_address_matches_the_definition(self):
+        # Every word of length <= 5 over the letters, a stranger and a newline, which ``$`` would let end a match.
+        for n in range(6):
+            for word in map("".join, product(ALPHABET + "x\n", repeat=n)):
+                want = set(word) <= set(ALPHABET) and all(a != b for a, b in zip(word, word[1:]))
+                assert is_address(word) == want, word
+
     def test_examples(self):
         assert neighbor("", 2) == "2"
         assert neighbor("2", 2) == ""
@@ -132,8 +139,8 @@ class TestGenerateBall:
     def test_matches_the_unfold_oracle(self, radius):
         b, oracle = generate_ball(radius), TetBall(radius, _unfold(radius))
         for name in ("verts", "parent", "face", "depth", "born"):
-            assert np.array_equal(getattr(b.table, name), getattr(oracle.table, name)), name
-        assert b.table.addrs == oracle.table.addrs
+            assert np.array_equal(getattr(b, name), getattr(oracle, name)), name
+        assert b.addrs == oracle.addrs
         assert np.array_equal(b.indptr, oracle.indptr) and np.array_equal(b.indices, oracle.indices)
         assert b.tets == oracle.tets
 
@@ -141,8 +148,8 @@ class TestGenerateBall:
         # Every row after the root creates exactly one fresh id, the next one;
         # rows run in (length, address) order.
         b = generate_ball(8)
-        assert b.table.born.tolist() == [max(v - 3, 0) for v in b.vertices()]
-        assert b.table.addrs == sorted(b.table.addrs, key=lambda a: (len(a), a))
+        assert b.born.tolist() == [max(v - 3, 0) for v in b.vertices()]
+        assert b.addrs == sorted(b.addrs, key=lambda a: (len(a), a))
 
     def test_tets_is_a_cached_dict(self):
         # The group operations read it hundreds of thousands of times.
@@ -159,11 +166,10 @@ class TestGenerateBall:
         monkeypatch.setattr(tet_tree, "generate_ball", generate)
         assert cli.run_verify(6)["ok"]
         (b,) = made
-        for obj in (b, b.table):
-            held = vars(obj)
-            assert not {"tets", "addrs", "rows", "by_verts"} & held.keys()
-            values = [x for value in held.values() for x in (value if isinstance(value, tuple) else (value,))]
-            assert all(isinstance(x, (int, np.ndarray, TetTable)) for x in values), held.keys()
+        held = vars(b)
+        assert not {"tets", "addrs", "rows", "by_verts"} & held.keys()
+        values = [x for value in held.values() for x in (value if isinstance(value, tuple) else (value,))]
+        assert all(isinstance(x, (int, np.ndarray)) for x in values), held.keys()
 
     def test_fresh_vertex_at_crossed_slot(self, ball):
         b = ball(1)
@@ -403,17 +409,17 @@ class TestLinkLabelingReport:
         b = generate_ball(2)
         slot_labels, calls = tet_tree._slot_labels, []
 
-        def corrupted(table, born, cross, j, start):
+        def corrupted(ball, born, cross, j, start):
             calls.append(j)
             with monkeypatch.context() as m:
                 if calls == [0, 0]:
                     m.setattr(tet_tree, "_SEED", BAD_SEED)
-                return slot_labels(table, born, cross, j, start)
+                return slot_labels(ball, born, cross, j, start)
 
         monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
         failures, checked = tet_tree._link_failures(b)
         crossings = {f[0]: f[4] for f in failures if f[1] == 0}
-        assert sorted(crossings) == [v for v in b.vertices() if b.table.colour[v] == 0 and len(b.support(v)) > 1]
+        assert sorted(crossings) == [v for v in b.vertices() if b.colour[v] == 0 and len(b.support(v)) > 1]
         assert crossings[4] == "link of vertex 4 does not unfold like the Farey complex into '0'"
         assert checked == b.n_vertices - len(crossings)
 
@@ -422,11 +428,11 @@ class TestLinkLabelingReport:
         # only the injectivity check and the Mobius check can notice, and injectivity wins.
         slot_labels, calls = tet_tree._slot_labels, []
 
-        def corrupted(table, born, cross, j, start):
-            labels, big, bad = slot_labels(table, born, cross, j, start)
+        def corrupted(ball, born, cross, j, start):
+            labels, big, bad = slot_labels(ball, born, cross, j, start)
             calls.append(j)
             if calls == [0]:
-                labels[(table.verts[:, 0] == 0) & (table.verts[:, 2] == 2), 2] = (0, 1)
+                labels[(ball.verts[:, 0] == 0) & (ball.verts[:, 2] == 2), 2] = (0, 1)
             return labels, big, bad
 
         monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
@@ -444,12 +450,12 @@ class TestLinkLabelingReport:
         x, y = b.neighbors(0).tolist()[-2:]
         slot_labels, calls = tet_tree._slot_labels, []
 
-        def swapped(table, born, cross, j, start):
-            labels, big, bad = slot_labels(table, born, cross, j, start)
+        def swapped(ball, born, cross, j, start):
+            labels, big, bad = slot_labels(ball, born, cross, j, start)
             calls.append(j)
             if calls == [0, 0]:
-                mine, colour = table.verts[:, 0] == 0, table.colour
-                at = {u: mine & (table.verts[:, colour[u]] == u) for u in (x, y)}
+                mine, colour = ball.verts[:, 0] == 0, ball.colour
+                at = {u: mine & (ball.verts[:, colour[u]] == u) for u in (x, y)}
                 first = {u: labels[at[u], colour[u]][0].copy() for u in (x, y)}
                 labels[at[x], colour[x]], labels[at[y], colour[y]] = first[y], first[x]
             return labels, big, bad
@@ -646,12 +652,12 @@ class TestLinkPass:
         slot_labels = tet_tree._slot_labels
         calls = []
 
-        def corrupted(table, born, cross, j, start):
-            labels, big, bad = slot_labels(table, born, cross, j, start)
+        def corrupted(ball, born, cross, j, start):
+            labels, big, bad = slot_labels(ball, born, cross, j, start)
             calls.append(j)
             if calls.count(j) == 2:
                 k = (j + 1) % 4
-                labels[(table.verts[:, j] == j) & (table.verts[:, k] == k), k] = (7, 3)
+                labels[(ball.verts[:, j] == j) & (ball.verts[:, k] == k), k] = (7, 3)
             return labels, big, bad
 
         monkeypatch.setattr(tet_tree, "_slot_labels", corrupted)
@@ -692,8 +698,8 @@ class TestTriangleCofaces:
     @pytest.mark.parametrize("name", ["radius_0", "radius_3", "radius_4", "swapped", "missing_parent", "reused_dropped", "moved_inner"])
     def test_face_cofaces_match(self, ball, name):
         b = ball(int(name[-1])) if name.startswith("radius") else MALFORMED[name]()
-        rows, slots = np.divmod(np.arange(4 * len(b.table.verts)), 4)
-        expected = [triangle_cofaces(b, np.delete(b.table.verts[t], i).tolist()) for t, i in zip(rows, slots)]
+        rows, slots = np.divmod(np.arange(4 * len(b.verts)), 4)
+        expected = [triangle_cofaces(b, np.delete(b.verts[t], i).tolist()) for t, i in zip(rows, slots)]
         assert tet_tree.face_cofaces(b, rows, slots) == expected
 
     def test_rejects_non_triangle(self, ball):
@@ -948,40 +954,40 @@ class TestSupport:
     @pytest.mark.parametrize("radius", range(5))
     def test_support_rows_hold_the_vertex(self, ball, radius):
         b = ball(radius)
-        support, rows = support_sets(b), b.table.rows
+        support, rows = support_sets(b), b.rows
         for v in b.vertices():
-            assert [b.table.addrs[t] for t in b.support(v)] == sorted(support[v], key=rows.get)
+            assert [b.addrs[t] for t in b.support(v)] == sorted(support[v], key=rows.get)
 
     @pytest.mark.parametrize("radius", range(6))
     def test_creation_row_is_top_of_support(self, ball, radius):
         b = ball(radius)
-        table, support = b.table, support_sets(b)
-        assert [table.addrs[t] for t in table.born] == [min(support[v]) for v in b.vertices()]
-        assert table.depth[table.born].tolist() == [b.vertex_depth(v) for v in b.vertices()]
+        support = support_sets(b)
+        assert [b.addrs[t] for t in b.born] == [min(support[v]) for v in b.vertices()]
+        assert b.depth[b.born].tolist() == [b.vertex_depth(v) for v in b.vertices()]
 
     @pytest.mark.parametrize("radius", range(5))
     def test_ancestors_are_prefixes(self, ball, radius):
-        table = ball(radius).table
-        for t, addr in enumerate(table.addrs):
-            want = [table.rows[addr[:k]] for k in range(len(addr) + 1)]
-            assert table.ancestors[t].tolist() == want + [-1] * (radius - len(addr))
+        b = ball(radius)
+        for t, addr in enumerate(b.addrs):
+            want = [b.rows[addr[:k]] for k in range(len(addr) + 1)]
+            assert b.ancestors[t].tolist() == want + [-1] * (radius - len(addr))
 
     @pytest.mark.parametrize("radius", range(6))
     def test_colour_is_the_slot_of_every_vertex(self, ball, radius):
-        table = ball(radius).table
-        assert table.colour == [0, 1, 2, 3] + table.face[1:].tolist()
-        assert all(table.colour[v] == s for row in table.verts.tolist() for s, v in enumerate(row))
+        b = ball(radius)
+        assert b.colour == [0, 1, 2, 3] + b.face[1:].tolist()
+        assert all(b.colour[v] == s for row in b.verts.tolist() for s, v in enumerate(row))
 
     def test_ancestors_need_every_parent(self):
         tets = dict(generate_ball(2).tets)
         del tets["0"]
         with pytest.raises(ValueError):
-            TetBall(2, tets).table.ancestors
+            TetBall(2, tets).ancestors
 
     def test_count_matches_bfs(self, ball):
         # Random subtrees (grown one tree neighbour at a time) and random sets.
-        table = ball(5).table
-        addrs = sorted(table.addrs)
+        b = ball(5)
+        addrs = sorted(b.addrs)
         rng = random.Random(3)
         seen = set()
         for trial in range(400):
@@ -993,8 +999,8 @@ class TestSupport:
                     grow = [nb for a in members for nb in tree_neighbors_in(a, set(addrs))]
                     members.add(rng.choice(sorted(set(grow) - members or grow)))
             connected = support_bfs(members)
-            rows = np.array(sorted(table.rows[a] for a in members))
-            assert support_connected(SimpleNamespace(support=lambda v: rows, table=table), 0) == connected
+            rows = np.array(sorted(b.rows[a] for a in members))
+            assert support_connected(SimpleNamespace(support=lambda v: rows, parent=b.parent), 0) == connected
             seen.add(connected)
         assert seen == {True, False}
 
@@ -1004,7 +1010,7 @@ class TestSupport:
         b = ball(2)
         support = support_sets(b)
         for u, w in b.edges().tolist():
-            cofaces = {b.table.addrs[t] for t in np.intersect1d(b.support(u), b.support(w))}
+            cofaces = {b.addrs[t] for t in np.intersect1d(b.support(u), b.support(w))}
             link_tris = [
                 addr for addr in support[u] if w in b.tets[addr]
             ]
