@@ -59,6 +59,7 @@ from math import comb
 import numpy as np
 
 from .curve_graph import CurveGraphBall, subdivide, vertex_name
+from .errors import BudgetError
 from .tet_tree import TetBall, _block_rows, _blocks, _check_budget, _check_id, generate_ball
 
 # The paper's bounds: interval thinness of the tetrahedron graph and of the
@@ -75,9 +76,10 @@ SAMPLE_BLOCK = 4096  # sampled triples drawn and bounded at a time
 class DistanceTable:
     """All-pairs distances over the integer vertex ids of a graph.
 
-    ``dist`` is a symmetric int16 matrix indexed by vertex id.  Construction
-    is a single breadth-first search that advances all sources at once (see
-    ``all_pairs_distances``).
+    ``dist`` is a symmetric int8 matrix indexed by vertex id, every entry
+    at most 63, so that 2 d + 1 and d(x, y) + d(y, z) are exact in int8.
+    Construction is a single breadth-first search that advances all sources
+    at once (see ``all_pairs_distances``).
     """
 
     def __init__(self, dist: np.ndarray, source):
@@ -94,43 +96,52 @@ class DistanceTable:
         return len(self.vertices)
 
 
+def _check_table_budget(graph) -> None:
+    """BudgetError when the int8 distance table of ``graph`` exceeds ``MAX_TABLE_BYTES``."""
+    n = len(graph.indptr) - 1
+    _check_budget(f"distance table for {n} vertices", (n, n), np.int8)
+
+
 def all_pairs_distances(graph) -> DistanceTable:
     """Exact BFS distances on a TetBall 1-skeleton or a CurveGraphBall.
 
-    Every vertex holds a bitset over the sources, packed into uint64 words:
-    the sources first reached at the current level (the frontier).  One
-    level ORs the neighbours' frontiers over CSR adjacency, drops the
-    sources whose table entry is already set, and writes the rest into the
-    table, a block of rows at a time.
+    Every vertex holds two bitsets over the sources, packed into uint64
+    words: the sources first reached at the current level (the frontier)
+    and every source reached so far (``seen``).  One level ORs the
+    neighbours' frontiers over CSR adjacency, drops the seen sources word
+    by word, and writes the rest into the table, a block of rows at a time.
+    The table is int8, and a distance of 64 or more raises BudgetError:
+    from 64 on, 2 d no longer fits, and consumers compute up to 2 d + 1.
     """
     if not isinstance(graph, (TetBall, CurveGraphBall)):
         raise TypeError(f"cannot take distances on {type(graph).__name__}")
+    _check_table_budget(graph)
     indptr, cols = graph.indptr, graph.indices
     n = len(indptr) - 1
-    _check_budget(f"distance table for {n} vertices", (n, n), np.int16)
     starts, ends = indptr[:-1], indptr[1:]
     if n > 1 and not (ends > starts).all():  # reduceat cannot OR over an empty neighbourhood
         raise ValueError("graph is not connected")
-    dist = np.full((n, n), -1, dtype=np.int16)
+    dist = np.full((n, n), -1, dtype=np.int8)
     np.fill_diagonal(dist, 0)
     # Bit s of a vertex's bitset is bit s % 8 of byte s // 8, so the uint8
-    # view (un)packs with bitorder="little" whatever the word byte order.
+    # view unpacks with bitorder="little" whatever the word byte order.
     frontier = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     diag = np.arange(n)
     frontier.view(np.uint8)[diag, diag >> 3] = (1 << (diag & 7)).astype(np.uint8)
-    packed = -(-n // 8)
+    seen = frontier.copy()
     for level in range(1, n):
         new = np.empty_like(frontier)
         for block in _blocks(n, n):
             lo, hi = starts[block.start], ends[block][-1]
             np.bitwise_or.reduceat(frontier[cols[lo:hi]], starts[block] - lo, axis=0, out=new[block])
-            # The table is the seen set: keep only sources not yet reached.
+            new[block] &= ~seen[block]
+            seen[block] |= new[block]
             bits = np.unpackbits(new[block].view(np.uint8), axis=1, count=n, bitorder="little")
-            bits = bits.view(bool) & (dist[block] < 0)
-            np.copyto(dist[block], level, where=bits)
-            new.view(np.uint8)[block, :packed] = np.packbits(bits, axis=1, bitorder="little")
+            np.copyto(dist[block], level, where=bits.view(bool))
         if not new.any():
             break
+        if level >= 64:
+            raise BudgetError(f"distance {level} reached, over the int8 distance table's limit of 63")
         frontier = new
     if dist.min() < 0:
         raise ValueError("graph is not connected")
@@ -448,7 +459,7 @@ def thinness_report(table: DistanceTable, *, sample_cap: int = DEFAULT_SAMPLE_CA
 
 
 def _point_to_interval(d: np.ndarray) -> np.ndarray:
-    """The int16 table ``t[p, x, z] = d(p, I(x, z))`` of a graph metric ``d``.
+    """The int8 table ``t[p, x, z] = d(p, I(x, z))`` of a graph metric ``d``.
 
     Every geodesic from x to z enters z from a neighbour z' one step nearer
     x, so I(x, z) is z together with the intervals I(x, z') of those
@@ -469,8 +480,8 @@ def _point_to_interval(d: np.ndarray) -> np.ndarray:
     most about ``BLOCK_ELEMS`` elements.
     """
     n = d.shape[0]
-    _check_budget(f"exhaustive thinness over {n} vertices", (n, n, n), np.int16)
-    a = np.empty((n, n, n), dtype=np.int16)
+    _check_budget(f"exhaustive thinness over {n} vertices", (n, n, n), np.int8)
+    a = np.empty((n, n, n), dtype=np.int8)
     diag = np.arange(n)
     a[diag, diag] = d
     rows, nbrs = np.nonzero(d == 1)
@@ -500,7 +511,7 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
 
     ``d`` must be a graph metric: symmetric, with the adjacency ``d == 1``
     and every other distance reached through it.  The distances from each
-    point to each interval come from ``_point_to_interval``; its n^3 int16
+    point to each interval come from ``_point_to_interval``; its n^3 int8
     table is the only large allocation.  Then every pair x < y whose bound
     floor(d(x, y) / 2) exceeds the running maximum is scored against every
     z, and the witness (x, y, z, p) is the first maximum in pair order, then
@@ -676,8 +687,10 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
     skipped; the rest are taken in chunks of ``_block_rows(n)``.
     Stage 1 (``_chunk_exceeds``) flags the triples of a chunk whose
     thinness exceeds the maximum; stage 2 scores only those, and the first
-    of their maxima is the chunk's first maximum.  Returns the maximum, the
-    witness and the number of triples past the bound.
+    of their maxima is the chunk's first maximum.  Before any maximum is
+    set every triple exceeds it, so stage 2 scores those chunks directly.
+    Returns the maximum, the witness and the number of triples past the
+    bound.
     """
     n = d.shape[0]
     chunk = _block_rows(n)
@@ -687,7 +700,8 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
         while len(live):
             part, live = live[:chunk], live[chunk:]
             scored += len(part)
-            hit = part[_chunk_exceeds(d, part, best)]
+            # Every thinness is at least 0, so stage 1 would flag a whole part while best is -1.
+            hit = part if best < 0 else part[_chunk_exceeds(d, part, best)]
             if len(hit):
                 # The first maximum of the part is the first maximum of its hits.
                 vals = _chunk_thinness(d, hit)
@@ -760,11 +774,14 @@ def hyperbolicity_reports(radius: int, *, sample_cap: int = DEFAULT_SAMPLE_CAP, 
     graph and of the curve graph, the subdivision isometry, the bottleneck
     property (radius 2 and up; below that no in-margin pair is 3 apart) and
     the tree comparison, whose window bound is d_ball - d_tree <= 1.
-    A ``sample_cap`` below 1 is refused before any table is built.
+    A ``sample_cap`` below 1, and a distance table of either graph over
+    the budget, are refused before any table is built.
     """
     _check_sample_cap(sample_cap)
     ball = generate_ball(radius)
     cg = subdivide(ball)
+    for graph in (ball, cg):  # refuse either table before building the other
+        _check_table_budget(graph)
     dd = all_pairs_distances(ball)
     dc = all_pairs_distances(cg)
     rows = []

@@ -49,8 +49,8 @@ RADIUS_CAP_ENV = "CROSSCAP3_RADIUS_CAP"
 # ``rigidity``: far below the tables the passes work on.
 BLOCK_ELEMS = 1 << 16
 # Largest table allocated whole: n^2 distances, n^3 point-to-interval distances
-# or rigidity's maps of the root star.  The radius-7 curve table (612 MB) and the
-# radius-8 ball table (344 MB) are refused; the radius-6 curve table (68 MB) is not.
+# or rigidity's maps of the root star.  Of the int8 distance tables, the radius-7
+# curve table (306 MB) is refused; the radius-8 ball table (172 MB) is not.
 MAX_TABLE_BYTES = 256 << 20
 # Link labels are checked for Farey adjacency in int64; below this bound the
 # products |p s - q r| of two label entries cannot overflow.
@@ -130,15 +130,16 @@ class TetBall:
 
     ``from_rows`` builds a ball from its four arrays.  ``TetBall(radius,
     tets)`` builds one from an address -> vertices dict, which need not be a
-    generated ball: it keeps the dict's addresses, and ``parent`` is also -1
-    for a missing parent address and ``face`` for a last letter that is not
-    a face, so a malformed ball still builds.
+    generated ball: it keeps the dict's addresses and reads ``tets`` back
+    off the rows, so editing the dict later changes nothing; ``parent`` is
+    also -1 for a missing parent address and ``face`` for a last letter
+    that is not a face, so a malformed ball still builds.
     """
 
     def __init__(self, radius: int, tets: dict):
         addrs = list(tets)
         rows = {a: t for t, a in enumerate(addrs)}
-        self.radius, self.tets, self.addrs, self.rows = radius, tets, addrs, rows
+        self.radius, self.addrs, self.rows = radius, addrs, rows
         self.verts = np.array(list(tets.values()), dtype=np.int64).reshape(-1, 4)
         self.parent = np.array([rows.get(a[:-1], -1) if a else -1 for a in addrs], dtype=np.int64)
         self.face = np.array([ALPHABET.find(a[-1]) if a else -1 for a in addrs], dtype=np.int64)
@@ -219,10 +220,14 @@ class TetBall:
     @cached_property
     def colour(self) -> list:
         """``colour[v]``, the slot of vertex v in every row holding it (-1 if none does): in a
-        generated ball ``arange(4)`` followed by ``face[1:]``.  Raises ValueError unless every
-        non-root row has its parent, a face other than the parent's and the parent's vertices
-        off its face's slot, and every vertex id is nonnegative and at one slot."""
+        generated ball ``arange(4)`` followed by ``face[1:]``.  Raises ValueError unless exactly
+        one row has depth 0, with parent -1, every other row has its parent, a face other than
+        the parent's and the parent's vertices off its face's slot, and every vertex id is
+        nonnegative and at one slot."""
         verts, face, child = self.verts, self.face, self.depth > 0
+        root = np.flatnonzero(~child)
+        if len(root) != 1 or self.parent[root[0]] != -1:
+            raise ValueError("ball holds other than one depth-0 tetrahedron with parent -1")
         p, f = self.parent[child], face[child]
         if verts.min(initial=0) < 0 or (p < 0).any() or (f < 0).any() or (f == face[p]).any():
             raise ValueError("ball holds a negative id, a tetrahedron without its parent or an unreduced address")

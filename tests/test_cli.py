@@ -300,6 +300,20 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.parametrize("radius, n, mib", [("7", 17498, 291), ("8", 52490, 2627)])
+    def test_tables_over_budget_are_refused_before_either_is_built(self, capsys, monkeypatch, radius, n, mib):
+        # At radius 8 the tetrahedron table alone (13124 vertices, 164 MiB) would fit.
+        built = []
+
+        def spy(graph):
+            built.append(len(graph.indptr) - 1)
+            raise AssertionError(f"a distance table was built for {built[-1]} vertices")
+
+        monkeypatch.setattr(metric, "all_pairs_distances", spy)
+        want = f"error: distance table for {n} vertices needs {mib} MiB, over the 256 MiB table budget\n"
+        assert run(capsys, "hyperbolicity", "--radius", radius) == (2, "", want)
+        assert built == []
+
     def test_rigidity_level_over_the_cap(self, capsys):
         want = "rigidity level 9 needs a work ball of radius 10, over the radius cap 8"
         assert run(capsys, "rigidity", "--level", "9") == (2, "", f"error: {want}\n")

@@ -29,7 +29,7 @@ from crosscap3.metric import (
     _sampled_triples,
     _thinness_exhaustive,
 )
-from crosscap3.tet_tree import BLOCK_ELEMS
+from crosscap3.tet_tree import BLOCK_ELEMS, TetBall
 from oracles import MarginError, bottleneck_triangle, has_edge, in_margin, interval, separates, tree_distance
 
 
@@ -67,6 +67,18 @@ def deque_bfs_rows(vertices, adjacency):
         yield row
 
 
+def chain_ball(top):
+    """The dict-built ball of the tetrahedra along the word 0123 0123 ..., up to vertex ``top``."""
+    verts, addr = [0, 1, 2, 3], ""
+    tets = {addr: tuple(verts)}
+    for v in range(4, top + 1):
+        face = (v - 4) % 4
+        verts[face] = v
+        addr += "0123"[face]
+        tets[addr] = tuple(verts)
+    return TetBall(len(addr), tets)
+
+
 class TestDistances:
     def test_examples(self, dtable):
         t = dtable(2)
@@ -101,9 +113,31 @@ class TestDistances:
         tet_adjacency = dict(enumerate(coresidence_sets(ball(radius))))
         for graph, adjacency in ((ball(radius), tet_adjacency), (cgraph(radius), curve_oracle(radius))):
             t = all_pairs_distances(graph)
-            assert t.dist.dtype == np.int16
+            assert t.dist.dtype == np.int8
             for s, row in enumerate(deque_bfs_rows(sorted(adjacency), adjacency)):
                 assert t.dist[s].tolist() == row
+
+    @pytest.mark.parametrize("top", [189, 190])
+    def test_distances_reach_64_only_as_budget_error(self, top):
+        # Along 0123 0123 ..., vertex v >= 4 is created next to v - 1, v - 2 and v - 3, so
+        # d(0, top) = ceil(top / 3): 63 at 189, the most an int8 table holds, and 64 at 190.
+        b = chain_ball(top)
+        if top == 189:
+            adjacency = dict(enumerate(coresidence_sets(b)))
+            t = all_pairs_distances(b)
+            assert t.dist.max() == 63
+            assert t.dist.tolist() == list(deque_bfs_rows(sorted(adjacency), adjacency))
+        else:
+            with pytest.raises(BudgetError, match="^distance 64 reached"):
+                all_pairs_distances(b)
+
+    def test_cli_refuses_a_curve_table_past_63(self, capsys, monkeypatch):
+        # The curve graph doubles distances: 2 * 34 + 1 > 63 on the chain up to vertex 100.
+        # The small sample cap keeps the run short should the curve table get built.
+        monkeypatch.setattr(metric, "generate_ball", lambda radius: chain_ball(100))
+        assert main(["hyperbolicity", "--radius", "2", "--sample-cap", "100"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: distance 64 reached")
 
     def test_stability_between_radii(self, dtable, ctable):
         for n in range(3):
@@ -623,6 +657,24 @@ class TestSampledThinness:
             assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 20_000, seed)
             assert rep.triples_scored < rep.triples_examined // 2
 
+    @pytest.mark.parametrize("graph", ["tet", "curve"])
+    def test_stage_one_waits_for_a_maximum(self, monkeypatch, dtable, ctable, graph):
+        # Before any maximum every triple exceeds it, so stage 1 has nothing to decide.
+        bests = []
+        stage_one = metric._chunk_exceeds
+
+        def spy(d, xyz, best):
+            bests.append(best)
+            return stage_one(d, xyz, best)
+
+        t = (dtable if graph == "tet" else ctable)(4)
+        monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
+        want = thinness_report(t, sample_cap=5000, seed=3)
+        monkeypatch.setattr(metric, "_chunk_exceeds", spy)
+        rep = thinness_report(t, sample_cap=5000, seed=3)
+        assert bests and min(bests) >= 0
+        assert rep == want and (rep.max_value, rep.witness) == plain_sampled_thinness(t, 5000, seed=3)
+
     @pytest.mark.parametrize("block", [1, 7, pytest.param(BLOCK_ELEMS, id="default")])
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     @pytest.mark.parametrize("graph", ["tet", "curve"])
@@ -648,7 +700,7 @@ class TestSampledThinness:
         assert rep.triples_scored < 50_000 // 4
 
     def test_exhaustive_table_over_budget(self, monkeypatch, ctable):
-        # 650 vertices: the n^3 int16 table would take about 524 MiB.
+        # 650 vertices: the n^3 int8 table would take about 262 MiB, over the 256 MiB budget.
         monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 10**12)
         with pytest.raises(BudgetError):
             thinness_report(ctable(4))

@@ -351,6 +351,13 @@ class TestPropagate:
         with pytest.raises(ValueError, match="unreduced address"):
             propagate_map(MappingClassElement.identity(), tampered(3, {"00": (0, 1, 2, 3)}), ball(4))
 
+    def test_refuses_a_second_root(self, ball):
+        # Both rows at depth 0 with parent -1: the second would read the images of row -1.
+        verts = np.array([[0, 1, 2, 3], [4, 1, 2, 3]])
+        domain = TetBall.from_rows(0, verts, np.array([-1, -1]), np.array([-1, -1]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="other than one depth-0 tetrahedron"):
+            propagate_map(MappingClassElement.identity(), domain, ball(2))
+
     def test_codomain_too_small(self, ball):
         # Destination at distance 2 with a radius-2 domain needs radius 4.
         dst = OrderedTet("01", ball(3).tets["01"])

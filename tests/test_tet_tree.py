@@ -978,6 +978,25 @@ class TestSupport:
         assert b.colour == [0, 1, 2, 3] + b.face[1:].tolist()
         assert all(b.colour[v] == s for row in b.verts.tolist() for s, v in enumerate(row))
 
+    def test_dict_edits_after_building_change_nothing(self):
+        d = dict(generate_ball(1).tets)
+        b = TetBall(1, d)
+        d["0"] = (9, 9, 9, 9)
+        assert b.tets["0"] == (4, 1, 2, 3) == tuple(b.verts[1].tolist())
+        assert b.tets == generate_ball(1).tets
+
+    @pytest.mark.parametrize(
+        "rows, parent, depth",
+        [(2, [-1, -1], [0, 0]), (2, [-1, 0], [0, 0]), (2, [1, 0], [0, 1]), (0, [], [])],
+        ids=["two_roots", "second_root_has_a_parent", "root_has_a_parent", "empty"],
+    )
+    def test_colour_needs_exactly_one_root(self, rows, parent, depth):
+        # Each of these balls passes every other check of colour.
+        verts = np.array([[0, 1, 2, 3], [4, 1, 2, 3]])[:rows]
+        b = TetBall.from_rows(0, verts, np.array(parent, dtype=np.int64), np.array([-1, 0])[:rows], np.array(depth))
+        with pytest.raises(ValueError, match="other than one depth-0 tetrahedron with parent -1"):
+            b.colour
+
     def test_ancestors_need_every_parent(self):
         tets = dict(generate_ball(2).tets)
         del tets["0"]
