@@ -23,11 +23,9 @@ witness are those of the full scan.  Skipped triples still count as
 examined.  In the same way, x, y and z lie in the union of the other two
 intervals, so only a b of I(x, y) farther than the running maximum from
 all three can raise it.  The exhaustive scan gathers only the b far from
-x and y.  The sampler scores the triples left after the bound in two
-stages.  Stage 1 decides, for a chunk of triples, only whether each one's
-thinness exceeds the running maximum, pairing just the middle of I(x, y),
-the b far from all three, with the union.  Stage 2 scores the few flagged
-triples in full and takes their first maximum, which is the chunk's.
+x and y.  The sampler scores the triples left after the bound a chunk at
+a time, once each, pairing only the b far from all three with the union,
+and takes the chunk's first maximum if it exceeds the running one.
 
 The bottleneck property (Manning's criterion for a quasi-tree) asks that
 every far-apart pair be separated by a triangle near a geodesic midpoint.
@@ -43,8 +41,8 @@ point-to-interval table is filled one distance level at a time along every
 source's BFS DAG (each interval is its endpoint plus the intervals of the
 endpoint's predecessors), the sampled triples are replayed from
 ``random.Random.getrandbits`` in blocks (the stream of ``random.sample``,
-pinned by an oracle test), and the triples left after the bound go
-through both stages a chunk at a time.  Block sizes come from
+pinned by an oracle test), and the triples left after the bound are
+scored a chunk at a time.  Block sizes come from
 ``tet_tree._blocks`` and ``_block_rows``, and ``tet_tree._check_budget``
 refuses a table over ``MAX_TABLE_BYTES`` with ``BudgetError`` before allocation.
 """
@@ -203,8 +201,12 @@ def check_distance_stability(small: DistanceTable, big: DistanceTable) -> dict:
     """Distances over the smaller window must be unchanged in the larger one.
 
     Ball vertex ids, and so one-sided ids, are the same in both windows; a
-    two-sided id is matched through its endpoint pair.
+    two-sided id is matched through its endpoint pair.  Raises ValueError
+    unless both tables are over the same kind of graph and ``big`` has at
+    least as many vertices.
     """
+    if type(small.source) is not type(big.source) or len(small) > len(big):
+        raise ValueError(f"{small.source!r} is not a smaller window of {big.source!r}")
     idx = np.arange(len(small))
     if isinstance(small.source, CurveGraphBall):
         n = small.source.n_one
@@ -438,11 +440,10 @@ def thinness_report(table: DistanceTable, *, sample_cap: int = DEFAULT_SAMPLE_CA
 
     ``triples_examined`` counts every triple the scan covers, whether scored
     or ruled out by the exact bound floor(d(x, y) / 2).  ``triples_scored``
-    counts those past the bound: on the sampled path the triples that
-    stage 1 tests against the running maximum (stage 2 rescores the few it
-    flags), or on the exhaustive path the (x, y, z) with x < y and z not an
-    endpoint, n - 2 per scored pair, out of 3 * ``triples_examined``.  It is
-    not part of any artifact.
+    counts those past the bound: on the sampled path the triples scored,
+    each once, against the running maximum, or on the exhaustive path the
+    (x, y, z) with x < y and z not an endpoint, n - 2 per scored pair, out
+    of 3 * ``triples_examined``.  It is not part of any artifact.
     """
     _check_sample_cap(sample_cap)
     d, total = table.dist, comb(len(table), 3)
@@ -541,29 +542,26 @@ def _thinness_exhaustive(d: np.ndarray) -> tuple[int, tuple, int]:
     return best, witness, scored
 
 
-def _triple_thinness(d: np.ndarray, x: int, y: int, z: int) -> tuple[int, int]:
-    """Thinness of one triple, and the first vertex of I(x, y) attaining it."""
-    between = np.nonzero(d[x] + d[y] == d[x, y])[0]
-    union = np.nonzero((d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z]))[0]
-    vals = d[np.ix_(between, union)].min(axis=1)
-    i = int(vals.argmax())
-    return int(vals[i]), int(between[i])
+def _chunk_thinness(d: np.ndarray, xyz: np.ndarray, best: int) -> tuple[int, int, int]:
+    """The first maximum thinness over the triples (rows) of ``xyz`` as (value, row, b), if above ``best``.
 
-
-def _union_distances(
-    d: np.ndarray, xyz: np.ndarray, rows: np.ndarray, mid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """d(b, I(x, z) | I(y, z)) for every b marked in row t of the (t, n) mask ``mid``, and that t.
-
-    ``rows`` (3, t, n) holds the distance rows d[x], d[y], d[z].  The
-    (b, u) pairs of all triples, u in the union, are laid out flat, grouped
-    by triple and then by b, in row-major order of ``mid``; a min per b
-    reduces them.  Every interval holds its endpoints, so no group is empty.
+    row is the first triple attaining the maximum and b the first vertex of
+    its I(x, y) attaining it; when no triple exceeds ``best`` the value is
+    at most ``best``.  x, y and z all lie in U = I(x, z) | I(y, z), so a b
+    within ``best`` of any of them is within ``best`` of U: only the b of
+    I(x, y) farther than ``best`` from all three are scored, which with
+    ``best`` -1 is all of I(x, y).  The (b, u) pairs, u in U, are laid out
+    flat, grouped by triple, then by b (U holds z, so no group is empty); a
+    min per b reduces them to d(b, U), and the first argmax over the b in
+    that order is the first maximum.
     """
     n = d.shape[0]
     x, y, z = xyz.T
-    dx, dy, dz = rows
+    dx, dy, dz = d[xyz.T]
+    mid = (dx + dy == d[x, y][:, None]) & (dx > best) & (dy > best) & (dz > best)
     tb, b = np.divmod(np.flatnonzero(mid), n)
+    if not len(tb):
+        return -1, -1, -1
     side = (dx + dz == d[x, z][:, None]) | (dy + dz == d[y, z][:, None])
     tu, u = np.divmod(np.flatnonzero(side), n)
     n_u = np.bincount(tu, minlength=len(xyz))
@@ -571,38 +569,9 @@ def _union_distances(
     seg = np.cumsum(width) - width
     first_u = (np.cumsum(n_u) - n_u)[tb]
     cols = u[np.arange(width.sum()) - np.repeat(seg - first_u, width)]
-    return tb, np.minimum.reduceat(d[np.repeat(b, width), cols], seg)
-
-
-def _chunk_thinness(d: np.ndarray, xyz: np.ndarray) -> np.ndarray:
-    """Thinness of every triple (row) of ``xyz``, as ``_triple_thinness`` values.
-
-    Every b of I(x, y) is scored against the union (``_union_distances``),
-    and a max per triple reduces them.
-    """
-    x, y, _ = xyz.T
-    dx, dy, _ = rows = d[xyz.T]
-    tb, per_b = _union_distances(d, xyz, rows, dx + dy == d[x, y][:, None])
-    n_b = np.bincount(tb, minlength=len(xyz))
-    return np.maximum.reduceat(per_b, np.cumsum(n_b) - n_b)
-
-
-def _chunk_exceeds(d: np.ndarray, xyz: np.ndarray, best: int) -> np.ndarray:
-    """Whether the thinness of each triple (row) of ``xyz`` exceeds ``best``: ``_chunk_thinness(d, xyz) > best``.
-
-    x, y and z all lie in U = I(x, z) | I(y, z), so a b of I(x, y) within
-    ``best`` of any of them is within ``best`` of U.  Only the middle of
-    I(x, y), the b farther than ``best`` from all three, is scored against
-    U, and a triple exceeds ``best`` exactly when one of them is farther
-    than ``best`` from every u.
-    """
-    x, y, _ = xyz.T
-    dx, dy, dz = rows = d[xyz.T]
-    mid = (dx + dy == d[x, y][:, None]) & (dx > best) & (dy > best) & (dz > best)
-    tb, per_b = _union_distances(d, xyz, rows, mid)
-    out = np.zeros(len(xyz), dtype=bool)
-    out[tb[per_b > best]] = True
-    return out
+    per_b = np.minimum.reduceat(d[np.repeat(b, width), cols], seg)
+    k = int(per_b.argmax())
+    return int(per_b[k]), int(tb[k]), int(b[k])
 
 
 def _group_draws(draws: np.ndarray, want: int) -> tuple[np.ndarray, int]:
@@ -684,11 +653,8 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
     ``random.Random(seed).sample(range(n), 3)``, replayed in blocks by
     ``_sampled_triples``.  A triple whose bound floor(d(x, y) / 2) is at
     most the running maximum cannot be the first to exceed it, so it is
-    skipped; the rest are taken in chunks of ``_block_rows(n)``.
-    Stage 1 (``_chunk_exceeds``) flags the triples of a chunk whose
-    thinness exceeds the maximum; stage 2 scores only those, and the first
-    of their maxima is the chunk's first maximum.  Before any maximum is
-    set every triple exceeds it, so stage 2 scores those chunks directly.
+    skipped; the rest are taken in chunks of ``_block_rows(n)``, and
+    ``_chunk_thinness`` scores each chunk once against the running maximum.
     Returns the maximum, the witness and the number of triples past the
     bound.
     """
@@ -700,17 +666,10 @@ def _thinness_sampled(d: np.ndarray, samples: int, seed: int) -> tuple[int, tupl
         while len(live):
             part, live = live[:chunk], live[chunk:]
             scored += len(part)
-            # Every thinness is at least 0, so stage 1 would flag a whole part while best is -1.
-            hit = part if best < 0 else part[_chunk_exceeds(d, part, best)]
-            if len(hit):
-                # The first maximum of the part is the first maximum of its hits.
-                vals = _chunk_thinness(d, hit)
-                i = int(vals.argmax())
-                best = int(vals[i])
-                witness = tuple(int(v) for v in hit[i])
+            value, row, p = _chunk_thinness(d, part, best)
+            if value > best:
+                best, witness = value, (*part[row].tolist(), p)
                 live = live[d[live[:, 0], live[:, 1]] // 2 > best]
-    if best >= 0:
-        witness += (_triple_thinness(d, *witness)[1],)
     return best, witness, scored
 
 

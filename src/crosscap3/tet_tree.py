@@ -128,12 +128,13 @@ class TetBall:
     from it alone, not from the rows), which ``four_cliques`` and the link
     edges are read off; and ``support(v)``, the rows holding v.
 
-    ``from_rows`` builds a ball from its four arrays.  ``TetBall(radius,
-    tets)`` builds one from an address -> vertices dict, which need not be a
-    generated ball: it keeps the dict's addresses and reads ``tets`` back
-    off the rows, so editing the dict later changes nothing; ``parent`` is
-    also -1 for a missing parent address and ``face`` for a last letter
-    that is not a face, so a malformed ball still builds.
+    ``from_rows`` builds a ball from its four arrays, refusing a wrong shape
+    or an index out of range.  ``TetBall(radius, tets)`` builds one from an
+    address -> vertices dict, which need not be a generated ball: it keeps
+    the dict's addresses and reads ``tets`` back off the rows, so editing
+    the dict later changes nothing; ``parent`` is also -1 for a missing
+    parent address and ``face`` for a last letter that is not a face, so a
+    malformed ball still builds.
     """
 
     def __init__(self, radius: int, tets: dict):
@@ -147,6 +148,15 @@ class TetBall:
 
     @classmethod
     def from_rows(cls, radius: int, verts, parent, face, depth) -> "TetBall":
+        """The ball of four row arrays, taken as int64.  Raises ValueError unless ``verts`` is T x 4, the
+        others have T entries, each ``parent`` is -1 or a row, each ``face`` -1..3 and each ``depth`` >= 0."""
+        verts, parent, face, depth = (np.asarray(a, dtype=np.int64) for a in (verts, parent, face, depth))
+        if verts.ndim != 2 or verts.shape[1] != 4 or any(a.shape != verts.shape[:1] for a in (parent, face, depth)):
+            raise ValueError(f"rows are not T x 4, T, T, T: {verts.shape}, {parent.shape}, {face.shape}, {depth.shape}")
+        out = {"parent": (parent < -1) | (parent >= len(verts)), "face": (face < -1) | (face > 3), "depth": depth < 0}
+        for name, bad in out.items():
+            if bad.any():
+                raise ValueError(f"{name} of row {int(bad.argmax())} out of range (parent -1 or a row, face -1..3, depth >= 0)")
         ball = cls.__new__(cls)
         ball.radius, ball.verts, ball.parent, ball.face, ball.depth = radius, verts, parent, face, depth
         return ball

@@ -23,7 +23,6 @@ from crosscap3.metric import (
     tree_comparison,
 )
 from crosscap3.metric import (
-    _chunk_exceeds,
     _chunk_thinness,
     _point_to_interval,
     _sampled_triples,
@@ -152,6 +151,16 @@ class TestDistances:
         bent = DistanceTable(big.dist.copy(), big.source)
         bent.dist[a, 0] = bent.dist[0, a] = 3
         assert not check_distance_stability(small, bent)["ok"]
+
+    def test_stability_refuses_swapped_windows(self, dtable, ctable):
+        for table in (dtable, ctable):
+            with pytest.raises(ValueError, match="not a smaller window"):
+                check_distance_stability(table(3), table(2))
+
+    def test_stability_refuses_a_ball_table_against_a_curve_table(self, dtable, ctable):
+        for small, big in ((dtable(2), ctable(3)), (ctable(1), dtable(3))):
+            with pytest.raises(ValueError, match="not a smaller window"):
+                check_distance_stability(small, big)
 
     def test_rejects_unknown_graph(self):
         with pytest.raises(TypeError):
@@ -556,8 +565,7 @@ class TestThinness:
         d, n = t.dist, len(t)
         rng = random.Random(radius)
         xyz = np.array([rng.sample(range(n), 3) for _ in range(5000)])
-        chunk = tet_tree._block_rows(n)
-        vals = np.concatenate([_chunk_thinness(d, xyz[a : a + chunk]) for a in range(0, len(xyz), chunk)])
+        vals = np.array([_chunk_thinness(d, xyz[i : i + 1], -1)[0] for i in range(len(xyz))])
         assert (vals <= d[xyz[:, 0], xyz[:, 1]] // 2).all()
 
     def test_tet_graph_bound(self, dtable):
@@ -618,21 +626,25 @@ class TestThinness:
         assert a.triples_examined == 500
 
 
+def triple_thinness(d, x, y, z):
+    # Independent oracle: the thinness of one triple and the first p of I(x, y) attaining it.
+    between = np.nonzero(d[x] + d[y] == d[x, y])[0]
+    union = np.nonzero((d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z]))[0]
+    vals = d[np.ix_(between, union)].min(axis=1)
+    return int(vals.max()), int(between[int(vals.argmax())])
+
+
 def plain_sampled_thinness(table, samples, seed):
     # Independent oracle: score the sampled triples one at a time.
     n = len(table)
-    d = table.dist
     rng = random.Random(seed)
     best = -1
     witness = None
     for _ in range(samples):
         x, y, z = rng.sample(range(n), 3)
-        between = np.nonzero(d[x] + d[y] == d[x, y])[0]
-        union = np.nonzero((d[x] + d[z] == d[x, z]) | (d[y] + d[z] == d[y, z]))[0]
-        vals = d[np.ix_(between, union)].min(axis=1)
-        if int(vals.max()) > best:
-            best = int(vals.max())
-            witness = (x, y, z, int(between[int(vals.argmax())]))
+        value, p = triple_thinness(table.dist, x, y, z)
+        if value > best:
+            best, witness = value, (x, y, z, p)
     return best, tuple(table.vertices[i] for i in witness)
 
 
@@ -658,29 +670,29 @@ class TestSampledThinness:
             assert rep.triples_scored < rep.triples_examined // 2
 
     @pytest.mark.parametrize("graph", ["tet", "curve"])
-    def test_stage_one_waits_for_a_maximum(self, monkeypatch, dtable, ctable, graph):
-        # Before any maximum every triple exceeds it, so stage 1 has nothing to decide.
-        bests = []
-        stage_one = metric._chunk_exceeds
+    def test_each_triple_is_scored_once(self, monkeypatch, dtable, ctable, graph):
+        # The scorer sees each triple past the bound once: its rows add up to triples_scored.
+        calls = []
+        scorer = metric._chunk_thinness
 
         def spy(d, xyz, best):
-            bests.append(best)
-            return stage_one(d, xyz, best)
+            calls.append((len(xyz), best))
+            return scorer(d, xyz, best)
 
         t = (dtable if graph == "tet" else ctable)(4)
         monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)
-        want = thinness_report(t, sample_cap=5000, seed=3)
-        monkeypatch.setattr(metric, "_chunk_exceeds", spy)
+        monkeypatch.setattr(metric, "_chunk_thinness", spy)
         rep = thinness_report(t, sample_cap=5000, seed=3)
-        assert bests and min(bests) >= 0
-        assert rep == want and (rep.max_value, rep.witness) == plain_sampled_thinness(t, 5000, seed=3)
+        assert sum(rows for rows, _ in calls) == rep.triples_scored and max(best for _, best in calls) >= 0
+        assert (rep.max_value, rep.witness) == plain_sampled_thinness(t, 5000, seed=3)
 
     @pytest.mark.parametrize("block", [1, 7, pytest.param(BLOCK_ELEMS, id="default")])
     @pytest.mark.parametrize("radius", [2, 3, 4, 5])
     @pytest.mark.parametrize("graph", ["tet", "curve"])
     def test_stage_one_flags_exactly_the_triples_above_best(self, monkeypatch, dtable, ctable, graph, radius, block):
-        # On the sampler's chunks at this block size, every row's flag is
-        # whether its thinness exceeds best, whether or not its bound could.
+        # On the sampler's chunks at this block size, the scorer returns a
+        # part's first maximum, its row and its first b, exactly when it
+        # exceeds best, whether or not the part's bounds could.
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
         d = (dtable if graph == "tet" else ctable)(radius).dist
         n = len(d)
@@ -688,10 +700,15 @@ class TestSampledThinness:
         xyz = np.array([rng.sample(range(n), 3) for _ in range(300 if block == BLOCK_ELEMS else 60)])
         chunk = tet_tree._block_rows(n)
         parts = [xyz[a : a + chunk] for a in range(0, len(xyz), chunk)]
-        vals = [_chunk_thinness(d, part) for part in parts]
-        for best in range(-1, 5):
-            for part, v in zip(parts, vals):
-                assert np.array_equal(_chunk_exceeds(d, part, best), v > best)
+        for part in parts:
+            scored = [triple_thinness(d, *map(int, row)) for row in part]
+            row = max(range(len(part)), key=lambda i: (scored[i][0], -i))
+            for best in range(-1, 5):
+                value = _chunk_thinness(d, part, best)
+                if scored[row][0] > best:
+                    assert value == (scored[row][0], row, scored[row][1])
+                else:
+                    assert value[0] <= best
 
     def test_prune_fires(self, monkeypatch, ctable):
         monkeypatch.setattr(metric, "TRIPLE_THRESHOLD", 0)

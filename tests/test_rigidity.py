@@ -358,6 +358,13 @@ class TestPropagate:
         with pytest.raises(ValueError, match="other than one depth-0 tetrahedron"):
             propagate_map(MappingClassElement.identity(), domain, ball(2))
 
+    def test_list_rows_propagate_as_arrays(self, ball):
+        rows = ([[0, 1, 2, 3]], [-1], [-1], [0])
+        e = MappingClassElement.identity()
+        pm = propagate_map(e, TetBall.from_rows(0, *rows), ball(2))
+        want = propagate_map(e, TetBall.from_rows(0, *map(np.array, rows)), ball(2))
+        assert (pm.vertices, pm.tets) == (want.vertices, want.tets)
+
     def test_codomain_too_small(self, ball):
         # Destination at distance 2 with a radius-2 domain needs radius 4.
         dst = OrderedTet("01", ball(3).tets["01"])

@@ -1,8 +1,8 @@
-"""The package keeps no public function that only tests or the exports use, and one home
-for its memory limits.
+"""The package keeps no function that only tests or the exports use, and one home for its
+memory limits.
 
-Every public module-level function of ``src/crosscap3`` must be referenced
-by name from code that runs: module-level code, a class body, or a function
+Every module-level function of ``src/crosscap3``, public or private, must be
+referenced by name from code that runs: module-level code, a class body, or a function
 that is itself referenced that way, in some module other than ``__init__``.
 A function that is referenced only from functions nothing runs counts as
 unused too, so a dead helper cannot keep its own helpers alive.  The
@@ -36,10 +36,10 @@ def _names(node) -> set:
     }
 
 
-def unused_public_functions(src: Path = SRC) -> list:
-    """The public module-level functions that nothing reachable references, as ``module.name``."""
+def unused_functions(src: Path = SRC) -> list:
+    """The module-level functions that nothing reachable references, as ``module.name``."""
     functions = {}  # name -> the names its body references
-    public = []
+    defined = []
     roots = set(ALLOWED)
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
@@ -47,8 +47,7 @@ def unused_public_functions(src: Path = SRC) -> list:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 functions.setdefault(node.name, set()).update(_names(node) - {node.name})
-                if not node.name.startswith("_"):
-                    public.append((path.stem, node.name))
+                defined.append((path.stem, node.name))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _names(node)
     live, todo = set(), [n for n in roots if n in functions]
@@ -57,12 +56,17 @@ def unused_public_functions(src: Path = SRC) -> list:
         if name not in live:
             live.add(name)
             todo += [n for n in functions[name] if n in functions]
-    return [f"{module}.{name}" for module, name in public if name not in live]
+    return [f"{module}.{name}" for module, name in defined if name not in live]
 
 
 def test_every_public_function_is_used_in_the_package():
-    unused = unused_public_functions()
+    unused = [f for f in unused_functions() if not f.split(".")[1].startswith("_")]
     assert not unused, f"{len(unused)} public functions only tests or the exports use: {', '.join(unused)}"
+
+
+def test_every_private_function_is_used_in_the_package():
+    unused = [f for f in unused_functions() if f.split(".")[1].startswith("_")]
+    assert not unused, f"{len(unused)} private functions only tests use: {', '.join(unused)}"
 
 
 def test_allowlist_names_existing_functions():
@@ -81,7 +85,16 @@ def test_a_chain_of_dead_functions_is_found(tmp_path):
         "def dead():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\ndef used():\n    return 2\n\n\nVALUE = used()\n"
     )
     (tmp_path / "__init__.py").write_text("from .mod import dead, helper, used\n")
-    assert unused_public_functions(tmp_path) == ["mod.dead", "mod.helper"]
+    assert unused_functions(tmp_path) == ["mod.dead", "mod.helper"]
+
+
+def test_a_dead_private_helper_is_found(tmp_path):
+    # ``_left_over`` is referenced only from a test, which the scan does not read.
+    (tmp_path / "mod.py").write_text(
+        "def _left_over():\n    return 1\n\n\ndef _used():\n    return 2\n\n\ndef run():\n    return _used()\n\n\nVALUE = run()\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import run\n")
+    assert unused_functions(tmp_path) == ["mod._left_over"]
 
 
 LIMITS = {"BLOCK_ELEMS", "MAX_TABLE_BYTES"}

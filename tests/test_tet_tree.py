@@ -997,6 +997,37 @@ class TestSupport:
         with pytest.raises(ValueError, match="other than one depth-0 tetrahedron with parent -1"):
             b.colour
 
+    def test_from_rows_takes_lists_as_arrays(self):
+        rows = ([[0, 1, 2, 3]], [-1], [-1], [0])
+        b, want = TetBall.from_rows(0, *rows), TetBall.from_rows(0, *map(np.array, rows))
+        assert all(getattr(b, k).dtype == np.int64 for k in ("verts", "parent", "face", "depth"))
+        assert (b.colour, b.n_vertices, b.tets) == (want.colour, want.n_vertices, want.tets)
+        assert structural_report(b) == structural_report(want)
+
+    @pytest.mark.parametrize("field, value", [("parent", 17), ("parent", -2), ("face", 4), ("face", -2), ("depth", -1)])
+    def test_from_rows_refuses_an_index_out_of_range(self, field, value):
+        # A parent of 17 on this 2-row ball used to end in an IndexError inside structural_report.
+        rows = {"verts": [[0, 1, 2, 3], [4, 1, 2, 3]], "parent": [-1, 0], "face": [-1, 0], "depth": [0, 1]}
+        rows[field][1] = value
+        with pytest.raises(ValueError, match=f"{field} of row 1 out of range"):
+            TetBall.from_rows(1, *rows.values())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: {**r, "verts": [v[:3] for v in r["verts"]]},
+            lambda r: {**r, "verts": sum(r["verts"], [])},
+            lambda r: {**r, "parent": r["parent"][:1]},
+            lambda r: {**r, "depth": r["depth"] + [2]},
+            lambda r: {**r, "face": [r["face"]]},
+        ],
+        ids=["three_wide", "flat_verts", "short_parent", "long_depth", "nested_face"],
+    )
+    def test_from_rows_refuses_a_wrong_shape(self, edit):
+        rows = edit({"verts": [[0, 1, 2, 3], [4, 1, 2, 3]], "parent": [-1, 0], "face": [-1, 0], "depth": [0, 1]})
+        with pytest.raises(ValueError, match="rows are not T x 4, T, T, T"):
+            TetBall.from_rows(1, *rows.values())
+
     def test_ancestors_need_every_parent(self):
         tets = dict(generate_ball(2).tets)
         del tets["0"]
