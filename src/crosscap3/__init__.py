@@ -10,17 +10,6 @@ coarse-geometry properties exhaustively at small radius.
 
 from .curve_graph import CurveGraphBall, subdivide
 from .errors import BudgetError, CodomainTooSmallError, RadiusCapError
-from .farey import (
-    BASE_TRIANGLE,
-    FareyPatch,
-    Slope,
-    common_neighbors,
-    farey_adjacent,
-    farey_ball,
-    mediant,
-    triangle,
-    triangle_unfold,
-)
 from .metric import (
     DistanceTable,
     all_pairs_distances,

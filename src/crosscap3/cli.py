@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import curve_graph, farey, metric, rigidity, tet_tree
+from . import curve_graph, metric, rigidity, tet_tree
 
 
 def _write(path: str | None, text: str) -> None:
@@ -109,34 +109,6 @@ def cmd_rigidity(args) -> int:
     return 0 if ok else 1
 
 
-# The number of arguments each farey query takes.
-FAREY_ARITY = {"adjacent": 2, "mediant": 2, "neighbors": 2, "unfold": 5, "ball": 1}
-
-
-def cmd_farey(args) -> int:
-    want = FAREY_ARITY[args.query]
-    if len(args.args) != want:
-        noun = "radius" if args.query == "ball" else "slopes"
-        raise ValueError(f"farey {args.query} takes {want} {noun}, got {len(args.args)}")
-    if args.query == "ball":
-        patch = farey.farey_ball(tet_tree.ascii_int(args.args[0]))
-        _write(args.out, _dump_json(patch.to_json()))
-        return 0
-    slopes = [farey.Slope.from_string(s) for s in args.args]
-    if args.query == "adjacent":
-        result = "true" if farey.farey_adjacent(*slopes) else "false"
-    elif args.query == "mediant":
-        result = str(farey.mediant(*slopes))
-    elif args.query == "neighbors":
-        result = " ".join(str(s) for s in sorted(farey.common_neighbors(*slopes)))
-    else:  # unfold
-        tri = farey.triangle(*slopes[:3])
-        edge = frozenset(slopes[3:])
-        result = " ".join(str(s) for s in sorted(farey.triangle_unfold(tri, edge)))
-    _write(args.out, result + "\n")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=tet_tree.ascii_int, default=2)
 
     command("stats", cmd_stats, "counts versus closed forms", radius=3)
-
-    p = command("farey", cmd_farey, "slope queries: adjacent, mediant, neighbors, unfold, ball")
-    p.add_argument("query", choices=tuple(FAREY_ARITY))
-    p.add_argument("args", nargs="+")
 
     return parser
 

@@ -1,212 +1,68 @@
-"""Exact-arithmetic model of the Farey complex.
+"""The Farey complex on integer pairs, as the link check of ``tet_tree`` runs it.
 
-Vertices are reduced extended rationals p/q (with 1/0 the single point at
-infinity).  Two slopes p/q and r/s span an edge exactly when |ps - qr| = 1,
-and every edge lies in exactly two triangles, so finite windows can be
-generated by unfolding triangles across their edges.  The triangle
-adjacency graph of such a window is a ball in the 3-regular dual tree.
-
-All arithmetic is on Python integers, so denominators may grow without
-overflow however deep a window is unfolded.
+A slope p/q is its canonical primitive pair: q > 0, or (1, 0) for infinity.
+Two slopes x = (p, q) and y = (r, s) span an edge exactly when |ps - qr| = 1,
+and the two triangles on that edge have third vertices x + y and x - y.
+Labelling a link crosses from one tetrahedron to the next, keeping two
+labels and forcing the third (``_cross``); a labelling from a second base
+must be the Mobius image of the first (``_mobius_flags``).  Both run on N
+rows at once in int64, on labels below ``tet_tree.LABEL_LIMIT``.  This
+module imports nothing from the package; its reference, one slope at a
+time, is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from dataclasses import dataclass
-from functools import total_ordering
+import numpy as np
 
-from .errors import RadiusCapError
-
-#: Dual-tree radius above which farey_ball refuses to run (3 * 2**n - 2 triangles).
-FAREY_RADIUS_CAP = 16
+# For j != c, the two slots other than j and c: the link edge kept when the
+# link of the vertex at slot j crosses slot c.
+_KEPT = np.array([[[k for k in range(4) if k not in (j, c)][:2] for c in range(4)] for j in range(4)])
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Slope:
-    """A reduced extended rational p/q, with q = 0 only for infinity (1/0).
+def _canonical(pairs: np.ndarray) -> np.ndarray:
+    """The canonical pair of every row of an (N x 2) int64 array, in place: q > 0, or (1, 0)."""
+    pairs[(pairs[:, 1] < 0) | ((pairs[:, 1] == 0) & (pairs[:, 0] < 0))] *= -1
+    return pairs
 
-    Instances must already be canonical: q >= 0, gcd(|p|, q) = 1 when q > 0,
-    and (p, q) = (1, 0) for infinity.  Use :meth:`of` to canonicalize raw
-    integer pairs.
+
+def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing rule of ``_link_labels`` (``tests/oracles.py``) for N links at once: cross slot c
+    in the link at slot j.
+
+    ``src`` (N x 4 x 2) holds the labels of the other slots before the
+    crossing and is updated in place: the kept pair x, y keeps its labels
+    and slot c gets whichever of x + y and x - y its old label is not.
+    Returns that new label, in int64, and whether |ps - qr| = 1 and the old
+    label was x + y or x - y.
     """
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.den < 0:
-            raise ValueError(f"denominator must be nonnegative: {self.num}/{self.den}")
-        if self.den == 0:
-            if self.num != 1:
-                raise ValueError(f"infinity must be written 1/0, got {self.num}/0")
-        elif math.gcd(abs(self.num), self.den) != 1:
-            raise ValueError(f"slope not reduced: {self.num}/{self.den}")
-
-    @classmethod
-    def of(cls, num: int, den: int) -> "Slope":
-        """Canonicalize an integer pair to a Slope."""
-        if num == 0 and den == 0:
-            raise ValueError("0/0 is not a slope")
-        if den == 0:
-            return cls(1, 0)
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(abs(num), den)
-        return cls(num // g, den // g)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Slope":
-        """Parse the serialization "p/q": optionally signed ASCII digits on each side."""
-        if not re.fullmatch(r"-?[0-9]+/-?[0-9]+", text):
-            raise ValueError(f"slope string must look like p/q: {text!r}")
-        p, _, q = text.partition("/")
-        return cls.of(int(p), int(q))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.den == 0
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
-
-    def __lt__(self, other: "Slope") -> bool:
-        # Numeric order with infinity greatest; used only for canonical sorting.
-        if self.is_infinity:
-            return False
-        if other.is_infinity:
-            return True
-        return self.num * other.den < other.num * self.den
+    n = np.arange(len(src))
+    x, y, d = (src[n, k].astype(np.int64) for k in (_KEPT[j, c, 0], _KEPT[j, c, 1], c))
+    plus, minus = x + y, _canonical(x - y)
+    is_plus, is_minus = (d == plus).all(axis=1), (d == minus).all(axis=1)
+    ok = (np.abs(x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]) == 1) & (is_plus | is_minus)
+    new = np.where(is_plus[:, None], minus, plus)
+    src[n, c] = new
+    return new, ok
 
 
-#: A Farey triangle is a frozenset of three pairwise adjacent slopes.
-FareyTriangle = frozenset
+def _mobius_flags(labels: np.ndarray, relabels: np.ndarray, base: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Where the relabels of a link are not the Mobius image of its labels, up to sign: a (T x 3)
+    mask over the slots ``others`` of each row (the three slots other than the link's own), in order.
 
-BASE_TRIANGLE: FareyTriangle = frozenset(
-    (Slope(0, 1), Slope(1, 0), Slope(1, 1))
-)
-
-
-def farey_adjacent(a: Slope, b: Slope) -> bool:
-    """True iff |ps - qr| = 1 for a = p/q, b = r/s."""
-    return abs(a.num * b.den - a.den * b.num) == 1
-
-
-def _require_adjacent(a: Slope, b: Slope) -> None:
-    if not farey_adjacent(a, b):
-        raise ValueError(f"slopes are not Farey neighbours: {a}, {b}")
-
-
-def mediant(a: Slope, b: Slope) -> Slope:
-    """The mediant (p+r)/(q+s) of two Farey neighbours."""
-    _require_adjacent(a, b)
-    return Slope.of(a.num + b.num, a.den + b.den)
-
-
-def common_neighbors(a: Slope, b: Slope) -> frozenset:
-    """The two slopes adjacent to both members of an adjacent pair.
-
-    These are the mediant (p+r)/(q+s) and the difference (p-r)/(q-s),
-    both canonicalized; they are the third vertices of the two triangles
-    containing the edge {a, b}.
+    The matrix sends the first labels a, b, c of the second base, row
+    ``base[t]``, to (0/1, 1/0, 1/1): ``triangle_matrix``, then
+    ``mat_inverse`` (both in ``tests/oracles.py``), on every row at once.
+    Every slot of a row is marked when a, b, c are not an ordered Farey
+    triangle.
     """
-    _require_adjacent(a, b)
-    return frozenset(
-        (
-            Slope.of(a.num + b.num, a.den + b.den),
-            Slope.of(a.num - b.num, a.den - b.den),
-        )
-    )
-
-
-def triangle(a: Slope, b: Slope, c: Slope) -> FareyTriangle:
-    """Build a Farey triangle, validating pairwise adjacency."""
-    for x, y in ((a, b), (a, c), (b, c)):
-        _require_adjacent(x, y)
-    t = frozenset((a, b, c))
-    if len(t) != 3:
-        raise ValueError("triangle vertices must be distinct")
-    return t
-
-
-def _edges(tri: FareyTriangle):
-    a, b, c = sorted(tri)
-    yield frozenset((a, b))
-    yield frozenset((a, c))
-    yield frozenset((b, c))
-
-
-def triangle_unfold(tri: FareyTriangle, edge: frozenset) -> FareyTriangle:
-    """The unique other triangle containing ``edge``.
-
-    The third vertex of the result is the common neighbour of the edge's
-    endpoints that does not lie in ``tri``; unfolding twice across the same
-    edge is the identity.
-    """
-    edge = frozenset(edge)
-    if not (edge < tri) or len(edge) != 2:
-        raise ValueError(f"edge {set(edge)} is not contained in the triangle")
-    (third,) = tri - edge
-    x, y = edge
-    others = common_neighbors(x, y) - {third}
-    if len(others) != 1:
-        raise ValueError(f"{set(tri)} is not a Farey triangle")
-    (new_third,) = others
-    return frozenset((x, y, new_third))
-
-
-class FareyPatch:
-    """A dual-tree ball of Farey triangles around the base triangle."""
-
-    def __init__(self, radius: int, triangles: frozenset):
-        self.radius = radius
-        self.triangles = triangles
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-    def vertices(self) -> frozenset:
-        return frozenset(s for tri in self.triangles for s in tri)
-
-    def edges(self) -> set:
-        return {e for tri in self.triangles for e in _edges(tri)}
-
-    def to_json(self) -> dict:
-        key = lambda s: (s.num, s.den)
-        tris = sorted(
-            (sorted(tri, key=key) for tri in self.triangles),
-            key=lambda t: [key(s) for s in t],
-        )
-        return {
-            "radius": self.radius,
-            "triangles": [[str(s) for s in tri] for tri in tris],
-        }
-
-
-def farey_ball(radius: int) -> FareyPatch:
-    """All triangles within dual-tree distance ``radius`` of ``BASE_TRIANGLE``.
-
-    The result has 3 * 2**radius - 2 triangles.  Raises RadiusCapError above
-    ``FAREY_RADIUS_CAP``; denominators grow exponentially with the radius.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius > FAREY_RADIUS_CAP:
-        raise RadiusCapError(f"radius {radius} exceeds cap {FAREY_RADIUS_CAP}")
-    triangles = {BASE_TRIANGLE}
-    frontier = [(BASE_TRIANGLE, None)]
-    for _ in range(radius):
-        nxt = []
-        for tri, entry in frontier:
-            for edge in _edges(tri):
-                if edge == entry:
-                    continue
-                other = triangle_unfold(tri, edge)
-                # The dual graph is a tree: unfolding never revisits a triangle.
-                assert other not in triangles, "dual graph is not a tree"
-                triangles.add(other)
-                nxt.append((other, edge))
-        frontier = nxt
-    return FareyPatch(radius, frozenset(triangles))
+    a, b, c = (labels[base, k].astype(np.int64) for k in others)
+    is_plus, is_minus = (c == _canonical(a + b)).all(axis=1), (c == _canonical(a - b)).all(axis=1)
+    sign = np.where(is_plus, 1, -1)
+    det = sign * (b[:, 0] * a[:, 1] - a[:, 0] * b[:, 1])
+    p, q, r, s = labels[:, others, 0], labels[:, others, 1], relabels[:, others, 0], relabels[:, others, 1]
+    # The inverse is det * ((sign a_q, -sign a_p), (-b_q, b_p)).
+    image_p = (det * sign)[:, None] * (a[:, 1:] * p - a[:, :1] * q)
+    image_q = det[:, None] * (b[:, :1] * q - b[:, 1:] * p)
+    same = ((r == image_p) & (s == image_q)) | ((r == -image_p) & (s == -image_q))
+    return (~(is_plus | is_minus) | (np.abs(det) != 1))[:, None] | ~same

@@ -19,15 +19,16 @@ vertices dict are built only when something asks for them (witnesses,
 serialization, the group operations), never by ``verify`` on a
 well-formed ball.
 
-``link_labeling_report`` labels every vertex link by Farey slopes in one
-pass over the rows (``_link_pass``), from two bases per vertex, and writes
-one record per vertex a check fails on: a crossing that does not unfold like
-the Farey complex (naming the row), labels that are not injective, labels
-that do not cover the adjacency, or a second labelling that is not the
-Mobius image of the first; then it scores link edges against Farey
-adjacency.  A ball not shaped like a generated one has no link labelled:
-every vertex gets a record naming the first row that breaks the shape.  The
-per-vertex breadth-first labelling is the reference in ``tests/oracles.py``.
+``link_labeling_report`` labels every vertex link by Farey slopes, as
+integer pairs with the arithmetic of ``farey``, in one pass over the rows
+(``_link_pass``), from two bases per vertex, and writes one record per
+vertex a check fails on: a crossing that does not unfold like the Farey
+complex (naming the row), labels that are not injective, labels that do
+not cover the adjacency, or a second labelling that is not the Mobius image
+of the first; then it scores link edges against Farey adjacency.  A ball
+not shaped like a generated one has no link labelled: every vertex gets a
+record naming the first row that breaks the shape.  The per-vertex
+breadth-first labelling is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetError, RadiusCapError
+from .farey import _cross, _mobius_flags
 
 ALPHABET = "0123"
 DEFAULT_RADIUS_CAP = 8
@@ -118,23 +120,24 @@ class TetBall:
     the root), so in a generated ball walking the rows in order visits every
     parent first; and ``depth``, the address lengths.  Built on first use:
     ``addrs[t]``, the address of row t, read off ``parent``/``face`` in row
-    order, ``rows``, its inverse, and ``tets``, the address -> vertex-tuple
-    dict; ``nbr`` (T x 4), the row across each face, -1 outside the ball;
-    ``born``, each vertex's creation row, which ``rows_of`` reads;
-    ``ancestors``; ``colour``, each vertex's slot, which the group
-    operations read; ``indptr``/``indices``, the adjacency (co-residence in
-    a tetrahedron of the ball, which equals edge restriction to the ball) as
-    CSR with sorted rows; ``triangles``, the 3-cliques of that CSR (read
-    from it alone, not from the rows), which ``four_cliques`` and the link
-    edges are read off; and ``support(v)``, the rows holding v.
+    order (``<row t>`` for a row that has none), ``rows``, its inverse, and
+    ``tets``, the address -> vertex-tuple dict; ``nbr`` (T x 4), the row
+    across each face, -1 outside the ball; ``born``, each vertex's creation
+    row, which ``rows_of`` reads; ``ancestors``; ``colour``, each vertex's
+    slot, which the group operations read; ``indptr``/``indices``, the
+    adjacency (co-residence in a tetrahedron of the ball, which equals edge
+    restriction to the ball) as CSR with sorted rows; ``triangles``, the
+    3-cliques of that CSR (read from it alone, not from the rows), which
+    ``four_cliques`` and the link edges are read off; and ``support(v)``,
+    the rows holding v.
 
-    ``from_rows`` builds a ball from its four arrays, refusing a wrong shape
-    or an index out of range.  ``TetBall(radius, tets)`` builds one from an
-    address -> vertices dict, which need not be a generated ball: it keeps
-    the dict's addresses and reads ``tets`` back off the rows, so editing
-    the dict later changes nothing; ``parent`` is also -1 for a missing
-    parent address and ``face`` for a last letter that is not a face, so a
-    malformed ball still builds.
+    ``from_rows`` builds a ball from its four arrays, refusing an entry that
+    is not an integer in int64, a wrong shape or an index out of range.
+    ``TetBall(radius, tets)`` builds one from an address -> vertices dict,
+    which need not be a generated ball: it keeps the dict's addresses and
+    reads ``tets`` back off the rows, so editing the dict later changes
+    nothing; ``parent`` is also -1 for a missing parent address and ``face``
+    for a last letter that is not a face, so a malformed ball still builds.
     """
 
     def __init__(self, radius: int, tets: dict):
@@ -148,9 +151,11 @@ class TetBall:
 
     @classmethod
     def from_rows(cls, radius: int, verts, parent, face, depth) -> "TetBall":
-        """The ball of four row arrays, taken as int64.  Raises ValueError unless ``verts`` is T x 4, the
-        others have T entries, each ``parent`` is -1 or a row, each ``face`` -1..3 and each ``depth`` >= 0."""
-        verts, parent, face, depth = (np.asarray(a, dtype=np.int64) for a in (verts, parent, face, depth))
+        """The ball of four row arrays, taken as int64.  Raises ValueError naming the argument unless
+        every entry is an integer that int64 holds (not None, not 3.9, not 2**70), and unless ``verts``
+        is T x 4, the others have T entries, each ``parent`` is -1 or a row, each ``face`` -1..3 and each
+        ``depth`` >= 0."""
+        verts, parent, face, depth = map(_int64_rows, ("verts", "parent", "face", "depth"), (verts, parent, face, depth))
         if verts.ndim != 2 or verts.shape[1] != 4 or any(a.shape != verts.shape[:1] for a in (parent, face, depth)):
             raise ValueError(f"rows are not T x 4, T, T, T: {verts.shape}, {parent.shape}, {face.shape}, {depth.shape}")
         out = {"parent": (parent < -1) | (parent >= len(verts)), "face": (face < -1) | (face > 3), "depth": depth < 0}
@@ -170,11 +175,16 @@ class TetBall:
 
     @cached_property
     def addrs(self) -> list[str]:
-        """Each row's address: its parent's and the crossed face's letter."""
-        addrs = [""] * len(self.verts)
+        """Each row's address: its parent's and the crossed face's letter, or ``""`` for the first row
+        without a parent.  Any other row without a parent, with face -1 or with a parent that is not an
+        earlier row has no address; it is named ``<row t>``, which ``is_address`` rejects and no other
+        row shares, and its descendants are named after it."""
+        addrs, root = [], int((np.r_[self.parent, -1] < 0).argmax())  # the first row without a parent
         for t, (p, f) in enumerate(zip(self.parent.tolist(), self.face.tolist())):
-            if p >= 0:
-                addrs[t] = addrs[p] + ALPHABET[f]
+            if 0 <= p < t and f >= 0:
+                addrs.append(addrs[p] + ALPHABET[f])
+            else:
+                addrs.append("" if t == root else f"<row {t}>")
         return addrs
 
     @cached_property
@@ -310,6 +320,23 @@ class TetBall:
         return int(self.depth[self.support(v)].min())
 
 
+def _int64_rows(name: str, rows) -> np.ndarray:
+    """``rows`` as an int64 array; ValueError naming ``name`` where the cast would change an entry
+    (a fraction, an integer outside int64) or cannot take one (None, a string)."""
+    try:
+        raw = np.asarray(rows)
+        if raw.dtype == np.int64:
+            return raw
+        if raw.dtype.kind in "biufO":
+            with np.errstate(invalid="ignore"):
+                cast = raw.astype(np.int64)
+            if (cast == raw).all():
+                return cast
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} holds an entry that is not an integer in int64")
+
+
 def _check_id(v: int, n: int) -> None:
     """Raise ValueError naming v unless it is a vertex id in 0..n-1; a negative id would wrap."""
     if not 0 <= v < n:
@@ -435,6 +462,11 @@ def four_cliques(ball: TetBall) -> np.ndarray:
 # Serialization
 
 def ball_to_json(ball: TetBall) -> dict:
+    """The ball's radius, rows (address, vertices) and edges; ValueError naming the first row in
+    address order that holds a negative vertex id, which no edge list can hold."""
+    error = _negative_id(ball)
+    if error:
+        raise ValueError(error)
     return {
         "radius": ball.radius,
         "tets": [{"addr": addr, "verts": verts} for addr, verts in zip(ball.addrs, ball.verts.tolist())],
@@ -497,9 +529,11 @@ def _interior_coface_faults(ball: TetBall) -> tuple[int, list]:
 
 def _reduced(ball: TetBall) -> bool:
     """Whether the arrays show every address to be a reduced word: the root's is
-    empty, and every other row has a parent and adds a face letter other than its."""
+    empty, and every other row has an earlier row for parent and adds a face
+    letter other than its."""
     parent, face = ball.parent[1:], ball.face[1:]
-    return ball.depth[0] == 0 and (parent >= 0).all() and (face >= 0).all() and (face != ball.face[parent]).all()
+    earlier = (parent >= 0) & (parent < np.arange(1, len(ball.parent)))
+    return ball.depth[0] == 0 and ball.parent[0] < 0 and earlier.all() and (face >= 0).all() and (face != ball.face[parent]).all()
 
 
 def _support_tops(ball: TetBall) -> np.ndarray:
@@ -616,35 +650,6 @@ def _edge_mismatches(vs, members: np.ndarray, labels: np.ndarray, edges: np.ndar
 _OTHER_SLOTS = np.array([[k for k in range(4) if k != s] for s in range(4)])
 # The labels (0/1, 1/0, 1/1) on the other slots of a vertex at slot s.
 _SEED = np.array([[((0, 1), (1, 0), (1, 1))[k - (k > s)] if k != s else (0, 0) for k in range(4)] for s in range(4)])
-# For j != c, the two slots other than j and c: the link edge kept when the
-# link of the vertex at slot j crosses slot c.
-_KEPT = np.array([[[k for k in range(4) if k not in (j, c)][:2] for c in range(4)] for j in range(4)])
-
-
-def _canonical(pairs: np.ndarray) -> np.ndarray:
-    """The canonical pair of every row of an (N x 2) int64 array, in place: q > 0, or (1, 0)."""
-    pairs[(pairs[:, 1] < 0) | ((pairs[:, 1] == 0) & (pairs[:, 0] < 0))] *= -1
-    return pairs
-
-
-def _cross(src: np.ndarray, j: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The crossing rule of ``_link_labels`` (``tests/oracles.py``) for N links at once: cross slot c
-    in the link at slot j.
-
-    ``src`` (N x 4 x 2) holds the labels of the other slots before the
-    crossing and is updated in place: the kept pair x, y keeps its labels
-    and slot c gets whichever of x + y and x - y its old label is not.
-    Returns that new label, in int64, and whether |ps - qr| = 1 and the old
-    label was x + y or x - y.
-    """
-    n = np.arange(len(src))
-    x, y, d = (src[n, k].astype(np.int64) for k in (_KEPT[j, c, 0], _KEPT[j, c, 1], c))
-    plus, minus = x + y, _canonical(x - y)
-    is_plus, is_minus = (d == plus).all(axis=1), (d == minus).all(axis=1)
-    ok = (np.abs(x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]) == 1) & (is_plus | is_minus)
-    new = np.where(is_plus[:, None], minus, plus)
-    src[n, c] = new
-    return new, ok
 
 
 def _link_shape(ball: TetBall, n: int) -> tuple | str:
@@ -670,6 +675,7 @@ def _link_shape(ball: TetBall, n: int) -> tuple | str:
     why[child[born[child].sum(axis=1) != 1]] = 4
     why[child[(face[child] < 0) | (face[child] == face[p])]] = 3
     why[child[p < 0]] = 2
+    why[(depth == 0) & (parent >= 0)] = 5
     why[(verts < 0).any(axis=1)] = 1
     if why.any() or (np.bincount(verts[born], minlength=n) != 1).any():
         return _shape_fault(ball, born, why, n)
@@ -688,6 +694,7 @@ _SHAPE_FAULTS = (
     "has no parent in the ball",
     "is not a reduced word",
     "does not change exactly one slot of its parent",
+    "has a parent at depth 0",
 )
 
 
@@ -746,29 +753,6 @@ def _slot_labels(
     return labels, big, bad
 
 
-def _mobius_flags(labels: np.ndarray, relabels: np.ndarray, base: np.ndarray, j: int) -> np.ndarray:
-    """Where the slot-j link relabels are not the Mobius image of their labels, up to sign: a
-    (T x 3) mask over the other slots of each row, in ``_OTHER_SLOTS[j]`` order.
-
-    The matrix sends the first labels a, b, c of the second base, row
-    ``base[t]``, to (0/1, 1/0, 1/1): ``triangle_matrix``, then
-    ``mat_inverse`` (both in ``tests/oracles.py``), on every row at once.
-    Every slot of a row is marked when a, b, c are not an ordered Farey
-    triangle.
-    """
-    others = _OTHER_SLOTS[j]
-    a, b, c = (labels[base, k].astype(np.int64) for k in others)
-    is_plus, is_minus = (c == _canonical(a + b)).all(axis=1), (c == _canonical(a - b)).all(axis=1)
-    sign = np.where(is_plus, 1, -1)
-    det = sign * (b[:, 0] * a[:, 1] - a[:, 0] * b[:, 1])
-    p, q, r, s = labels[:, others, 0], labels[:, others, 1], relabels[:, others, 0], relabels[:, others, 1]
-    # The inverse is det * ((sign a_q, -sign a_p), (-b_q, b_p)).
-    image_p = (det * sign)[:, None] * (a[:, 1:] * p - a[:, :1] * q)
-    image_q = det[:, None] * (b[:, :1] * q - b[:, 1:] * p)
-    same = ((r == image_p) & (s == image_q)) | ((r == -image_p) & (s == -image_q))
-    return (~(is_plus | is_minus) | (np.abs(det) != 1))[:, None] | ~same
-
-
 def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | None]:
     """Label every vertex link from both bases at once and write a record for each check that fails.
 
@@ -815,7 +799,7 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
         over[owner[big | big2]] = True
         bad = np.flatnonzero(bad | bad2)
         np.minimum.at(crossing, owner[bad], bad)
-        t, k = np.nonzero(_mobius_flags(labels, relabels, last[owner], j))
+        t, k = np.nonzero(_mobius_flags(labels, relabels, last[owner], others))
         np.minimum.at(mobius, owner[t], ball.verts[t, others[k]])
         pos = _edge_pos(ball, owner[:, None], ball.verts[:, others])
         hit = pos >= 0

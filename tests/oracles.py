@@ -3,22 +3,24 @@
 Each function here is the plain, one-item-at-a-time form of something
 ``crosscap3`` computes in bulk: the address dict of a generated ball, tree
 walks on addresses, per-triangle cofaces, per-vertex link labels, per-pair
-bottleneck triangles and separation, the Mobius action on slopes with the
-matrices of ordered Farey triangles, the ordered tetrahedra in order, and
-the row and two-sided id lookups by search.  None of it is called by the
-package itself.
+bottleneck triangles and separation, the Farey complex on ``Slope`` objects
+with the Mobius action and the matrices of ordered Farey triangles, the
+ordered tetrahedra in order, and the row and two-sided id lookups by search.
+None of it is called by the package itself.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from dataclasses import dataclass
+from functools import total_ordering
 from itertools import permutations
 from typing import Iterable
 
 import numpy as np
 
 from crosscap3.curve_graph import CurveGraphBall
-from crosscap3.farey import Slope, triangle
 from crosscap3.metric import DistanceTable, _tet_ball
 from crosscap3.rigidity import ROOT_TET, MappingClassElement, OrderedTet
 from crosscap3.tet_tree import ALPHABET, TetBall
@@ -319,6 +321,114 @@ def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassEleme
     if row is None:
         raise ValueError(f"images {imgs} do not span a unique tetrahedron")
     return MappingClassElement(OrderedTet(ball.addrs[row], imgs))
+
+
+# ---------------------------------------------------------------------------
+# The Farey complex, one slope at a time
+
+@total_ordering
+@dataclass(frozen=True, slots=True)
+class Slope:
+    """A reduced extended rational p/q, with q = 0 only for infinity (1/0).
+
+    Instances must already be canonical: q >= 0, gcd(|p|, q) = 1 when q > 0,
+    and (p, q) = (1, 0) for infinity.  Use :meth:`of` to canonicalize raw
+    integer pairs.
+    """
+
+    num: int
+    den: int
+
+    def __post_init__(self) -> None:
+        if self.den < 0:
+            raise ValueError(f"denominator must be nonnegative: {self.num}/{self.den}")
+        if self.den == 0:
+            if self.num != 1:
+                raise ValueError(f"infinity must be written 1/0, got {self.num}/0")
+        elif math.gcd(abs(self.num), self.den) != 1:
+            raise ValueError(f"slope not reduced: {self.num}/{self.den}")
+
+    @classmethod
+    def of(cls, num: int, den: int) -> "Slope":
+        """Canonicalize an integer pair to a Slope."""
+        if num == 0 and den == 0:
+            raise ValueError("0/0 is not a slope")
+        if den == 0:
+            return cls(1, 0)
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(abs(num), den)
+        return cls(num // g, den // g)
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.den == 0
+
+    def __str__(self) -> str:
+        return f"{self.num}/{self.den}"
+
+    def __lt__(self, other: "Slope") -> bool:
+        # Numeric order with infinity greatest; used only for canonical sorting.
+        if self.is_infinity:
+            return False
+        if other.is_infinity:
+            return True
+        return self.num * other.den < other.num * self.den
+
+
+def farey_adjacent(a: Slope, b: Slope) -> bool:
+    """True iff |ps - qr| = 1 for a = p/q, b = r/s."""
+    return abs(a.num * b.den - a.den * b.num) == 1
+
+
+def _require_adjacent(a: Slope, b: Slope) -> None:
+    if not farey_adjacent(a, b):
+        raise ValueError(f"slopes are not Farey neighbours: {a}, {b}")
+
+
+def common_neighbors(a: Slope, b: Slope) -> frozenset:
+    """The two slopes adjacent to both members of an adjacent pair.
+
+    These are the mediant (p+r)/(q+s) and the difference (p-r)/(q-s),
+    both canonicalized; they are the third vertices of the two triangles
+    containing the edge {a, b}.
+    """
+    _require_adjacent(a, b)
+    return frozenset(
+        (
+            Slope.of(a.num + b.num, a.den + b.den),
+            Slope.of(a.num - b.num, a.den - b.den),
+        )
+    )
+
+
+def triangle(a: Slope, b: Slope, c: Slope) -> frozenset:
+    """A Farey triangle, the frozenset of three distinct pairwise adjacent slopes."""
+    for x, y in ((a, b), (a, c), (b, c)):
+        _require_adjacent(x, y)
+    t = frozenset((a, b, c))
+    if len(t) != 3:
+        raise ValueError("triangle vertices must be distinct")
+    return t
+
+
+def triangle_unfold(tri: frozenset, edge: frozenset) -> frozenset:
+    """The unique other triangle containing ``edge``.
+
+    The third vertex of the result is the common neighbour of the edge's
+    endpoints that does not lie in ``tri``; unfolding twice across the same
+    edge is the identity.
+    """
+    edge = frozenset(edge)
+    if not (edge < tri) or len(edge) != 2:
+        raise ValueError(f"edge {set(edge)} is not contained in the triangle")
+    (third,) = tri - edge
+    x, y = edge
+    others = common_neighbors(x, y) - {third}
+    if len(others) != 1:
+        raise ValueError(f"{set(tri)} is not a Farey triangle")
+    (new_third,) = others
+    return frozenset((x, y, new_third))
 
 
 # ---------------------------------------------------------------------------

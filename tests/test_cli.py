@@ -218,74 +218,6 @@ class TestRigidity:
         assert by_check["pointwise_stabilizer_level_1"]["count_found"] == 0
 
 
-class TestFarey:
-    def test_queries(self, capsys):
-        assert run(capsys, "farey", "adjacent", "1/2", "2/3") == (0, "true\n", "")
-        assert run(capsys, "farey", "adjacent", "1/3", "2/3") == (0, "false\n", "")
-        assert run(capsys, "farey", "mediant", "0/1", "1/1") == (0, "1/2\n", "")
-        code, out, _ = run(capsys, "farey", "neighbors", "0/1", "1/0")
-        assert code == 0 and set(out.split()) == {"1/1", "-1/1"}
-
-    def test_ball_query(self, capsys):
-        code, out, _ = run(capsys, "farey", "ball", "1")
-        assert code == 0
-        assert len(json.loads(out)["triangles"]) == 4
-
-    def test_invalid_slope(self, capsys):
-        code, _, err = run(capsys, "farey", "mediant", "x/y", "1/1")
-        assert code == 2 and "error:" in err
-
-    def test_non_adjacent_mediant(self, capsys):
-        code, _, err = run(capsys, "farey", "mediant", "1/3", "2/3")
-        assert code == 2 and "error:" in err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("adjacent", "1/2"), "farey adjacent takes 2 slopes, got 1"),
-            (("mediant", "1/2"), "farey mediant takes 2 slopes, got 1"),
-            (("neighbors", "0/1", "1/0", "1/1"), "farey neighbors takes 2 slopes, got 3"),
-            (("unfold", "0/1", "1/0", "1/1"), "farey unfold takes 5 slopes, got 3"),
-            (("ball", "1", "2"), "farey ball takes 1 radius, got 2"),
-        ],
-    )
-    def test_wrong_argument_count(self, capsys, argv, message):
-        code, out, err = run(capsys, "farey", *argv)
-        assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
-
-    def test_negative_slope_after_double_dash(self, capsys):
-        assert run(capsys, "farey", "adjacent", "--", "1/0", "-1/1") == (0, "true\n", "")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("adjacent", "1_0/1", "0/1"),
-            ("adjacent", "١/٢", "0/1"),  # Arabic-Indic digits
-            ("adjacent", " 1/2", "0/1"),
-            ("adjacent", "1/2 ", "0/1"),
-            ("adjacent", "+1/2", "0/1"),
-            ("adjacent", "1/+2", "0/1"),
-            ("adjacent", "1/2/3", "0/1"),
-            ("adjacent", "1/", "0/1"),
-            ("mediant", "--1/1", "0/1"),
-            ("ball", "1_0"),
-            ("ball", "+1"),
-            ("ball", " 1"),
-            ("ball", "١"),
-            ("ball", "-1"),
-        ],
-    )
-    def test_rejects_loose_integers(self, capsys, argv):
-        # int() would read each of these; only ASCII digits with an optional
-        # leading minus on a slope side (none on a radius) are accepted.
-        code, out, err = run(capsys, "farey", "--", *argv)
-        assert code == 2 and out == "" and err.startswith("error:")
-
-    def test_signed_denominator(self, capsys):
-        assert run(capsys, "farey", "mediant", "1/-2", "0/1") == (0, "-1/3\n", "")
-
-
 class TestErrors:
     def test_radius_cap(self, capsys):
         code, _, err = run(capsys, "stats", "--radius", "99")
@@ -294,6 +226,12 @@ class TestErrors:
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_no_farey_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["farey", "adjacent", "1/2", "2/3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'farey'" in capsys.readouterr().err
 
     def test_table_over_budget(self, capsys):
         code, _, err = run(capsys, "hyperbolicity", "--radius", "8")

@@ -33,7 +33,7 @@ def test_killing_tests_exist(mutant):
 
 @pytest.mark.parametrize("mutant", CORPUS, ids=[m["id"] for m in CORPUS])
 def test_fast_path_names_live_code(mutant):
-    # The leading dotted name, such as ``tet_tree._link_pass`` of "tet_tree._link_pass / _mobius_flags",
+    # The leading dotted name, such as ``tet_tree._link_pass`` of "tet_tree._link_pass / farey._mobius_flags",
     # resolves in the package, in the module of the mutated file.
     module, *attrs = re.match(r"[\w.]+", mutant["fast_path"]).group().split(".")
     assert mutant["file"] == f"src/crosscap3/{module}.py"

@@ -7,14 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacency_sets, coresidence_sets, subdivide_oracle, support_sets, with_edges
 from crosscap3 import cli, tet_tree
 from crosscap3.curve_graph import subdivide
 from crosscap3.errors import BudgetError, RadiusCapError
-from crosscap3.farey import Slope, common_neighbors, farey_adjacent
 from crosscap3.tet_tree import (
     ALPHABET,
     TetBall,
@@ -28,9 +27,12 @@ from crosscap3.tet_tree import (
     structural_report,
 )
 from oracles import (
+    Slope,
     _link_labels,
     _slope_pair,
     _unfold,
+    common_neighbors,
+    farey_adjacent,
     has_edge,
     link_slope_labeling,
     mat_inverse,
@@ -1027,6 +1029,64 @@ class TestSupport:
         rows = edit({"verts": [[0, 1, 2, 3], [4, 1, 2, 3]], "parent": [-1, 0], "face": [-1, 0], "depth": [0, 1]})
         with pytest.raises(ValueError, match="rows are not T x 4, T, T, T"):
             TetBall.from_rows(1, *rows.values())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("verts", 3.9), ("depth", 0.5), ("verts", None), ("parent", None), ("verts", 2**70), ("face", -(2**70))],
+        ids=["fraction_id", "fraction_depth", "none_id", "none_parent", "huge_id", "huge_face"],
+    )
+    def test_from_rows_refuses_what_int64_would_change(self, field, value):
+        # A fraction used to be truncated, None to raise a bare TypeError and 2**70 an OverflowError.
+        rows = {"verts": [[0, 1, 2, 3], [4, 1, 2, 3]], "parent": [-1, 0], "face": [-1, 0], "depth": [0, 1]}
+        if field == "verts":
+            rows["verts"][1][3] = value
+        else:
+            rows[field][1] = value
+        with pytest.raises(ValueError, match=f"^{field} holds an entry that is not an integer in int64$"):
+            TetBall.from_rows(1, *rows.values())
+
+    @pytest.mark.parametrize(
+        "parent, face, addrs",
+        [([-1, 0], [-1, -1], ["", "<row 1>"]), ([-1, -1], [-1, 0], ["", "<row 1>"]), ([1, 0], [-1, 0], ["<row 0>", "<row 0>0"])],
+        ids=["no_face_under_a_parent", "second_root", "parent_after_child"],
+    )
+    def test_rows_without_an_address_are_named_by_row(self, parent, face, addrs):
+        # These rows used to be named '3', '' (the root's) and '3' with its child '30'.
+        b = TetBall.from_rows(1, [[0, 1, 2, 3], [4, 1, 2, 3]], parent, face, [0, 1])
+        assert b.addrs == addrs and len(b.tets) == 2
+        assert {c["name"]: c for c in structural_report(b)}["addresses_reduced"]["bad"] == [a for a in addrs if a]
+        assert [t["addr"] for t in ball_to_json(b)["tets"]] == addrs
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(["verts", "parent", "face", "depth"]),
+        row=st.integers(0, 16),
+        slot=st.integers(0, 3),
+        value=st.one_of(
+            st.integers(-3, 20), st.floats(-3, 20), st.none(), st.sampled_from([2**63, -(2**63) - 1, 2**70])
+        ),
+    )
+    @example(field="face", row=5, slot=0, value=-1)  # face -1 under a parent
+    @example(field="parent", row=0, slot=0, value=0)  # a parent at depth 0: the link pass raised
+    @example(field="verts", row=3, slot=1, value=-1)  # a negative id: ball_to_json raised a numpy broadcast error
+    def test_one_field_edits_are_refused_or_reported(self, field, row, slot, value):
+        # One field of one row of the radius-2 ball, edited: from_rows refuses the edit, or both
+        # reports return their records and ball_to_json returns or refuses a negative id by name.
+        rows = {k: getattr(generate_ball(2), k).tolist() for k in ("verts", "parent", "face", "depth")}
+        if field == "verts":
+            rows["verts"][row][slot] = value
+        else:
+            rows[field][row] = value
+        try:
+            b = TetBall.from_rows(2, *rows.values())
+        except ValueError:
+            return
+        structural_report(b)
+        link_labeling_report(b)
+        try:
+            ball_to_json(b)
+        except ValueError as exc:
+            assert "holds a negative vertex id" in str(exc)
 
     def test_ancestors_need_every_parent(self):
         tets = dict(generate_ball(2).tets)
