@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tet_tree import TetBall, _check_id, _edge_keys, _edge_pos, common_neighbors
+from .tet_tree import TetBall, _check_id, _distinct, _edge_keys, _edge_pos, common_neighbors
 
 
 class CurveGraphBall:
@@ -182,7 +182,7 @@ def structural_report(cg: CurveGraphBall) -> list[dict]:
         checks.append({"name": name, "ok": False, "bad": witness(bad)} if len(bad) else {"name": name, "ok": True})
 
     rows, cols = cg.entries()
-    check("bipartite", np.unique(rows[(rows < n) == (cols < n)]))
+    check("bipartite", _distinct(rows[(rows < n) == (cols < n)]))
 
     bad_degree = np.flatnonzero(degree[n:] != 2) + n
     checks.append({"name": "two_sided_degree_2", "ok": not len(bad_degree), "bad": witness(bad_degree)})

@@ -36,7 +36,8 @@ from __future__ import annotations
 import os
 import re
 from functools import cached_property
-from math import prod
+from itertools import chain, combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -127,9 +128,8 @@ class TetBall:
     slot, which the group operations read; ``indptr``/``indices``, the
     adjacency (co-residence in a tetrahedron of the ball, which equals edge
     restriction to the ball) as CSR with sorted rows; ``triangles``, the
-    3-cliques of that CSR (read from it alone, not from the rows), which
-    ``four_cliques`` and the link edges are read off; and ``support(v)``,
-    the rows holding v.
+    3-cliques of that CSR, listed by ``_cliques`` from it alone, not from
+    the rows; and ``support(v)``, the rows holding v.
 
     ``from_rows`` builds a ball from its four arrays, refusing an entry that
     is not an integer in int64, a wrong shape or an index out of range.
@@ -287,12 +287,8 @@ class TetBall:
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """Every 3-clique of the CSR adjacency as an ascending row, in lexicographic
-        order: each edge (a, b), a < b, extended by the common neighbours c > b."""
-        edges = self.edges()
-        row, c = common_neighbors(self, edges)
-        above = c > edges[row, 1]
-        return np.column_stack([edges[row[above]], c[above]])
+        """Every 3-clique of the CSR adjacency as an ascending row, in lexicographic order (``_cliques``)."""
+        return _lex_rows(_cliques(self, 3)[0])
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +345,16 @@ _PAIRS = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys``, ascending: ``np.unique`` by one sort, which
-    is several times faster than its hashing on the edge keys of a radius-8 ball."""
+    is several times faster than its hashing on the edge keys of a radius-8 ball
+    and, unlike numpy 2's ``np.unique``, does not import ``numpy.ma``."""
     keys = np.sort(keys, axis=None)
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+    return keys[np.r_[True, keys[1:] != keys[:-1]][: len(keys)]]  # no first key when empty
+
+
+def _lex_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``rows``, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)][: len(rows)]]
 
 
 def generate_ball(radius: int) -> TetBall:
@@ -442,20 +445,54 @@ def common_neighbors(graph, verts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def four_cliques(ball: TetBall) -> np.ndarray:
-    """All 4-cliques of the ball's adjacency graph as ascending rows, in lexicographic order.
+    """All 4-cliques of the ball's adjacency graph as ascending rows, in lexicographic order (``_cliques``)."""
+    return _lex_rows(_cliques(ball, 4)[0])
 
-    Read off ``ball.triangles``: two rows (a, b, c) and (a, b, d), c < d, of
-    one run of equal (a, b) span a 4-clique exactly when c and d are
-    adjacent, found by one ``_edge_pos`` lookup."""
-    tri = ball.triangles
-    start = np.flatnonzero(np.r_[True, (tri[1:, :2] != tri[:-1, :2]).any(axis=1)])
-    end = np.r_[start[1:], len(tri)]
-    later = np.repeat(end, end - start) - np.arange(len(tri)) - 1  # rows after each in its run
-    first = np.repeat(np.arange(len(tri)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    c, d = tri[first, 2], tri[second, 2]
-    keep = _edge_pos(ball, c, d) >= 0
-    return np.column_stack([tri[first[keep]], d[keep]])
+
+def _cliques(ball: TetBall, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-clique of the CSR adjacency once, as an ascending row, and its downward
+    positions: for each slot pair i < j in ``combinations(range(k), 2)`` order, the CSR
+    position of its slot-i vertex in the row of its slot-j vertex.
+
+    Each clique is listed once, at its largest vertex v, from the (k - 1)-subsets of v's older
+    prefix: the first ``lower[v]`` entries of v's sorted row, its neighbours below v.  A subset is
+    kept when its members are pairwise adjacent, each pair tested by ``_older_pos``, so no edge
+    index is searched (the orientation of Chiba and Nishizeki, "Arboricity and subgraph listing
+    algorithms", 1985).  The sum over v of C(lower[v], k - 1) candidates is scanned in blocks of
+    about ``BLOCK_ELEMS`` elements; in a generated ball no ``lower[v]`` exceeds 3.  The subsets of
+    each prefix length are one table, and BudgetError refuses one over ``MAX_TABLE_BYTES``."""
+    indptr, indices = ball.indptr, ball.indices
+    n = len(indptr) - 1
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    start, lower = indptr[:-1], np.bincount(tail[indices < tail], minlength=n)
+    pairs = list(combinations(range(k), 2))
+    found, down = [np.empty((0, k), dtype=np.int64)], [np.empty((0, len(pairs)), dtype=np.int64)]
+    for size in _distinct(lower[lower >= k - 1]).tolist():
+        vs = np.flatnonzero(lower == size)
+        _check_budget(f"the {k - 1}-subsets of an older prefix of {size}", (comb(size, k - 1), k - 1), np.int64)
+        subsets = np.fromiter(chain.from_iterable(combinations(range(size), k - 1)), dtype=np.int64).reshape(-1, k - 1)
+        for block in _blocks(len(vs) * len(subsets), k):
+            v, s = np.divmod(np.arange(block.start, block.stop), len(subsets))
+            v = vs[v]
+            slot = start[v, None] + subsets[s]
+            clique = np.column_stack([indices[slot], v])
+            at = [slot[:, i] if j == k - 1 else _older_pos(indices, start, lower, clique[:, i], clique[:, j]) for i, j in pairs]
+            at = np.column_stack(at)
+            keep = (at >= 0).all(axis=1)
+            found.append(clique[keep])
+            down.append(at[keep])
+    return np.concatenate(found), np.concatenate(down)
+
+
+def _older_pos(indices: np.ndarray, start: np.ndarray, lower: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The CSR position of each a in the older prefix of b (a < b), found by scanning that prefix; -1
+    where a and b are not adjacent."""
+    pos, size = np.full(len(a), -1), lower[b]
+    for j in range(int(size.max(initial=0))):
+        at = start[b] + j
+        hit = (j < size) & (indices.take(at, mode="clip") == a)
+        pos[hit] = at[hit]
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +573,19 @@ def _reduced(ball: TetBall) -> bool:
     return ball.depth[0] == 0 and ball.parent[0] < 0 and earlier.all() and (face >= 0).all() and (face != ball.face[parent]).all()
 
 
+def _row_faults(ball: TetBall) -> np.ndarray:
+    """Whether each row has a parent and disagrees with it: its depth is not one more than the
+    parent's, or its vertices differ from the parent's at a slot other than its face, so that its
+    address, read off ``face``, is not the word of its vertices."""
+    t = np.flatnonzero(ball.parent >= 0)
+    p = ball.parent[t]
+    wrong = ball.depth[t] != ball.depth[p] + 1
+    wrong |= ((ball.verts[t] != ball.verts[p]) & (np.arange(4) != ball.face[t, None])).any(axis=1)
+    faults = np.zeros(len(ball.verts), dtype=bool)
+    faults[t[wrong]] = True
+    return faults
+
+
 def _support_tops(ball: TetBall) -> np.ndarray:
     """For each vertex, how many rows holding it have no parent holding it: 1 exactly
     when its support is a subtree (``support_connected`` in ``tests/oracles.py`` for
@@ -565,6 +615,9 @@ def _prefix_stable(ball: TetBall) -> bool:
 def structural_report(ball: TetBall) -> list[dict]:
     """Run the structural invariant checks for one ball; one dict per check.
 
+    ``addresses_reduced`` names, in row order, each row whose address is not
+    a reduced word of length at most the radius, or that disagrees with its
+    parent (``_row_faults``).
     The vertex and edge counts, the clique check and the support check
     index arrays by vertex id; on a ball holding a negative id each of them
     fails with an error naming the first such row in address order instead.
@@ -572,8 +625,10 @@ def structural_report(ball: TetBall) -> list[dict]:
     n = ball.radius
     checks = count_checks(ball)
 
-    rows = np.flatnonzero(ball.depth > n) if _reduced(ball) else range(len(ball.verts))
-    bad_addr = [a for a in (ball.addrs[t] for t in rows) if not is_address(a) or len(a) > n]
+    faults = _row_faults(ball)
+    rows = np.flatnonzero((ball.depth > n) | faults).tolist() if _reduced(ball) else range(len(ball.verts))
+    named = ((t, ball.addrs[t]) for t in rows)  # no address is built when no row is to be checked
+    bad_addr = [a for t, a in named if faults[t] or not is_address(a) or len(a) > n]
     checks.append({"name": "addresses_reduced", "ok": not bad_addr, "bad": bad_addr[:5]})
 
     error = _negative_id(ball)
@@ -598,13 +653,14 @@ def _negative_id(ball: TetBall) -> str | None:
 
 
 def _clique_and_support_checks(ball: TetBall) -> list[dict]:
-    """The ``four_cliques_are_tets`` and ``supports_tree_connected`` records of ``structural_report``."""
+    """The ``four_cliques_are_tets`` and ``supports_tree_connected`` records of ``structural_report``.
+
+    The 4-cliques and 5-cliques both come from ``_cliques``; ``five_cliques`` lists the 4-subsets of
+    the 5-cliques, that is the 4-cliques with a common neighbour, each once, in lexicographic order."""
     cliques = four_cliques(ball)
-    listed = np.sort(ball.verts, axis=1)
-    listed = listed[np.lexsort(listed.T[::-1])]
-    listed = listed[np.r_[True, (listed[1:] != listed[:-1]).any(axis=1)]]
-    # A 4-clique with a common neighbour (possibly vertex 0) spans a 5-clique.
-    five = cliques[np.unique(common_neighbors(ball, cliques)[0])]
+    listed = _lex_rows(np.sort(ball.verts, axis=1))
+    fives = _cliques(ball, 5)[0]
+    five = _lex_rows(np.concatenate([np.delete(fives, s, axis=1) for s in range(5)]))
     disconnected = np.flatnonzero(_support_tops(ball) != 1)
     return [
         {
@@ -831,13 +887,15 @@ def _link_pass(ball: TetBall) -> tuple[list, np.ndarray | None, np.ndarray | Non
 def _link_edges(ball: TetBall) -> tuple[np.ndarray, np.ndarray]:
     """Every link edge as (v, i * k + j) for members i < j of the sorted link of v, k its size.
 
-    Read off ``ball.triangles``: the triangle (a, b, c) is the link edge
-    (b, c) of a, (a, c) of b and (a, b) of c.  Each vertex holds each of its
-    link edges once; the order is the triangles' within each role."""
-    indptr, (a, b, c) = ball.indptr, ball.triangles.T
-    v, x, y = np.concatenate([a, b, c]), np.concatenate([b, a, a]), np.concatenate([c, c, b])
-    i, j = (_edge_pos(ball, v, u) - indptr[v] for u in (x, y))
-    return v, i * (indptr[v + 1] - indptr[v]) + j
+    Read off the triangles of ``_cliques``: the triangle (a, b, c) is the link edge (b, c) of a,
+    (a, c) of b and (a, b) of c.  The lister gives the downward CSR positions (c -> a, c -> b,
+    b -> a) and one ``_edge_pos`` search the upward ones.  Each vertex holds each of its link edges
+    once; the order is the lister's within each role."""
+    indptr, (tri, down) = ball.indptr, _cliques(ball, 3)
+    (a, b, c), (ba, ca, cb) = tri.T, down.T
+    ab, ac, bc = np.split(_edge_pos(ball, np.r_[a, a, b], np.r_[b, c, c]), 3)
+    v, i, j = np.r_[a, b, c], np.r_[ab, ba, ca], np.r_[ac, bc, cb]
+    return v, (i - indptr[v]) * (indptr[v + 1] - indptr[v]) + j - indptr[v]
 
 
 def link_labeling_report(ball: TetBall) -> list[dict]:

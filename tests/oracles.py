@@ -5,7 +5,8 @@ Each function here is the plain, one-item-at-a-time form of something
 walks on addresses, per-triangle cofaces, per-vertex link labels, per-pair
 bottleneck triangles and separation, the Farey complex on ``Slope`` objects
 with the Mobius action and the matrices of ordered Farey triangles, the
-ordered tetrahedra in order, and the row and two-sided id lookups by search.
+ordered tetrahedra in order, the row and two-sided id lookups by search, and
+the 3-, 4- and 5-clique lists by common neighbours and edge searches.
 None of it is called by the package itself.
 """
 
@@ -20,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from crosscap3 import tet_tree
 from crosscap3.curve_graph import CurveGraphBall
 from crosscap3.metric import DistanceTable, _tet_ball
 from crosscap3.rigidity import ROOT_TET, MappingClassElement, OrderedTet
@@ -307,6 +309,37 @@ def pair_ids_by_keys(cg: CurveGraphBall, a, b) -> np.ndarray:
     pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     # With hi < n, no pair outside 0 <= lo < hi < n shares a key with an edge.
     return np.where((keys[pos] == want) & (hi < cg.n_one), cg.n_one + pos, -1)
+
+
+def triangles_by_common_neighbors(ball: TetBall) -> np.ndarray:
+    """Reference for ``tet_tree._cliques`` at k = 3: each edge (a, b), a < b, extended by its common
+    neighbours c > b, as ascending rows in lexicographic order."""
+    edges = ball.edges()
+    row, c = tet_tree.common_neighbors(ball, edges)
+    above = c > edges[row, 1]
+    return np.column_stack([edges[row[above]], c[above]])
+
+
+def four_cliques_by_runs(ball: TetBall) -> np.ndarray:
+    """Reference for ``tet_tree._cliques`` at k = 4, read off ``triangles_by_common_neighbors``: two
+    rows (a, b, c) and (a, b, d), c < d, of one run of equal (a, b) span a 4-clique exactly when c
+    and d are adjacent, found by one ``_edge_pos`` search."""
+    tri = triangles_by_common_neighbors(ball)
+    start = np.flatnonzero(np.r_[True, (tri[1:, :2] != tri[:-1, :2]).any(axis=1)])
+    end = np.r_[start[1:], len(tri)]
+    later = np.repeat(end, end - start) - np.arange(len(tri)) - 1  # rows after each in its run
+    first = np.repeat(np.arange(len(tri)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    c, d = tri[first, 2], tri[second, 2]
+    keep = tet_tree._edge_pos(ball, c, d) >= 0
+    return np.column_stack([tri[first[keep]], d[keep]])
+
+
+def four_cliques_with_a_common_neighbor(ball: TetBall) -> np.ndarray:
+    """Reference for the five-clique test of ``structural_report``: the rows of
+    ``four_cliques_by_runs`` that have a common neighbour, each once, in order."""
+    cliques = four_cliques_by_runs(ball)
+    return cliques[np.unique(tet_tree.common_neighbors(ball, cliques)[0])]
 
 
 def element_of_map(mapping: np.ndarray, cg: CurveGraphBall) -> MappingClassElement:

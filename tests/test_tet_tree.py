@@ -1,7 +1,7 @@
 import json
 import random
 from collections import deque
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +33,8 @@ from oracles import (
     _unfold,
     common_neighbors,
     farey_adjacent,
+    four_cliques_by_runs,
+    four_cliques_with_a_common_neighbor,
     has_edge,
     link_slope_labeling,
     mat_inverse,
@@ -43,6 +45,7 @@ from oracles import (
     tree_path,
     triangle_cofaces,
     triangle_matrix,
+    triangles_by_common_neighbors,
 )
 
 
@@ -760,7 +763,30 @@ def named_ball(ball, name):
         return ball(int(name[-1]))
     if name == "five_clique":
         return with_edges(generate_ball(1), add=[(0, 4)])
+    if name == "older_8":
+        # The last vertex, 55, joined to 0..6: an older prefix of 8, which closes four
+        # 5-cliques with the root tetrahedron and three of its neighbours.
+        b = generate_ball(3)
+        return with_edges(b, add=[(b.n_vertices - 1, u) for u in range(7)])
     return MALFORMED[name]()
+
+
+# The clique lister against the common-neighbour construction: every oracle ball, two larger
+# generated balls and a ball with an older prefix over 3, at three block sizes (radius 8 at
+# the default only, where blocks of 1 would take seconds).
+LISTER_CASES = [
+    (name, block)
+    for name in ORACLE_BALLS + ["older_8", "radius_7"]
+    for block in (1, 7, tet_tree.BLOCK_ELEMS)
+] + [("radius_8", tet_tree.BLOCK_ELEMS)]
+_clique_oracle = {}
+
+
+def clique_oracle(b, name):
+    """The common-neighbour construction's 3-cliques, 4-cliques and 4-cliques with a common neighbour."""
+    if name not in _clique_oracle:
+        _clique_oracle[name] = [f(b).tolist() for f in (triangles_by_common_neighbors, four_cliques_by_runs, four_cliques_with_a_common_neighbor)]
+    return _clique_oracle[name]
 
 
 def tree_neighbors_in(addr, members):
@@ -816,9 +842,38 @@ class TestCliques:
         assert sorted(zip(owner.tolist(), keys.tolist())) == sorted(zip(want[0].tolist(), want[1].tolist()))
         assert len(owner) == 3 * len(b.triangles)
 
+    @pytest.mark.parametrize("name, block", LISTER_CASES, ids=[f"{n}-{b}" for n, b in LISTER_CASES])
+    def test_lister_matches_the_common_neighbour_construction(self, monkeypatch, ball, name, block):
+        b = named_ball(ball, name)
+        triangles, fours, with_common = clique_oracle(b, name)
+        monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", block)
+        for k, want in ((3, triangles), (4, fours), (5, None)):
+            cliques, down = tet_tree._cliques(b, k)
+            assert len(tet_tree._lex_rows(cliques)) == len(cliques)  # each clique once
+            assert (np.diff(cliques, axis=1) > 0).all()
+            if want is not None:
+                assert tet_tree._lex_rows(cliques).tolist() == want
+            pairs = list(combinations(range(k), 2))
+            assert down.shape == (len(cliques), len(pairs))
+            for p, (i, j) in enumerate(pairs):
+                assert down[:, p].tolist() == tet_tree._edge_pos(b, cliques[:, j], cliques[:, i]).tolist()
+        subsets = {tuple(np.delete(q, s)) for q in cliques.tolist() for s in range(5)}
+        assert subsets == set(map(tuple, with_common))
+        if name in {"five_clique", "older_8"}:
+            assert len(cliques) and check(b, "four_cliques_are_tets")["five_cliques"] == with_common[:5]
+
+    def test_subset_table_over_budget_is_refused(self, monkeypatch):
+        # The 70 4-subsets of the older prefix of 8 take 2,240 bytes as one int64 table.
+        b = named_ball(None, "older_8")
+        monkeypatch.setattr(tet_tree, "MAX_TABLE_BYTES", 2239)
+        with pytest.raises(BudgetError, match="the 4-subsets of an older prefix of 8 needs"):
+            tet_tree._cliques(b, 5)
+        monkeypatch.setattr(tet_tree, "MAX_TABLE_BYTES", 2240)
+        assert len(tet_tree._cliques(b, 5)[0]) == 4
+
     def test_edit_after_cliques_is_seen(self):
-        # The triangles cached by four_cliques belong to the CSR before the
-        # edit; the edited ball must report what a ball edited first reports.
+        # Cliques listed before the edit belong to the old CSR; the edited
+        # ball must report what a ball edited first reports.
         b = generate_ball(1)
         four_cliques(b)
         with_edges(b, add=[(0, 4)])
@@ -863,10 +918,16 @@ class TestCommonNeighbors:
         row, v = tet_tree.common_neighbors(ball(2), np.zeros((0, 3), dtype=np.int64))
         assert len(row) == len(v) == 0
 
+    def test_distinct_of_nothing(self):
+        # A one-entry mask on an empty array used to raise IndexError.
+        assert tet_tree._distinct(np.empty(0, dtype=np.int64)).tolist() == []
+        assert tet_tree._lex_rows(np.empty((0, 4), dtype=np.int64)).shape == (0, 4)
+        assert tet_tree._distinct(np.array([[3, 1], [3, 2]])).tolist() == [1, 2, 3]
+
     def test_block_size_does_not_change_cliques(self, monkeypatch, ball):
         cliques = four_cliques(ball(4))
         monkeypatch.setattr(tet_tree, "BLOCK_ELEMS", 5)
-        assert np.array_equal(four_cliques(generate_ball(4)), cliques)  # a fresh ball: triangles are cached
+        assert np.array_equal(four_cliques(generate_ball(4)), cliques)
 
 
 def edge_positions(adjacency):
@@ -937,7 +998,7 @@ class TestEdgePos:
         monkeypatch.setattr(tet_tree, "_edge_pos", spy)
         assert cli.run_verify(8)["ok"]
         graphs = {id(g): type(g).__name__ for g, _ in searched}
-        assert len(searched) > 20
+        assert len(searched) >= 13
         assert sorted(graphs.values()) == ["CurveGraphBall", "TetBall"]
         assert len({id(keys) for _, keys in searched}) == 2
 
@@ -1174,6 +1235,22 @@ class TestStructuralReport:
         assert check(TetBall(3, dict(reversed(tets.items()))), "prefix_stable")["ok"]
         del tets["21"]
         assert not check(TetBall(3, dict(reversed(tets.items()))), "prefix_stable")["ok"]
+
+    @pytest.mark.parametrize(
+        "field, row, value, addr",
+        [("face", 6, 1, "01"), ("depth", 5, 3, "01"), ("depth", 16, 5, "32")],
+        ids=["face_off_the_changed_slot", "depth_below_the_parent_chain", "depth_past_the_radius"],
+    )
+    def test_a_row_that_disagrees_with_its_parent_is_named(self, field, row, value, addr):
+        # Row 6 ('02') with face 1 takes row 5's address '01' and so drops out of ball.tets; the
+        # depth edits keep every address.  Each of these balls passed every check before.
+        rows = {k: getattr(generate_ball(2), k).copy() for k in ("verts", "parent", "face", "depth")}
+        rows[field][row] = value
+        b = TetBall.from_rows(2, *rows.values())
+        assert b.addrs[row] == addr and len(b.tets) == 17 - (field == "face")
+        report = structural_report(b)
+        assert [c for c in report if not c["ok"]] == [{"name": "addresses_reduced", "ok": False, "bad": [addr]}]
+        assert not tet_tree._row_faults(generate_ball(2)).any()
 
     def test_addresses_reduced_matches_the_words(self):
         # Non-reduced words, a letter outside the alphabet, words too long,
